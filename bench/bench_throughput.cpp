@@ -54,7 +54,7 @@
 #include "core/chunker.hpp"
 #include "core/distributor.hpp"
 #include "core/journal.hpp"
-#include "core/scrubber.hpp"
+#include "core/migrator.hpp"
 #include "obs/exporter.hpp"
 #include "obs/telemetry.hpp"
 #include "storage/fault_plan.hpp"
@@ -564,8 +564,8 @@ struct ScrubRow {
 
 /// Scrub detection latency and completeness vs injected corruption rate:
 /// flip one byte in one stripe shard of `rate` of all chunks, then time a
-/// full scrubber pass. Detection latency for any one corruption is bounded
-/// by the pass time; completeness must be 100%.
+/// full scrubbing heal pass. Detection latency for any one corruption is
+/// bounded by the pass time; completeness must be 100%.
 ScrubRow run_scrub_row(double rate) {
   BenchDir dir;
   storage::ProviderRegistry registry = storage::make_default_registry(12);
@@ -601,13 +601,14 @@ ScrubRow run_scrub_row(double rate) {
                "corrupt");
     ++row.corrupted;
   }
-  core::Scrubber scrubber(cdd);
+  core::Migrator walker(cdd);
   Stopwatch w;
-  Result<std::size_t> repaired = scrubber.run_pass();
+  Result<core::Migrator::Report> pass =
+      walker.run(core::MovePolicy::heal(/*scrub=*/true));
   row.pass_ms = w.elapsed_seconds() * 1e3;
-  CS_REQUIRE(repaired.ok(), repaired.status().to_string());
-  row.detected = scrubber.progress().digest_mismatches;
-  row.repaired = scrubber.progress().shards_repaired;
+  CS_REQUIRE(pass.ok(), pass.status().to_string());
+  row.detected = pass.value().mismatches;
+  row.repaired = pass.value().shards_moved;
   return row;
 }
 

@@ -1,21 +1,29 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verification + sanitizer passes + throughput gate.
+# CI entry point: tier-1 verification + benchmark smoke + sanitizer passes +
+# throughput gate.
 #
 #   ./ci.sh          # everything below
 #   ./ci.sh fast     # tier-1 build + ctest only
 #
 # Stages:
 #   1. tier-1: default build, full ctest suite (the ROADMAP acceptance bar)
-#   2. asan:   -DCSHIELD_SANITIZE=address, full ctest suite (includes
+#   2. bench_ledger: configures and builds the bench_ledger/ package (its own
+#              CMake project, compiled from ../src the way BENCHMARK.json's
+#              run.sh builds it) and runs its ledger_smoke ctest: every
+#              workload at smoke size, traced and untraced, with all output
+#              checks on. A src/ API change that breaks the benchmark fails
+#              here instead of at the next benchmark run. The smoke tests
+#              share one scratch directory, so they run serially.
+#   3. asan:   -DCSHIELD_SANITIZE=address, full ctest suite (includes
 #              obs_test and recovery_test, so the telemetry layer, the
 #              journal codec fuzz sweeps, and the crash-injection harness
 #              all run under ASan here)
-#   3. tsan:   -DCSHIELD_SANITIZE=thread, concurrency_test (the shared-
+#   4. tsan:   -DCSHIELD_SANITIZE=thread, concurrency_test (the shared-
 #              MetadataStore / two-front-end interleaving harness, telemetry
 #              on) + obs_test (metrics/tracer semantics under TSan) +
 #              chaos_test (retry/hedge/breaker layer under injected faults)
-#              + recovery_test (journal append path + background scrubber
-#              thread against live traffic, including the group-commit
+#              + recovery_test (journal append path + background scrub
+#              pass of the maintenance walker, including the group-commit
 #              multi-threaded append hammer and its crash-at-every-batch-
 #              boundary replay checks) + health_test (the exporter sampler
 #              thread and watchdog polling racing live metric writers)
@@ -24,12 +32,13 @@
 #              the arm-switching bit-identity sweep)
 #              + migration_test (the provider-lifecycle registry hammer --
 #              concurrent drain/activate churn against eligibility readers
-#              -- plus the background Migrator running alongside live reads)
+#              -- plus the background Migrator running alongside live
+#              reads, and rebalance() racing a client update of one chunk)
 #              + shardplane_test (the N-way partitioned metadata/journal
 #              plane: 8 front-ends x 64 clients hammering a shared 4-shard
 #              plane, routing-discipline checks, and the per-shard
 #              crash-at-every-append-boundary recovery sweep)
-#   4. crash-e2e: scripted end-to-end crash drill against cshield_cli on a
+#   5. crash-e2e: scripted end-to-end crash drill against cshield_cli on a
 #              disk-backed root: put files, kill the process mid-stripe via
 #              CSHIELD_CRASH_AFTER_APPENDS (it _exit(42)s inside a journal
 #              append, before the record hits disk), restart, `recover`,
@@ -58,21 +67,21 @@
 #              pending, `recover` resumes and finishes it, a second
 #              `recover` is a no-op, and the file reads back byte-identical
 #              before the drained provider is decommissioned.
-#   5. ops-plane e2e: cshield_cli with --export-file on a real workload;
+#   6. ops-plane e2e: cshield_cli with --export-file on a real workload;
 #              the JSONL sample stream must be non-empty and the final
 #              Prometheus exposition must pass promtool-style line
 #              validation (every line a `# TYPE` declaration or a
 #              `name{labels} value` sample) and carry the build-info and
 #              process gauges; `cshield_cli health` must report a healthy
 #              deployment (exit 0) with every SLO listed.
-#   6. forced-scalar: -DCSHIELD_FORCE_SCALAR=ON + ASan build that compiles
+#   7. forced-scalar: -DCSHIELD_FORCE_SCALAR=ON + ASan build that compiles
 #              the SIMD kernel arms out entirely, then runs kernels_test,
 #              crypto_test, fragmentation_test, and raid_test so the portable
 #              scalar/SWAR data plane is exercised under a sanitizer. The
 #              TSan binaries from stage 3 are also re-run with the
 #              CSHIELD_FORCE_SCALAR=1 env override, covering the runtime
 #              (no-rebuild) dispatch path.
-#   7. bench:  bench_throughput writes BENCH_throughput.json at the repo
+#   8. bench:  bench_throughput writes BENCH_throughput.json at the repo
 #              root and exits non-zero unless the pipelined engine beats the
 #              serial baseline by >= 3x on 64-chunk put AND get, AND the
 #              telemetry overhead gate holds (enabled vs disabled telemetry
@@ -120,22 +129,27 @@ cd "$(dirname "$0")"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-echo "== [1/7] tier-1: build + ctest =="
+echo "== [1/8] tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
 
 if [[ "${1:-}" == "fast" ]]; then
-  echo "fast mode: skipping sanitizer, crash-e2e, and bench stages"
+  echo "fast mode: skipping bench_ledger, sanitizer, crash-e2e, and bench stages"
   exit 0
 fi
 
-echo "== [2/7] address sanitizer: build + ctest =="
+echo "== [2/8] bench_ledger: build the benchmark package + ledger_smoke =="
+cmake -S bench_ledger -B build-ledger >/dev/null
+cmake --build build-ledger -j "${jobs}"
+(cd build-ledger && ctest --output-on-failure)
+
+echo "== [3/8] address sanitizer: build + ctest =="
 cmake -B build-asan -S . -DCSHIELD_SANITIZE=address >/dev/null
 cmake --build build-asan -j "${jobs}"
 (cd build-asan && ctest --output-on-failure -j "${jobs}")
 
-echo "== [3/7] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test =="
+echo "== [4/8] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test =="
 cmake -B build-tsan -S . -DCSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
   chaos_test recovery_test health_test fragmentation_test migration_test \
@@ -149,7 +163,7 @@ cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
 ./build-tsan/tests/migration_test
 ./build-tsan/tests/shardplane_test
 
-echo "== [4/7] crash e2e: put, kill mid-stripe, recover, verify =="
+echo "== [5/8] crash e2e: put, kill mid-stripe, recover, verify =="
 cli=./build/examples/cshield_cli
 e2e="$(mktemp -d /tmp/cshield_e2e.XXXXXX)"
 trap 'rm -rf "${e2e}"' EXIT
@@ -374,7 +388,7 @@ if ! grep -q "decommission Zephyr OK" <<< "${decomm_out}"; then
 fi
 echo "crash e2e[migration drain]: PASS"
 
-echo "== [5/7] ops plane e2e: --export-file stream + exposition validation + health =="
+echo "== [6/8] ops plane e2e: --export-file stream + exposition validation + health =="
 ops="${e2e}/ops"
 ops_root="${ops}/root"
 mkdir -p "${ops}"
@@ -438,7 +452,7 @@ for slo in availability latency.put latency.get journal.flush \
 done
 echo "ops e2e: PASS"
 
-echo "== [6/7] forced-scalar: ASan build without SIMD arms + env-override TSan rerun =="
+echo "== [7/8] forced-scalar: ASan build without SIMD arms + env-override TSan rerun =="
 cmake -B build-scalar -S . -DCSHIELD_FORCE_SCALAR=ON \
   -DCSHIELD_SANITIZE=address >/dev/null
 cmake --build build-scalar -j "${jobs}" --target kernels_test crypto_test \
@@ -452,7 +466,7 @@ cmake --build build-scalar -j "${jobs}" --target kernels_test crypto_test \
 CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/concurrency_test
 CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/recovery_test
 
-echo "== [7/7] perf gates: bench_throughput + bench_kernels + frontier + migration + shardplane =="
+echo "== [8/8] perf gates: bench_throughput + bench_kernels + frontier + migration + shardplane =="
 ./build/bench/bench_throughput BENCH_throughput.json
 ./build/bench/bench_kernels BENCH_kernels.json
 ./build/bench/bench_encryption_vs_fragmentation BENCH_frontier.json

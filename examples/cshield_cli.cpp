@@ -30,9 +30,10 @@
 //   cshield_cli <root> drain <name>         # empty a provider, keep it serving
 //   cshield_cli <root> decommission <name>  # drain (if needed) and retire
 //
-// Topology commands run the journaled two-phase migration (see
+// Topology commands run the journaled two-phase migration, and `scrub` a
+// digest-checking heal pass, on the maintenance walker (see
 // core/migrator.hpp); `--stripes-per-sec <r>` throttles the walk and
-// `--max-in-flight <n>` caps concurrent chunk moves. A crash mid-migration
+// `--max-in-flight <n>` caps concurrent chunk rewrites. A crash mid-migration
 // leaves a kBeginMigrate intent that `recover` resumes to completion.
 //
 // Flags (any command): `--stats` prints this invocation's telemetry;
@@ -73,7 +74,6 @@
 #include "core/metadata_io.hpp"
 #include "core/metadata_plane.hpp"
 #include "core/migrator.hpp"
-#include "core/scrubber.hpp"
 #include "obs/exporter.hpp"
 #include "obs/health.hpp"
 #include "obs/watchdog.hpp"
@@ -700,17 +700,18 @@ int main(int argc, char** argv) {
       return done(0);
     }
     if (cmd == "scrub") {
-      core::Scrubber scrubber(*world.cdd);
-      Result<std::size_t> repaired = scrubber.run_pass();
-      const core::Scrubber::Progress prog = scrubber.progress();
-      if (!repaired.ok()) {
-        std::cout << repaired.status().to_string() << " (scanned "
-                  << prog.chunks_scanned << " chunks)\n";
+      core::Migrator walker(*world.cdd, mig_config);
+      Result<core::Migrator::Report> pass =
+          walker.run(core::MovePolicy::heal(/*scrub=*/true));
+      const core::Migrator::Progress prog = walker.progress();
+      if (!pass.ok()) {
+        std::cout << pass.status().to_string() << " (scanned "
+                  << prog.chunks_visited << " chunks)\n";
         return done(1);
       }
-      std::cout << "scrub OK: " << prog.chunks_scanned
-                << " chunks scanned, " << prog.digest_mismatches
-                << " digest mismatches, " << prog.shards_repaired
+      std::cout << "scrub OK: " << prog.chunks_visited
+                << " chunks scanned, " << prog.mismatches
+                << " digest mismatches, " << prog.shards_moved
                 << " shards repaired\n";
       return done(0);
     }

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "core/metadata_io.hpp"
+#include "core/migrator.hpp"
 #include "core/misleading.hpp"
 #include "crypto/fragmentation.hpp"
 #include "util/hash.hpp"
@@ -592,19 +593,29 @@ CloudDataDistributor::write_stripe(BytesView payload,
   return result;
 }
 
-/// Picks a healthy trust-eligible provider not already in `stripe`, for the
-/// write-quarantine and repair paths. kNoProvider when none qualifies.
-/// Deterministic: first candidate in registry order.
 ProviderIndex CloudDataDistributor::replacement_target(
-    PrivacyLevel pl, const std::vector<ShardLocation>& stripe) const {
-  for (ProviderIndex cand : registry_.eligible_for(pl)) {
-    if (!registry_.at(cand).online()) continue;
-    if (registry_.quarantined(cand)) continue;
-    bool in_stripe = false;
-    for (const auto& loc : stripe) {
-      if (loc.provider == cand) in_stripe = true;
+    PrivacyLevel pl, const std::vector<ShardLocation>& stripe,
+    std::optional<VirtualId> ring_key) const {
+  const std::vector<ProviderIndex> eligible = registry_.eligible_for(pl);
+  std::vector<ProviderIndex> candidates;
+  if (ring_key.has_value()) {
+    std::lock_guard<std::mutex> lock(ring_mu_);
+    if (!ring_.empty()) {
+      candidates = ring_.lookup_many(*ring_key, registry_.size());
     }
-    if (!in_stripe) return cand;
+  }
+  // Registry order last: small fleets and quarantine storms can exhaust the
+  // ring.
+  candidates.insert(candidates.end(), eligible.begin(), eligible.end());
+  for (ProviderIndex cand : candidates) {
+    auto held_by_cand = [cand](const ShardLocation& loc) {
+      return loc.provider == cand;
+    };
+    if (std::find(eligible.begin(), eligible.end(), cand) != eligible.end() &&
+        registry_.at(cand).online() && !registry_.quarantined(cand) &&
+        std::none_of(stripe.begin(), stripe.end(), held_by_cand)) {
+      return cand;
+    }
   }
   return kNoProvider;
 }
@@ -1496,165 +1507,228 @@ Status CloudDataDistributor::remove_file(const std::string& client,
   return op.finish(Status::Ok(), nullptr, config_.worker_threads);
 }
 
-Result<CloudDataDistributor::StripeHealStats>
-CloudDataDistributor::heal_chunk(std::size_t index, bool note_scrub) {
-  // `index` is a global chunk index; resolve the owning partition first.
-  // A sparse global (no row in its partition) reads as NotFound -- skipped.
-  const std::size_t shard = plane_->shard_of_index(index);
+Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
+    std::size_t index, const MovePolicy& policy) {
+  using Kind = MovePolicy::Kind;
+  CS_REQUIRE(policy.kind != Kind::kMigrate || policy.subject < registry_.size(),
+             "rewrite_chunk: provider index out of range");
+  const bool join = policy.kind == Kind::kMigrate &&
+                    policy.migration == MigrationKind::kJoin;
+  // Heal probes take a single attempt: a quarantined provider's open breaker
+  // rejects without I/O, so its shards read as lost and get re-homed -- this
+  // is how repair heals quarantined stripes. Moves use the full retry budget.
+  const std::size_t attempts = policy.kind == Kind::kHeal ? 1 : 0;
+
+  // `index` is a global chunk index; sparse globals resolve to NotFound.
+  const std::size_t part = plane_->shard_of_index(index);
   const std::size_t local = plane_->local_index(index);
-  MetadataStore& md = plane_->store(shard);
-  // Same commit discipline as migrate_chunk: the scrubber/repair walk runs
-  // alongside live client updates and the background migrator, so the row
-  // write-back goes through the version CAS -- a stale heal result must not
-  // overwrite a newer row (whose superseded locations may already be
-  // deleted). On a lost race the freshly placed copies are removed and the
-  // chunk is redone from the new row; a row too hot to commit is left for
-  // the next scrub pass.
+  MetadataStore& md = plane_->store(part);
+  // The row is read-modify-written while client writes and other walks may
+  // rewrite it, so the commit is a version CAS: a stale rewrite must never
+  // overwrite a newer row and then delete copies that row references. A lost
+  // race deletes this attempt's new copies and redoes from the fresh row.
   constexpr int kCasAttempts = 8;
   for (int attempt = 0; attempt < kCasAttempts; ++attempt) {
-    StripeHealStats stats;
+    RewriteStats stats;
     Result<MetadataStore::VersionedChunk> row =
         md.chunk_entry_versioned(local);
-    if (!row.ok()) return stats;  // row gone from under us: nothing to do
+    if (!row.ok()) return stats;  // sparse global: nothing to rewrite
     ChunkEntry entry = std::move(row.value().entry);
     const std::uint64_t row_version = row.value().version;
     if (entry.deleted) return stats;
+    if (join &&
+        !privileged_for(registry_.at(policy.subject).descriptor().privacy_level,
+                        entry.privacy_level)) {
+      return stats;  // joiner not trusted at this sensitivity: steals nothing
+    }
 
-    struct Probe {
-      std::optional<Bytes> data;  ///< set only when intact
-      bool corrupt = false;       ///< provider answered, digest failed
-    };
-    // Broken locations re-homed this attempt and their replacements (same
-    // index); update_chunk_if() applies the provider-id-table deltas
-    // atomically with the row commit.
-    std::vector<ShardLocation> replaced_old;
-    std::vector<ShardLocation> replaced_new;
-    auto heal_stripe = [&](std::vector<ShardLocation>& stripe,
-                           const std::vector<crypto::Digest>& digests)
-        -> Result<std::size_t> {
-      // Probe every shard through the I/O pool (leaf tasks only, so both
-      // caller threads and the scrubber thread can block on the futures).
-      // Probes take a single attempt through the request layer: a
-      // quarantined provider's open breaker rejects without I/O, so its
-      // shards read as broken and get re-homed -- this is how repair heals
-      // quarantined stripes.
-      std::vector<std::future<Probe>> probes;
-      probes.reserve(stripe.size());
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        probes.push_back(io_pool_.submit(
-            [this, loc = stripe[s], digest = digests[s]]() -> Probe {
-              Probe p;
-              RequestLayer::GetOutcome r =
-                  rt_.get(loc.provider, loc.virtual_id, 1);
-              if (!r.data.has_value()) return p;
-              if (crypto::sha256(*r.data) == digest) {
-                p.data = std::move(*r.data);
-              } else {
-                p.corrupt = true;
-              }
-              return p;
-            }));
-      }
+    // `retired[i]` is replaced by `placed[i]`; update_chunk_if() applies the
+    // provider-id-table deltas atomically with the row write. `doomed` are
+    // the retired copies that answered the fetch: deleted after the commit.
+    std::vector<ShardLocation> retired;
+    std::vector<ShardLocation> placed;
+    std::vector<ShardLocation> doomed;
+    auto rewrite_stripe = [&](std::vector<ShardLocation>& stripe,
+                              const std::vector<crypto::Digest>& digests) {
+      enum class Held : std::uint8_t { kUnprobed, kIntact, kCorrupt, kMissing };
+      std::vector<Held> held(stripe.size(), Held::kUnprobed);
       std::vector<std::optional<Bytes>> shards(stripe.size());
-      std::vector<std::size_t> broken;
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        Probe p = probes[s].get();
-        if (p.corrupt) {
-          ++stats.mismatches;
-          if (note_scrub) registry_.at(stripe[s].provider).note_scrub_error();
+      struct Probe {
+        Held held = Held::kMissing;
+        std::optional<Bytes> data;  ///< set only when intact
+      };
+      // Fetches and digest-checks the unprobed shards `wanted` picks, on the
+      // I/O pool (leaf tasks only, so any thread may block on them).
+      auto probe = [&](auto wanted) {
+        std::vector<std::pair<std::size_t, std::future<Probe>>> futures;
+        for (std::size_t t = 0; t < stripe.size(); ++t) {
+          if (held[t] != Held::kUnprobed || !wanted(t)) continue;
+          futures.emplace_back(
+              t, io_pool_.submit([this, loc = stripe[t], digest = digests[t],
+                                  attempts] {
+                Probe p;
+                RequestLayer::GetOutcome got =
+                    rt_.get(loc.provider, loc.virtual_id, attempts);
+                if (!got.data.has_value()) return p;
+                if (crypto::sha256(*got.data) != digest) {
+                  p.held = Held::kCorrupt;
+                  return p;
+                }
+                p.held = Held::kIntact;
+                p.data = std::move(got.data);
+                return p;
+              }));
         }
-        shards[s] = std::move(p.data);
-        if (!shards[s].has_value()) broken.push_back(s);
+        for (auto& [t, future] : futures) {
+          Probe p = future.get();
+          held[t] = p.held;
+          shards[t] = std::move(p.data);
+          if (p.held == Held::kCorrupt) {
+            ++stats.mismatches;
+            if (policy.scrub) {
+              registry_.at(stripe[t].provider).note_scrub_error();
+            }
+          }
+        }
+      };
+      if (policy.kind == Kind::kHeal) probe([](std::size_t) { return true; });
+
+      bool subject_in_stripe = false;
+      for (const ShardLocation& loc : stripe) {
+        if (loc.provider == policy.subject) subject_in_stripe = true;
       }
-      if (broken.empty()) return std::size_t{0};
-      std::size_t fixed = 0;
-      for (std::size_t s : broken) {
-        Result<Bytes> shard =
-            raid::reconstruct_shard(entry.layout, shards, s);
-        if (!shard.ok()) return shard.status();
-        // New home: eligible, online, healthy, not already a stripe member.
+      for (std::size_t s = 0; s < stripe.size(); ++s) {
+        const ShardLocation old = stripe[s];
+        bool affected = false;
+        switch (policy.kind) {
+          case Kind::kHeal:
+            affected = held[s] != Held::kIntact;
+            break;
+          case Kind::kMigrate:
+            // A join takes the arc the joiner stole. Stripe members stay on
+            // distinct providers, so a stripe yields the joiner at most one
+            // shard and a re-run skips a stripe it already holds a shard of.
+            affected = join ? !subject_in_stripe &&
+                                  ring_owner(old.virtual_id) == policy.subject
+                            : old.provider == policy.subject;
+            break;
+          case Kind::kDemote:
+            affected = !privileged_for(
+                registry_.at(old.provider).descriptor().privacy_level,
+                entry.privacy_level);
+            break;
+        }
+        if (!affected) continue;
+
+        probe([s](std::size_t t) { return t == s; });
+        if (!shards[s].has_value()) {
+          // Lost or corrupt: rebuild it from the survivors.
+          probe([s](std::size_t t) { return t != s; });
+          Result<Bytes> rebuilt =
+              raid::reconstruct_shard(entry.layout, shards, s);
+          if (!rebuilt.ok()) {
+            ++stats.errors;  // below RAID tolerance right now: next pass
+            continue;
+          }
+          shards[s] = std::move(rebuilt).value();
+        }
+
+        // A drain prefers the shard key's ring successors.
         const ProviderIndex home =
-            replacement_target(entry.privacy_level, stripe);
+            join ? policy.subject
+                 : replacement_target(entry.privacy_level, stripe,
+                                      policy.kind == Kind::kMigrate
+                                          ? std::optional(old.virtual_id)
+                                          : std::nullopt);
         if (home == kNoProvider) {
-          return Status::ResourceExhausted(
-              "repair: no healthy provider outside the stripe");
+          ++stats.errors;  // no qualifying provider this pass
+          continue;
         }
         const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard.value());
-        CS_RETURN_IF_ERROR(rpc.status);
-        replaced_old.push_back(stripe[s]);
-        replaced_new.push_back(ShardLocation{home, id});
-        stripe[s] = ShardLocation{home, id};
-        shards[s] = std::move(shard).value();
-        ++fixed;
+        if (!rt_.put(home, id, *shards[s]).status.ok()) {
+          ++stats.errors;
+          continue;
+        }
+        retired.push_back(old);
+        placed.push_back(ShardLocation{home, id});
+        // A missing or breaker-rejected copy gets no delete RPC: reconcile()
+        // sweeps it if it ever comes back.
+        if (held[s] != Held::kMissing) doomed.push_back(old);
+        stripe[s] = placed.back();
+        ++stats.moved;
+        stats.bytes += shards[s]->size();
+        if (join) subject_in_stripe = true;
       }
-      return fixed;
     };
-
-    Result<std::size_t> fixed = heal_stripe(entry.stripe, entry.shard_digests);
-    if (!fixed.ok()) return fixed.status();
-    stats.fixed = fixed.value();
+    rewrite_stripe(entry.stripe, entry.shard_digests);
     if (entry.has_snapshot) {
-      Result<std::size_t> snap_fixed =
-          heal_stripe(entry.snapshot, entry.snapshot_digests);
-      if (!snap_fixed.ok()) return snap_fixed.status();
-      stats.fixed += snap_fixed.value();
+      rewrite_stripe(entry.snapshot, entry.snapshot_digests);
     }
-    if (stats.fixed > 0) {
-      Status updated = md.update_chunk_if(local, entry, row_version,
-                                          replaced_old, replaced_new);
-      if (!updated.ok()) {
-        // The re-homed copies never became referenced: delete them so the
-        // lost race leaves no orphans behind.
-        for (const ShardLocation& loc : replaced_new) {
-          (void)rt_.remove(loc.provider, loc.virtual_id);
-        }
-        if (updated.code() == ErrorCode::kFailedPrecondition) {
-          continue;  // a concurrent writer rewrote the row: redo from fresh
-        }
-        return updated;
+    if (stats.moved == 0) {
+      // A shard that a concurrent client rewrite already dropped fails its
+      // fetch: errors only count against the row as it still stands.
+      if (stats.errors != 0 &&
+          md.chunk_entry_versioned(local).value().version != row_version) {
+        continue;
       }
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      CS_RETURN_IF_ERROR(journal_append(rec, shard));
+      return stats;
+    }
+
+    Status updated =
+        md.update_chunk_if(local, entry, row_version, retired, placed);
+    if (!updated.ok()) {
+      // The new copies never became referenced: delete them so the lost
+      // race leaves no orphans behind.
+      for (const ShardLocation& loc : placed) {
+        (void)rt_.remove(loc.provider, loc.virtual_id);
+      }
+      if (updated.code() == ErrorCode::kFailedPrecondition) continue;
+      return updated;
+    }
+    JournalRecord rec;
+    rec.op = JournalOp::kUpdateChunk;
+    rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
+    CS_RETURN_IF_ERROR(journal_append(rec, part));
+    // The new locations are durable; the old copies can go.
+    for (const ShardLocation& loc : doomed) {
+      (void)rt_.remove(loc.provider, loc.virtual_id);
     }
     return stats;
   }
 
-  // Every attempt lost its CAS (a hot row): report nothing healed; the
-  // next scrub/repair pass revisits.
-  return StripeHealStats{};
+  // Every attempt lost its CAS (a hot row): one error, so the pass reports
+  // incomplete and a later one revisits the chunk.
+  RewriteStats stats;
+  stats.errors = 1;
+  return stats;
+}
+
+Result<std::size_t> CloudDataDistributor::maintenance_walk(
+    const char* op_name, const MovePolicy& policy, const char* moved_counter) {
+  OpScope op(telemetry_.get(), op_name, "", "", config_.watchdog.get(),
+             config_.retry.deadline.count());
+  // One chunk in flight keeps the index visit order, and so the journal
+  // append order, deterministic.
+  Migrator walker(*this, Migrator::Config{0.0, 1});
+  Result<Migrator::Report> pass = walker.run(policy);
+  const std::size_t moved = walker.progress().shards_moved;
+  op.shards = moved;
+  if (moved != 0 && telemetry_->enabled()) {
+    telemetry_->metrics().counter(moved_counter).inc(moved);
+  }
+  CS_RETURN_IF_ERROR(
+      op.finish(pass.status(), nullptr, config_.worker_threads));
+  return moved;
 }
 
 Result<std::size_t> CloudDataDistributor::repair() {
-  OpScope op(telemetry_.get(), "repair", "", "", config_.watchdog.get(),
-             config_.retry.deadline.count());
-  std::size_t repaired = 0;
-  const std::size_t n = chunk_index_bound();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    Result<StripeHealStats> healed = heal_chunk(idx, /*note_scrub=*/false);
-    if (!healed.ok()) {
-      return op.finish(healed.status(), nullptr, config_.worker_threads);
-    }
-    repaired += healed.value().fixed;
-  }
-  op.shards = repaired;
-  if (repaired != 0 && telemetry_->enabled()) {
-    telemetry_->metrics().counter("cdd.repaired_shards").inc(repaired);
-  }
-  (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
-  return repaired;
+  return maintenance_walk("repair", MovePolicy::heal(false),
+                          "cdd.repaired_shards");
 }
 
-Result<std::size_t> CloudDataDistributor::scrub_chunk(
-    std::size_t index, std::size_t* digest_mismatches) {
-  Result<StripeHealStats> healed = heal_chunk(index, /*note_scrub=*/true);
-  if (!healed.ok()) return healed.status();
-  if (digest_mismatches != nullptr) {
-    *digest_mismatches = healed.value().mismatches;
-  }
-  return healed.value().fixed;
+Result<std::size_t> CloudDataDistributor::rebalance() {
+  return maintenance_walk("rebalance", MovePolicy::demote(),
+                          "cdd.migrated_shards");
 }
 
 Result<CloudDataDistributor::ReconcileReport>
@@ -1757,110 +1831,6 @@ CloudDataDistributor::reconcile(
   return report;
 }
 
-Result<std::size_t> CloudDataDistributor::rebalance() {
-  OpScope op(telemetry_.get(), "rebalance", "", "", config_.watchdog.get(),
-             config_.retry.deadline.count());
-  auto fail = [&](const Status& st) {
-    return op.finish(st, nullptr, config_.worker_threads);
-  };
-  std::size_t migrated = 0;
-  const std::size_t n = chunk_index_bound();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::size_t part = plane_->shard_of_index(idx);
-    const std::size_t local = plane_->local_index(idx);
-    MetadataStore& md = plane_->store(part);
-    Result<ChunkEntry> entry_r = md.chunk_entry(local);
-    if (!entry_r.ok()) continue;
-    ChunkEntry entry = std::move(entry_r).value();
-    if (entry.deleted) continue;
-
-    // Shards to delete at the demoted provider -- deferred until the new
-    // locations have committed (metadata + journal), so a crash mid-
-    // migration leaves duplicates (orphans), never a hole.
-    std::vector<ShardLocation> retired;
-    auto migrate_stripe = [&](std::vector<ShardLocation>& stripe)
-        -> Result<std::size_t> {
-      std::size_t moved = 0;
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        const auto& holder = registry_.at(stripe[s].provider).descriptor();
-        if (privileged_for(holder.privacy_level, entry.privacy_level)) {
-          continue;  // still trusted at this sensitivity
-        }
-        // Fetch the shard from the demoted provider (it is not *offline*,
-        // just no longer trusted) and move it to a qualifying home outside
-        // the current stripe.
-        Result<Bytes> shard =
-            registry_.at(stripe[s].provider).get(stripe[s].virtual_id);
-        if (!shard.ok()) {
-          // Unreachable demoted provider: fall back to RAID
-          // reconstruction, probing the survivors through the pool.
-          std::vector<std::optional<Bytes>> shards(stripe.size());
-          std::vector<std::pair<std::size_t,
-                                std::future<std::optional<Bytes>>>> probes;
-          probes.reserve(stripe.size());
-          for (std::size_t t = 0; t < stripe.size(); ++t) {
-            if (t == s) continue;
-            probes.emplace_back(
-                t, pool_.submit(
-                       [this, loc = stripe[t]]() -> std::optional<Bytes> {
-                         Result<Bytes> other =
-                             registry_.at(loc.provider).get(loc.virtual_id);
-                         if (other.ok()) return std::move(other).value();
-                         return std::nullopt;
-                       }));
-          }
-          for (auto& [t, fut] : probes) shards[t] = fut.get();
-          shard = raid::reconstruct_shard(entry.layout, shards, s);
-          if (!shard.ok()) return shard.status();
-        }
-        const ProviderIndex home =
-            replacement_target(entry.privacy_level, stripe);
-        if (home == kNoProvider) {
-          return Status::ResourceExhausted(
-              "rebalance: no trusted provider available for " +
-              std::string(privacy_level_name(entry.privacy_level)));
-        }
-        const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard.value());
-        CS_RETURN_IF_ERROR(rpc.status);
-        retired.push_back(stripe[s]);
-        md.record_removal(stripe[s].provider, stripe[s].virtual_id);
-        md.record_placement(home, id);
-        stripe[s] = ShardLocation{home, id};
-        ++moved;
-      }
-      return moved;
-    };
-
-    Result<std::size_t> moved = migrate_stripe(entry.stripe);
-    if (!moved.ok()) return fail(moved.status());
-    std::size_t total_moved = moved.value();
-    if (entry.has_snapshot) {
-      Result<std::size_t> snap_moved = migrate_stripe(entry.snapshot);
-      if (!snap_moved.ok()) return fail(snap_moved.status());
-      total_moved += snap_moved.value();
-    }
-    if (total_moved > 0) {
-      migrated += total_moved;
-      Status updated = md.update_chunk(local, entry);
-      if (!updated.ok()) return fail(updated);
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      if (Status st = journal_append(rec, part); !st.ok()) return fail(st);
-      for (const ShardLocation& old : retired) {
-        (void)rt_.remove(old.provider, old.virtual_id);
-      }
-    }
-  }
-  op.shards = migrated;
-  if (migrated != 0 && telemetry_->enabled()) {
-    telemetry_->metrics().counter("cdd.migrated_shards").inc(migrated);
-  }
-  (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
-  return migrated;
-}
-
 // --- dynamic provider topology ------------------------------------------
 
 void CloudDataDistributor::ring_insert(ProviderIndex p,
@@ -1882,35 +1852,6 @@ ProviderIndex CloudDataDistributor::ring_owner(VirtualId key) const {
   std::lock_guard<std::mutex> lock(ring_mu_);
   if (ring_.empty()) return kNoProvider;
   return ring_.lookup(key);
-}
-
-ProviderIndex CloudDataDistributor::drain_home(
-    PrivacyLevel pl, const std::vector<ShardLocation>& stripe, VirtualId key,
-    ProviderIndex subject) const {
-  std::vector<ProviderIndex> preference;
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    if (!ring_.empty()) {
-      preference = ring_.lookup_many(key, registry_.size());
-    }
-  }
-  for (ProviderIndex cand : preference) {
-    if (cand == subject) continue;  // removed from the ring, but be safe
-    if (registry_.lifecycle(cand) != ProviderLifecycle::kActive) continue;
-    if (!privileged_for(registry_.at(cand).descriptor().privacy_level, pl)) {
-      continue;
-    }
-    if (!registry_.at(cand).online()) continue;
-    if (registry_.quarantined(cand)) continue;
-    bool in_stripe = false;
-    for (const ShardLocation& loc : stripe) {
-      if (loc.provider == cand) in_stripe = true;
-    }
-    if (!in_stripe) return cand;
-  }
-  // Ring exhausted (small fleets, quarantine storms): any healthy
-  // trust-eligible provider outside the stripe.
-  return replacement_target(pl, stripe);
 }
 
 Result<ProviderIndex> CloudDataDistributor::add_provider(
@@ -2023,179 +1964,6 @@ Status CloudDataDistributor::commit_migration(MigrationKind kind,
   rec.client = registry_.at(subject).descriptor().name;
   rec.level = static_cast<std::uint8_t>(kind);
   return journal_append_all(rec);
-}
-
-Result<CloudDataDistributor::ChunkMigrateStats>
-CloudDataDistributor::migrate_chunk(std::size_t index, MigrationKind kind,
-                                    ProviderIndex subject) {
-  CS_REQUIRE(subject < registry_.size(),
-             "migrate_chunk: provider index out of range");
-  const bool join = kind == MigrationKind::kJoin;
-
-  // The chunk row is read-modify-written here while live client traffic
-  // (update_chunk, remove, heal) may rewrite the same row concurrently. The
-  // commit therefore goes through a version compare-and-swap: when a client
-  // won the race, this pass's fresh copies are deleted and the chunk is
-  // redone from the new row -- the migrator can never overwrite a newer row
-  // with its stale snapshot (which would then retire shards the new row
-  // references, leaving a permanent hole). A row hot enough to exhaust the
-  // redo budget is left for the next migration pass.
-  // `index` is a global chunk index; sparse globals resolve to NotFound.
-  const std::size_t part = plane_->shard_of_index(index);
-  const std::size_t local = plane_->local_index(index);
-  MetadataStore& md = plane_->store(part);
-  constexpr int kCasAttempts = 8;
-  for (int attempt = 0; attempt < kCasAttempts; ++attempt) {
-    ChunkMigrateStats stats;
-    Result<MetadataStore::VersionedChunk> row =
-        md.chunk_entry_versioned(local);
-    if (!row.ok()) return stats;  // deleted hole: nothing to move
-    ChunkEntry entry = std::move(row.value().entry);
-    const std::uint64_t row_version = row.value().version;
-    if (entry.deleted) return stats;
-    if (join &&
-        !privileged_for(registry_.at(subject).descriptor().privacy_level,
-                        entry.privacy_level)) {
-      return stats;  // joiner not trusted at this sensitivity: steals nothing
-    }
-
-    // Old copies to delete at their source -- deferred until the new
-    // locations have committed (metadata + journal), so a crash mid-chunk
-    // leaves duplicates (orphans reconcile() sweeps), never a hole. The new
-    // homes (same index as their retired twin) wait alongside: the
-    // provider-id-table deltas are applied by update_chunk_if() atomically
-    // with the row write, so a failed commit or an interleaved checkpoint
-    // never persists id tables that disagree with the chunk rows.
-    std::vector<ShardLocation> retired;
-    std::vector<ShardLocation> placed;
-    auto migrate_stripe = [&](std::vector<ShardLocation>& stripe) {
-      bool subject_in_stripe = false;
-      for (const ShardLocation& loc : stripe) {
-        if (loc.provider == subject) subject_in_stripe = true;
-      }
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        bool affected;
-        if (join) {
-          // The arc the joiner stole. Stripe members must stay on distinct
-          // providers (placement rule 4), so a stripe yields the joiner at
-          // most one shard; a re-run after a crash sees the moved shard
-          // already on the joiner and skips the stripe.
-          affected = !subject_in_stripe && stripe[s].provider != subject &&
-                     ring_owner(stripe[s].virtual_id) == subject;
-        } else {
-          // Drain/decommission: everything resident on the subject. A re-run
-          // finds the moved shards no longer there -- idempotent.
-          affected = stripe[s].provider == subject;
-        }
-        if (!affected) continue;
-
-        // Fetch through the request layer: retries, breaker gating and
-        // hedging apply to migration traffic like any client read.
-        Bytes shard;
-        RequestLayer::GetOutcome got =
-            rt_.get(stripe[s].provider, stripe[s].virtual_id);
-        if (got.status.ok() && got.data.has_value()) {
-          shard = std::move(*got.data);
-        } else {
-          // Source unreachable: RAID-reconstruct from the stripe survivors,
-          // probing through the I/O pool.
-          std::vector<std::optional<Bytes>> shards(stripe.size());
-          std::vector<std::pair<std::size_t,
-                                std::future<std::optional<Bytes>>>> probes;
-          probes.reserve(stripe.size());
-          for (std::size_t t = 0; t < stripe.size(); ++t) {
-            if (t == s) continue;
-            probes.emplace_back(
-                t, io_pool_.submit(
-                       [this, loc = stripe[t]]() -> std::optional<Bytes> {
-                         RequestLayer::GetOutcome other =
-                             rt_.get(loc.provider, loc.virtual_id);
-                         if (other.status.ok() && other.data.has_value()) {
-                           return std::move(*other.data);
-                         }
-                         return std::nullopt;
-                       }));
-          }
-          for (auto& [t, fut] : probes) shards[t] = fut.get();
-          Result<Bytes> rebuilt =
-              raid::reconstruct_shard(entry.layout, shards, s);
-          if (!rebuilt.ok()) {
-            ++stats.errors;  // below RAID tolerance right now: next pass
-            continue;
-          }
-          shard = std::move(rebuilt).value();
-        }
-
-        ProviderIndex home;
-        if (join) {
-          home = subject;
-        } else {
-          home = drain_home(entry.privacy_level, stripe, stripe[s].virtual_id,
-                            subject);
-        }
-        if (home == kNoProvider) {
-          ++stats.errors;  // no qualifying member this pass
-          continue;
-        }
-        const VirtualId id = next_virtual_id();
-        RequestLayer::Outcome rpc = rt_.put(home, id, shard);
-        if (!rpc.status.ok()) {
-          ++stats.errors;
-          continue;
-        }
-        retired.push_back(stripe[s]);
-        placed.push_back(ShardLocation{home, id});
-        stripe[s] = ShardLocation{home, id};
-        ++stats.moved;
-        stats.bytes += shard.size();
-        if (join) subject_in_stripe = true;
-      }
-    };
-    migrate_stripe(entry.stripe);
-    if (entry.has_snapshot) migrate_stripe(entry.snapshot);
-
-    if (stats.moved != 0) {
-      Status updated =
-          md.update_chunk_if(local, entry, row_version, retired, placed);
-      if (!updated.ok()) {
-        // The new copies never became referenced: delete them so the lost
-        // race leaves no orphans behind.
-        for (const ShardLocation& loc : placed) {
-          (void)rt_.remove(loc.provider, loc.virtual_id);
-        }
-        if (updated.code() == ErrorCode::kFailedPrecondition) {
-          continue;  // a client rewrote the row mid-move: redo from fresh
-        }
-        return updated;
-      }
-      JournalRecord rec;
-      rec.op = JournalOp::kUpdateChunk;
-      rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-      CS_RETURN_IF_ERROR(journal_append(rec, part));
-      // The new locations are durable; the old copies can go.
-      for (const ShardLocation& loc : retired) {
-        (void)rt_.remove(loc.provider, loc.virtual_id);
-      }
-      if (telemetry_->enabled()) {
-        obs::MetricsRegistry& m = telemetry_->metrics();
-        m.counter("migration.shards_moved").inc(stats.moved);
-        m.counter("migration.bytes_moved").inc(stats.bytes);
-      }
-    }
-    if (stats.errors != 0 && telemetry_->enabled()) {
-      telemetry_->metrics().counter("migration.errors").inc(stats.errors);
-    }
-    return stats;
-  }
-
-  // Every attempt lost its CAS: count one error so this migration pass
-  // reports incomplete and a later run retries the chunk.
-  ChunkMigrateStats stats;
-  stats.errors = 1;
-  if (telemetry_->enabled()) {
-    telemetry_->metrics().counter("migration.errors").inc(1);
-  }
-  return stats;
 }
 
 }  // namespace cshield::core

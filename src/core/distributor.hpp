@@ -163,6 +163,39 @@ struct OpReport {
   double wall_seconds = 0.0;         ///< executed CPU time (chunk/parity math)
 };
 
+/// What a maintenance rewrite moves, and where (see
+/// CloudDataDistributor::rewrite_chunk). Plain data: the distributor reads
+/// it, so a policy needs no access to placement internals.
+///   heal     a single-attempt probe of every shard; the missing and the
+///            digest-failing ones go to replacement_target.
+///   migrate  join: the shards on the joiner's stolen ring arc go to the
+///            joiner. drain/decommission: the shards on `subject` go to
+///            their ring successor (replacement_target with a ring key).
+///   demote   the shards whose holder is no longer privileged for the
+///            row's PL go to replacement_target.
+struct MovePolicy {
+  enum class Kind : std::uint8_t { kHeal, kMigrate, kDemote };
+  Kind kind = Kind::kHeal;
+  /// heal: charge each provider that served bad bytes a scrub error.
+  bool scrub = false;
+  MigrationKind migration = MigrationKind::kJoin;  ///< migrate only
+  ProviderIndex subject = kNoProvider;             ///< migrate only
+
+  static MovePolicy heal(bool scrub) { return {Kind::kHeal, scrub}; }
+  static MovePolicy migrate(MigrationKind kind, ProviderIndex subject) {
+    return {Kind::kMigrate, false, kind, subject};
+  }
+  static MovePolicy demote() { return {Kind::kDemote}; }
+};
+
+/// What rewriting one chunk (stripe + snapshot) did.
+struct RewriteStats {
+  std::size_t moved = 0;       ///< shards re-homed
+  std::size_t bytes = 0;       ///< shard bytes written to new homes
+  std::size_t mismatches = 0;  ///< shards that answered with a bad digest
+  std::size_t errors = 0;      ///< shards left in place for the next pass
+};
+
 class CloudDataDistributor {
  public:
   /// `registry` must outlive the distributor. Passing a shared MetadataStore
@@ -236,19 +269,38 @@ class CloudDataDistributor {
                      const std::string& filename);
 
   // --- maintenance -----------------------------------------------------
+  //
+  // Healing lost or corrupt shards, moving shards for a fleet change and
+  // evicting shards from a demoted provider are one per-chunk rewrite under
+  // different MovePolicy values (rewrite_chunk). core::Migrator is the one
+  // walker that drives a policy over the chunk table.
 
   /// Scans every live stripe, re-derives shards that are missing or fail
   /// their digest, and re-places them on healthy eligible providers not
   /// already holding stripe members. Returns the number of shards repaired
-  /// via the Result value.
+  /// via the Result value. One synchronous heal walk.
   Result<std::size_t> repair();
 
   /// Trust-driven migration: when a provider's privacy level has been
   /// demoted (reputation loss, see core/reputation.hpp) below the
   /// sensitivity of chunks it holds, moves those shards to providers that
   /// still qualify and deletes them at the demoted provider. Returns the
-  /// number of shards migrated.
+  /// number of shards migrated. One synchronous demote walk.
   Result<std::size_t> rebalance();
+
+  /// Rewrites one chunk (stripe and snapshot) under `policy`, which picks
+  /// the affected shards and their new homes. The rest is fixed: read the
+  /// versioned row; fetch each affected shard through the request layer and
+  /// check its digest, RAID-reconstructing it from digest-checked survivors
+  /// on a miss or mismatch; put it at its new home; commit the row by
+  /// version CAS plus a kUpdateChunk journal record; then delete the retired
+  /// copies that answered. Copy-commit-delete means a crash leaves orphan
+  /// duplicates for reconcile(), never a hole, and a re-run finds moved
+  /// shards already home. A lost CAS deletes the new copies and redoes from
+  /// the fresh row (8 attempts); a shard that cannot be fetched or placed
+  /// counts in `errors` and stays where it is.
+  Result<RewriteStats> rewrite_chunk(std::size_t index,
+                                     const MovePolicy& policy);
 
   // --- dynamic provider topology (runtime join/drain/decommission) -------
   //
@@ -259,19 +311,11 @@ class CloudDataDistributor {
   // removes the provider from the ring and placement, moves its resident
   // shards to ring successors, and leaves it emptied (still serving reads)
   // until decommissioned. Every step is journaled (kBeginMigrate /
-  // kCommitMigrate) so a crash at any point resumes idempotently: shard
-  // moves copy-then-commit-then-delete, so the worst a crash leaves is an
-  // orphan duplicate for reconcile() to sweep, never a hole.
+  // kCommitMigrate) so a crash at any point resumes idempotently.
   //
-  // The per-chunk unit of work is migrate_chunk(); core/migrator.hpp wraps
-  // it in a throttled, observable background engine.
-
-  /// Outcome of migrating one chunk (stripe + snapshot).
-  struct ChunkMigrateStats {
-    std::size_t moved = 0;   ///< shards re-homed
-    std::size_t bytes = 0;   ///< shard bytes copied
-    std::size_t errors = 0;  ///< shards that could not be moved this pass
-  };
+  // The per-chunk unit of work is rewrite_chunk() under
+  // MovePolicy::migrate(); core/migrator.hpp walks it and brackets the walk
+  // with begin_migration()/commit_migration().
 
   /// Registers a brand-new provider as kJoining: registry + metadata +
   /// journal. It owns no ring share and takes no placement until a kJoin
@@ -289,18 +333,6 @@ class CloudDataDistributor {
   /// lifecycle (join -> kActive, decommission -> kDecommissioned, drain
   /// stays kDraining awaiting decommission). Idempotent.
   Status commit_migration(MigrationKind kind, ProviderIndex subject);
-
-  /// Moves the affected shards of one chunk. kJoin: shards whose virtual id
-  /// the ring now assigns to `subject` (its stolen arc); kDrain /
-  /// kDecommission: shards resident on `subject`, re-homed to ring
-  /// successors. Crash-safe ordering (copy, commit metadata + journal, then
-  /// delete the old copy) and idempotent: a re-run skips shards already
-  /// moved. Unreachable source shards are RAID-reconstructed from stripe
-  /// survivors; a shard that cannot be moved this pass is counted in
-  /// `errors` and left in place for the next pass.
-  Result<ChunkMigrateStats> migrate_chunk(std::size_t index,
-                                          MigrationKind kind,
-                                          ProviderIndex subject);
 
   /// The ring's owner for a virtual id (kNoProvider on an empty ring).
   /// Exposed so tests and benches can predict a join's stolen share.
@@ -329,15 +361,6 @@ class CloudDataDistributor {
   Result<ReconcileReport> reconcile(
       const std::vector<std::pair<std::string, std::string>>& in_flight);
 
-  /// Integrity-verifies one chunk: re-fetches every shard of its stripe
-  /// (and snapshot), checks SHA-256 digests, and routes any mismatch or
-  /// loss through the repair path. Returns shards repaired;
-  /// `digest_mismatches` (optional) receives the count of shards that
-  /// answered with corrupt bytes, and the holding providers are charged a
-  /// scrub error. The scrubber's per-chunk entry point (core/scrubber.hpp).
-  Result<std::size_t> scrub_chunk(std::size_t index,
-                                  std::size_t* digest_mismatches = nullptr);
-
   /// Shard-0 partition of the metadata plane -- the whole namespace on an
   /// unsharded (1-shard) plane, one partition of it otherwise.
   [[nodiscard]] const MetadataStore& metadata() const { return *metadata_; }
@@ -346,10 +369,10 @@ class CloudDataDistributor {
   [[nodiscard]] const std::shared_ptr<MetadataPlane>& plane() const {
     return plane_;
   }
-  /// Exclusive upper bound of the global chunk index space maintenance
-  /// loops sweep (repair/scrub/rebalance/migrate). Globals may be sparse on
-  /// a sharded plane -- a missing slot reads as NotFound and is skipped.
-  /// Equals metadata().total_chunks() on a 1-shard plane.
+  /// Exclusive upper bound of the global chunk index space the maintenance
+  /// walker sweeps. Globals may be sparse on a sharded plane -- a missing
+  /// slot reads as NotFound and is skipped. Equals
+  /// metadata().total_chunks() on a 1-shard plane.
   [[nodiscard]] std::size_t chunk_index_bound() const {
     return plane_->global_chunk_bound();
   }
@@ -449,37 +472,24 @@ class CloudDataDistributor {
   void drop_stripe(const std::vector<ShardLocation>& stripe,
                    std::vector<SimDuration>* times, std::size_t shard);
 
-  /// Healthy (online, not quarantined) trust-eligible provider outside
-  /// `stripe`; kNoProvider when none. Shared by write-quarantine re-placement
-  /// and repair/rebalance home selection.
+  /// First healthy (active, trust-eligible, online, not quarantined)
+  /// provider outside `stripe`, in registry order; with a `ring_key`, the
+  /// key's ring successors come first (a drained shard's new home).
+  /// kNoProvider when none qualifies. Home selection for write-quarantine
+  /// re-placement and every maintenance policy but join.
   [[nodiscard]] ProviderIndex replacement_target(
-      PrivacyLevel pl, const std::vector<ShardLocation>& stripe) const;
+      PrivacyLevel pl, const std::vector<ShardLocation>& stripe,
+      std::optional<VirtualId> ring_key = std::nullopt) const;
 
   /// Idempotent ring membership updates (guarded by ring_mu_).
   void ring_insert(ProviderIndex p, std::string_view name);
   void ring_erase(ProviderIndex p);
 
-  /// New home for a shard leaving `subject` during a drain: walks the ring
-  /// successors of the shard's key and returns the first active,
-  /// trust-eligible, online, unquarantined provider outside the stripe;
-  /// falls back to replacement_target. kNoProvider when the fleet has no
-  /// qualifying member.
-  [[nodiscard]] ProviderIndex drain_home(
-      PrivacyLevel pl, const std::vector<ShardLocation>& stripe,
-      VirtualId key, ProviderIndex subject) const;
-
-  /// What healing one chunk found and fixed.
-  struct StripeHealStats {
-    std::size_t fixed = 0;       ///< shards reconstructed and re-homed
-    std::size_t mismatches = 0;  ///< shards returned with a bad digest
-  };
-
-  /// Shared core of repair() and scrub_chunk(): probes every shard of the
-  /// chunk at `index` (stripe + snapshot) through the I/O pool, RAID-
-  /// reconstructs what is missing or corrupt, re-homes it, and commits the
-  /// new locations (metadata + journal). `note_scrub` charges providers
-  /// that served corrupt bytes with a scrub error.
-  Result<StripeHealStats> heal_chunk(std::size_t index, bool note_scrub);
+  /// repair()/rebalance(): one synchronous walk of `policy` inside an op
+  /// span named `op`, adding the shards moved to the `moved_counter`
+  /// metric. Chunks are visited one at a time, in index order.
+  Result<std::size_t> maintenance_walk(const char* op, const MovePolicy& policy,
+                                       const char* moved_counter);
 
   /// True when the plane journals (all-or-nothing across partitions).
   [[nodiscard]] bool journaling() const {

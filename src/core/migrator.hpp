@@ -1,19 +1,22 @@
-// Background topology-migration engine.
+// The maintenance walker.
 //
-// When the provider fleet changes at runtime -- a provider joins, drains or
-// decommissions (§IV-C dynamic membership) -- some shards must change homes.
-// The distributor supplies the per-chunk unit of work (migrate_chunk) and
-// the journaled begin/commit protocol; the Migrator wraps them in an
-// operable engine: a throttled, bounded-concurrency walk of the chunk table
-// that can run synchronously (the CLI's drain command) or as a background
-// thread alongside live traffic, reporting progress through atomics and the
-// migration.* metrics the health engine and watchdog consume.
+// Every maintenance job is one CloudDataDistributor::rewrite_chunk per chunk
+// under a MovePolicy: heal (repair, and the integrity scrub that closes the
+// SIII-A silent-corruption gap before a client read can observe it),
+// migrate (a provider joins, drains or decommissions, SIV-C dynamic
+// membership) or demote (a provider lost the trust its shards need). The
+// Migrator drives any policy over the chunk table: a throttled,
+// bounded-concurrency walk that runs synchronously (the CLI's verbs,
+// repair(), rebalance()) or as a background thread alongside live traffic,
+// reporting through progress() and the metrics the health engine and
+// watchdog consume -- scrub.* for a scrubbing heal, migration.* for a
+// migrate policy.
 //
-// Crash safety is inherited, not reimplemented: every shard move the walk
-// performs is copy -> commit (metadata + journal) -> delete, and the
-// begin/commit records bracket the whole migration, so a crash at any point
-// resumes by simply re-running -- already-moved shards are skipped, and
-// reconcile() sweeps any orphan duplicates the crash left.
+// Crash safety is inherited, not reimplemented: every rewrite is copy ->
+// commit (metadata + journal) -> delete, and a migration's begin/commit
+// records bracket the whole walk, so a crash at any point resumes by simply
+// re-running -- already-moved shards are skipped, and reconcile() sweeps
+// any orphan duplicates the crash left.
 #pragma once
 
 #include <atomic>
@@ -29,12 +32,13 @@ namespace cshield::core {
 class Migrator {
  public:
   struct Config {
-    /// Chunk-visit rate ceiling; 0 = unthrottled (migrate as fast as the
+    /// Chunk-visit rate ceiling; 0 = unthrottled (walk as fast as the
     /// request layer allows).
     double stripes_per_sec = 0.0;
-    /// Concurrent migrate_chunk calls in flight (>= 1). Each call fans its
+    /// Concurrent rewrite_chunk calls in flight (>= 1). Each call fans its
     /// own shard RPCs out on the distributor's I/O pool, so this bounds
-    /// chunk-level, not shard-level, parallelism.
+    /// chunk-level, not shard-level, parallelism. 1 visits the chunks one
+    /// at a time, in index order.
     std::size_t max_in_flight = 4;
   };
 
@@ -43,18 +47,14 @@ class Migrator {
     std::uint64_t chunks_visited = 0;
     std::uint64_t shards_moved = 0;
     std::uint64_t bytes_moved = 0;
-    std::uint64_t errors = 0;  ///< shards left for the next pass
-    bool committed = false;    ///< kCommitMigrate was journaled
+    std::uint64_t mismatches = 0;  ///< shards that answered with bad bytes
+    std::uint64_t errors = 0;      ///< shards left for the next pass
+    bool committed = false;        ///< kCommitMigrate was journaled
   };
 
   /// Live view of the current/last run.
-  struct Progress {
-    std::uint64_t chunks_visited = 0;
-    std::uint64_t shards_moved = 0;
-    std::uint64_t bytes_moved = 0;
-    std::uint64_t errors = 0;
-    std::size_t cursor = 0;  ///< chunk index the walk is at
-    bool running = false;    ///< background thread active
+  struct Progress : Report {
+    bool running = false;  ///< background thread active
   };
 
   /// `dist` must outlive the migrator.
@@ -67,21 +67,28 @@ class Migrator {
 
   ~Migrator() { stop(); }
 
-  /// One full synchronous migration: begin_migration, a throttled walk of
-  /// the chunk table (bounded by Config::max_in_flight), then
-  /// commit_migration -- skipped when shards could not be moved this pass
-  /// (the returned Report says so; re-running resumes idempotently) or when
-  /// stop() interrupted the walk. Safe to re-run after a crash: the begin
-  /// record is re-issued idempotently and already-moved shards are skipped.
-  Result<Report> run(MigrationKind kind, ProviderIndex subject);
+  /// One full synchronous pass of `policy` over the chunk table, throttled
+  /// and bounded by Config. Every chunk is visited even after a failure;
+  /// the first error is returned, and a pass that left shards in place
+  /// returns ResourceExhausted (re-running resumes). A migrate policy is
+  /// bracketed by begin_migration (re-issued idempotently, so a crashed
+  /// migration resumes) and commit_migration, which is skipped when the
+  /// pass failed or stop() interrupted it.
+  Result<Report> run(const MovePolicy& policy);
+  Result<Report> run(MigrationKind kind, ProviderIndex subject) {
+    return run(MovePolicy::migrate(kind, subject));
+  }
 
-  /// Launches run() on a background thread. No-op while one is still
+  /// Launches one run() on a background thread. No-op while one is still
   /// running; a finished (completed, errored or stopped) background run is
   /// reaped and superseded, so start() also resumes an open migration.
-  void start(MigrationKind kind, ProviderIndex subject);
+  void start(const MovePolicy& policy);
+  void start(MigrationKind kind, ProviderIndex subject) {
+    start(MovePolicy::migrate(kind, subject));
+  }
 
   /// Asks a background run to stop at the next chunk boundary and joins
-  /// it. The migration stays open (begun, uncommitted) -- run() again to
+  /// it. A migration stays open (begun, uncommitted) -- run() again to
   /// resume. Safe to call when not running.
   void stop();
 
@@ -90,21 +97,15 @@ class Migrator {
   Result<Report> wait();
 
   [[nodiscard]] Progress progress() const {
-    Progress p;
-    p.chunks_visited = chunks_visited_.load(std::memory_order_relaxed);
-    p.shards_moved = shards_moved_.load(std::memory_order_relaxed);
-    p.bytes_moved = bytes_moved_.load(std::memory_order_relaxed);
-    p.errors = errors_.load(std::memory_order_relaxed);
-    p.cursor = cursor_.load(std::memory_order_relaxed);
-    p.running = running_.load(std::memory_order_relaxed);
-    return p;
+    std::lock_guard<std::mutex> lock(mu_);
+    return progress_;
   }
 
  private:
   /// The walk itself; assumes stop_ was reset by the caller (run() for the
   /// synchronous path, start() -- under mu_ -- for the background one, so a
   /// stop() racing a fresh start() is never lost).
-  Result<Report> do_run(MigrationKind kind, ProviderIndex subject);
+  Result<Report> do_run(const MovePolicy& policy);
 
   /// Paces the walk to Config::stripes_per_sec; wakes early on stop().
   void throttle();
@@ -112,18 +113,12 @@ class Migrator {
   CloudDataDistributor& dist_;
   Config config_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> chunks_visited_{0};
-  std::atomic<std::uint64_t> shards_moved_{0};
-  std::atomic<std::uint64_t> bytes_moved_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::size_t> cursor_{0};
-  mutable std::mutex mu_;  ///< guards thread_/result_ and backs cv_
+  mutable std::mutex mu_;  ///< guards progress_/thread_/bg_status_, backs cv_
+  Progress progress_;
   std::condition_variable cv_;
   std::thread thread_;
   /// Last background run's outcome, consumed by wait().
   Status bg_status_ = Status::Ok();
-  Report bg_report_;
 };
 
 }  // namespace cshield::core

@@ -7,8 +7,8 @@
 // operational: an exponentially-weighted reliability score per provider,
 // fed by observed request outcomes, mapped onto the four trust tiers. When
 // a provider's tier drops below the sensitivity of chunks it holds, the
-// distributor's rebalance() migrates those shards to providers that still
-// qualify.
+// distributor's rebalance() -- a walk of the demote maintenance policy --
+// migrates those shards to providers that still qualify.
 #pragma once
 
 #include <array>

@@ -91,14 +91,17 @@ class MetricsExporter {
   void sample_now() {
     if (!tel_->enabled()) return;
     publish_process_gauges(tel_->metrics(), true);
-    Sample s;
-    s.t_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - epoch_)
-                 .count();
-    s.snap = tel_->metrics().snapshot();
     std::string line;
     {
+      // Sample under the ring lock: the background thread and a
+      // sample_now() caller must push in the order they sampled, or a
+      // counter would run backwards along the ring.
       std::lock_guard<std::mutex> lock(mu_);
+      Sample s;
+      s.t_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - epoch_)
+                   .count();
+      s.snap = tel_->metrics().snapshot();
       ring_.push_back(std::move(s));
       while (ring_.size() > cfg_.window) ring_.pop_front();
       ++total_samples_;

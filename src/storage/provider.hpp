@@ -386,8 +386,8 @@ class SimCloudProvider {
   /// `mirror` must outlive the provider. nullptr detaches.
   void set_mirror(ObjectStore* mirror) { mirror_ = mirror; }
 
-  /// Charged by the integrity scrubber when a shard held here failed its
-  /// digest or vanished (see core/scrubber.hpp).
+  /// Charged by a scrubbing heal pass when a shard held here answered with
+  /// bytes that fail their digest (see core/migrator.hpp).
   void note_scrub_error() {
     counters_.scrub_errors.fetch_add(1, std::memory_order_relaxed);
     if (tele_armed_.load(std::memory_order_acquire) && tele_.owner->enabled()) {

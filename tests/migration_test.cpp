@@ -26,6 +26,7 @@
 #include "core/journal.hpp"
 #include "core/metadata_io.hpp"
 #include "core/migrator.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/telemetry.hpp"
 #include "storage/fault_plan.hpp"
 #include "storage/provider_registry.hpp"
@@ -317,8 +318,8 @@ TEST(MigrationTest, JoinMovesBoundedFractionAndResumesIdempotently) {
   std::size_t premoved = 0;
   const std::size_t half = cdd.metadata().total_chunks() / 2;
   for (std::size_t c = 0; c < half; ++c) {
-    Result<CloudDataDistributor::ChunkMigrateStats> st =
-        cdd.migrate_chunk(c, MigrationKind::kJoin, joiner);
+    Result<core::RewriteStats> st = cdd.rewrite_chunk(
+        c, core::MovePolicy::migrate(MigrationKind::kJoin, joiner));
     ASSERT_TRUE(st.ok()) << st.status().to_string();
     ASSERT_EQ(st.value().errors, 0u);
     premoved += st.value().moved;
@@ -626,6 +627,78 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
   }
 }
 
+TEST(MigrationTest, RebalanceRacingClientUpdatesLeavesNoHole) {
+  // Regression for rebalance() racing a client update of the same chunk.
+  // A rebalance that commits its stale row over the update re-references
+  // the stripe the update already dropped: the chunk becomes unreadable.
+  // The demoted provider answers in 2 ms and the only trusted replacement
+  // home takes 40 ms. The updater starts 5 ms in and makes a few updates,
+  // all committed inside the rebalance's shard move and finished before
+  // it, so no later update can paper over a stale commit.
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Provider 0 is the replacement home: first in registry order, but in
+    // the premium cost tier, so cost-aware placement never picks it while
+    // four cheap PL3 providers remain.
+    storage::LatencyModel latency;
+    latency.base_latency = std::chrono::milliseconds(40);
+    latency.jitter_mean = SimDuration{0};
+    storage::ProviderRegistry reg;
+    storage::ProviderDescriptor premium = joiner_descriptor("Premium");
+    premium.cost_level = CostLevel::kPremium;
+    reg.add(std::move(premium), latency, 0x7A00);
+    reg.at(0).set_realtime_scale(1.0);
+    latency.base_latency = std::chrono::milliseconds(2);
+    for (int i = 1; i <= 5; ++i) {
+      storage::ProviderDescriptor d =
+          joiner_descriptor("C" + std::to_string(i));
+      d.cost_level = CostLevel::kCheapest;
+      reg.add(std::move(d), latency, 0x7A00 + i);
+    }
+
+    CloudDataDistributor cdd(reg, base_config(0x90D + round));
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kHigh;
+    ASSERT_TRUE(
+        cdd.put_file("alice", "pw", "f", payload_of(600, 40 + round), opts)
+            .ok());
+    const std::vector<core::ChunkRef> refs =
+        cdd.metadata().file_chunks("alice", "f");
+    ASSERT_EQ(refs.size(), 1u);
+    const ProviderIndex demoted = cdd.metadata()
+                                      .chunk_entry(refs[0].chunk_index)
+                                      .value()
+                                      .stripe[0]
+                                      .provider;
+    ASSERT_NE(demoted, 0u);
+    reg.at(demoted).set_privacy_level(PrivacyLevel::kLow);
+    reg.at(demoted).set_realtime_scale(1.0);
+
+    Status update_error = Status::Ok();
+    Bytes last;
+    std::thread updater([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      for (std::uint64_t seed = 0xB000; seed < 0xB003; ++seed) {
+        const Bytes next = payload_of(400 + seed % 200, seed);
+        update_error = cdd.update_chunk("alice", "pw", "f", 0, next);
+        if (!update_error.ok()) return;
+        last = next;
+      }
+    });
+    Result<std::size_t> moved = cdd.rebalance();
+    updater.join();
+    ASSERT_TRUE(moved.ok()) << moved.status().to_string();
+    EXPECT_TRUE(update_error.ok()) << update_error.to_string();
+    ASSERT_FALSE(last.empty()) << "no update committed";
+    Result<Bytes> back = cdd.get_chunk("alice", "pw", "f", 0);
+    ASSERT_TRUE(back.ok()) << "chunk lost: " << back.status().to_string();
+    EXPECT_TRUE(equal(back.value(), last));
+    EXPECT_EQ(reg.at(demoted).object_count(), 0u);
+  }
+}
+
 // --- durability: checkpoint + crash sweep -----------------------------------
 
 TEST(MigrationTest, CheckpointPersistsPendingDrainAcrossTruncation) {
@@ -835,6 +908,209 @@ TEST(MigrationTest, DrainCrashSweepRecoversAndResumes) {
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again.value().orphans_removed, 0u);
   }
+}
+
+
+TEST(MigrationTest, RebalanceCrashSweepRecoversAndResumes) {
+  // Kill a journaled rebalance() at the instant before and after every
+  // journal append it makes (one kUpdateChunk per chunk it rewrites).
+  // Recovery from each snapshot must (a) read every file back
+  // byte-identical, (b) let a re-run rebalance() empty the demoted
+  // provider, (c) leave zero orphan objects, and (d) be idempotent.
+  TempDir live;
+  const fs::path jpath = live.path() / "journal.wal";
+  const fs::path cpath = live.path() / "metadata.bin";
+  constexpr std::size_t kFleet = 8;
+  ProviderIndex demoted = 0;  // picked below: the most-loaded provider
+  storage::ProviderRegistry reg = flat_registry(kFleet);
+  const Bytes f1 = payload_of(9000, 31);
+  const Bytes f2 = payload_of(6000, 32);
+
+  std::vector<CrashScenario> scenarios;
+  auto capture = [&](const char* when, const JournalRecord& rec) {
+    CrashScenario sc;
+    sc.label = std::string(when) + " #" + std::to_string(scenarios.size()) +
+               " op=" + std::to_string(static_cast<int>(rec.op));
+    sc.journal = read_disk(jpath);
+    sc.checkpoint = read_disk(cpath);
+    sc.providers.resize(reg.size());
+    for (std::size_t p = 0; p < reg.size(); ++p) {
+      const storage::MemoryStore& store = reg.at(p).raw_store();
+      for (VirtualId id : store.list_ids()) {
+        Result<Bytes> obj = store.get(id);
+        if (obj.ok()) sc.providers[p][id] = std::move(obj).value();
+      }
+    }
+    scenarios.push_back(std::move(sc));
+  };
+
+  {
+    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
+    ASSERT_TRUE(j.ok());
+    Journal& journal = *j.value();
+    core::DistributorConfig config = base_config(0x90F);
+    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
+    config.checkpoint_path = cpath.string();
+    CloudDataDistributor cdd(reg, config);
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kHigh;
+    ASSERT_TRUE(cdd.put_file("alice", "pw", "f1", f1, opts).ok());
+    ASSERT_TRUE(cdd.put_file("alice", "pw", "f2", f2, opts).ok());
+    for (ProviderIndex p = 1; p < reg.size(); ++p) {
+      if (shards_on(cdd.metadata(), p) > shards_on(cdd.metadata(), demoted)) {
+        demoted = p;
+      }
+    }
+    ASSERT_GT(shards_on(cdd.metadata(), demoted), 1u);
+    reg.at(demoted).set_privacy_level(PrivacyLevel::kLow);
+
+    journal.test_hook_before_append = [&](const JournalRecord& rec) {
+      capture("before", rec);
+    };
+    journal.test_hook_after_append = [&](const JournalRecord& rec) {
+      capture("after", rec);
+    };
+    Result<std::size_t> moved = cdd.rebalance();
+    journal.test_hook_before_append = nullptr;
+    journal.test_hook_after_append = nullptr;
+    ASSERT_TRUE(moved.ok()) << moved.status().to_string();
+    ASSERT_GT(moved.value(), 1u);
+    // One kUpdateChunk per rewritten chunk, each captured twice.
+    ASSERT_GE(scenarios.size(), 4u);
+  }
+
+  for (const CrashScenario& sc : scenarios) {
+    SCOPED_TRACE(sc.label);
+    TempDir dir;
+    const fs::path j2 = dir.path() / "journal.wal";
+    const fs::path c2 = dir.path() / "metadata.bin";
+    write_disk(j2, sc.journal);
+    if (!sc.checkpoint.empty()) write_disk(c2, sc.checkpoint);
+
+    // Trust ratings are not journaled: the restarted fleet is re-rated.
+    storage::ProviderRegistry fresh = flat_registry(kFleet);
+    fresh.at(demoted).set_privacy_level(PrivacyLevel::kLow);
+    for (std::size_t p = 0; p < sc.providers.size(); ++p) {
+      for (const auto& [id, bytes] : sc.providers[p]) {
+        ASSERT_TRUE(fresh.at(p).put(id, bytes).ok());
+      }
+    }
+
+    Result<core::RecoveredState> rec = core::recover_metadata(c2, j2);
+    ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+    Result<std::unique_ptr<Journal>> reopened = Journal::open(j2);
+    ASSERT_TRUE(reopened.ok());
+    core::DistributorConfig config = base_config(0x90F);
+    config.journal = std::shared_ptr<Journal>(std::move(reopened.value()));
+    config.checkpoint_path = c2.string();
+    CloudDataDistributor cdd(fresh, config, rec.value().metadata);
+    Result<CloudDataDistributor::ReconcileReport> rep =
+        cdd.reconcile(rec.value().in_flight);
+    ASSERT_TRUE(rep.ok()) << rep.status().to_string();
+
+    // Zero lost chunks at every crash point, before any resume.
+    for (const auto& [name, want] :
+         std::vector<std::pair<std::string, const Bytes*>>{{"f1", &f1},
+                                                           {"f2", &f2}}) {
+      Result<Bytes> back = cdd.get_file("alice", "pw", name);
+      ASSERT_TRUE(back.ok()) << name << ": " << back.status().to_string();
+      EXPECT_TRUE(equal(back.value(), *want)) << name;
+    }
+
+    // Re-running the rebalance finishes the job.
+    Result<std::size_t> resumed = cdd.rebalance();
+    ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+    EXPECT_EQ(shards_on(cdd.metadata(), demoted), 0u);
+    EXPECT_TRUE(fresh.at(demoted).raw_store().list_ids().empty());
+
+    // No orphans: every provider object is referenced by a live chunk row.
+    std::set<std::pair<ProviderIndex, VirtualId>> referenced;
+    for (const core::ChunkEntry& entry :
+         rec.value().metadata->chunk_table()) {
+      if (entry.deleted) continue;
+      for (const core::ShardLocation& loc : entry.stripe) {
+        referenced.insert({loc.provider, loc.virtual_id});
+      }
+      for (const core::ShardLocation& loc : entry.snapshot) {
+        referenced.insert({loc.provider, loc.virtual_id});
+      }
+    }
+    for (std::size_t p = 0; p < fresh.size(); ++p) {
+      for (VirtualId id : fresh.at(p).list_ids()) {
+        EXPECT_TRUE(referenced.count({static_cast<ProviderIndex>(p), id}))
+            << "orphan object " << id << " at provider " << p;
+      }
+    }
+
+    // Idempotence: a second recovery and rebalance find nothing to do.
+    Result<core::RecoveredState> second = core::recover_metadata(c2, j2);
+    ASSERT_TRUE(second.ok());
+    Result<CloudDataDistributor::ReconcileReport> again =
+        cdd.reconcile(second.value().in_flight);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().orphans_removed, 0u);
+    EXPECT_EQ(again.value().repaired_shards, 0u);
+    Result<std::size_t> idle = cdd.rebalance();
+    ASSERT_TRUE(idle.ok());
+    EXPECT_EQ(idle.value(), 0u);
+  }
+}
+
+// --- corruption on the move -------------------------------------------------
+
+TEST(MigrationTest, DrainRebuildsCorruptShardsInsteadOfCopyingThem) {
+  // A drain must not carry bit rot to the new home: each shard it moves is
+  // digest-checked first, and a corrupt one is rebuilt from the stripe
+  // survivors, so every moved copy matches the digest its row records.
+  storage::ProviderRegistry reg = flat_registry(8);
+  CloudDataDistributor cdd(reg, base_config(0x910));
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  const Bytes data = payload_of(20000, 12);
+  ASSERT_TRUE(cdd.put_file("alice", "pw", "f", data, opts).ok());
+
+  ProviderIndex subject = 0;
+  for (ProviderIndex p = 1; p < reg.size(); ++p) {
+    if (shards_on(cdd.metadata(), p) > shards_on(cdd.metadata(), subject)) {
+      subject = p;
+    }
+  }
+  std::size_t corrupted = 0;
+  for (VirtualId id : reg.at(subject).raw_store().list_ids()) {
+    ASSERT_TRUE(reg.at(subject).corrupt_object(id, 1).ok());
+    ++corrupted;
+  }
+  ASSERT_GT(corrupted, 1u);
+
+  Migrator migrator(cdd);
+  Result<Migrator::Report> report =
+      migrator.run(MigrationKind::kDrain, subject);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report.value().committed);
+  EXPECT_EQ(report.value().shards_moved, corrupted);
+  EXPECT_EQ(report.value().mismatches, corrupted);
+  EXPECT_TRUE(reg.at(subject).raw_store().list_ids().empty());
+
+  std::size_t bad = 0;
+  for (const core::ChunkEntry& entry : cdd.metadata().chunk_table()) {
+    if (entry.deleted) continue;
+    for (std::size_t s = 0; s < entry.stripe.size(); ++s) {
+      const core::ShardLocation& loc = entry.stripe[s];
+      Result<Bytes> obj = reg.at(loc.provider).raw_store().get(loc.virtual_id);
+      if (!obj.ok() || crypto::sha256(obj.value()) != entry.shard_digests[s]) {
+        ++bad;
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u) << bad << " of " << corrupted
+                     << " moved shards fail their recorded digest";
+  Result<Bytes> back = cdd.get_file("alice", "pw", "f");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(back.value(), data));
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 #include "core/distributor.hpp"
 #include "core/journal.hpp"
 #include "core/metadata_io.hpp"
-#include "core/scrubber.hpp"
+#include "core/migrator.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/hash.hpp"
 #include "util/wire.hpp"
@@ -853,15 +853,14 @@ TEST(ScrubberTest, DetectsAndRepairsEveryInjectedCorruption) {
   }
   ASSERT_GT(corrupted, 1u);
 
-  core::Scrubber scrubber(*world.cdd);
-  Result<std::size_t> repaired = scrubber.run_pass();
-  ASSERT_TRUE(repaired.ok()) << repaired.status().to_string();
-  const core::Scrubber::Progress progress = scrubber.progress();
+  core::Migrator scrubber(*world.cdd);
+  const core::MovePolicy scrub = core::MovePolicy::heal(/*scrub=*/true);
+  Result<core::Migrator::Report> pass = scrubber.run(scrub);
+  ASSERT_TRUE(pass.ok()) << pass.status().to_string();
   // 100% detection and repair, before any client read observed them.
-  EXPECT_EQ(progress.digest_mismatches, corrupted);
-  EXPECT_EQ(progress.shards_repaired, corrupted);
-  EXPECT_EQ(repaired.value(), corrupted);
-  EXPECT_EQ(progress.passes, 1u);
+  EXPECT_EQ(pass.value().mismatches, corrupted);
+  EXPECT_EQ(pass.value().shards_moved, corrupted);
+  EXPECT_EQ(scrubber.progress().mismatches, corrupted);
 
   Result<Bytes> back = world.cdd->get_file("alice", "pw", "data");
   ASSERT_TRUE(back.ok());
@@ -873,43 +872,82 @@ TEST(ScrubberTest, DetectsAndRepairsEveryInjectedCorruption) {
     charged += world.registry.at(p).counters().scrub_errors.load();
   }
   EXPECT_EQ(charged, corrupted);
-  Result<std::size_t> second = scrubber.run_pass();
+  Result<core::Migrator::Report> second = scrubber.run(scrub);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), 0u);
-  EXPECT_EQ(scrubber.progress().digest_mismatches, corrupted);
+  EXPECT_EQ(second.value().shards_moved, 0u);
+  EXPECT_EQ(second.value().mismatches, 0u);
 }
 
-TEST(ScrubberTest, BackgroundLoopScansAndStops) {
-  ScrubWorld world(8000);
-  core::Scrubber::Config config;
-  config.pass_interval = std::chrono::milliseconds(1);
-  core::Scrubber scrubber(*world.cdd, config);
-  scrubber.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (scrubber.progress().passes < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+TEST(RepairTest, DeletesTheCorruptCopiesItReplaces) {
+  // repair() heals bit rot without leaking it: each corrupt copy is deleted
+  // once its rebuilt replacement has committed, so healing N corrupt shards
+  // leaves the fleet's object count where it was instead of N higher.
+  ScrubWorld world(76000);
+  std::size_t corrupted = 0;
+  for (const core::ChunkEntry& entry : world.cdd->metadata().chunk_table()) {
+    if (entry.deleted || entry.stripe.empty()) continue;
+    const core::ShardLocation& loc =
+        entry.stripe[corrupted % entry.stripe.size()];
+    ASSERT_TRUE(world.registry.at(loc.provider)
+                    .corrupt_object(loc.virtual_id, 3)
+                    .ok());
+    ++corrupted;
   }
-  scrubber.stop();
-  const core::Scrubber::Progress progress = scrubber.progress();
-  EXPECT_GE(progress.passes, 2u);
-  EXPECT_GT(progress.chunks_scanned, 0u);
-  EXPECT_EQ(progress.digest_mismatches, 0u);
+  ASSERT_GT(corrupted, 10u);
+  auto objects = [&world] {
+    std::size_t n = 0;
+    for (std::size_t p = 0; p < world.registry.size(); ++p) {
+      n += world.registry.at(p).object_count();
+    }
+    return n;
+  };
+  const std::size_t before = objects();
+
+  Result<std::size_t> repaired = world.cdd->repair();
+  ASSERT_TRUE(repaired.ok()) << repaired.status().to_string();
+  EXPECT_EQ(repaired.value(), corrupted);
+  EXPECT_EQ(objects(), before);
+  Result<Bytes> back = world.cdd->get_file("alice", "pw", "data");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(back.value(), world.content));
+}
+
+TEST(ScrubberTest, BackgroundPassScansAndStops) {
+  ScrubWorld world(8000);
+  core::Migrator scrubber(*world.cdd);
+  scrubber.start(core::MovePolicy::heal(/*scrub=*/true));
+  Result<core::Migrator::Report> pass = scrubber.wait();
+  ASSERT_TRUE(pass.ok()) << pass.status().to_string();
+  EXPECT_GT(pass.value().chunks_visited, 0u);
+  EXPECT_EQ(pass.value().chunks_visited,
+            world.cdd->metadata().total_chunks());
+  EXPECT_EQ(pass.value().mismatches, 0u);
+  const core::Migrator::Progress progress = scrubber.progress();
+  EXPECT_EQ(progress.chunks_visited, pass.value().chunks_visited);
   EXPECT_FALSE(progress.running);
-  scrubber.stop();  // double-stop is safe
+
+  // A throttled pass stops at the next chunk boundary.
+  core::Migrator slow(*world.cdd, core::Migrator::Config{5.0, 1});
+  slow.start(core::MovePolicy::heal(/*scrub=*/true));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  slow.stop();
+  EXPECT_FALSE(slow.progress().running);
+  EXPECT_LT(slow.progress().chunks_visited,
+            world.cdd->metadata().total_chunks());
+  slow.stop();  // double-stop is safe
 }
 
 TEST(ScrubberTest, ThrottlePacesScan) {
   ScrubWorld world(8000);
-  core::Scrubber::Config config;
-  config.chunks_per_sec = 200.0;  // 5ms per chunk
-  core::Scrubber scrubber(*world.cdd, config);
+  core::Migrator::Config config;
+  config.stripes_per_sec = 200.0;  // 5ms per chunk
+  core::Migrator scrubber(*world.cdd, config);
   const auto start = std::chrono::steady_clock::now();
-  Result<std::size_t> repaired = scrubber.run_pass();
+  Result<core::Migrator::Report> pass =
+      scrubber.run(core::MovePolicy::heal(/*scrub=*/true));
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(repaired.ok());
-  const std::uint64_t n = scrubber.progress().chunks_scanned;
+  ASSERT_TRUE(pass.ok());
+  const std::uint64_t n = pass.value().chunks_visited;
   ASSERT_GT(n, 0u);
   // n chunks at 5ms floor each; allow generous slack below the ideal to
   // stay robust on loaded CI machines, but the sleep must be observable.
