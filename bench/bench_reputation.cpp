@@ -90,7 +90,11 @@ int main() {
       }
     }
     CS_REQUIRE(flaky != kNoProvider, "no shards placed");
-    registry.at(flaky).set_request_failure_prob(0.4);
+    storage::FaultPlan plan;
+    plan.episodes.push_back(
+        {flaky, storage::FaultKind::kTransient, 0, storage::kNoSeqEnd, 0.4});
+    registry.at(flaky).install_fault_plan(
+        std::make_shared<const storage::FaultPlan>(plan), flaky);
 
     // Health probes feed the tracker until the tier drops.
     core::ReputationTracker tracker(registry.size());
@@ -112,7 +116,7 @@ int main() {
     // The provider is demoted for its *past* flakiness but is currently
     // responsive -- migration (including the deletes at the demoted
     // provider) must fully drain it.
-    registry.at(flaky).set_request_failure_prob(0.0);
+    registry.at(flaky).install_fault_plan(nullptr, flaky);
     const std::size_t before = registry.at(flaky).object_count();
     Stopwatch sw;
     Result<std::size_t> moved = cdd.rebalance();

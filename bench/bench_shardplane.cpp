@@ -143,21 +143,15 @@ storage::ProviderRegistry make_realtime_registry(std::size_t n) {
 /// multiply fsyncs) N-fold.
 std::shared_ptr<MetadataPlane> make_plane(const fs::path& dir,
                                           std::size_t shards, bool batched) {
-  std::vector<MetadataPlane::Partition> parts(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    Result<std::unique_ptr<core::Journal>> j = core::Journal::open(
-        core::shard_file_path(dir / "plane.wal", k),
-        static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(shards));
-    CS_REQUIRE(j.ok(), j.status().to_string());
-    parts[k].journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-    parts[k].store = std::make_shared<core::MetadataStore>();
-    parts[k].checkpoint_path = core::shard_file_path(dir / "plane.ckpt", k);
-    if (batched) {
-      parts[k].journal->set_group_commit(core::GroupCommitConfig{
-          64, std::chrono::microseconds(250 * static_cast<long>(shards))});
-    }
+  core::GroupCommitConfig gc;
+  if (batched) {
+    gc = core::GroupCommitConfig{
+        64, std::chrono::microseconds(250 * static_cast<long>(shards))};
   }
-  return std::make_shared<MetadataPlane>(std::move(parts));
+  Result<std::shared_ptr<MetadataPlane>> plane = MetadataPlane::open(
+      dir / "plane.ckpt", dir / "plane.wal", shards, gc);
+  CS_REQUIRE(plane.ok(), plane.status().to_string());
+  return std::move(plane).value();
 }
 
 struct Cell {
@@ -273,18 +267,11 @@ RecoveryResult run_recovery(std::size_t shards, int reps) {
     config.misleading_fraction = 0.1;
     config.worker_threads = 8;
     config.telemetry = false;
-    std::vector<MetadataPlane::Partition> parts(shards);
-    for (std::size_t k = 0; k < shards; ++k) {
-      Result<std::unique_ptr<core::Journal>> j = core::Journal::open(
-          core::shard_file_path(jbase, k), static_cast<std::uint32_t>(k),
-          static_cast<std::uint32_t>(shards));
-      CS_REQUIRE(j.ok(), j.status().to_string());
-      j.value()->set_group_commit(
-          core::GroupCommitConfig{64, std::chrono::microseconds(0)});
-      parts[k].journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-      parts[k].store = std::make_shared<core::MetadataStore>();
-    }
-    config.plane = std::make_shared<MetadataPlane>(std::move(parts));
+    Result<std::shared_ptr<MetadataPlane>> plane = MetadataPlane::open(
+        cbase, jbase, shards,
+        core::GroupCommitConfig{64, std::chrono::microseconds(0)});
+    CS_REQUIRE(plane.ok(), plane.status().to_string());
+    config.plane = std::move(plane).value();
     CloudDataDistributor cdd(registry, config);
     CS_REQUIRE(cdd.register_client("bench").ok(), "register");
     CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kModerate).ok(),

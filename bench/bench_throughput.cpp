@@ -278,17 +278,20 @@ struct BenchDir {
   }
 };
 
+/// A journaled 1-shard plane under `dir`: plane.wal + plane.ckpt.
+std::shared_ptr<core::MetadataPlane> journaled_plane(
+    const fs::path& dir, const core::GroupCommitConfig& gc = {}) {
+  Result<std::shared_ptr<core::MetadataPlane>> plane =
+      core::MetadataPlane::open(dir / "plane.ckpt", dir / "plane.wal", 1, gc);
+  CS_REQUIRE(plane.ok(), plane.status().to_string());
+  return std::move(plane).value();
+}
+
 double time_put_64_journal(bool journaled, const Bytes& data) {
   BenchDir dir;
   storage::ProviderRegistry registry = make_realtime_registry(12);
   DistributorConfig config = bench_config(true);
-  if (journaled) {
-    Result<std::unique_ptr<core::Journal>> j =
-        core::Journal::open(dir.path / "bench.wal");
-    CS_REQUIRE(j.ok(), j.status().to_string());
-    config.journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-    config.checkpoint_path = (dir.path / "bench.ckpt").string();
-  }
+  if (journaled) config.plane = journaled_plane(dir.path);
   CloudDataDistributor cdd(registry, config);
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kHigh).ok(), "pw");
@@ -385,18 +388,14 @@ SmallOpsCell run_smallops_cell(SmallOpsMode mode, std::size_t clients,
     config.worker_threads = clients;
     config.io_threads = 32;
     config.misleading_fraction = 0.1;
-    Result<std::unique_ptr<core::Journal>> j =
-        core::Journal::open(dir.path / "smallops.wal");
-    CS_REQUIRE(j.ok(), j.status().to_string());
-    config.journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-    config.checkpoint_path = (dir.path / "smallops.ckpt").string();
-    if (mode != SmallOpsMode::kPerOp) {
-      // Opportunistic grouping (interval 0): the leader flushes whatever
-      // queued behind the previous fsync, so batches form from backpressure
-      // without adding wait latency to lightly-loaded appends.
-      config.journal->set_group_commit(
-          core::GroupCommitConfig{64, std::chrono::microseconds(0)});
-    }
+    // Opportunistic grouping (interval 0): the leader flushes whatever
+    // queued behind the previous fsync, so batches form from backpressure
+    // without adding wait latency to lightly-loaded appends.
+    config.plane = journaled_plane(
+        dir.path, mode == SmallOpsMode::kPerOp
+                      ? core::GroupCommitConfig{}
+                      : core::GroupCommitConfig{
+                            64, std::chrono::microseconds(0)});
     if (mode == SmallOpsMode::kGroupCommitBatched) {
       config.rpc_batch_shards = 16;
       config.rpc_batch_wait = std::chrono::microseconds(500);
@@ -437,7 +436,7 @@ SmallOpsCell run_smallops_cell(SmallOpsMode mode, std::size_t clients,
     rep_ops.push_back(elapsed > 0.0
                           ? static_cast<double>(cell.puts) / elapsed
                           : 0.0);
-    cell.group_commits += config.journal->group_commits();
+    cell.group_commits += config.plane->journal(0)->group_commits();
     for (ProviderIndex p = 0; p < registry.size(); ++p) {
       cell.batch_rpcs += registry.at(p).counters().batch_requests.load();
     }
@@ -521,14 +520,10 @@ struct MttrRow {
 /// files with no checkpointing, then time a cold checkpoint+journal replay.
 MttrRow run_mttr(std::size_t target_records) {
   BenchDir dir;
-  const fs::path jpath = dir.path / "j.wal";
-  const fs::path cpath = dir.path / "ckpt.bin";
   storage::ProviderRegistry registry = storage::make_default_registry(12);
   DistributorConfig config = bench_config(true);
-  Result<std::unique_ptr<core::Journal>> j = core::Journal::open(jpath);
-  CS_REQUIRE(j.ok(), j.status().to_string());
-  config.journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-  config.checkpoint_path = cpath.string();
+  config.plane = journaled_plane(dir.path);
+  const core::Journal& journal = *config.plane->journal(0);
   CloudDataDistributor cdd(registry, config);
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kModerate).ok(),
@@ -536,7 +531,7 @@ MttrRow run_mttr(std::size_t target_records) {
   PutOptions opts;
   opts.privacy_level = PrivacyLevel::kModerate;  // 4 KiB chunks
   std::size_t f = 0;
-  while (config.journal->record_count() < target_records) {
+  while (journal.record_count() < target_records) {
     const Bytes data = make_payload(4000, 0xE15 + f);  // one chunk per file
     CS_REQUIRE(cdd.put_file("bench", "pw", "mttr_" + std::to_string(f++),
                             data, opts)
@@ -544,9 +539,10 @@ MttrRow run_mttr(std::size_t target_records) {
                "put");
   }
   MttrRow row;
-  row.records = config.journal->record_count();
+  row.records = journal.record_count();
   Stopwatch w;
-  Result<core::RecoveredState> rec = core::recover_metadata(cpath, jpath);
+  Result<core::RecoveredState> rec = core::recover_metadata(
+      dir.path / "plane.ckpt", dir.path / "plane.wal");
   row.recover_ms = w.elapsed_seconds() * 1e3;
   CS_REQUIRE(rec.ok(), rec.status().to_string());
   row.chunks = rec.value().metadata->total_chunks();
@@ -570,11 +566,7 @@ ScrubRow run_scrub_row(double rate) {
   BenchDir dir;
   storage::ProviderRegistry registry = storage::make_default_registry(12);
   DistributorConfig config = bench_config(true);
-  Result<std::unique_ptr<core::Journal>> j =
-      core::Journal::open(dir.path / "j.wal");
-  CS_REQUIRE(j.ok(), j.status().to_string());
-  config.journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-  config.checkpoint_path = (dir.path / "ckpt.bin").string();
+  config.plane = journaled_plane(dir.path);
   CloudDataDistributor cdd(registry, config);
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kModerate).ok(),

@@ -55,11 +55,14 @@
 #              `stats` with no flag auto-detects 4 shards from the journal
 #              stamp, an explicit matching --meta-shards 4 is accepted, and
 #              a mismatched --meta-shards 2 is rejected with a clear
-#              "shard count mismatch" error before any mutation.
+#              "shard count mismatch" error before any mutation. The same
+#              mismatch drill runs on the default root, a 1-shard plane
+#              stamped shard 0 of 1.
 #              A third pass round-trips a file stored with `put ...
 #              --protection fragmentation`, proving the key-less entangled
-#              protection mode survives a full process restart (metadata v2
-#              persistence of the mode + nonce) and reads back byte-identical.
+#              protection mode survives a full process restart (metadata
+#              image persistence of the mode + nonce) and reads back
+#              byte-identical.
 #              A fourth drill (run against the ASan-built cli) covers the
 #              dynamic-topology migration: join a 9th provider, kill the
 #              process mid-drain via the same crash hook, verify the restart
@@ -292,11 +295,32 @@ if ! grep -q "shard count mismatch" <<< "${mismatch_out}"; then
   echo "shard e2e: mismatch rejection lacks the 'shard count mismatch' error" >&2
   exit 1
 fi
+
+# The default root is a 1-shard plane stamped shard 0 of 1: it auto-detects
+# as such, and a --meta-shards 2 open is refused just like on 4 shards.
+one_root="${e2e}/per-op/root"
+stats_out="$("${cli}" "${one_root}" stats)"
+if ! grep -q -- "--- journal (1 shard) ---" <<< "${stats_out}"; then
+  echo "shard e2e: stats did not auto-detect the 1-shard plane" >&2
+  exit 1
+fi
+set +e
+mismatch_out="$("${cli}" "${one_root}" stats --meta-shards 2 2>&1)"
+mismatch_rc=$?
+set -e
+if [[ "${mismatch_rc}" -eq 0 ]]; then
+  echo "shard e2e: --meta-shards 2 on a 1-shard plane was not rejected" >&2
+  exit 1
+fi
+if ! grep -q "shard count mismatch" <<< "${mismatch_out}"; then
+  echo "shard e2e: 1-shard mismatch rejection lacks the 'shard count mismatch' error" >&2
+  exit 1
+fi
 echo "crash e2e[shard-count discipline]: PASS"
 
 # Fast-fragmentation protection mode e2e: store a file with the key-less
 # entangled mode, then read it back from fresh processes. The mode and its
-# nonce must round-trip through the v2 metadata image across the restart.
+# nonce must round-trip through the metadata image across the restart.
 frag="${e2e}/frag"
 frag_root="${frag}/root"
 mkdir -p "${frag}"

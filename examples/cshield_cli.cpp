@@ -41,7 +41,7 @@
 // `--meta-shards <n>` (init) partitions the metadata/journal plane N ways
 // -- shard k's journal/checkpoint live at `journal.wal.s<k>` /
 // `metadata.bin.s<k>` (shard 0 keeps the base names, so a 1-shard plane
-// is bit- and path-compatible with the unsharded layout); later commands
+// is just `journal.wal` / `metadata.bin`); later commands
 // auto-detect N from the journal's shard stamp and refuse a flag that
 // contradicts it;
 // `--protection <partial-aes|misleading|fragmentation>` (put only) selects
@@ -96,7 +96,6 @@ struct CliWorld {
   fs::path root;
   storage::ProviderRegistry registry;
   std::vector<std::unique_ptr<storage::DiskStore>> disks;
-  std::shared_ptr<core::MetadataStore> metadata;  ///< shard-0 partition
   std::shared_ptr<core::MetadataPlane> plane;
   std::size_t meta_shards = 1;
   /// Puts the last crash caught between kBeginPut and kCommitPut.
@@ -115,7 +114,7 @@ struct CliWorld {
     // journal's own shard stamp is the authority. A flag that contradicts
     // the stamp is refused -- re-opening a 4-shard plane as 2-shard would
     // scatter ownership and corrupt the namespace.
-    Result<core::JournalShardInfo> stamp =
+    Result<core::ShardStamp> stamp =
         core::probe_journal_shard(journal_path);
     if (stamp.ok()) {
       meta_shards = stamp.value().shard_count;
@@ -185,28 +184,25 @@ struct CliWorld {
     }
     // Re-open every shard's journal for appends (truncating any torn tail
     // away), stamped with its place in the plane so a wrong-shape open of
-    // any member fails loudly.
-    std::vector<core::MetadataPlane::Partition> parts(meta_shards);
-    for (std::size_t k = 0; k < meta_shards; ++k) {
-      Result<std::unique_ptr<core::Journal>> j = core::Journal::open(
-          core::shard_file_path(journal_path, k),
-          static_cast<std::uint32_t>(k),
-          static_cast<std::uint32_t>(meta_shards));
-      CS_REQUIRE(j.ok(), "cannot open journal: " + j.status().to_string());
-      parts[k].store = recovered.value().shards[k].metadata;
-      parts[k].journal = std::shared_ptr<core::Journal>(std::move(j.value()));
-      parts[k].checkpoint_path = core::shard_file_path(meta_path, k);
-      // `--batch-ops/--batch-ms`: group-commit tuning, per commit lane.
-      // Installed before the distributor exists so every append (including
-      // the registrations the distributor journals at startup) goes
-      // through the configured path.
-      if (batch_ops > 1) {
-        parts[k].journal->set_group_commit(core::GroupCommitConfig{
-            batch_ops, std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::milliseconds(batch_ms))});
-      }
+    // any member fails loudly. `--batch-ops/--batch-ms` tune group commit
+    // per commit lane, installed before the distributor exists so every
+    // append (including the registrations the distributor journals at
+    // startup) goes through the configured path.
+    std::vector<std::shared_ptr<core::MetadataStore>> stores;
+    for (core::RecoveredState& s : recovered.value().shards) {
+      stores.push_back(std::move(s.metadata));
     }
-    plane = std::make_shared<core::MetadataPlane>(std::move(parts));
+    Result<std::shared_ptr<core::MetadataPlane>> opened =
+        core::MetadataPlane::open(
+            meta_path, journal_path, meta_shards,
+            core::GroupCommitConfig{
+                batch_ops,
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::milliseconds(batch_ms))},
+            std::move(stores));
+    CS_REQUIRE(opened.ok(),
+               "cannot open journal: " + opened.status().to_string());
+    plane = std::move(opened).value();
     install_crash_hook();
 
     core::DistributorConfig config;
@@ -231,7 +227,6 @@ struct CliWorld {
                                    .time_since_epoch()
                                    .count());
     cdd = std::make_unique<core::CloudDataDistributor>(registry, config);
-    metadata = plane->store_ptr(0);
   }
 
   /// Creates the on-disk store for a just-added provider and wires its

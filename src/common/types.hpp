@@ -52,12 +52,10 @@ inline constexpr int kNumPrivacyLevels = 4;
 
 /// How a chunk's payload is protected against mining at the providers
 /// beyond dispersal itself. Values are on-disk (Table III); append-only,
-/// never renumber. kPartialAes is 0 so pre-ProtectionMode metadata images
-/// (which carry no mode field) decode to it -- with zero encrypted bytes
-/// recorded, making the legacy read path a no-op.
+/// never renumber. kPartialAes is 0, the default of a fresh ChunkEntry.
 enum class ProtectionMode : std::uint8_t {
   /// AES-128-CTR over a PL-dependent prefix of each chunk (the paper's
-  /// "encrypt a portion of it"); the legacy/default wire value.
+  /// "encrypt a portion of it"); the default wire value.
   kPartialAes = 0,
   /// Misleading-bytes chaff only (SVII-D) -- the pre-PR-8 behavior.
   kMisleadingBytes = 1,
@@ -97,7 +95,7 @@ inline constexpr int kNumCostLevels = 4;
 
 /// Runtime membership state of a provider in the fleet (the dynamic
 /// topology of §IV-C: providers join, drain and leave without a restart).
-/// Values are on-disk (metadata image v3 provider rows and kBeginMigrate /
+/// Values are on-disk (metadata image provider rows and kBeginMigrate /
 /// kCommitMigrate journal records); append-only, never renumber.
 enum class ProviderLifecycle : std::uint8_t {
   /// Registered but not yet placed: a joiner receives migrated shards while

@@ -172,19 +172,15 @@ class OpScope {
 }  // namespace
 
 CloudDataDistributor::CloudDataDistributor(
-    storage::ProviderRegistry& registry, DistributorConfig config,
-    std::shared_ptr<MetadataStore> metadata)
+    storage::ProviderRegistry& registry, DistributorConfig config)
     : registry_(registry),
       config_(std::move(config)),
       telemetry_(config_.telemetry
                      ? (config_.telemetry_sink ? config_.telemetry_sink
                                                : obs::Telemetry::global())
                      : std::make_shared<obs::Telemetry>(false)),
-      plane_(config_.plane),
-      metadata_(plane_ != nullptr
-                    ? plane_->store_ptr(0)
-                    : (metadata ? std::move(metadata)
-                                : std::make_shared<MetadataStore>())),
+      plane_(config_.plane != nullptr ? config_.plane
+                                      : MetadataPlane::make_in_memory(1)),
       rt_(registry_, config_.retry, telemetry_.get(), config_.seed,
           config_.watchdog.get()),
       placement_(config_.seed ^ 0x91ACE, config_.placement),
@@ -193,16 +189,6 @@ CloudDataDistributor::CloudDataDistributor(
                                        : 4 * config_.worker_threads),
       chaff_rng_(config_.seed ^ 0xC4AFF),
       id_key_(mix64(config_.seed ^ 0x1DFEED)) {
-  // No explicit plane: wrap the store + journal + checkpoint path into a
-  // 1-shard plane, so every op routes uniformly and the on-disk bytes stay
-  // identical to the unsharded layout.
-  if (plane_ == nullptr) {
-    std::vector<MetadataPlane::Partition> parts(1);
-    parts[0].store = metadata_;
-    parts[0].journal = config_.journal;
-    parts[0].checkpoint_path = config_.checkpoint_path;
-    plane_ = std::make_shared<MetadataPlane>(std::move(parts));
-  }
   if (config_.telemetry) {
     registry_.attach_telemetry(telemetry_);
     placement_.set_metrics(&telemetry_->metrics());
@@ -338,8 +324,7 @@ Status CloudDataDistributor::register_client(const std::string& name) {
   // Client rows are broadcast to every partition: any front-end can then
   // authenticate against any shard, and each shard journal stays
   // self-contained for parallel recovery.
-  CS_RETURN_IF_ERROR(metadata_->register_client(name));
-  for (std::size_t s = 1; s < plane_->shard_count(); ++s) {
+  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     CS_RETURN_IF_ERROR(plane_->store(s).register_client(name));
   }
   JournalRecord rec;
@@ -352,8 +337,7 @@ Status CloudDataDistributor::add_password(const std::string& client,
                                           const std::string& password,
                                           PrivacyLevel pl) {
   if (password.empty()) return Status::InvalidArgument("empty password");
-  CS_RETURN_IF_ERROR(metadata_->add_password(client, password, pl));
-  for (std::size_t s = 1; s < plane_->shard_count(); ++s) {
+  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     CS_RETURN_IF_ERROR(plane_->store(s).add_password(client, password, pl));
   }
   JournalRecord rec;
@@ -367,7 +351,7 @@ Status CloudDataDistributor::add_password(const std::string& client,
 Result<PrivacyLevel> CloudDataDistributor::authorize(
     const std::string& client, const std::string& password,
     PrivacyLevel required) const {
-  Result<PrivacyLevel> granted = metadata_->authenticate(client, password);
+  Result<PrivacyLevel> granted = metadata().authenticate(client, password);
   if (!granted.ok()) {
     if (telemetry_->enabled()) {
       telemetry_->metrics().counter("cdd.auth_failures").inc();
@@ -434,7 +418,7 @@ void CloudDataDistributor::remove_protection(Bytes& padded,
       return;
     case ProtectionMode::kPartialAes: {
       const std::size_t prefix = std::min(protect_bytes, padded.size());
-      if (prefix == 0) return;  // v1 rows land here: nothing was encrypted
+      if (prefix == 0) return;  // nothing was encrypted
       const Bytes dec = crypto::aes128_ctr(config_.protection_key, nonce,
                                            BytesView(padded.data(), prefix));
       std::copy(dec.begin(), dec.end(), padded.begin());
@@ -1018,7 +1002,7 @@ Result<Bytes> CloudDataDistributor::get_chunk(const std::string& client,
   if (!ref.has_value()) {
     // Authenticate first so an attacker cannot probe the namespace with a
     // bad password.
-    Result<PrivacyLevel> auth = metadata_->authenticate(client, password);
+    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
     if (!auth.ok()) return auth.status();
     return Status::NotFound("chunk " + filename + "#" +
                             std::to_string(serial));
@@ -1062,7 +1046,7 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
   MetadataStore& md = plane_->store(plane_->shard_of(client, filename));
   std::vector<ChunkRef> refs = md.file_chunks(client, filename);
   if (refs.empty()) {
-    Result<PrivacyLevel> auth = metadata_->authenticate(client, password);
+    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
     if (!auth.ok()) return auth.status();
     return Status::NotFound("file " + filename + " for client " + client);
   }
@@ -1173,7 +1157,7 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
 Result<std::vector<CloudDataDistributor::FileInfo>>
 CloudDataDistributor::list_files(const std::string& client,
                                  const std::string& password) {
-  Result<PrivacyLevel> auth = metadata_->authenticate(client, password);
+  Result<PrivacyLevel> auth = metadata().authenticate(client, password);
   if (!auth.ok()) return auth.status();
   // The store's filename index does the per-file aggregation (and the
   // privilege filtering) without scanning every ref per file. A client's
@@ -1420,7 +1404,7 @@ Status CloudDataDistributor::remove_file(const std::string& client,
   MetadataStore& md = plane_->store(shard);
   std::vector<ChunkRef> refs = md.file_chunks(client, filename);
   if (refs.empty()) {
-    Result<PrivacyLevel> auth = metadata_->authenticate(client, password);
+    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
     if (!auth.ok()) return auth.status();
     return Status::NotFound("file " + filename + " for client " + client);
   }

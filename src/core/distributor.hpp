@@ -19,7 +19,7 @@
 // (a corrupted shard counts as an erasure and RAID recovers through it),
 // decode, strip chaff, and return the plaintext chunk.
 //
-// Several distributor front-ends may share one MetadataStore -- that is the
+// Several distributor front-ends may share one MetadataPlane -- that is the
 // Fig. 2 multi-distributor architecture (see multi_distributor.hpp).
 #pragma once
 
@@ -104,26 +104,17 @@ struct DistributorConfig {
   /// small-op load).
   std::size_t rpc_batch_shards = 1;
   std::chrono::microseconds rpc_batch_wait{500};
-  /// Write-ahead journal for metadata durability (see core/journal.hpp).
-  /// When set, every metadata mutation is journaled before the op returns
-  /// OK; null = in-memory-only metadata (the pre-journal behavior).
-  std::shared_ptr<Journal> journal;
-  /// Where checkpoint() writes the metadata snapshot. Required for
-  /// checkpointing; ignored when `journal` is null.
-  std::string checkpoint_path;
-  /// Auto-checkpoint once the journal holds this many records (0 = only
-  /// explicit checkpoint() calls). Bounds both journal growth and replay
-  /// time after a crash.
+  /// Auto-checkpoint once a shard's journal holds this many records (0 =
+  /// only explicit checkpoint() calls). Bounds both journal growth and
+  /// replay time after a crash.
   std::size_t checkpoint_interval = 0;
-  /// N-way sharded metadata/journal plane (see core/metadata_plane.hpp).
-  /// When set it supersedes `journal`/`checkpoint_path` and the `metadata`
-  /// constructor argument: per-(client, filename) state routes to the
-  /// partition shard_of(client, filename), each with its own lock, its own
-  /// WAL commit lane and its own checkpoint image. Journaling is
-  /// all-or-nothing across partitions (shard 0 decides). Null = the
-  /// distributor wraps its store + `journal` + `checkpoint_path` into a
-  /// 1-shard plane, reproducing the unsharded behavior (and its on-disk
-  /// bytes) exactly.
+  /// The metadata plane (see core/metadata_plane.hpp) -- the only way to
+  /// give a distributor metadata. Per-(client, filename) state routes to
+  /// the partition shard_of(client, filename), each with its own lock, its
+  /// own write-ahead journal lane and its own checkpoint image (see
+  /// MetadataPlane::open). Journaling is all-or-nothing across partitions
+  /// (shard 0 decides). Front-ends sharing one namespace share one plane.
+  /// Null = a fresh in-memory 1-shard plane.
   std::shared_ptr<MetadataPlane> plane;
   /// Stall watchdog (see obs/watchdog.hpp). When set, every client-visible
   /// op and every request-layer RPC arms an in-flight entry carrying its
@@ -198,12 +189,10 @@ struct RewriteStats {
 
 class CloudDataDistributor {
  public:
-  /// `registry` must outlive the distributor. Passing a shared MetadataStore
-  /// lets several distributors serve one namespace; by default the
-  /// distributor creates (and registers providers into) its own.
+  /// `registry` must outlive the distributor. Providers are registered
+  /// into every partition of `config.plane` that does not know them yet.
   CloudDataDistributor(storage::ProviderRegistry& registry,
-                       DistributorConfig config,
-                       std::shared_ptr<MetadataStore> metadata = nullptr);
+                       DistributorConfig config);
 
   // --- client management ----------------------------------------------
 
@@ -340,8 +329,8 @@ class CloudDataDistributor {
 
   // --- durability & crash recovery (see core/journal.hpp) ---------------
 
-  /// Folds the journal into an atomic metadata snapshot at
-  /// config().checkpoint_path. Requires a configured journal.
+  /// Folds every shard's journal into an atomic snapshot at that shard's
+  /// checkpoint path. Requires a journaled plane.
   Status checkpoint();
 
   /// What reconcile() had to clean up after a crash.
@@ -352,8 +341,8 @@ class CloudDataDistributor {
     std::size_t repaired_shards = 0;  ///< shards healed by the repair pass
   };
 
-  /// Post-recovery reconciliation. Construct the distributor with
-  /// recover_metadata()'s store, then call this with its `in_flight` list:
+  /// Post-recovery reconciliation. Construct the distributor over a plane
+  /// of recover_plane()'s stores, then call this with its `in_flight` list:
   /// sweeps provider objects no committed chunk references (shards of
   /// uncommitted puts, drops a crash interrupted), clears stale provider-
   /// table ids, aborts the in-flight puts, and runs a full repair pass for
@@ -363,8 +352,9 @@ class CloudDataDistributor {
 
   /// Shard-0 partition of the metadata plane -- the whole namespace on an
   /// unsharded (1-shard) plane, one partition of it otherwise.
-  [[nodiscard]] const MetadataStore& metadata() const { return *metadata_; }
-  [[nodiscard]] std::shared_ptr<MetadataStore> metadata_ptr() { return metadata_; }
+  [[nodiscard]] const MetadataStore& metadata() const {
+    return plane_->store(0);
+  }
   /// The (possibly 1-shard) metadata plane every op routes through.
   [[nodiscard]] const std::shared_ptr<MetadataPlane>& plane() const {
     return plane_;
@@ -512,7 +502,6 @@ class CloudDataDistributor {
   DistributorConfig config_;
   std::shared_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<MetadataPlane> plane_;
-  std::shared_ptr<MetadataStore> metadata_;  ///< shard-0 partition
   RequestLayer rt_;  ///< retry/breaker/hedge wrapper for every shard RPC
   PlacementPolicy placement_;
   ThreadPool pool_;     ///< chunk-level pipeline stages

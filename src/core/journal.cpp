@@ -22,19 +22,8 @@ namespace cshield::core {
 namespace {
 
 constexpr std::uint32_t kJournalMagic = 0xC5D17A6EU;
-// v2 journals may carry protection-aware chunk rows (the rows themselves
-// are self-versioned -- see write_chunk_entry -- so v1 files, and v1 rows
-// inside them, replay unchanged). v3 adds the topology records
-// (kBeginMigrate/kCommitMigrate) and an optional lifecycle byte on
-// kRegisterProvider; older files replay unchanged. v4 appends a shard
-// stamp (u32 shard_index | u32 shard_count) to the header and is written
-// only by members of an N > 1 plane -- a 1-shard journal stays v3 so its
-// image is bit-identical to the unsharded layout.
-constexpr std::uint32_t kJournalVersion = 3;
-constexpr std::uint32_t kJournalShardVersion = 4;
-constexpr std::uint32_t kOldestReadableJournalVersion = 1;
-constexpr std::size_t kHeaderSize = 4 + 4 + 8;
-constexpr std::size_t kShardHeaderSize = kHeaderSize + 4 + 4;
+// magic | version | checkpoint_ops | shard_index | shard_count
+constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4 + 4;
 constexpr std::size_t kFrameOverhead = 4 + 4;  // length + crc
 
 [[nodiscard]] std::uint32_t load_u32(BytesView image, std::size_t off) {
@@ -43,6 +32,47 @@ constexpr std::size_t kFrameOverhead = 4 + 4;  // length + crc
     v |= static_cast<std::uint32_t>(image[off + i]) << (8 * i);
   }
   return v;
+}
+
+[[nodiscard]] std::uint64_t load_u64(BytesView image, std::size_t off) {
+  return load_u32(image, off) |
+         static_cast<std::uint64_t>(load_u32(image, off + 4)) << 32;
+}
+
+/// The one journal header decoder. Fields a short prefix does carry are
+/// still checked, so a file of another format or generation is refused
+/// however short it is; a well-formed prefix shorter than the header is a
+/// crash while creating a fresh journal -- NotFound, it holds no records
+/// and carries no stamp. `name` prefixes every error.
+[[nodiscard]] Status decode_header(BytesView image, const std::string& name,
+                                   JournalReplay& out) {
+  if (image.size() >= 4 && load_u32(image, 0) != kJournalMagic) {
+    return Status::InvalidArgument(name + ": bad magic");
+  }
+  if (image.size() >= 8 && load_u32(image, 4) != kFormatVersion) {
+    return Status::InvalidArgument(name + ": unsupported version");
+  }
+  if (image.size() < kHeaderSize) {
+    return Status::NotFound(name + ": truncated header");
+  }
+  out.checkpoint_ops = load_u64(image, 8);
+  out.stamp.shard_index = load_u32(image, 16);
+  out.stamp.shard_count = load_u32(image, 20);
+  if (out.stamp.shard_index >= out.stamp.shard_count) {
+    return Status::InvalidArgument(name + ": implausible shard stamp");
+  }
+  return Status::Ok();
+}
+
+/// The error for a file stamped other than the shard it is opened as.
+[[nodiscard]] Status stamp_mismatch(const std::string& what, ShardStamp got,
+                                    ShardStamp want) {
+  return Status::InvalidArgument(
+      what + ": shard stamp mismatch: file is shard " +
+      std::to_string(got.shard_index) + " of " +
+      std::to_string(got.shard_count) + ", opened as shard " +
+      std::to_string(want.shard_index) + " of " +
+      std::to_string(want.shard_count));
 }
 
 [[nodiscard]] Status errno_status(const std::string& what) {
@@ -69,12 +99,10 @@ constexpr std::size_t kFrameOverhead = 4 + 4;  // length + crc
   Bytes out;
   wire::Writer w(out);
   w.u32(kJournalMagic);
-  w.u32(shard_count > 1 ? kJournalShardVersion : kJournalVersion);
+  w.u32(kFormatVersion);
   w.u64(checkpoint_ops);
-  if (shard_count > 1) {
-    w.u32(shard_index);
-    w.u32(shard_count);
-  }
+  w.u32(shard_index);
+  w.u32(shard_count);
   return out;
 }
 
@@ -111,7 +139,7 @@ Bytes encode_record(const JournalRecord& rec) {
       w.str(rec.client);  // provider name
       w.u8(rec.level);
       w.u8(rec.cost);
-      w.u8(rec.lifecycle);  // v3 suffix; absent in pre-topology records
+      w.u8(rec.lifecycle);
       break;
     case JournalOp::kRegisterClient:
       w.str(rec.client);
@@ -169,21 +197,12 @@ bool decode_record(BytesView payload, JournalRecord& rec) {
   switch (rec.op) {
     case JournalOp::kRegisterProvider:
       if (!r.u64(rec.provider_index) || !r.str(rec.client) ||
-          !r.u8(rec.level) || !r.u8(rec.cost)) {
+          !r.u8(rec.level) || !r.u8(rec.cost) || !r.u8(rec.lifecycle)) {
         return false;
       }
-      if (rec.level >= kNumPrivacyLevels || rec.cost >= kNumCostLevels) {
+      if (rec.level >= kNumPrivacyLevels || rec.cost >= kNumCostLevels ||
+          rec.lifecycle >= kNumProviderLifecycles) {
         return false;
-      }
-      // v3 suffix: initial lifecycle. A pre-topology record ends here and
-      // decodes to kActive -- the only state a static fleet could be in.
-      rec.lifecycle =
-          static_cast<std::uint8_t>(ProviderLifecycle::kActive);
-      if (r.remaining() > 0) {
-        if (!r.u8(rec.lifecycle) ||
-            rec.lifecycle >= kNumProviderLifecycles) {
-          return false;
-        }
       }
       break;
     case JournalOp::kRegisterClient:
@@ -241,36 +260,11 @@ bool decode_record(BytesView payload, JournalRecord& rec) {
 }
 
 Result<JournalReplay> replay_journal_image(BytesView image) {
-  if (image.size() < kHeaderSize) {
-    return Status::InvalidArgument("journal: truncated header");
-  }
-  if (load_u32(image, 0) != kJournalMagic) {
-    return Status::InvalidArgument("journal: bad magic");
-  }
-  const std::uint32_t version = load_u32(image, 4);
-  if (version < kOldestReadableJournalVersion ||
-      version > kJournalShardVersion) {
-    return Status::InvalidArgument("journal: unsupported version");
-  }
   JournalReplay out;
-  for (int i = 0; i < 8; ++i) {
-    out.checkpoint_ops |= static_cast<std::uint64_t>(image[8 + i]) << (8 * i);
-  }
-  std::size_t header = kHeaderSize;
-  if (version >= kJournalShardVersion) {
-    if (image.size() < kShardHeaderSize) {
-      return Status::InvalidArgument("journal: truncated shard header");
-    }
-    out.shard_index = load_u32(image, 16);
-    out.shard_count = load_u32(image, 20);
-    if (out.shard_count < 2 || out.shard_index >= out.shard_count) {
-      return Status::InvalidArgument("journal: implausible shard stamp");
-    }
-    header = kShardHeaderSize;
-  }
-  out.valid_bytes = header;
+  CS_RETURN_IF_ERROR(decode_header(image, "journal", out));
+  out.valid_bytes = kHeaderSize;
 
-  std::size_t off = header;
+  std::size_t off = kHeaderSize;
   while (off + kFrameOverhead <= image.size()) {
     const std::uint32_t len = load_u32(image, off);
     const std::uint32_t crc = load_u32(image, off + 4);
@@ -297,8 +291,7 @@ Journal::Journal(std::filesystem::path path, int fd, std::size_t records,
       bytes_(bytes),
       checkpoint_ops_(checkpoint_ops),
       shard_index_(shard_index),
-      shard_count_(shard_count),
-      header_size_(shard_count > 1 ? kShardHeaderSize : kHeaderSize) {
+      shard_count_(shard_count) {
   if (shard_count_ > 1) {
     shard_flush_metric_ =
         "journal.shard." + std::to_string(shard_index_) + ".flush_ns";
@@ -322,28 +315,19 @@ Result<std::unique_ptr<Journal>> Journal::open(std::filesystem::path path,
     CS_RETURN_IF_ERROR(read.status());
     image = std::move(read).value();
   }
-  // A file shorter than its full header is a crash while creating a fresh
-  // journal -- it cannot hold records, so recreate it. A v4 header is
-  // longer, so a v4 file cut inside its shard stamp is fresh too.
-  bool fresh = image.size() < kHeaderSize;
-  if (!fresh && load_u32(image, 4) >= kJournalShardVersion &&
-      image.size() < kShardHeaderSize) {
-    fresh = true;
-  }
+  // An absent file, or one shorter than its header (a crash while creating
+  // a fresh journal), holds no records: (re)create it.
+  auto replay = replay_journal_image(image);
+  const bool fresh = replay.status().code() == ErrorCode::kNotFound;
   std::size_t records = 0;
-  std::size_t valid =
-      shard_count > 1 ? kShardHeaderSize : kHeaderSize;
+  std::size_t valid = kHeaderSize;
   std::uint64_t checkpoint_ops = 0;
   if (!fresh) {
-    auto replay = replay_journal_image(image);
     CS_RETURN_IF_ERROR(replay.status());
-    if (replay.value().shard_index != shard_index ||
-        replay.value().shard_count != shard_count) {
-      return Status::InvalidArgument(
-          "journal " + path.string() + ": shard stamp mismatch: file is shard " +
-          std::to_string(replay.value().shard_index) + " of " +
-          std::to_string(replay.value().shard_count) + ", opened as shard " +
-          std::to_string(shard_index) + " of " + std::to_string(shard_count));
+    const ShardStamp want{shard_index, shard_count};
+    if (replay.value().stamp != want) {
+      return stamp_mismatch("journal " + path.string(), replay.value().stamp,
+                            want);
     }
     records = replay.value().records.size();
     valid = replay.value().valid_bytes;
@@ -540,7 +524,7 @@ Status Journal::checkpoint(const std::function<Bytes()>& snapshot,
   // apply_journal_record is idempotent for exactly this window.
   checkpoint_ops_ += records_;
   records_ = 0;
-  if (::ftruncate(fd_, static_cast<off_t>(header_size_)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(kHeaderSize)) != 0) {
     return errno_status("journal truncate");
   }
   const Bytes header =
@@ -549,7 +533,7 @@ Status Journal::checkpoint(const std::function<Bytes()>& snapshot,
   CS_RETURN_IF_ERROR(write_all(fd_, header));
   if (::fsync(fd_) != 0) return errno_status("journal fsync");
   if (::lseek(fd_, 0, SEEK_END) < 0) return errno_status("journal seek");
-  bytes_ = header_size_;
+  bytes_ = kHeaderSize;
   return Status::Ok();
 }
 
@@ -722,22 +706,17 @@ Result<RecoveredState> recover_metadata(
     std::uint32_t expected_shard_index,
     std::uint32_t expected_shard_count) {
   if (expected_shard_count == 0) expected_shard_count = 1;
+  const ShardStamp want{expected_shard_index, expected_shard_count};
   RecoveredState out;
   if (std::filesystem::exists(checkpoint_path)) {
     auto image = read_file_bytes(checkpoint_path);
     CS_RETURN_IF_ERROR(image.status());
-    MetadataShardStamp stamp;
+    ShardStamp stamp;
     auto restored = deserialize_metadata(image.value(), &stamp);
     CS_RETURN_IF_ERROR(restored.status());
-    if (stamp.shard_index != expected_shard_index ||
-        stamp.shard_count != expected_shard_count) {
-      return Status::InvalidArgument(
-          "checkpoint " + checkpoint_path.string() +
-          ": shard stamp mismatch: image is shard " +
-          std::to_string(stamp.shard_index) + " of " +
-          std::to_string(stamp.shard_count) + ", recovering as shard " +
-          std::to_string(expected_shard_index) + " of " +
-          std::to_string(expected_shard_count));
+    if (stamp != want) {
+      return stamp_mismatch("checkpoint " + checkpoint_path.string(), stamp,
+                            want);
     }
     out.metadata = std::move(restored).value();
   } else {
@@ -748,22 +727,12 @@ Result<RecoveredState> recover_metadata(
     auto image = read_file_bytes(journal_path);
     CS_RETURN_IF_ERROR(image.status());
     // Shorter than its header = crash while creating the file: no records.
-    const bool sub_header =
-        image.value().size() < kHeaderSize ||
-        (load_u32(image.value(), 4) >= kJournalShardVersion &&
-         image.value().size() < kShardHeaderSize);
-    if (!sub_header) {
-      auto replay = replay_journal_image(image.value());
+    auto replay = replay_journal_image(image.value());
+    if (replay.status().code() != ErrorCode::kNotFound) {
       CS_RETURN_IF_ERROR(replay.status());
-      if (replay.value().shard_index != expected_shard_index ||
-          replay.value().shard_count != expected_shard_count) {
-        return Status::InvalidArgument(
-            "journal " + journal_path.string() +
-            ": shard stamp mismatch: file is shard " +
-            std::to_string(replay.value().shard_index) + " of " +
-            std::to_string(replay.value().shard_count) +
-            ", recovering as shard " + std::to_string(expected_shard_index) +
-            " of " + std::to_string(expected_shard_count));
+      if (replay.value().stamp != want) {
+        return stamp_mismatch("journal " + journal_path.string(),
+                              replay.value().stamp, want);
       }
       out.checkpoint_ops = replay.value().checkpoint_ops;
       std::set<std::pair<std::string, std::string>> open_puts;
@@ -834,40 +803,17 @@ std::filesystem::path shard_file_path(const std::filesystem::path& base,
   return std::filesystem::path(base.string() + ".s" + std::to_string(shard));
 }
 
-Result<JournalShardInfo> probe_journal_shard(
+Result<ShardStamp> probe_journal_shard(
     const std::filesystem::path& path) {
   if (!std::filesystem::exists(path)) {
     return Status::NotFound("journal " + path.string() + ": no file");
   }
   auto image = read_file_bytes(path);
   CS_RETURN_IF_ERROR(image.status());
-  const Bytes& bytes = image.value();
-  if (bytes.size() < kHeaderSize) {
-    return Status::NotFound("journal " + path.string() + ": no header");
-  }
-  if (load_u32(bytes, 0) != kJournalMagic) {
-    return Status::InvalidArgument("journal " + path.string() + ": bad magic");
-  }
-  JournalShardInfo info;
-  info.version = load_u32(bytes, 4);
-  if (info.version < kOldestReadableJournalVersion ||
-      info.version > kJournalShardVersion) {
-    return Status::InvalidArgument("journal " + path.string() +
-                                   ": unsupported version");
-  }
-  if (info.version >= kJournalShardVersion) {
-    if (bytes.size() < kShardHeaderSize) {
-      return Status::NotFound("journal " + path.string() +
-                              ": truncated shard header");
-    }
-    info.shard_index = load_u32(bytes, 16);
-    info.shard_count = load_u32(bytes, 20);
-    if (info.shard_count < 2 || info.shard_index >= info.shard_count) {
-      return Status::InvalidArgument("journal " + path.string() +
-                                     ": implausible shard stamp");
-    }
-  }
-  return info;
+  JournalReplay header;
+  CS_RETURN_IF_ERROR(
+      decode_header(image.value(), "journal " + path.string(), header));
+  return header.stamp;
 }
 
 Result<PlaneRecovery> recover_plane(

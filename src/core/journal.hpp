@@ -7,9 +7,10 @@
 // *before* the operation acknowledges to the client, and recovery replays
 // checkpoint + journal to rebuild the exact committed state.
 //
-// File layout:
+// File layout (format v4, the only generation -- see kFormatVersion; any
+// other version is rejected as unsupported):
 //   header : u32 magic | u32 version | u64 checkpoint_ops
-//            [v4: | u32 shard_index | u32 shard_count]
+//            | u32 shard_index | u32 shard_count           (24 bytes)
 //   frames : (u32 payload_len | u32 crc32(payload) | payload)*
 //
 // `checkpoint_ops` counts the records folded into checkpoints so far, so a
@@ -19,14 +20,12 @@
 // fails, and Journal::open truncates the tail so the next append lands on
 // a clean boundary.
 //
-// Sharded plane (v4): an N-way partitioned metadata plane gives every
-// partition its own journal file with its own group-commit lane. Those
-// files carry a self-describing shard stamp (shard_index / shard_count)
-// in a v4 header so a file can never be silently replayed into the wrong
-// plane shape: opening an N-shard member as 1-shard (or vice versa, or
-// with the wrong N) fails loudly. A 1-shard plane keeps writing the v3
-// header, so its on-disk image stays bit-identical to the unsharded
-// layout.
+// Shard stamp: an N-way partitioned metadata plane gives every partition
+// its own journal file with its own group-commit lane, and every header
+// names its place (shard_index / shard_count) so a file can never be
+// silently replayed into the wrong plane shape: opening an N-shard member
+// as 1-shard (or vice versa, or with the wrong N) fails loudly. An
+// unsharded journal is shard 0 of 1.
 //
 // Commit-point discipline (enforced by the distributor, verified by
 // tests/recovery_test.cpp):
@@ -55,6 +54,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/metadata_io.hpp"
 #include "core/tables.hpp"
 #include "obs/telemetry.hpp"
 #include "util/bytes.hpp"
@@ -144,18 +144,18 @@ struct JournalReplay {
   std::vector<JournalRecord> records;  ///< longest well-formed prefix
   std::uint64_t checkpoint_ops = 0;    ///< header field
   std::size_t valid_bytes = 0;  ///< bytes up to (excluding) the torn tail
-  /// Shard stamp (v4 header); a pre-v4 file is shard 0 of a 1-shard plane.
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
+  ShardStamp stamp;              ///< header shard stamp
 };
 
 /// Scans a full journal file image. A bad header is an error (the file is
-/// not a journal); a torn/corrupt tail is tolerated -- records stop there.
+/// not a journal of this format); an image shorter than the header is
+/// NotFound (a crash while creating it: no records); a torn/corrupt tail
+/// is tolerated -- records stop there.
 [[nodiscard]] Result<JournalReplay> replay_journal_image(BytesView image);
 
 /// Group-commit tuning (see Journal::set_group_commit). The defaults
 /// reproduce per-op commit: every append is its own batch with its own
-/// fsync, byte-identical on disk to the pre-group-commit format.
+/// fsync; grouping changes fsync cadence only, never the bytes on disk.
 struct GroupCommitConfig {
   /// Max records folded into one write+fsync. 1 = per-op commit.
   std::size_t batch_ops = 1;
@@ -186,12 +186,11 @@ class Journal {
 
   /// Opens (creating if absent) the journal at `path`. An existing file is
   /// scanned and any torn tail truncated away. Rejects files that are not
-  /// journals (bad magic / unknown version) and files whose shard stamp
-  /// disagrees with the expected one -- an N-shard member opened as
+  /// journals (bad magic / unsupported version) and files whose shard
+  /// stamp disagrees with the expected one -- an N-shard member opened as
   /// 1-shard, or with the wrong index/count, fails with a clear error
-  /// instead of replaying into the wrong plane shape. The default
-  /// (shard 0 of 1) is the unsharded layout and writes the bit-compatible
-  /// v3 header; shard_count > 1 writes the self-describing v4 header.
+  /// instead of replaying into the wrong plane shape. The default is
+  /// shard 0 of 1.
   [[nodiscard]] static Result<std::unique_ptr<Journal>> open(
       std::filesystem::path path, std::uint32_t shard_index = 0,
       std::uint32_t shard_count = 1);
@@ -241,7 +240,7 @@ class Journal {
   /// Flushes that folded more than one record into a single fsync.
   [[nodiscard]] std::uint64_t group_commits() const;
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-  /// This file's shard stamp (0 of 1 for the unsharded layout).
+  /// This file's shard stamp (0 of 1 for an unsharded journal).
   [[nodiscard]] std::uint32_t shard_index() const { return shard_index_; }
   [[nodiscard]] std::uint32_t shard_count() const { return shard_count_; }
 
@@ -293,7 +292,6 @@ class Journal {
   std::uint64_t group_commits_ = 0;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
-  std::size_t header_size_ = 0;  ///< v3: 16 bytes; v4 (sharded): 24
   /// Pre-built per-shard metric name ("journal.shard.<k>.flush_ns");
   /// empty for a 1-shard plane, whose flushes report only the aggregate.
   std::string shard_flush_metric_;
@@ -332,8 +330,8 @@ struct RecoveredState {
 /// Rebuilds the committed metadata state: checkpoint image (if any) plus
 /// the journal's well-formed record prefix (if any). Neither file existing
 /// yields an empty store -- a fresh deployment. The expected shard stamp
-/// defaults to the unsharded layout; images stamped otherwise are rejected
-/// (a plane member must be recovered as the shard it was written as).
+/// defaults to shard 0 of 1; images stamped otherwise are rejected (a
+/// plane member must be recovered as the shard it was written as).
 [[nodiscard]] Result<RecoveredState> recover_metadata(
     const std::filesystem::path& checkpoint_path,
     const std::filesystem::path& journal_path,
@@ -341,21 +339,15 @@ struct RecoveredState {
     std::uint32_t expected_shard_count = 1);
 
 /// Path of shard `k`'s file under a plane's base path: the base itself for
-/// shard 0 (so a 1-shard plane is path-compatible with the unsharded
-/// layout), `<base>.s<k>` otherwise. Used for journals and checkpoints
-/// alike.
+/// shard 0 (so a 1-shard plane lives at the base path), `<base>.s<k>`
+/// otherwise. Used for journals and checkpoints alike.
 [[nodiscard]] std::filesystem::path shard_file_path(
     const std::filesystem::path& base, std::size_t shard);
 
 /// A journal file's header stamp, read without replaying it. NotFound when
 /// the file is absent or shorter than a full header (a fresh / mid-create
 /// file holds no records and carries no stamp).
-struct JournalShardInfo {
-  std::uint32_t version = 0;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
-};
-[[nodiscard]] Result<JournalShardInfo> probe_journal_shard(
+[[nodiscard]] Result<ShardStamp> probe_journal_shard(
     const std::filesystem::path& path);
 
 /// What recovering an N-shard plane reconstructed: every shard's own

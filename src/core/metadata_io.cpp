@@ -6,21 +6,9 @@ namespace cshield::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0xC5D47AB1;
-// v1: pre-ProtectionMode images. v2: chunk rows carry protection fields.
-// v3: provider rows carry a lifecycle byte (dynamic topology). v4: the
-// header carries a shard stamp (u32 shard_index | u32 shard_count) --
-// written only for partitions of an N > 1 metadata plane, so unsharded
-// images stay bit-identical to v3. All versions deserialize -- a pre-v3
-// provider row reads back kActive, the only state a static fleet could
-// be in; a pre-v4 image is shard 0 of 1.
-constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kShardVersion = 4;
-constexpr std::uint32_t kOldestReadableVersion = 1;
 
-// Leading marker of a protection-aware chunk row. A v1 row starts with its
-// privacy level (0..3), so any value outside that range is unambiguous; the
-// reader treats its absence as a v1 row with default protection.
-constexpr std::uint8_t kChunkEntryV2Tag = 0xF2;
+// Leading marker of every chunk row; a row without it is rejected.
+constexpr std::uint8_t kChunkEntryTag = 0xF2;
 
 void write_shards(wire::Writer& w, const std::vector<ShardLocation>& shards) {
   w.u32(static_cast<std::uint32_t>(shards.size()));
@@ -79,7 +67,7 @@ bool read_positions(wire::Reader& r, std::vector<std::uint32_t>& ps) {
 }  // namespace
 
 void write_chunk_entry(wire::Writer& w, const ChunkEntry& e) {
-  w.u8(kChunkEntryV2Tag);
+  w.u8(kChunkEntryTag);
   w.u8(static_cast<std::uint8_t>(e.privacy_level));
   w.u8(static_cast<std::uint8_t>(e.layout.level));
   w.u64(e.layout.data_shards);
@@ -103,10 +91,9 @@ void write_chunk_entry(wire::Writer& w, const ChunkEntry& e) {
 }
 
 bool read_chunk_entry(wire::Reader& r, ChunkEntry& e) {
+  std::uint8_t tag = 0;
   std::uint8_t pl = 0;
-  if (!r.u8(pl)) return false;
-  const bool v2 = pl == kChunkEntryV2Tag;
-  if (v2 && !r.u8(pl)) return false;
+  if (!r.u8(tag) || tag != kChunkEntryTag || !r.u8(pl)) return false;
   std::uint8_t level = 0;
   std::uint64_t data_shards = 0;
   std::uint64_t parity_shards = 0;
@@ -136,15 +123,6 @@ bool read_chunk_entry(wire::Reader& r, ChunkEntry& e) {
   e.snapshot_padded_size = static_cast<std::size_t>(snap_padded);
   e.has_snapshot = has_snapshot != 0;
   e.deleted = deleted != 0;
-  // A v1 row carries no protection fields: kPartialAes over zero bytes, the
-  // read-path no-op every pre-ProtectionMode blob was written under.
-  e.protection = ProtectionMode::kPartialAes;
-  e.protect_nonce = 0;
-  e.protect_bytes = 0;
-  e.snapshot_protection = ProtectionMode::kPartialAes;
-  e.snapshot_protect_nonce = 0;
-  e.snapshot_protect_bytes = 0;
-  if (!v2) return true;
   std::uint8_t mode = 0;
   std::uint8_t snap_mode = 0;
   std::uint64_t protect_bytes = 0;
@@ -179,13 +157,9 @@ Bytes serialize_metadata(const MetadataStore& store,
   Bytes out;
   wire::Writer w(out);
   w.u32(kMagic);
-  if (shard_count > 1) {
-    w.u32(kShardVersion);
-    w.u32(shard_index);
-    w.u32(shard_count);
-  } else {
-    w.u32(kVersion);
-  }
+  w.u32(kFormatVersion);
+  w.u32(shard_index);
+  w.u32(shard_count);
 
   const auto providers = store.provider_table();
   w.u32(static_cast<std::uint32_t>(providers.size()));
@@ -193,7 +167,7 @@ Bytes serialize_metadata(const MetadataStore& store,
     w.str(p.name);
     w.u8(static_cast<std::uint8_t>(p.privacy_level));
     w.u8(static_cast<std::uint8_t>(p.cost_level));
-    w.u8(static_cast<std::uint8_t>(p.lifecycle));  // v3
+    w.u8(static_cast<std::uint8_t>(p.lifecycle));
     w.u32(static_cast<std::uint32_t>(p.virtual_ids.size()));
     for (VirtualId id : p.virtual_ids) w.u64(id);
   }
@@ -223,26 +197,22 @@ Bytes serialize_metadata(const MetadataStore& store,
 }
 
 Result<std::shared_ptr<MetadataStore>> deserialize_metadata(
-    BytesView image, MetadataShardStamp* stamp) {
+    BytesView image, ShardStamp* stamp) {
   wire::Reader r(image);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   if (!r.u32(magic) || magic != kMagic) {
     return Status::InvalidArgument("metadata image: bad magic");
   }
-  if (!r.u32(version) || version < kOldestReadableVersion ||
-      version > kShardVersion) {
+  if (!r.u32(version) || version != kFormatVersion) {
     return Status::InvalidArgument("metadata image: unsupported version");
   }
-  MetadataShardStamp shard;
-  if (version >= kShardVersion) {
-    if (!r.u32(shard.shard_index) || !r.u32(shard.shard_count)) {
-      return Status::InvalidArgument("metadata image: truncated shard stamp");
-    }
-    if (shard.shard_count < 2 || shard.shard_index >= shard.shard_count) {
-      return Status::InvalidArgument(
-          "metadata image: implausible shard stamp");
-    }
+  ShardStamp shard;
+  if (!r.u32(shard.shard_index) || !r.u32(shard.shard_count)) {
+    return Status::InvalidArgument("metadata image: truncated shard stamp");
+  }
+  if (shard.shard_index >= shard.shard_count) {
+    return Status::InvalidArgument("metadata image: implausible shard stamp");
   }
   if (stamp != nullptr) *stamp = shard;
   const Status truncated =
@@ -261,22 +231,19 @@ Result<std::shared_ptr<MetadataStore>> deserialize_metadata(
   for (auto& p : providers) {
     std::uint8_t pl = 0;
     std::uint8_t cl = 0;
-    if (!r.str(p.name) || !r.u8(pl) || !r.u8(cl)) return truncated;
+    std::uint8_t lc = 0;
+    if (!r.str(p.name) || !r.u8(pl) || !r.u8(cl) || !r.u8(lc)) {
+      return truncated;
+    }
     if (pl >= kNumPrivacyLevels || cl >= kNumCostLevels) {
       return Status::InvalidArgument("metadata image: bad level value");
     }
+    if (lc >= kNumProviderLifecycles) {
+      return Status::InvalidArgument("metadata image: bad lifecycle");
+    }
     p.privacy_level = static_cast<PrivacyLevel>(pl);
     p.cost_level = static_cast<CostLevel>(cl);
-    // Pre-v3 rows carry no lifecycle: a static fleet is all-active.
-    p.lifecycle = ProviderLifecycle::kActive;
-    if (version >= 3) {
-      std::uint8_t lc = 0;
-      if (!r.u8(lc)) return truncated;
-      if (lc >= kNumProviderLifecycles) {
-        return Status::InvalidArgument("metadata image: bad lifecycle");
-      }
-      p.lifecycle = static_cast<ProviderLifecycle>(lc);
-    }
+    p.lifecycle = static_cast<ProviderLifecycle>(lc);
     std::uint32_t ids = 0;
     if (!r.u32(ids) || !plausible(ids)) return truncated;
     p.virtual_ids.resize(ids);

@@ -6,8 +6,15 @@
 // distributor can restart against the same providers (the paper's
 // architectural worry about the distributor being a single point of failure
 // -- persistence plus the Fig. 2 group addresses it).
+//
+// Image layout (format v4, the only generation):
+//   u32 magic | u32 version | u32 shard_index | u32 shard_count
+//   provider rows | client rows | chunk rows
+// Every image names its place in the metadata plane; an unsharded store is
+// shard 0 of 1. Any other version is rejected as unsupported.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "core/tables.hpp"
@@ -17,41 +24,41 @@
 
 namespace cshield::core {
 
-/// Serializes the full table state (the unsharded v3 image).
+/// The on-disk format generation shared by the metadata image and the
+/// journal header (see journal.hpp). Readers accept exactly this version.
+inline constexpr std::uint32_t kFormatVersion = 4;
+
+/// Serializes the full table state as shard 0 of 1.
 [[nodiscard]] Bytes serialize_metadata(const MetadataStore& store);
 
-/// Serializes one partition of an N-way sharded metadata plane. With
-/// shard_count <= 1 the image is byte-identical to serialize_metadata;
-/// otherwise a v4 image carries a self-describing shard stamp right after
-/// the version word, so a partition snapshot can never be silently
-/// restored into the wrong plane shape.
+/// Serializes one partition of an N-way sharded metadata plane. The shard
+/// stamp follows the version word, so a partition snapshot can never be
+/// silently restored into the wrong plane shape.
 [[nodiscard]] Bytes serialize_metadata(const MetadataStore& store,
                                        std::uint32_t shard_index,
                                        std::uint32_t shard_count);
 
-/// Shard stamp of a metadata image; pre-v4 images are shard 0 of 1.
-struct MetadataShardStamp {
+/// Where a metadata image or journal sits in its plane: shard
+/// `shard_index` of `shard_count` (an unsharded store is 0 of 1).
+struct ShardStamp {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
+  friend bool operator==(const ShardStamp&, const ShardStamp&) = default;
 };
 
 /// Rebuilds a store from an image produced by serialize_metadata. Rejects
-/// bad magic, unknown versions and truncation. `stamp` (optional)
-/// receives the image's shard stamp -- callers recovering a plane member
-/// validate it against the expected shard.
+/// bad magic, any version but kFormatVersion, and truncation. `stamp`
+/// (optional) receives the image's shard stamp -- callers recovering a
+/// plane member validate it against the expected shard.
 [[nodiscard]] Result<std::shared_ptr<MetadataStore>> deserialize_metadata(
-    BytesView image, MetadataShardStamp* stamp = nullptr);
+    BytesView image, ShardStamp* stamp = nullptr);
 
 /// Writes one chunk-table row in the image's wire layout. Shared with the
 /// journal's commit/update records, so a replayed entry is byte-identical
-/// to a checkpointed one. Rows are self-versioned: a marker byte (outside
-/// the privacy-level range a v1 row starts with) introduces the
-/// ProtectionMode fields, so v1 rows embedded in old images and old journal
-/// frames still decode -- with protection defaulting to kPartialAes over
-/// zero bytes, i.e. a read-path no-op.
+/// to a checkpointed one. Every row leads with a 0xF2 marker byte.
 void write_chunk_entry(wire::Writer& w, const ChunkEntry& entry);
 
-/// Reads one chunk-table row (either generation); false on truncation or an
+/// Reads one chunk-table row; false on a missing marker, truncation or an
 /// implausible field (bad privacy level, unknown RAID level, unknown
 /// protection mode, protected prefix past the payload, count past the
 /// buffer end).

@@ -24,6 +24,34 @@ std::shared_ptr<MetadataPlane> MetadataPlane::make_in_memory(
   return std::make_shared<MetadataPlane>(std::move(parts));
 }
 
+Result<std::shared_ptr<MetadataPlane>> MetadataPlane::open(
+    const std::filesystem::path& checkpoint_base,
+    const std::filesystem::path& journal_base, std::size_t shards,
+    const GroupCommitConfig& group_commit,
+    std::vector<std::shared_ptr<MetadataStore>> stores) {
+  if (shards == 0) shards = 1;
+  if (!stores.empty() && stores.size() != shards) {
+    return Status::InvalidArgument("metadata plane: " +
+                                   std::to_string(stores.size()) +
+                                   " stores for " + std::to_string(shards) +
+                                   " shards");
+  }
+  std::vector<Partition> parts(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
+    Result<std::unique_ptr<Journal>> j =
+        Journal::open(shard_file_path(journal_base, k),
+                      static_cast<std::uint32_t>(k),
+                      static_cast<std::uint32_t>(shards));
+    CS_RETURN_IF_ERROR(j.status());
+    j.value()->set_group_commit(group_commit);
+    parts[k].journal = std::move(j).value();
+    parts[k].store =
+        stores.empty() ? std::make_shared<MetadataStore>() : stores[k];
+    parts[k].checkpoint_path = shard_file_path(checkpoint_base, k);
+  }
+  return std::make_shared<MetadataPlane>(std::move(parts));
+}
+
 std::size_t MetadataPlane::shard_of(std::string_view client,
                                     std::string_view filename,
                                     std::size_t shard_count) {

@@ -23,8 +23,11 @@
 //
 // Maintenance loops address chunks through a *global* index space that
 // interleaves the partitions: global = local * N + shard. N = 1 makes the
-// mapping the identity, the single partition the whole namespace, and the
-// on-disk images bit-identical to the unsharded layout.
+// mapping the identity and the single partition the whole namespace.
+//
+// The plane is the only way a distributor holds metadata: an unsharded
+// deployment is the N = 1 plane, its files stamped shard 0 of 1 at the
+// base paths.
 #pragma once
 
 #include <filesystem>
@@ -34,6 +37,7 @@
 
 #include "core/journal.hpp"
 #include "core/tables.hpp"
+#include "util/status.hpp"
 
 namespace cshield::core {
 
@@ -54,6 +58,17 @@ class MetadataPlane {
   [[nodiscard]] static std::shared_ptr<MetadataPlane> make_in_memory(
       std::size_t shards);
 
+  /// A journaled `shards`-way plane: shard k's journal and checkpoint image
+  /// at shard_file_path(journal_base / checkpoint_base, k), each journal
+  /// opened with its shard stamp and `group_commit` installed. `stores`
+  /// empty makes fresh partitions; otherwise it holds one recovered store
+  /// per shard (e.g. recover_plane's).
+  [[nodiscard]] static Result<std::shared_ptr<MetadataPlane>> open(
+      const std::filesystem::path& checkpoint_base,
+      const std::filesystem::path& journal_base, std::size_t shards,
+      const GroupCommitConfig& group_commit = {},
+      std::vector<std::shared_ptr<MetadataStore>> stores = {});
+
   /// Owning shard of a (client, filename) pair: a consistent hash, stable
   /// across processes and front-ends. Client-level records use an empty
   /// filename for a deterministic "home" shard, but are broadcast anyway.
@@ -73,10 +88,6 @@ class MetadataPlane {
   }
   [[nodiscard]] const MetadataStore& store(std::size_t shard) const {
     return *partitions_[shard].store;
-  }
-  [[nodiscard]] const std::shared_ptr<MetadataStore>& store_ptr(
-      std::size_t shard) const {
-    return partitions_[shard].store;
   }
   [[nodiscard]] Journal* journal(std::size_t shard) const {
     return partitions_[shard].journal.get();

@@ -159,13 +159,9 @@ class DistributorGroup {
     return out;
   }
 
-  /// The shared metadata plane (and its shard-0 partition, kept for
-  /// callers that predate sharding).
+  /// The shared metadata plane.
   [[nodiscard]] const std::shared_ptr<MetadataPlane>& plane() const {
     return plane_;
-  }
-  [[nodiscard]] const MetadataStore& metadata() const {
-    return plane_->store(0);
   }
 
  private:

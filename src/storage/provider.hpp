@@ -53,15 +53,9 @@ struct LatencyModel {
   }
 };
 
-/// Mutable fault-injection state.
-struct FaultConfig {
-  bool online = true;             ///< false = outage window (kUnavailable)
-  double request_failure_prob = 0.0;  ///< transient per-request failures
-};
-
 /// Per-provider traffic counters (monotonic, thread-safe). Failures are
 /// split by origin: `injected_failures` counts requests the fault model
-/// (FaultConfig knobs or an installed FaultPlan) rejected; `io_errors`
+/// (an outage window or an installed FaultPlan) rejected; `io_errors`
 /// counts the object store itself failing a request it accepted (missing
 /// object, wiped store). Conflating the two hid real errors inside chaos
 /// noise.
@@ -325,25 +319,19 @@ class SimCloudProvider {
   /// Starts/ends an outage window (requests return kUnavailable while down).
   void set_online(bool online) {
     std::lock_guard<std::mutex> lock(mu_);
-    faults_.online = online;
+    online_ = online;
   }
 
   [[nodiscard]] bool online() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return faults_.online;
-  }
-
-  /// Transient failure probability for each request.
-  void set_request_failure_prob(double p) {
-    std::lock_guard<std::mutex> lock(mu_);
-    faults_.request_failure_prob = p;
+    return online_;
   }
 
   /// Installs a scripted fault schedule (see fault_plan.hpp); this provider
   /// answers to `self` in the plan's episodes. Resets the request-sequence
   /// counter so an identical request stream replays identical faults.
-  /// nullptr uninstalls. Composes with the legacy FaultConfig knobs (both
-  /// are consulted).
+  /// nullptr uninstalls. Composes with the outage window (both are
+  /// consulted).
   void install_fault_plan(std::shared_ptr<const FaultPlan> plan,
                           ProviderIndex self) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -363,7 +351,7 @@ class SimCloudProvider {
   void go_out_of_business() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      faults_.online = false;
+      online_ = false;
     }
     store_.wipe();
   }
@@ -396,20 +384,15 @@ class SimCloudProvider {
   }
 
  private:
-  /// One fault decision per request: legacy knobs first, then the scripted
-  /// plan. `slow` (never null) receives the plan's service-time multiplier
-  /// for this request, valid whether or not the request fails.
+  /// One fault decision per request: the outage window first, then the
+  /// scripted plan. `slow` (never null) receives the plan's service-time
+  /// multiplier for this request, valid whether or not the request fails.
   Status check_faults(double* slow) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t seq = plan_seq_++;
-    if (!faults_.online) {
+    if (!online_) {
       note_injected();
       return Status::Unavailable(descriptor_.name + " is offline");
-    }
-    if (faults_.request_failure_prob > 0.0 &&
-        rng_.chance(faults_.request_failure_prob)) {
-      note_injected();
-      return Status::Unavailable(descriptor_.name + " transient failure");
     }
     if (plan_ != nullptr) {
       const FaultDecision d = plan_->decide(plan_self_, seq);
@@ -492,7 +475,7 @@ class SimCloudProvider {
   Tele tele_;
   std::atomic<bool> tele_armed_{false};
   mutable std::mutex mu_;
-  FaultConfig faults_;
+  bool online_ = true;  ///< false = outage window (kUnavailable); mu_
   std::shared_ptr<const FaultPlan> plan_;  ///< guarded by mu_
   ProviderIndex plan_self_ = kNoProvider;
   std::uint64_t plan_seq_ = 0;  ///< requests seen since plan install

@@ -1,6 +1,6 @@
 // Concurrency stress for the pipelined stripe engine and the indexed
 // MetadataStore: 8 client threads interleave put/get/update/remove through
-// two distributor front-ends that share one MetadataStore over one provider
+// two distributor front-ends that share one MetadataPlane over one provider
 // registry (the Fig. 2 multi-distributor topology). Every operation's result
 // is integrity-checked, so the test catches lost updates and torn reads as
 // well as data races. Run under -fsanitize=thread (CSHIELD_SANITIZE=thread)
@@ -37,7 +37,7 @@ Bytes payload_of(std::size_t n, std::uint64_t seed) {
 
 struct SharedFixture {
   storage::ProviderRegistry registry = storage::make_default_registry(12);
-  std::shared_ptr<MetadataStore> metadata = std::make_shared<MetadataStore>();
+  std::shared_ptr<MetadataPlane> plane = MetadataPlane::make_in_memory(1);
   std::vector<std::unique_ptr<CloudDataDistributor>> frontends;
 
   SharedFixture() {
@@ -48,8 +48,9 @@ struct SharedFixture {
       config.worker_threads = 4;
       // Distinct seeds: each front-end must mint its own virtual-id stream.
       config.seed = 0xC10D0D15ULL + 0x9E3779B9ULL * (i + 1);
-      frontends.push_back(std::make_unique<CloudDataDistributor>(
-          registry, config, metadata));
+      config.plane = plane;
+      frontends.push_back(
+          std::make_unique<CloudDataDistributor>(registry, config));
     }
   }
 
@@ -201,11 +202,11 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
   fs::create_directories(dir);
 
   {
-    auto opened = Journal::open(dir / "j.wal");
-    ASSERT_TRUE(opened.ok());
-    std::shared_ptr<Journal> journal(std::move(opened).value());
-    journal->set_group_commit(
+    auto opened = MetadataPlane::open(
+        dir / "metadata.bin", dir / "j.wal", 1,
         GroupCommitConfig{32, std::chrono::milliseconds(2)});
+    ASSERT_TRUE(opened.ok());
+    const Journal& journal = *opened.value()->journal(0);
 
     storage::ProviderRegistry registry = storage::make_default_registry(12);
     DistributorConfig config;
@@ -213,11 +214,10 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
     config.misleading_fraction = 0.1;
     config.worker_threads = 4;
     config.seed = 0xBA7C11;
-    config.journal = journal;
+    config.plane = opened.value();
     config.rpc_batch_shards = 8;
     config.rpc_batch_wait = std::chrono::microseconds(300);
-    auto metadata = std::make_shared<MetadataStore>();
-    CloudDataDistributor cdd(registry, config, metadata);
+    CloudDataDistributor cdd(registry, config);
 
     for (std::size_t t = 0; t < kThreads; ++t) {
       const std::string client = "B" + std::to_string(t);
@@ -258,7 +258,7 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
     EXPECT_GT(batch_rpcs, 0u);
     // ...and every metadata mutation reached the journal (1 begin + 1
     // commit per successful put, plus client/password registrations).
-    EXPECT_GE(journal->total_appended(),
+    EXPECT_GE(journal.total_appended(),
               static_cast<std::uint64_t>(kThreads) * (2 + 2 * kFiles));
   }
 

@@ -38,6 +38,7 @@ namespace fs = std::filesystem;
 using core::CloudDataDistributor;
 using core::Journal;
 using core::JournalRecord;
+using core::MetadataPlane;
 using core::MigrationKind;
 using core::Migrator;
 
@@ -707,11 +708,11 @@ TEST(MigrationTest, CheckpointPersistsPendingDrainAcrossTruncation) {
   const fs::path cpath = dir.path() / "metadata.bin";
   storage::ProviderRegistry reg = flat_registry(8);
   {
-    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
-    ASSERT_TRUE(j.ok());
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
     core::DistributorConfig config = base_config(0x906);
-    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-    config.checkpoint_path = cpath.string();
+    config.plane = plane.value();
     CloudDataDistributor cdd(reg, config);
     ASSERT_TRUE(cdd.register_client("alice").ok());
     ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
@@ -771,12 +772,12 @@ TEST(MigrationTest, DrainCrashSweepRecoversAndResumes) {
   };
 
   {
-    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
-    ASSERT_TRUE(j.ok());
-    Journal& journal = *j.value();
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
+    Journal& journal = *plane.value()->journal(0);
     core::DistributorConfig config = base_config(0x907);
-    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-    config.checkpoint_path = cpath.string();
+    config.plane = plane.value();
     CloudDataDistributor cdd(reg, config);
     ASSERT_TRUE(cdd.register_client("alice").ok());
     ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
@@ -846,12 +847,12 @@ TEST(MigrationTest, DrainCrashSweepRecoversAndResumes) {
     for (ProviderIndex p = 0; p < fresh.size() && p < table.size(); ++p) {
       fresh.restore_lifecycle(p, table[p].lifecycle);
     }
-    Result<std::unique_ptr<Journal>> reopened = Journal::open(j2);
+    Result<std::shared_ptr<MetadataPlane>> reopened =
+        MetadataPlane::open(c2, j2, 1, {}, {rec.value().metadata});
     ASSERT_TRUE(reopened.ok());
     core::DistributorConfig config = base_config(0x907);
-    config.journal = std::shared_ptr<Journal>(std::move(reopened.value()));
-    config.checkpoint_path = c2.string();
-    CloudDataDistributor cdd(fresh, config, rec.value().metadata);
+    config.plane = reopened.value();
+    CloudDataDistributor cdd(fresh, config);
     Result<CloudDataDistributor::ReconcileReport> rep =
         cdd.reconcile(rec.value().in_flight);
     ASSERT_TRUE(rep.ok()) << rep.status().to_string();
@@ -945,12 +946,12 @@ TEST(MigrationTest, RebalanceCrashSweepRecoversAndResumes) {
   };
 
   {
-    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
-    ASSERT_TRUE(j.ok());
-    Journal& journal = *j.value();
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
+    Journal& journal = *plane.value()->journal(0);
     core::DistributorConfig config = base_config(0x90F);
-    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-    config.checkpoint_path = cpath.string();
+    config.plane = plane.value();
     CloudDataDistributor cdd(reg, config);
     ASSERT_TRUE(cdd.register_client("alice").ok());
     ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
@@ -1000,12 +1001,12 @@ TEST(MigrationTest, RebalanceCrashSweepRecoversAndResumes) {
 
     Result<core::RecoveredState> rec = core::recover_metadata(c2, j2);
     ASSERT_TRUE(rec.ok()) << rec.status().to_string();
-    Result<std::unique_ptr<Journal>> reopened = Journal::open(j2);
+    Result<std::shared_ptr<MetadataPlane>> reopened =
+        MetadataPlane::open(c2, j2, 1, {}, {rec.value().metadata});
     ASSERT_TRUE(reopened.ok());
     core::DistributorConfig config = base_config(0x90F);
-    config.journal = std::shared_ptr<Journal>(std::move(reopened.value()));
-    config.checkpoint_path = c2.string();
-    CloudDataDistributor cdd(fresh, config, rec.value().metadata);
+    config.plane = reopened.value();
+    CloudDataDistributor cdd(fresh, config);
     Result<CloudDataDistributor::ReconcileReport> rep =
         cdd.reconcile(rec.value().in_flight);
     ASSERT_TRUE(rep.ok()) << rep.status().to_string();

@@ -378,13 +378,17 @@ TEST(ProviderTelemetryTest, SplitsInjectedFailuresFromIoErrors) {
 
   // A fault-model failure is the environment misbehaving: it lands in
   // injected_failures, never in io_errors.
-  prov.set_request_failure_prob(1.0);
+  storage::FaultPlan plan;
+  plan.episodes.push_back(
+      {0, storage::FaultKind::kTransient, 0, storage::kNoSeqEnd, 1.0});
+  prov.install_fault_plan(std::make_shared<const storage::FaultPlan>(plan),
+                          0);
   EXPECT_FALSE(prov.get(1).ok());
   EXPECT_EQ(prov.counters().injected_failures.load(), 1u);
   EXPECT_EQ(prov.counters().io_errors.load(), 0u);
 
   // A store miss is the provider's own I/O failing: io_errors only.
-  prov.set_request_failure_prob(0.0);
+  prov.install_fault_plan(nullptr, 0);
   EXPECT_FALSE(prov.get(999).ok());
   EXPECT_EQ(prov.counters().io_errors.load(), 1u);
   EXPECT_EQ(prov.counters().injected_failures.load(), 1u);

@@ -299,61 +299,52 @@ TEST(MetadataIoTest, FuzzSingleByteFlipNeverCrashes) {
   EXPECT_LT(parsed, image.size());
 }
 
-// --- ProtectionMode wire-format compatibility (PR 8) ------------------------
+// --- chunk-row wire format ----------------------------------------------------
 
-/// A chunk row exactly as PR <8 serialized it: no 0xF2 marker byte, no
-/// protection fields. Mirrors write_chunk_entry's v1 field order.
-Bytes v1_chunk_row() {
-  Bytes out;
-  wire::Writer w(out);
-  w.u8(2);  // privacy level (v1 rows lead with it; always <= 3)
-  w.u8(static_cast<std::uint8_t>(raid::RaidLevel::kRaid5));
-  w.u64(3);  // data shards
-  w.u64(1);  // parity shards
-  w.u32(2);  // stripe: 2 shard locations
-  w.u64(0);
-  w.u64(41367);
-  w.u64(1);
-  w.u64(10986);
-  w.u32(0);  // snapshot shards: none
-  w.u32(1);  // misleading positions
-  w.u32(12);
-  w.u64(4096);  // padded size
-  const crypto::Digest digest = crypto::sha256(to_bytes("shard"));
-  w.u32(1);  // one digest
-  w.bytes(BytesView(digest.data(), digest.size()));
-  w.u8(0);     // has_snapshot
-  w.u64(0);    // snapshot padded size
-  w.u32(0);    // snapshot misleading
-  w.u32(0);    // snapshot digests
-  w.u8(0);     // deleted
-  return out;
-}
-
-TEST(MetadataIoTest, V1ChunkRowDecodesWithPartialAesNoOpDefaults) {
-  // Pre-ProtectionMode blobs must keep reading: the v1 row (no marker, no
-  // protection fields) decodes with mode = kPartialAes over 0 bytes -- the
-  // exact no-op the data was written under.
-  const Bytes row = v1_chunk_row();
-  wire::Reader r(row);
+/// A current-format chunk row with every section populated.
+Bytes sample_chunk_row() {
   core::ChunkEntry entry;
-  ASSERT_TRUE(core::read_chunk_entry(r, entry));
-  EXPECT_EQ(entry.privacy_level, PrivacyLevel::kModerate);
-  EXPECT_EQ(entry.stripe.size(), 2u);
-  EXPECT_EQ(entry.padded_size, 4096u);
-  EXPECT_EQ(entry.protection, ProtectionMode::kPartialAes);
-  EXPECT_EQ(entry.protect_nonce, 0u);
-  EXPECT_EQ(entry.protect_bytes, 0u);
-  EXPECT_EQ(entry.snapshot_protection, ProtectionMode::kPartialAes);
-  EXPECT_EQ(entry.snapshot_protect_bytes, 0u);
+  entry.privacy_level = PrivacyLevel::kModerate;
+  entry.layout = raid::StripeLayout::make(raid::RaidLevel::kRaid5, 3);
+  entry.stripe = {{0, 41367}, {1, 10986}, {2, 7}, {3, 8}};
+  entry.misleading = {12};
+  entry.padded_size = 4096;
+  entry.shard_digests = {crypto::sha256(to_bytes("shard"))};
+  entry.has_snapshot = true;
+  entry.snapshot = {{4, 9}};
+  entry.snapshot_padded_size = 1024;
+  entry.snapshot_digests = {crypto::sha256(to_bytes("snap"))};
+  entry.protection = ProtectionMode::kFragmentation;
+  entry.protect_nonce = 77;
+  entry.protect_bytes = 4096;
+  Bytes row;
+  wire::Writer w(row);
+  core::write_chunk_entry(w, entry);
+  return row;
 }
 
-TEST(MetadataIoTest, V1ChunkRowFuzzEveryPrefixAndByteFlip) {
-  // The PR 4 fuzz contract extended to the versioned row: every proper
-  // prefix of a v1 row errors out cleanly, and no single-byte flip crashes
-  // the reader (flips may parse -- payload bytes are opaque -- but a row
-  // that parses must carry a legal protection mode).
-  const Bytes row = v1_chunk_row();
+TEST(MetadataIoTest, ChunkRowWithoutMarkerIsRejected) {
+  // Every row leads with the 0xF2 marker. A row without it -- the layout
+  // chunk rows had before protection modes, which led with the privacy
+  // level -- is not a row of this format.
+  const Bytes row = sample_chunk_row();
+  ASSERT_EQ(row[0], 0xF2);
+  {
+    wire::Reader r(row);
+    core::ChunkEntry entry;
+    EXPECT_TRUE(core::read_chunk_entry(r, entry));
+  }
+  const Bytes unmarked(row.begin() + 1, row.end());
+  wire::Reader r(unmarked);
+  core::ChunkEntry entry;
+  EXPECT_FALSE(core::read_chunk_entry(r, entry));
+}
+
+TEST(MetadataIoTest, ChunkRowFuzzEveryPrefixAndByteFlip) {
+  // Every proper prefix of a row errors out cleanly, and no single-byte
+  // flip crashes the reader (flips may parse -- payload bytes are opaque --
+  // but a row that parses must carry a legal protection mode).
+  const Bytes row = sample_chunk_row();
   for (std::size_t len = 0; len < row.size(); ++len) {
     wire::Reader r(BytesView(row.data(), len));
     core::ChunkEntry entry;
@@ -447,7 +438,10 @@ TEST(DistributorRestartTest, NewDistributorServesOldFilesFromImage) {
   ASSERT_TRUE(restored.ok());
   core::DistributorConfig config2 = config;
   config2.seed = 0xD1FFE12E47;  // different instance identity
-  core::CloudDataDistributor revived(registry, config2, restored.value());
+  std::vector<core::MetadataPlane::Partition> parts(1);
+  parts[0].store = restored.value();
+  config2.plane = std::make_shared<core::MetadataPlane>(std::move(parts));
+  core::CloudDataDistributor revived(registry, config2);
 
   Result<Bytes> back = revived.get_file("Bob", "pw", "persisted");
   ASSERT_TRUE(back.ok()) << back.status().to_string();

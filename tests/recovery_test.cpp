@@ -38,6 +38,7 @@ using core::Journal;
 using core::JournalChunk;
 using core::JournalOp;
 using core::JournalRecord;
+using core::MetadataPlane;
 
 class TempDir {
  public:
@@ -246,7 +247,7 @@ TEST(JournalFileTest, OpenRejectsForeignFile) {
 TEST(JournalFileTest, SubHeaderFileIsTreatedAsFresh) {
   TempDir dir;
   const fs::path path = dir.path() / "j.wal";
-  // A crash while creating a brand-new journal can leave fewer than the 16
+  // A crash while creating a brand-new journal can leave fewer than the 24
   // header bytes. That is not corruption -- nothing was ever committed.
   write_disk(path, Bytes{0xC5, 0xD1});
   Result<std::unique_ptr<Journal>> j = Journal::open(path);
@@ -257,6 +258,58 @@ TEST(JournalFileTest, SubHeaderFileIsTreatedAsFresh) {
       core::replay_journal_image(read_disk(path));
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay.value().records.size(), 1u);
+}
+
+TEST(FormatVersionTest, EveryOtherVersionIsUnsupported) {
+  // One on-disk generation: journals and metadata images of any version
+  // but the current one are refused by every reader, and a refused journal
+  // is left untouched -- even a bare header, which a fresh journal would
+  // otherwise overwrite.
+  TempDir dir;
+  const fs::path jpath = dir.path() / "j.wal";
+  {
+    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE(j.value()->append(begin_record("f")).ok());
+  }
+  const Bytes journal = read_disk(jpath);
+  const Bytes image = core::serialize_metadata(core::MetadataStore{});
+  // Both formats carry the version in the u32 after the magic.
+  ASSERT_EQ(journal[4], core::kFormatVersion);
+  ASSERT_EQ(image[4], core::kFormatVersion);
+  auto unsupported = [](const Status& st) {
+    return st.to_string().find("unsupported version") != std::string::npos;
+  };
+  for (int version : {1, 2, 3, 5}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    Bytes old_journal = journal;
+    old_journal[4] = static_cast<std::uint8_t>(version);
+    Bytes old_image = image;
+    old_image[4] = static_cast<std::uint8_t>(version);
+
+    Result<core::JournalReplay> replay =
+        core::replay_journal_image(old_journal);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_TRUE(unsupported(replay.status())) << replay.status().to_string();
+    Result<std::shared_ptr<core::MetadataStore>> store =
+        core::deserialize_metadata(old_image);
+    ASSERT_FALSE(store.ok());
+    EXPECT_TRUE(unsupported(store.status())) << store.status().to_string();
+
+    const Bytes bare_header(old_journal.begin(), old_journal.begin() + 16);
+    for (const Bytes& file : {old_journal, bare_header}) {
+      const fs::path path = dir.path() / "old.wal";
+      write_disk(path, file);
+      Result<core::ShardStamp> probe = core::probe_journal_shard(path);
+      ASSERT_FALSE(probe.ok());
+      EXPECT_TRUE(unsupported(probe.status())) << probe.status().to_string();
+      Result<std::unique_ptr<Journal>> opened = Journal::open(path);
+      ASSERT_FALSE(opened.ok());
+      EXPECT_TRUE(unsupported(opened.status()))
+          << opened.status().to_string();
+      EXPECT_TRUE(equal(read_disk(path), file));
+    }
+  }
 }
 
 TEST(JournalFileTest, CheckpointFoldsRecordsAndPersistsOpCount) {
@@ -283,16 +336,18 @@ TEST(JournalFileTest, CheckpointFoldsRecordsAndPersistsOpCount) {
 
 // --- group commit -----------------------------------------------------------
 
-// The exact on-disk image the per-op journal has always produced: header
-// (magic | version | checkpoint ops) followed by one `len | crc | payload`
-// frame per record, in append order.
+// The exact on-disk image the per-op journal produces: header (magic |
+// version | checkpoint ops | shard stamp) followed by one
+// `len | crc | payload` frame per record, in append order.
 Bytes expected_journal_image(const std::vector<JournalRecord>& recs) {
   Bytes out;
   {
     wire::Writer w(out);
     w.u32(0xC5D17A6EU);  // magic
-    w.u32(3);            // version (v3: lifecycle byte + migration records)
+    w.u32(4);            // format version
     w.u64(0);            // checkpoint ops
+    w.u32(0);            // shard index
+    w.u32(1);            // shard count
   }
   for (const JournalRecord& rec : recs) {
     const Bytes payload = core::encode_record(rec);
@@ -310,8 +365,8 @@ TEST(GroupCommitTest, BatchOpsOneIsByteIdenticalToPerOpFormat) {
   for (int i = 0; i < 6; ++i) recs.push_back(begin_record("f" + std::to_string(i)));
   const Bytes expected = expected_journal_image(recs);
 
-  // Default config (batch_ops = 1) must write the legacy per-op format --
-  // and fsync once per record, never grouping.
+  // Default config (batch_ops = 1) must write the per-op format -- and
+  // fsync once per record, never grouping.
   TempDir dir;
   const fs::path per_op = dir.path() / "per_op.wal";
   {
@@ -606,14 +661,13 @@ void verify_recovery(const Scenario& sc,
 
   Result<core::RecoveredState> recovered = core::recover_metadata(cpath, jpath);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  Result<std::unique_ptr<Journal>> reopened = Journal::open(jpath);
+  Result<std::shared_ptr<MetadataPlane>> reopened = MetadataPlane::open(
+      cpath, jpath, 1, {}, {recovered.value().metadata});
   ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
 
   core::DistributorConfig config = base_config(0xFE11BACC);
-  config.journal = std::shared_ptr<Journal>(std::move(reopened.value()));
-  config.checkpoint_path = cpath.string();
-  core::CloudDataDistributor cdd(registry, config,
-                                 recovered.value().metadata);
+  config.plane = reopened.value();
+  core::CloudDataDistributor cdd(registry, config);
   Result<core::CloudDataDistributor::ReconcileReport> report =
       cdd.reconcile(recovered.value().in_flight);
   ASSERT_TRUE(report.ok()) << report.status().to_string();
@@ -678,13 +732,13 @@ TEST(RecoveryTest, CrashInjectionSweep) {
   Bytes f1_updated;
 
   {
-    Result<std::unique_ptr<Journal>> j = Journal::open(jpath);
-    ASSERT_TRUE(j.ok());
-    recorder.install(*j.value());
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
+    recorder.install(*plane.value()->journal(0));
     core::DistributorConfig config = base_config(0x5EED);
-    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-    config.checkpoint_path = cpath.string();
-    core::CloudDataDistributor cdd(registry, config, nullptr);
+    config.plane = plane.value();
+    core::CloudDataDistributor cdd(registry, config);
 
     ASSERT_TRUE(cdd.register_client("alice").ok());
     ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
@@ -778,12 +832,12 @@ TEST(RecoveryTest, ReconcileCollectsInjectedOrphans) {
   TempDir dir;
   storage::ProviderRegistry registry =
       storage::make_default_registry(kProviders);
-  Result<std::unique_ptr<Journal>> j = Journal::open(dir.path() / "j.wal");
-  ASSERT_TRUE(j.ok());
+  Result<std::shared_ptr<MetadataPlane>> plane = MetadataPlane::open(
+      dir.path() / "metadata.bin", dir.path() / "j.wal", 1);
+  ASSERT_TRUE(plane.ok());
   core::DistributorConfig config = base_config(0x0B57AC1E);
-  config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-  config.checkpoint_path = (dir.path() / "metadata.bin").string();
-  core::CloudDataDistributor cdd(registry, config, nullptr);
+  config.plane = plane.value();
+  core::CloudDataDistributor cdd(registry, config);
   ASSERT_TRUE(cdd.register_client("alice").ok());
   ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
   core::PutOptions opts;
@@ -818,14 +872,12 @@ struct ScrubWorld {
   Bytes content;
 
   explicit ScrubWorld(std::size_t bytes = 16000) {
-    Result<std::unique_ptr<Journal>> j =
-        Journal::open(dir.path() / "j.wal");
-    CS_REQUIRE(j.ok(), "journal open failed");
+    Result<std::shared_ptr<MetadataPlane>> plane = MetadataPlane::open(
+        dir.path() / "metadata.bin", dir.path() / "j.wal", 1);
+    CS_REQUIRE(plane.ok(), "plane open failed");
     core::DistributorConfig config = base_config(0x5C4B);
-    config.journal = std::shared_ptr<Journal>(std::move(j.value()));
-    config.checkpoint_path = (dir.path() / "metadata.bin").string();
-    cdd = std::make_unique<core::CloudDataDistributor>(registry, config,
-                                                       nullptr);
+    config.plane = plane.value();
+    cdd = std::make_unique<core::CloudDataDistributor>(registry, config);
     CS_REQUIRE(cdd->register_client("alice").ok(), "register");
     CS_REQUIRE(
         cdd->add_password("alice", "pw", PrivacyLevel::kModerate).ok(),

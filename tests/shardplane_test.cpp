@@ -6,10 +6,9 @@
 //   1. MetadataPlane / DistributorGroup routing -- writes land on the
 //      client's primary front-end, reads round-robin over every front-end,
 //      and either way the op resolves against the owning shard partition;
-//   2. the v4 shard-stamped journal/checkpoint images -- every member of
-//      an N-shard plane names its place, wrong-shape opens are refused,
-//      and a 1-shard plane stays bit- and path-compatible with the
-//      unsharded v3 layout;
+//   2. the shard-stamped journal/checkpoint images -- every member of an
+//      N-shard plane names its place, wrong-shape opens are refused, and a
+//      1-shard plane is stamped shard 0 of 1 at the base paths;
 //   3. crash recovery -- recover_plane replays all N journals in parallel,
 //      and a crash at ANY per-shard append boundary (including broadcast
 //      fan-outs and concurrent appends to different shards) recovers with
@@ -33,6 +32,7 @@
 
 #include "core/distributor.hpp"
 #include "core/journal.hpp"
+#include "core/metadata_io.hpp"
 #include "core/metadata_plane.hpp"
 #include "core/multi_distributor.hpp"
 #include "storage/provider_registry.hpp"
@@ -108,18 +108,11 @@ core::DistributorConfig base_config(std::uint64_t seed) {
 std::shared_ptr<MetadataPlane> open_plane(
     const fs::path& dir, std::size_t shards,
     std::vector<std::shared_ptr<core::MetadataStore>> stores = {}) {
-  std::vector<MetadataPlane::Partition> parts(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    Result<std::unique_ptr<Journal>> j = Journal::open(
-        core::shard_file_path(dir / "journal.wal", k),
-        static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(shards));
-    CS_REQUIRE(j.ok(), j.status().to_string());
-    parts[k].journal = std::shared_ptr<Journal>(std::move(j.value()));
-    parts[k].store = stores.empty() ? std::make_shared<core::MetadataStore>()
-                                    : stores[k];
-    parts[k].checkpoint_path = core::shard_file_path(dir / "metadata.bin", k);
-  }
-  return std::make_shared<MetadataPlane>(std::move(parts));
+  Result<std::shared_ptr<MetadataPlane>> plane =
+      MetadataPlane::open(dir / "metadata.bin", dir / "journal.wal", shards,
+                          {}, std::move(stores));
+  CS_REQUIRE(plane.ok(), plane.status().to_string());
+  return std::move(plane).value();
 }
 
 // --- routing discipline -----------------------------------------------------
@@ -270,12 +263,12 @@ TEST(ShardStampTest, MembersCarryTheirStampAndRejectWrongShapes) {
   }
   for (std::size_t k = 0; k < kShards; ++k) {
     const fs::path p = core::shard_file_path(dir.path() / "journal.wal", k);
-    Result<core::JournalShardInfo> info = core::probe_journal_shard(p);
+    Result<core::ShardStamp> info = core::probe_journal_shard(p);
     ASSERT_TRUE(info.ok()) << p;
     EXPECT_EQ(info.value().shard_index, k);
     EXPECT_EQ(info.value().shard_count, kShards);
   }
-  // Wrong count, wrong index, and legacy-unsharded opens are all refused
+  // Wrong count, wrong index, and 1-shard opens are all refused
   // with an error that names both stamps.
   const fs::path base = dir.path() / "journal.wal";
   Result<std::unique_ptr<Journal>> wrong = Journal::open(base, 0, 2);
@@ -290,28 +283,40 @@ TEST(ShardStampTest, MembersCarryTheirStampAndRejectWrongShapes) {
   EXPECT_TRUE(Journal::open(base, 0, kShards).ok());
 }
 
-TEST(ShardStampTest, OneShardPlaneStaysLegacyCompatible) {
+TEST(ShardStampTest, OneShardPlaneIsStampedZeroOfOne) {
   TempDir dir;
   const fs::path jpath = dir.path() / "journal.wal";
   {
-    // Written through the plane path with shard_count 1...
     std::shared_ptr<MetadataPlane> plane = open_plane(dir.path(), 1);
     JournalRecord rec;
     rec.op = JournalOp::kRegisterClient;
     rec.client = "alice";
-    ASSERT_TRUE(plane->journal(0)->append(rec).ok());
+    Journal& journal = *plane->journal(0);
+    ASSERT_TRUE(journal.append(rec).ok());
+    const Bytes image = core::serialize_metadata(plane->store(0), 0, 1);
+    ASSERT_TRUE(
+        journal.checkpoint([&] { return image; }, plane->checkpoint_path(0))
+            .ok());
+    ASSERT_TRUE(journal.append(rec).ok());
   }
-  // ...the image is the v3 unsharded format, at the unsharded path.
-  Result<core::JournalShardInfo> info = core::probe_journal_shard(jpath);
+  // The files live at the base paths, and the journal names its place.
+  EXPECT_TRUE(fs::exists(dir.path() / "metadata.bin"));
+  EXPECT_FALSE(fs::exists(core::shard_file_path(jpath, 1)));
+  Result<core::ShardStamp> info = core::probe_journal_shard(jpath);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info.value().version, 3u);
+  EXPECT_EQ(info.value().shard_index, 0u);
   EXPECT_EQ(info.value().shard_count, 1u);
-  // Legacy open and plane-shaped open both accept it.
+  // The default open and a 1-shard plane recovery accept it...
   EXPECT_TRUE(Journal::open(jpath).ok());
-  Result<core::RecoveredState> legacy =
-      core::recover_metadata(dir.path() / "metadata.bin", jpath);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().replayed_records, 1u);
+  Result<core::PlaneRecovery> rec =
+      core::recover_plane(dir.path() / "metadata.bin", jpath, 1);
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  EXPECT_EQ(rec.value().replayed_records, 1u);
+  // ...and opening it as a member of a wider plane is refused.
+  Result<std::unique_ptr<Journal>> wider = Journal::open(jpath, 0, 2);
+  ASSERT_FALSE(wider.ok());
+  EXPECT_NE(wider.status().to_string().find("shard stamp mismatch"),
+            std::string::npos);
 }
 
 // --- parallel plane recovery ------------------------------------------------

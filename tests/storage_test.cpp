@@ -170,7 +170,9 @@ TEST(ProviderTest, GoOutOfBusinessLosesData) {
 TEST(ProviderTest, TransientFailuresFollowProbability) {
   SimCloudProvider p(test_descriptor());
   ASSERT_TRUE(p.put(1, to_bytes("x")).ok());
-  p.set_request_failure_prob(0.5);
+  FaultPlan plan;
+  plan.episodes.push_back({0, FaultKind::kTransient, 0, kNoSeqEnd, 0.5});
+  p.install_fault_plan(std::make_shared<const FaultPlan>(plan), 0);
   int failures = 0;
   for (int i = 0; i < 2000; ++i) {
     if (!p.get(1).ok()) ++failures;
