@@ -1,6 +1,6 @@
 // GB/s microbenchmark + CI gate for the SIMD erasure-code data plane.
 //
-// Three sections:
+// Four sections:
 //   1. Kernel arms: xor_into and mul_add through every arm the host can run
 //      (scalar byte loop, 64-bit SWAR, SSSE3, AVX2) across shard sizes
 //      4 KiB / 64 KiB / 1 MiB, reported in GB/s.
@@ -9,6 +9,9 @@
 //   3. Targeted rebuild: reconstruct_shard (P, Q, and a data shard) vs the
 //      old full-stripe path (decode + re-encode, reproduced here), reported
 //      as a speedup.
+//   4. SHA-256 arms: one-shot digest GB/s through every compress arm the
+//      host can run (portable FIPS 180-4 loop, SHA-NI) at 4 KiB and 64 KiB.
+//      Recorded only; no gate reads them.
 //
 // Gate (exit non-zero on failure; skipped when the host has no SIMD or
 // CSHIELD_FORCE_SCALAR is set, but the numbers are always recorded):
@@ -28,6 +31,7 @@
 
 #include "crypto/gf256.hpp"
 #include "crypto/gf256_kernels.hpp"
+#include "crypto/sha256.hpp"
 #include "raid/raid.hpp"
 #include "util/cpu.hpp"
 #include "util/random.hpp"
@@ -86,6 +90,12 @@ std::vector<Arm> available_arms() {
   }
   return arms;
 }
+
+struct ShaRow {
+  std::string arm;
+  std::size_t size = 0;
+  double gb_s = 0.0;
+};
 
 struct RaidRow {
   std::string op;     // "encode" | "decode2"
@@ -227,6 +237,29 @@ int main(int argc, char** argv) {
               << r.speedup() << "x\n";
   }
 
+  // --- section 4: sha-256 arms ---------------------------------------------
+  std::cout << "\n=== sha-256 arms (GB/s, best of 3; active: "
+            << crypto::sha256_arm_name(crypto::sha256_active_arm())
+            << ") ===\n";
+  std::vector<ShaRow> sha_rows;
+  for (std::size_t n : {std::size_t{4096}, std::size_t{64 * 1024}}) {
+    const Bytes msg = make_payload(n, n + 11);
+    for (crypto::Sha256Arm arm :
+         {crypto::Sha256Arm::kPortable, crypto::Sha256Arm::kShaNi}) {
+      if (!crypto::sha256_arm_available(arm)) continue;
+      crypto::Sha256 h(arm);
+      sha_rows.push_back(
+          {std::string(crypto::sha256_arm_name(arm)), n, gbps(n, [&] {
+             h.update(msg);
+             (void)h.finish();
+           })});
+    }
+  }
+  for (const auto& r : sha_rows) {
+    std::cout << "sha256 " << r.arm << " " << r.size / 1024
+              << " KiB: " << r.gb_s << " GB/s\n";
+  }
+
   // --- gate ----------------------------------------------------------------
   auto find_rate = [&](const char* kernel, Arm arm) {
     double best = 0.0;
@@ -294,6 +327,14 @@ int main(int argc, char** argv) {
        << r.targeted_gb_s << ", \"full_path_gb_s\": " << r.full_path_gb_s
        << ", \"speedup\": " << r.speedup() << "}"
        << (i + 1 == rebuild_rows.size() ? "\n" : ",\n");
+  }
+  js << "  ],\n";
+  js << "  \"sha256\": [\n";
+  for (std::size_t i = 0; i < sha_rows.size(); ++i) {
+    const auto& r = sha_rows[i];
+    js << "    {\"arm\": \"" << r.arm << "\", \"bytes\": " << r.size
+       << ", \"gb_s\": " << r.gb_s << "}"
+       << (i + 1 == sha_rows.size() ? "\n" : ",\n");
   }
   js << "  ],\n";
   js << "  \"gate\": {\"simd_active\": " << (simd_active ? "true" : "false")

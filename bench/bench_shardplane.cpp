@@ -351,10 +351,10 @@ int main(int argc, char** argv) {
 
   // All six cells interleaved rep-by-rep so each paired ratio sees the
   // same disk conditions.
-  Cell per_op_cells[] = {{1, "per_op"}, {2, "per_op"}, {4, "per_op"},
-                         {8, "per_op"}};
-  Cell batched1{1, "group_commit_batched"};
-  Cell batched4{4, "group_commit_batched"};
+  Cell per_op_cells[] = {{1, "per_op", {}, {}}, {2, "per_op", {}, {}},
+                         {4, "per_op", {}, {}}, {8, "per_op", {}, {}}};
+  Cell batched1{1, "group_commit_batched", {}, {}};
+  Cell batched4{4, "group_commit_batched", {}, {}};
   std::cout << "=== shard sweep: " << kClients
             << " clients, fsync WAL, realtime providers, " << kReps
             << " interleaved reps (host cores: " << hw << ") ===\n";

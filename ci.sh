@@ -78,12 +78,14 @@
 #              process gauges; `cshield_cli health` must report a healthy
 #              deployment (exit 0) with every SLO listed.
 #   7. forced-scalar: -DCSHIELD_FORCE_SCALAR=ON + ASan build that compiles
-#              the SIMD kernel arms out entirely, then runs kernels_test,
-#              crypto_test, fragmentation_test, and raid_test so the portable
-#              scalar/SWAR data plane is exercised under a sanitizer. The
+#              the SIMD kernel and SHA-NI arms out entirely, then runs
+#              kernels_test, crypto_test, fragmentation_test, raid_test and
+#              core_test so the portable scalar/SWAR data plane, the
+#              portable SHA-256 compress and the misleading-byte codec are
+#              exercised under a sanitizer. crypto_test from stage 1 and the
 #              TSan binaries from stage 3 are also re-run with the
 #              CSHIELD_FORCE_SCALAR=1 env override, covering the runtime
-#              (no-rebuild) dispatch path.
+#              (no-rebuild) dispatch path of both kernel families.
 #   8. bench:  bench_throughput writes BENCH_throughput.json at the repo
 #              root and exits non-zero unless the pipelined engine beats the
 #              serial baseline by >= 3x on 64-chunk put AND get, AND the
@@ -102,7 +104,8 @@
 #              bench_kernels writes BENCH_kernels.json and exits non-zero
 #              unless (on SIMD hosts) the vectorized mul_add and xor arms
 #              are >= 4x the scalar byte loops and targeted shard rebuild
-#              is >= 2x the old decode+re-encode path. Then
+#              is >= 2x the old decode+re-encode path (its SHA-256 GB/s
+#              rows per compress arm are recorded, not gated). Then
 #              bench_encryption_vs_fragmentation writes BENCH_frontier.json
 #              and exits non-zero unless the privacy/perf frontier gate
 #              holds: for at least one privacy level, fast-fragmentation
@@ -480,13 +483,16 @@ echo "== [7/8] forced-scalar: ASan build without SIMD arms + env-override TSan r
 cmake -B build-scalar -S . -DCSHIELD_FORCE_SCALAR=ON \
   -DCSHIELD_SANITIZE=address >/dev/null
 cmake --build build-scalar -j "${jobs}" --target kernels_test crypto_test \
-  fragmentation_test raid_test
+  fragmentation_test raid_test core_test
 ./build-scalar/tests/kernels_test
 ./build-scalar/tests/crypto_test
 ./build-scalar/tests/fragmentation_test
 ./build-scalar/tests/raid_test
-# Same coverage through the runtime switch: the SIMD arms are compiled in
-# but the env override pins dispatch to the scalar byte loops.
+./build-scalar/tests/core_test
+# Same coverage through the runtime switch: the SIMD and SHA-NI arms are
+# compiled in but the env override pins dispatch to the scalar byte loops
+# and the portable SHA-256 compress.
+CSHIELD_FORCE_SCALAR=1 ./build/tests/crypto_test
 CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/concurrency_test
 CSHIELD_FORCE_SCALAR=1 ./build-tsan/tests/recovery_test
 

@@ -2,17 +2,22 @@
 //
 // The erasure-code data plane (crypto/gf256_kernels) picks its widest usable
 // arm once per process: AVX2 when the host has it, SSSE3 below that, and a
-// portable 64-bit SWAR arm everywhere else. Detection is a one-time CPUID
-// probe; the result is cached in a function-local static so the hot paths
-// never re-query.
+// portable 64-bit SWAR arm everywhere else. The SHA-256 digest
+// (crypto/sha256) likewise binds its SHA-NI compress when the host has the
+// x86 SHA extensions, and the portable FIPS 180-4 loop otherwise. Detection
+// is a one-time CPUID probe; the result is cached in a function-local static
+// so the hot paths never re-query.
 //
 // Overrides, strongest first:
-//   * CMake -DCSHIELD_FORCE_SCALAR=ON compiles the SIMD arms out entirely
-//     (the macro CSHIELD_FORCE_SCALAR is defined; detect() reports kScalar).
+//   * CMake -DCSHIELD_FORCE_SCALAR=ON compiles the SIMD and SHA-NI arms out
+//     entirely (the macro CSHIELD_FORCE_SCALAR is defined; hardware_level()
+//     reports kScalar and hardware_sha() false).
 //   * Environment CSHIELD_FORCE_SCALAR=1 (any value other than "0"/"swar")
 //     forces the byte-at-a-time scalar arm at startup.
 //   * CSHIELD_FORCE_SCALAR=swar forces the portable word-wide arm, which is
 //     what non-x86 hosts get by default.
+//   * Any value other than "0" (so "swar" too) pins the portable SHA-256
+//     compress.
 #pragma once
 
 #include <cstdlib>
@@ -50,18 +55,50 @@ enum class SimdLevel { kScalar, kSwar, kSsse3, kAvx2 };
 #endif
 }
 
+/// Raw SHA extensions capability: SHA-NI plus the SSE4.1 its compress
+/// shuffles need (ignores the environment override). Always false when the
+/// build forced SIMD out and on non-x86 builds.
+[[nodiscard]] inline bool hardware_sha() {
+#if defined(CSHIELD_FORCE_SCALAR)
+  return false;
+#elif defined(__x86_64__) || defined(__i386__)
+  static const bool has = __builtin_cpu_supports("sha") &&
+                          __builtin_cpu_supports("sse4.1");
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// The CSHIELD_FORCE_SCALAR environment value, read once per process;
+/// null when unset or "0".
+[[nodiscard]] inline const char* force_scalar_env() {
+  static const char* const value = [] {
+    const char* force = std::getenv("CSHIELD_FORCE_SCALAR");
+    return force != nullptr && std::string_view(force) != "0" ? force
+                                                              : nullptr;
+  }();
+  return value;
+}
+
 /// Hardware level clamped by the CSHIELD_FORCE_SCALAR environment override.
 /// This is what the kernel dispatcher binds at startup.
 [[nodiscard]] inline SimdLevel preferred_level() {
   static const SimdLevel level = [] {
-    const char* force = std::getenv("CSHIELD_FORCE_SCALAR");
-    if (force != nullptr && std::string_view(force) != "0") {
+    if (const char* force = force_scalar_env()) {
       return std::string_view(force) == "swar" ? SimdLevel::kSwar
                                                : SimdLevel::kScalar;
     }
     return hardware_level();
   }();
   return level;
+}
+
+/// hardware_sha() clamped by the environment override: any
+/// CSHIELD_FORCE_SCALAR value pins the portable SHA-256 compress. This is
+/// what crypto/sha256 binds at startup.
+[[nodiscard]] inline bool preferred_sha() {
+  return hardware_sha() && force_scalar_env() == nullptr;
 }
 
 }  // namespace cshield::cpu

@@ -529,7 +529,9 @@ AcceptanceRun run_acceptance(std::uint64_t fault_seed,
   OpReport get_report;
   Result<Bytes> back = cdd.get_file("C", "pw", "big", &get_report);
   EXPECT_TRUE(back.ok()) << back.status().to_string();
-  if (back.ok()) EXPECT_TRUE(equal(back.value(), data));
+  if (back.ok()) {
+    EXPECT_TRUE(equal(back.value(), data));
+  }
   EXPECT_EQ(sink->metrics().counter("cdd.put_file_errors").value(), 0u);
   EXPECT_EQ(sink->metrics().counter("cdd.get_file_errors").value(), 0u);
 

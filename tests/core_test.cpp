@@ -4,6 +4,7 @@
 // multi-distributor group and the client-side DHT distributor.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "core/chunker.hpp"
@@ -15,6 +16,7 @@
 #include "core/placement.hpp"
 #include "core/reputation.hpp"
 #include "core/tables.hpp"
+#include "crypto/sha256.hpp"
 #include "storage/provider_registry.hpp"
 
 namespace cshield::core {
@@ -156,6 +158,60 @@ TEST(MisleadingTest, ChaffedBufferDiffersFromRawConcatenation) {
   const auto enc = MisleadingCodec::inject(data, 0.2, rng);
   EXPECT_NE(enc.data.size(), data.size());
   EXPECT_FALSE(equal(enc.data, data));
+}
+
+// Pins the codec's exact output over a seed x size x fraction grid: the
+// digest covers every chaff position, every chaffed byte and the chunk RNG's
+// next draw after inject, so a change to the sampled positions, the chaff
+// bytes, or the number or order of rng draws all move it. The golden value
+// was computed with the original sampler (std::unordered_set + std::sort and
+// a byte-at-a-time copy loop), before the bitmap sampler replaced it. The
+// chaos suite's retry/mode invariance rests on this stream being stable.
+TEST(MisleadingTest, OutputIsPinnedToOriginalSampler) {
+  crypto::Sha256 h;
+  const auto put_le = [&h](std::uint64_t v, int width) {
+    std::array<std::uint8_t, 8> b{};
+    for (int i = 0; i < width; ++i) {
+      b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    h.update(BytesView(b.data(), static_cast<std::size_t>(width)));
+  };
+  for (std::uint64_t seed : {1ull, 0xC10D5EEDull, 0x9E3779B97F4A7C15ull}) {
+    for (std::size_t n : {1u, 10u, 1024u, 16384u, 65536u}) {
+      for (double fraction : {0.01, 0.1, 0.5, 1.0}) {
+        Rng rng(seed ^ n);
+        const auto enc =
+            MisleadingCodec::inject(payload_of(n, seed + n), fraction, rng);
+        put_le(enc.positions.size(), 8);
+        for (std::uint32_t p : enc.positions) put_le(p, 4);
+        h.update(enc.data);
+        put_le(rng.next(), 8);
+      }
+    }
+  }
+  EXPECT_EQ(crypto::digest_hex(h.finish()),
+            "2fbc2a251fdf8dd025fb170d7ff06e08d1e316f102e36824f542468b3181ca17");
+}
+
+TEST(MisleadingTest, StripRejectsMalformedPositions) {
+  const Bytes data = payload_of(16);
+  // Unsorted.
+  EXPECT_THROW((void)MisleadingCodec::strip(data, {5, 2}),
+               std::invalid_argument);
+  // Duplicate.
+  EXPECT_THROW((void)MisleadingCodec::strip(data, {3, 3}),
+               std::invalid_argument);
+  // Past the end, alone and after valid positions.
+  EXPECT_THROW((void)MisleadingCodec::strip(data, {16}),
+               std::invalid_argument);
+  EXPECT_THROW((void)MisleadingCodec::strip(data, {0, 7, 40}),
+               std::invalid_argument);
+  // More positions than bytes.
+  EXPECT_THROW((void)MisleadingCodec::strip(payload_of(2), {0, 1, 2}),
+               std::invalid_argument);
+  // The boundary cases stay legal: first and last byte, and every byte.
+  EXPECT_EQ(MisleadingCodec::strip(data, {0, 15}).size(), 14u);
+  EXPECT_TRUE(MisleadingCodec::strip(payload_of(3), {0, 1, 2}).empty());
 }
 
 // --- metadata tables -------------------------------------------------------------

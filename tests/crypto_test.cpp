@@ -1,9 +1,12 @@
 // Tests for the crypto substrate: GF(2^8) field axioms, SHA-256 FIPS
-// vectors, AES-128 FIPS-197 vectors and CTR-mode properties.
+// vectors and the portable/SHA-NI arm differential, AES-128 FIPS-197
+// vectors and CTR-mode properties.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <set>
+#include <string_view>
 
 #include "crypto/aes.hpp"
 #include "crypto/gf256.hpp"
@@ -148,6 +151,132 @@ TEST(Sha256Test, HasherResetsAfterFinish) {
   h.update(to_bytes("abc"));
   EXPECT_EQ(crypto::digest_hex(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// --- SHA-256 arms ---------------------------------------------------------------
+//
+// The portable and SHA-NI compress arms must be bit-identical. The SHA-NI
+// half of each check skips on hosts without the SHA extensions (or under
+// -DCSHIELD_FORCE_SCALAR=ON, which compiles the arm out).
+
+using crypto::Sha256Arm;
+
+crypto::Digest digest_with(Sha256Arm arm, BytesView data) {
+  crypto::Sha256 h(arm);
+  h.update(data);
+  return h.finish();
+}
+
+void expect_fips_vectors(Sha256Arm arm) {
+  const std::string label(crypto::sha256_arm_name(arm));
+  EXPECT_EQ(crypto::digest_hex(digest_with(arm, {})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+      << label;
+  EXPECT_EQ(crypto::digest_hex(digest_with(arm, to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+      << label;
+  EXPECT_EQ(crypto::digest_hex(digest_with(
+                arm, to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlm"
+                              "nomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+      << label;
+  crypto::Sha256 h(arm);
+  const Bytes block(1000, static_cast<std::uint8_t>('a'));
+  for (int i = 0; i < 1000; ++i) h.update(block);
+  EXPECT_EQ(crypto::digest_hex(h.finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+      << label;
+}
+
+// Digest of the concatenated digests of messages 0..1199 bytes long, byte j
+// of each being (31j + 7) mod 256. Covers every padding boundary (55/56/63/
+// 64 mod 64) and multi-block update. The golden value comes from an
+// independent implementation (Python's hashlib).
+std::string every_length_digest(Sha256Arm arm) {
+  crypto::Sha256 chain(arm);
+  Bytes msg;
+  for (std::size_t len = 0; len < 1200; ++len) {
+    const crypto::Digest d = digest_with(arm, msg);
+    chain.update(BytesView(d.data(), d.size()));
+    msg.push_back(static_cast<std::uint8_t>(len * 31 + 7));
+  }
+  return crypto::digest_hex(chain.finish());
+}
+constexpr const char* kEveryLengthGolden =
+    "a1c9435c39ef2d52e9c0fb19d5ee1fa903d5bf2068b05fcaca35d9b710c684df";
+
+/// Hashes `data` through update() calls of random lengths (zero included).
+crypto::Digest digest_split(Sha256Arm arm, BytesView data, Rng& rng) {
+  crypto::Sha256 h(arm);
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const std::size_t take =
+        std::min<std::size_t>(rng.below(200), data.size() - off);
+    h.update(BytesView(data.data() + off, take));
+    off += take;
+  }
+  return h.finish();
+}
+
+TEST(Sha256ArmTest, PortableArmPassesFipsVectors) {
+  expect_fips_vectors(Sha256Arm::kPortable);
+  EXPECT_EQ(every_length_digest(Sha256Arm::kPortable), kEveryLengthGolden);
+}
+
+TEST(Sha256ArmTest, ShaNiArmPassesFipsVectors) {
+  if (!crypto::sha256_arm_available(Sha256Arm::kShaNi)) {
+    GTEST_SKIP() << "host has no SHA extensions";
+  }
+  expect_fips_vectors(Sha256Arm::kShaNi);
+  EXPECT_EQ(every_length_digest(Sha256Arm::kShaNi), kEveryLengthGolden);
+}
+
+TEST(Sha256ArmTest, ShaNiMatchesPortableOnEveryLength) {
+  if (!crypto::sha256_arm_available(Sha256Arm::kShaNi)) {
+    GTEST_SKIP() << "host has no SHA extensions";
+  }
+  Rng rng(0x5A);
+  Bytes msg;
+  for (std::size_t len = 0; len < 1200; ++len) {
+    ASSERT_EQ(digest_with(Sha256Arm::kShaNi, msg),
+              digest_with(Sha256Arm::kPortable, msg))
+        << "len=" << len;
+    msg.push_back(static_cast<std::uint8_t>(rng.below(256)));
+  }
+}
+
+// Every available arm, fed in random pieces, matches the portable one-shot.
+TEST(Sha256ArmTest, RandomUpdateSplitsMatchOneShot) {
+  const bool sha_ni = crypto::sha256_arm_available(Sha256Arm::kShaNi);
+  Rng rng(0x5B);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes data(rng.below(3000));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+    const crypto::Digest want = digest_with(Sha256Arm::kPortable, data);
+    EXPECT_EQ(digest_split(Sha256Arm::kPortable, data, rng), want)
+        << "trial=" << trial;
+    if (sha_ni) {
+      EXPECT_EQ(digest_split(Sha256Arm::kShaNi, data, rng), want)
+          << "trial=" << trial;
+    }
+  }
+}
+
+TEST(Sha256ArmTest, ActiveArmFollowsOverride) {
+  // Bound once per process: the env override pins the portable arm,
+  // otherwise the hasher takes SHA-NI whenever the host has it.
+  const char* force = std::getenv("CSHIELD_FORCE_SCALAR");
+  const bool forced = force != nullptr && std::string_view(force) != "0";
+  const bool sha_ni = crypto::sha256_arm_available(Sha256Arm::kShaNi);
+  EXPECT_EQ(crypto::sha256_active_arm(),
+            sha_ni && !forced ? Sha256Arm::kShaNi : Sha256Arm::kPortable);
+}
+
+TEST(Sha256ArmTest, UnavailableArmThrows) {
+  if (crypto::sha256_arm_available(Sha256Arm::kShaNi)) {
+    GTEST_SKIP() << "host has SHA extensions; nothing unavailable to probe";
+  }
+  EXPECT_THROW(crypto::Sha256{Sha256Arm::kShaNi}, std::invalid_argument);
 }
 
 // --- AES-128 ----------------------------------------------------------------------

@@ -204,7 +204,9 @@ TEST(FragmentationPropertyTest, RoundTripRandomized) {
     const Bytes payload = random_bytes(n, nonce ^ trial);
     Bytes buf = payload;
     entangle(buf, k, nonce);
-    if (n >= 16 && k >= 1) EXPECT_NE(buf, payload);  // whitening happened
+    if (n >= 16 && k >= 1) {
+      EXPECT_NE(buf, payload);  // whitening happened
+    }
     detangle(buf, k, nonce);
     EXPECT_EQ(buf, payload) << "k=" << k << " n=" << n;
   }

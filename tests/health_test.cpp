@@ -441,7 +441,7 @@ TEST(HealthEngineTest, SyntheticSignalsDriveSloStates) {
   MetricsExporter exp(tel, window_config(4));
   HealthEngine engine(exp);
   obs::MetricsRegistry& m = tel->metrics();
-  m.counter("provider.AWS.requests");  // discovered even before traffic
+  (void)m.counter("provider.AWS.requests");  // discovered even before traffic
   exp.sample_now();
 
   // Window activity: 10% op failure rate, a 10%-error provider, four open
@@ -646,7 +646,9 @@ TEST(HealthTransitionTest, ScriptedOutageWalksExactTransitionSequence) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(trans[i].from, walk[i]) << "transition " << i;
     EXPECT_EQ(trans[i].to, walk[i + 1]) << "transition " << i;
-    if (i > 0) EXPECT_GT(trans[i].eval_seq, trans[i - 1].eval_seq);
+    if (i > 0) {
+      EXPECT_GT(trans[i].eval_seq, trans[i - 1].eval_seq);
+    }
   }
 
   // The overall state mirrors the victim (it is the worst subject), and
