@@ -179,7 +179,6 @@ void run_rep(Cell& cell, int rep) {
   config.misleading_fraction = 0.0;
   config.worker_threads = 16;
   config.io_threads = kIoThreads;
-  config.pipelined = true;
   config.telemetry = false;
   config.seed = 0x5AD7 + rep;
   config.plane = make_plane(dir.path, cell.shards, batched);

@@ -2,10 +2,10 @@
 //
 // Two parts:
 //   1. Gate: a 64-chunk file put and get at 8 worker threads, pipelined
-//      engine vs. the serial per-stripe baseline (DistributorConfig::
-//      pipelined = false). The pipelined engine must win by >= 3x wall
-//      clock; the process exits non-zero otherwise so CI catches
-//      regressions.
+//      engine vs. the serial per-stripe baseline (worker_threads = 1 at the
+//      same 32 I/O threads: one chunk's stripe in flight at a time). The
+//      pipelined engine must win by >= 3x wall clock; the process exits
+//      non-zero otherwise so CI catches regressions.
 //   2. Matrix: N client threads x M files x C chunks driven through
 //      put/get/update/remove, reporting ops/sec, p50/p99 wall latency and
 //      the modeled sim_time_parallel.
@@ -77,14 +77,16 @@ Bytes make_payload(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
-DistributorConfig bench_config(bool pipelined,
+/// `serial` is the gate's baseline arm: one worker keeps one chunk's stripe
+/// in flight at a time, at the pipelined arm's I/O width (4 x 8 threads).
+DistributorConfig bench_config(bool serial,
                                std::shared_ptr<obs::Telemetry> sink = nullptr) {
   DistributorConfig config;
   config.default_raid = raid::RaidLevel::kRaid5;
   config.stripe_data_shards = 3;
   config.misleading_fraction = 0.2;
-  config.worker_threads = 8;
-  config.pipelined = pipelined;
+  config.worker_threads = serial ? 1 : 8;
+  config.io_threads = 32;
   // No sink = telemetry off entirely: gate timings stay comparable with the
   // pre-telemetry baseline JSON and are unaffected by the global sink.
   config.telemetry = sink != nullptr;
@@ -130,9 +132,9 @@ struct GateResult {
   [[nodiscard]] double speedup() const { return serial_s / pipelined_s; }
 };
 
-double time_put_64(bool pipelined, int reps, const Bytes& data) {
+double time_put_64(bool serial, int reps, const Bytes& data) {
   storage::ProviderRegistry registry = make_realtime_registry(12);
-  CloudDataDistributor cdd(registry, bench_config(pipelined));
+  CloudDataDistributor cdd(registry, bench_config(serial));
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kHigh).ok(), "pw");
   PutOptions opts;
@@ -148,9 +150,9 @@ double time_put_64(bool pipelined, int reps, const Bytes& data) {
   return median(samples);
 }
 
-double time_get_64(bool pipelined, int reps, const Bytes& data) {
+double time_get_64(bool serial, int reps, const Bytes& data) {
   storage::ProviderRegistry registry = make_realtime_registry(12);
-  CloudDataDistributor cdd(registry, bench_config(pipelined));
+  CloudDataDistributor cdd(registry, bench_config(serial));
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kHigh).ok(), "pw");
   PutOptions opts;
@@ -179,7 +181,7 @@ double time_pair_64_once(bool telemetry, const Bytes& data) {
   storage::ProviderRegistry registry = storage::make_default_registry(12);
   std::shared_ptr<obs::Telemetry> sink =
       telemetry ? std::make_shared<obs::Telemetry>() : nullptr;
-  CloudDataDistributor cdd(registry, bench_config(true, sink));
+  CloudDataDistributor cdd(registry, bench_config(false, sink));
   // The enabled side carries the FULL ops plane: the continuous sampler
   // snapshots the registry every 100 ms while the pipeline runs, so the
   // <=5% gate prices exporter ticks in, not just bare counters.
@@ -290,7 +292,7 @@ std::shared_ptr<core::MetadataPlane> journaled_plane(
 double time_put_64_journal(bool journaled, const Bytes& data) {
   BenchDir dir;
   storage::ProviderRegistry registry = make_realtime_registry(12);
-  DistributorConfig config = bench_config(true);
+  DistributorConfig config = bench_config(false);
   if (journaled) config.plane = journaled_plane(dir.path);
   CloudDataDistributor cdd(registry, config);
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
@@ -380,7 +382,7 @@ SmallOpsCell run_smallops_cell(SmallOpsMode mode, std::size_t clients,
   for (int rep = 0; rep < reps; ++rep) {
     BenchDir dir;
     storage::ProviderRegistry registry = make_realtime_registry(12);
-    DistributorConfig config = bench_config(true);
+    DistributorConfig config = bench_config(false);
     // Small-op regime: a worker channel per client (each blocks on shard
     // latency, not CPU), but a bounded shard-RPC channel pool -- a real
     // object-store client caps concurrent connections, and that cap is
@@ -521,7 +523,7 @@ struct MttrRow {
 MttrRow run_mttr(std::size_t target_records) {
   BenchDir dir;
   storage::ProviderRegistry registry = storage::make_default_registry(12);
-  DistributorConfig config = bench_config(true);
+  DistributorConfig config = bench_config(false);
   config.plane = journaled_plane(dir.path);
   const core::Journal& journal = *config.plane->journal(0);
   CloudDataDistributor cdd(registry, config);
@@ -565,7 +567,7 @@ struct ScrubRow {
 ScrubRow run_scrub_row(double rate) {
   BenchDir dir;
   storage::ProviderRegistry registry = storage::make_default_registry(12);
-  DistributorConfig config = bench_config(true);
+  DistributorConfig config = bench_config(false);
   config.plane = journaled_plane(dir.path);
   CloudDataDistributor cdd(registry, config);
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
@@ -629,7 +631,7 @@ MatrixRow run_matrix(std::size_t clients, std::size_t files_per_client,
                      std::size_t chunks,
                      const std::shared_ptr<obs::Telemetry>& sink) {
   storage::ProviderRegistry registry = storage::make_default_registry(12);
-  CloudDataDistributor cdd(registry, bench_config(true, sink));
+  CloudDataDistributor cdd(registry, bench_config(false, sink));
   const std::size_t chunk_bytes =
       core::ChunkSizePolicy{}.chunk_size(PrivacyLevel::kPublic);
   for (std::size_t c = 0; c < clients; ++c) {
@@ -731,7 +733,7 @@ FaultRow run_faults(double rate, std::uint64_t seed) {
     registry.apply_fault_plan(std::make_shared<storage::FaultPlan>(
         storage::FaultPlan::transient(seed, rate)));
   }
-  CloudDataDistributor cdd(registry, bench_config(true, sink));
+  CloudDataDistributor cdd(registry, bench_config(false, sink));
   CS_REQUIRE(cdd.register_client("bench").ok(), "register");
   CS_REQUIRE(cdd.add_password("bench", "pw", PrivacyLevel::kModerate).ok(),
              "pw");
@@ -813,14 +815,14 @@ int main(int argc, char** argv) {
   const Bytes gate_data = make_payload(gate_chunk_bytes * 64, 42);
 
   std::cout << "=== gate: 64-chunk file (" << gate_data.size() / 1024
-            << " KiB, PL3, RAID-5 k=3, chaff 0.2, 8 workers, realtime "
+            << " KiB, PL3, RAID-5 k=3, chaff 0.2, 8 workers vs 1, realtime "
             << kGateBaseLatencyMs << " ms base latency) ===\n";
   GateResult put_gate;
-  put_gate.serial_s = time_put_64(false, 5, gate_data);
-  put_gate.pipelined_s = time_put_64(true, 5, gate_data);
+  put_gate.serial_s = time_put_64(true, 5, gate_data);
+  put_gate.pipelined_s = time_put_64(false, 5, gate_data);
   GateResult get_gate;
-  get_gate.serial_s = time_get_64(false, 5, gate_data);
-  get_gate.pipelined_s = time_get_64(true, 5, gate_data);
+  get_gate.serial_s = time_get_64(true, 5, gate_data);
+  get_gate.pipelined_s = time_get_64(false, 5, gate_data);
   std::cout << "put: serial " << put_gate.serial_s * 1e3 << " ms, pipelined "
             << put_gate.pipelined_s * 1e3 << " ms -> " << put_gate.speedup()
             << "x\n";
@@ -928,6 +930,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"throughput\",\n"
       << "  \"config\": {\"raid\": \"raid5\", \"data_shards\": 3, "
          "\"misleading_fraction\": 0.2, \"worker_threads\": 8, "
+         "\"serial_worker_threads\": 1, \"io_threads\": 32, "
          "\"gate_chunk_bytes\": "
       << gate_chunk_bytes << ", \"gate_latency_ms\": " << kGateBaseLatencyMs
       << ", \"gate_realtime\": true, \"matrix_chunk_bytes\": "

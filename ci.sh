@@ -6,7 +6,8 @@
 #   ./ci.sh fast     # tier-1 build + ctest only
 #
 # Stages:
-#   1. tier-1: default build, full ctest suite (the ROADMAP acceptance bar)
+#   1. tier-1: default build with -DCSHIELD_WERROR=ON (the build stays
+#              warning-free), full ctest suite (the ROADMAP acceptance bar)
 #   2. bench_ledger: configures and builds the bench_ledger/ package (its own
 #              CMake project, compiled from ../src the way BENCHMARK.json's
 #              run.sh builds it) and runs its ledger_smoke ctest: every
@@ -87,8 +88,9 @@
 #              CSHIELD_FORCE_SCALAR=1 env override, covering the runtime
 #              (no-rebuild) dispatch path of both kernel families.
 #   8. bench:  bench_throughput writes BENCH_throughput.json at the repo
-#              root and exits non-zero unless the pipelined engine beats the
-#              serial baseline by >= 3x on 64-chunk put AND get, AND the
+#              root and exits non-zero unless 8 workers beat the one-worker
+#              serial baseline (one chunk's stripe in flight at a time, same
+#              32 I/O threads) by >= 3x on 64-chunk put AND get, AND the
 #              telemetry overhead gate holds (enabled vs disabled telemetry
 #              within 5% on the 64-chunk put+get pair, with the metrics
 #              exporter sampling at 100 ms on the enabled side; recorded
@@ -136,7 +138,7 @@ cd "$(dirname "$0")"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "== [1/8] tier-1: build + ctest =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCSHIELD_WERROR=ON >/dev/null
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
 

@@ -67,15 +67,18 @@ namespace {
 /// route every subsequent return through finish().
 class OpScope {
  public:
-  /// `wd` (optional) registers the op in the stall watchdog's in-flight
-  /// table for its lifetime, carrying `deadline_ns` as the modeled bound
-  /// the stall detector scales (the request-layer deadline).
-  OpScope(obs::Telemetry* tel, const char* name, std::string_view client,
-          std::string_view file, obs::StallWatchdog* wd = nullptr,
-          std::int64_t deadline_ns = 0)
-      : tel_(tel != nullptr && tel->enabled() ? tel : nullptr), name_(name) {
+  /// Arms the op on `cdd`'s telemetry and, when configured, registers it
+  /// in the stall watchdog's in-flight table for its lifetime, carrying the
+  /// request-layer deadline as the modeled bound the stall detector
+  /// scales. The op's makespan is modeled over cdd's worker channels.
+  OpScope(const CloudDataDistributor& cdd, const char* name,
+          std::string_view client = {}, std::string_view file = {})
+      : tel_(cdd.telemetry()->enabled() ? cdd.telemetry().get() : nullptr),
+        name_(name),
+        channels_(cdd.config().worker_threads) {
     if (tel_ == nullptr) return;
-    armed_ = obs::StallWatchdog::Armed(wd, name_, deadline_ns);
+    armed_ = obs::StallWatchdog::Armed(cdd.config().watchdog.get(), name_,
+                                       cdd.config().retry.deadline.count());
     obs::Tracer& tr = tel_->tracer();
     rec_.op_id = tr.next_id();
     rec_.span_id = tr.next_id();
@@ -92,11 +95,12 @@ class OpScope {
   ~OpScope() {
     // Belt-and-braces: a return path that skipped finish() still closes the
     // gauge and records the span, marked as an internal error.
-    if (!finished_) (void)finish(Status::Internal(name_ + " left open"),
-                                 nullptr, 1);
+    if (!finished_) (void)finish(Status::Internal(name_ + " left open"));
   }
 
   [[nodiscard]] bool armed() const { return tel_ != nullptr; }
+  /// The sink child spans record into; null when the op is not armed.
+  [[nodiscard]] obs::Telemetry* tel() const { return tel_; }
 
   /// Linkage for child spans (chunk stages, shard RPCs).
   [[nodiscard]] obs::SpanCtx ctx() const {
@@ -120,12 +124,12 @@ class OpScope {
   /// Fills `report` (always -- error paths now report their footprint too,
   /// which is how rolled_back becomes observable), records the root span
   /// and per-op metrics, and passes `status` through.
-  Status finish(Status status, OpReport* report, std::size_t channels) {
+  Status finish(Status status, OpReport* report = nullptr) {
     finished_ = true;
     armed_.release();  // the op is no longer in flight, whatever its status
     SimDuration serial{0};
     for (const SimDuration& t : times) serial += t;
-    const SimDuration par = parallel_makespan(times, channels);
+    const SimDuration par = parallel_makespan(times, channels_);
     const double wall = wall_.elapsed_seconds();
     if (report != nullptr) {
       report->chunks = chunks;
@@ -163,10 +167,45 @@ class OpScope {
  private:
   obs::Telemetry* tel_;
   std::string name_;
+  std::size_t channels_;
   obs::SpanRecord rec_;
   obs::StallWatchdog::Armed armed_;
   Stopwatch wall_;
   bool finished_ = false;
+};
+
+/// Child span of one chunk's stripe work inside an op (chunk_put,
+/// chunk_get). close() stamps it with the chunk's summed provider time,
+/// payload bytes and outcome.
+class ChunkSpan {
+ public:
+  ChunkSpan(const OpScope& op, const char* name, std::uint64_t serial)
+      : span_(op.tel(), proto(op, name, serial)) {}
+
+  [[nodiscard]] obs::SpanCtx ctx() const { return span_.ctx(); }
+
+  void close(const std::vector<SimDuration>& times, std::size_t bytes,
+             const Status& status) {
+    if (!span_.armed()) return;
+    SimDuration sim{0};
+    for (const SimDuration& t : times) sim += t;
+    span_.rec().sim_ns = sim.count();
+    span_.rec().bytes = bytes;
+    span_.rec().outcome = status.code();
+  }
+
+ private:
+  static obs::SpanRecord proto(const OpScope& op, const char* name,
+                               std::uint64_t serial) {
+    obs::SpanRecord rec;
+    rec.op_id = op.ctx().op_id;
+    rec.parent_id = op.ctx().parent;
+    rec.name = name;
+    rec.chunk = serial;
+    return rec;
+  }
+
+  obs::ScopedSpan span_;
 };
 
 }  // namespace
@@ -433,11 +472,16 @@ void CloudDataDistributor::remove_protection(Bytes& padded,
 Result<CloudDataDistributor::StripeWriteResult>
 CloudDataDistributor::write_stripe(BytesView payload,
                                    const raid::StripeLayout& layout,
-                                   const std::vector<ProviderIndex>& targets,
                                    PrivacyLevel pl,
                                    std::vector<SimDuration>& times,
                                    const obs::SpanCtx& span,
                                    std::size_t shard) {
+  Result<std::vector<ProviderIndex>> placed = [&] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return placement_.choose(registry_, pl, layout.total_shards());
+  }();
+  if (!placed.ok()) return placed.status();
+  const std::vector<ProviderIndex>& targets = placed.value();
   raid::EncodedStripe encoded = raid::encode(layout, payload);
   CS_REQUIRE(targets.size() == encoded.shard_count,
              "write_stripe: target/shard arity mismatch");
@@ -759,6 +803,123 @@ void CloudDataDistributor::drop_stripe(const std::vector<ShardLocation>& stripe,
   }
 }
 
+Result<CloudDataDistributor::ChunkTarget> CloudDataDistributor::lookup_chunk(
+    const std::string& client, const std::string& password,
+    const std::string& filename, std::uint64_t serial) const {
+  // Ops resolve against the owning partition -- any front-end sharing the
+  // plane computes the same shard from (client, filename).
+  ChunkTarget target;
+  target.shard = plane_->shard_of(client, filename);
+  const MetadataStore& md = plane_->store(target.shard);
+  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
+  Result<PrivacyLevel> auth = authorize(
+      client, password,
+      ref.has_value() ? ref->privacy_level : PrivacyLevel::kPublic);
+  if (!auth.ok()) return auth.status();
+  if (!ref.has_value()) {
+    return Status::NotFound("chunk " + filename + "#" +
+                            std::to_string(serial));
+  }
+  target.ref = std::move(*ref);
+  Result<ChunkEntry> entry = md.chunk_entry(target.ref.chunk_index);
+  if (!entry.ok()) return entry.status();
+  target.entry = std::move(entry).value();
+  return target;
+}
+
+Result<CloudDataDistributor::FileTarget> CloudDataDistributor::lookup_file(
+    const std::string& client, const std::string& password,
+    const std::string& filename) const {
+  FileTarget target;
+  target.shard = plane_->shard_of(client, filename);
+  target.refs = plane_->store(target.shard).file_chunks(client, filename);
+  PrivacyLevel required = PrivacyLevel::kPublic;
+  for (const ChunkRef& ref : target.refs) {
+    if (level_index(ref.privacy_level) > level_index(required)) {
+      required = ref.privacy_level;
+    }
+  }
+  Result<PrivacyLevel> auth = authorize(client, password, required);
+  if (!auth.ok()) return auth.status();
+  if (target.refs.empty()) {
+    return Status::NotFound("file " + filename + " for client " + client);
+  }
+  return target;
+}
+
+Result<CloudDataDistributor::StripeWriteResult> CloudDataDistributor::seal(
+    BytesView plain, double chaff, ChunkEntry& row,
+    std::vector<SimDuration>& times, const obs::SpanCtx& span,
+    std::size_t shard) {
+  // Only the seed draw needs the shared RNG lock; the chaff injection itself
+  // runs unlocked on the chunk's own stream.
+  std::uint64_t chaff_seed = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    chaff_seed = chaff_rng_.next();
+  }
+  Rng chunk_rng(chaff_seed);
+  MisleadingCodec::Encoded chaffed =
+      MisleadingCodec::inject(plain, chaff, chunk_rng);
+  // Drawn for every mode, so the per-chunk RNG stream (chaff positions
+  // included) is byte-identical across protection modes -- the chaos
+  // suite's retry-invariance proof depends on it.
+  row.protect_nonce = chunk_rng.next();
+  row.protect_bytes = apply_protection(chaffed.data, row.protection,
+                                       row.privacy_level, row.layout,
+                                       row.protect_nonce);
+  Result<StripeWriteResult> written = write_stripe(
+      chaffed.data, row.layout, row.privacy_level, times, span, shard);
+  if (!written.ok()) return written;
+  row.stripe = std::move(written.value().locations);
+  row.shard_digests = std::move(written.value().digests);
+  row.misleading = std::move(chaffed.positions);
+  row.padded_size = chaffed.data.size();
+  return written;
+}
+
+Result<Bytes> CloudDataDistributor::open(const ChunkEntry& row,
+                                         StripeVersion version,
+                                         std::vector<SimDuration>& times,
+                                         ReadMode mode,
+                                         const obs::SpanCtx& span,
+                                         StripeReadStats* stats) {
+  // The snapshot stripe stores the pre-update payload still protected under
+  // its original transform, so it opens with its own parameters.
+  const bool snap = version == StripeVersion::kSnapshot;
+  Result<Bytes> padded = read_stripe(
+      row.layout, snap ? row.snapshot : row.stripe,
+      snap ? row.snapshot_digests : row.shard_digests,
+      snap ? row.snapshot_padded_size : row.padded_size, times, mode, span,
+      stats);
+  if (!padded.ok()) return padded.status();
+  remove_protection(padded.value(),
+                    snap ? row.snapshot_protection : row.protection,
+                    row.layout,
+                    snap ? row.snapshot_protect_nonce : row.protect_nonce,
+                    snap ? row.snapshot_protect_bytes : row.protect_bytes);
+  return MisleadingCodec::strip(padded.value(),
+                                snap ? row.snapshot_misleading
+                                     : row.misleading);
+}
+
+void CloudDataDistributor::fan_out(
+    std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (n == 1) {
+    body(0);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(pool_.submit([&body, i] { body(i); }));
+  }
+  // Every task references `body` and the caller's state: all must finish
+  // before a failed one's exception leaves this frame.
+  for (auto& f : futures) f.wait();
+  for (auto& f : futures) f.get();
+}
+
 Status CloudDataDistributor::put_file(const std::string& client,
                                       const std::string& password,
                                       const std::string& filename,
@@ -789,28 +950,31 @@ Status CloudDataDistributor::put_file(const std::string& client,
     }
   }
 
+  // Every chunk row starts from this one: the file's PL, layout and
+  // protection mode.
+  ChunkEntry file_row;
+  file_row.privacy_level = options.privacy_level;
   const raid::RaidLevel level = options.raid.value_or(config_.default_raid);
-  const raid::StripeLayout layout =
+  file_row.layout =
       (level == raid::RaidLevel::kRaid1)
           ? raid::StripeLayout::make(level, 1, config_.replication)
           : raid::StripeLayout::make(level, config_.stripe_data_shards);
-  const double chaff =
-      options.misleading_fraction.value_or(config_.misleading_fraction);
-  const ProtectionMode protection = options.protection.value_or(
+  file_row.protection = options.protection.value_or(
       config_.protection_by_pl[static_cast<std::size_t>(
           level_index(options.privacy_level))]);
+  const double chaff =
+      options.misleading_fraction.value_or(config_.misleading_fraction);
 
-  OpScope op(telemetry_.get(), "put_file", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
+  OpScope op(*this, "put_file", client, filename);
   std::vector<RawChunk> chunks = split_file(data, options.privacy_level,
                                             config_.chunk_sizes,
                                             options.record_align);
   op.chunks = chunks.size();
   op.bytes_logical = data.size();
 
-  // One pipeline stage per chunk: chaff -> place -> encode/digest ->
-  // upload. `stripe` duplicates entry.stripe so rollback still knows the
-  // shard locations after the entry moves into the metadata commit.
+  // One seal per chunk. `stripe` duplicates entry.stripe so rollback still
+  // knows the shard locations after the entry moves into the metadata
+  // commit.
   struct ChunkOutcome {
     Status status = Status::Ok();
     ChunkEntry entry;
@@ -821,88 +985,22 @@ Status CloudDataDistributor::put_file(const std::string& client,
     std::vector<SimDuration> times;
   };
   std::vector<ChunkOutcome> outcomes(chunks.size());
-  auto build = [&](std::size_t i) {
+  fan_out(chunks.size(), [&](std::size_t i) {
     ChunkOutcome& out = outcomes[i];
-    obs::SpanRecord proto;
-    proto.op_id = op.ctx().op_id;
-    proto.parent_id = op.ctx().parent;
-    proto.name = "chunk_put";
-    proto.chunk = chunks[i].serial;
-    proto.bytes = chunks[i].data.size();
-    obs::ScopedSpan chunk_span(op.armed() ? telemetry_.get() : nullptr,
-                               std::move(proto));
-    // Only the seed draw and placement need the shared RNG/policy lock;
-    // the chaff injection itself runs unlocked on the chunk's own stream.
-    std::uint64_t chaff_seed = 0;
-    Result<std::vector<ProviderIndex>> targets = [&] {
-      std::lock_guard<std::mutex> lock(mu_);
-      chaff_seed = chaff_rng_.next();
-      return placement_.choose(registry_, options.privacy_level,
-                               layout.total_shards());
-    }();
-    Rng chunk_rng(chaff_seed);
-    MisleadingCodec::Encoded chaffed =
-        MisleadingCodec::inject(chunks[i].data, chaff, chunk_rng);
-    // Drawn for every mode, so the per-chunk RNG stream (chaff positions
-    // included) is byte-identical across protection modes -- the chaos
-    // suite's retry-invariance proof depends on it.
-    const std::uint64_t protect_nonce = chunk_rng.next();
-    const std::size_t protect_bytes = apply_protection(
-        chaffed.data, protection, options.privacy_level, layout,
-        protect_nonce);
-    auto close_span = [&] {
-      if (!chunk_span.armed()) return;
-      SimDuration chunk_sim{0};
-      for (const SimDuration& t : out.times) chunk_sim += t;
-      chunk_span.rec().sim_ns = chunk_sim.count();
-      chunk_span.rec().outcome = out.status.code();
-    };
-    if (!targets.ok()) {
-      out.status = targets.status();
-      close_span();
-      return;
+    ChunkSpan span(op, "chunk_put", chunks[i].serial);
+    out.entry = file_row;
+    Result<StripeWriteResult> sealed =
+        seal(chunks[i].data, chaff, out.entry, out.times, span.ctx(), shard);
+    if (sealed.ok()) {
+      out.stripe = out.entry.stripe;
+      out.bytes_stored = sealed.value().bytes_stored;
+      out.retries = sealed.value().retries;
+      out.replaced = sealed.value().replaced;
+    } else {
+      out.status = sealed.status();
     }
-    Result<StripeWriteResult> written =
-        write_stripe(chaffed.data, layout, targets.value(),
-                     options.privacy_level, out.times, chunk_span.ctx(),
-                     shard);
-    if (!written.ok()) {
-      out.status = written.status();
-      close_span();
-      return;
-    }
-    out.retries = written.value().retries;
-    out.replaced = written.value().replaced;
-    out.entry.privacy_level = options.privacy_level;
-    out.entry.layout = layout;
-    out.entry.stripe = std::move(written.value().locations);
-    out.entry.misleading = std::move(chaffed.positions);
-    out.entry.padded_size = chaffed.data.size();
-    out.entry.protection = protection;
-    out.entry.protect_nonce = protect_nonce;
-    out.entry.protect_bytes = protect_bytes;
-    out.entry.shard_digests = std::move(written.value().digests);
-    out.stripe = out.entry.stripe;
-    out.bytes_stored = written.value().bytes_stored;
-    close_span();
-  };
-
-  if (config_.pipelined && chunks.size() > 1) {
-    // Fan every chunk's stripe out as independent pool work -- an N-chunk
-    // file issues all its shard uploads concurrently instead of N
-    // sequential per-stripe barriers.
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks.size());
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      futures.push_back(pool_.submit([&build, i] { build(i); }));
-    }
-    for (auto& f : futures) f.get();
-  } else {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      build(i);
-      if (!outcomes[i].status.ok()) break;
-    }
-  }
+    span.close(out.times, chunks[i].data.size(), out.status);
+  });
 
   // A failed chunk must not orphan its siblings: drop every stripe this
   // call wrote, then free the filename claim.
@@ -927,7 +1025,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
         telemetry_->metrics().counter("cdd.abort_journal_errors").inc();
       }
     }
-    return error;
+    return op.finish(error, report);
   };
   for (ChunkOutcome& out : outcomes) {
     op.times.insert(op.times.end(), out.times.begin(), out.times.end());
@@ -936,9 +1034,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
     op.replaced_shards += out.replaced;
   }
   for (const ChunkOutcome& out : outcomes) {
-    if (!out.status.ok()) {
-      return op.finish(rollback(out.status), report, config_.worker_threads);
-    }
+    if (!out.status.ok()) return rollback(out.status);
   }
 
   // Commit the refs in serial order. The claim makes interference from
@@ -952,18 +1048,16 @@ Status CloudDataDistributor::put_file(const std::string& client,
         client, filename, chunks[i].serial, std::move(out.entry));
     if (!idx.ok()) {
       for (std::size_t j = 0; j < committed.size(); ++j) {
-        ChunkEntry tombstone;
-        tombstone.privacy_level = options.privacy_level;
-        tombstone.layout = layout;
-        tombstone.deleted = true;
-        (void)md.update_chunk(committed[j], std::move(tombstone));
+        if (Result<ChunkEntry> row = md.chunk_entry(committed[j]); row.ok()) {
+          (void)md.update_chunk(committed[j], tombstone_of(row.value()));
+        }
         (void)md.unlink_chunk(client, filename, chunks[j].serial);
       }
-      return op.finish(rollback(idx.status()), report, config_.worker_threads);
+      return rollback(idx.status());
     }
     committed.push_back(idx.value());
     op.bytes_stored += out.bytes_stored;
-    op.shards += layout.total_shards();
+    op.shards += file_row.layout.total_shards();
   }
   // Durability commit point: journal every chunk row with its explicit
   // table index (local to the owning partition). Only after this append may
@@ -977,17 +1071,15 @@ Status CloudDataDistributor::put_file(const std::string& client,
     rec.chunks.reserve(committed.size());
     for (std::size_t i = 0; i < committed.size(); ++i) {
       Result<ChunkEntry> row = md.chunk_entry(committed[i]);
-      if (!row.ok()) {
-        return op.finish(row.status(), report, config_.worker_threads);
-      }
+      if (!row.ok()) return op.finish(row.status(), report);
       rec.chunks.push_back(JournalChunk{chunks[i].serial, committed[i],
                                         std::move(row).value()});
     }
     if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, report, config_.worker_threads);
+      return op.finish(st, report);
     }
   }
-  return op.finish(Status::Ok(), report, config_.worker_threads);
+  return op.finish(Status::Ok(), report);
 }
 
 Result<Bytes> CloudDataDistributor::get_chunk(const std::string& client,
@@ -995,47 +1087,24 @@ Result<Bytes> CloudDataDistributor::get_chunk(const std::string& client,
                                               const std::string& filename,
                                               std::uint64_t serial,
                                               OpReport* report) {
-  // Reads resolve against the owning partition -- any front-end sharing
-  // the plane computes the same shard from (client, filename).
-  MetadataStore& md = plane_->store(plane_->shard_of(client, filename));
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
-  if (!ref.has_value()) {
-    // Authenticate first so an attacker cannot probe the namespace with a
-    // bad password.
-    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
-    if (!auth.ok()) return auth.status();
-    return Status::NotFound("chunk " + filename + "#" +
-                            std::to_string(serial));
-  }
-  Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
-  if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
-  if (!entry.ok()) return entry.status();
+  Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
+  if (!target.ok()) return target.status();
+  const ChunkEntry& entry = target.value().entry;
 
-  OpScope op(telemetry_.get(), "get_chunk", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
+  OpScope op(*this, "get_chunk", client, filename);
   op.chunk_serial = serial;
+  op.chunks = 1;
+  op.shards = entry.stripe.size();
+  op.bytes_stored = entry.padded_size;
   StripeReadStats rstats;
-  Result<Bytes> padded =
-      read_stripe(entry.value().layout, entry.value().stripe,
-                  entry.value().shard_digests, entry.value().padded_size,
-                  op.times, ReadMode::kEager, op.ctx(), &rstats);
+  Result<Bytes> plain = open(entry, StripeVersion::kCurrent, op.times,
+                             ReadMode::kEager, op.ctx(), &rstats);
   op.parity_reads = rstats.parity_reads;
   op.retries = rstats.retries;
   op.hedges = rstats.hedges;
-  op.chunks = 1;
-  op.shards = entry.value().stripe.size();
-  op.bytes_stored = entry.value().padded_size;
-  if (!padded.ok()) {
-    return op.finish(padded.status(), report, config_.worker_threads);
-  }
-  remove_protection(padded.value(), entry.value().protection,
-                    entry.value().layout, entry.value().protect_nonce,
-                    entry.value().protect_bytes);
-  Bytes plain = MisleadingCodec::strip(padded.value(),
-                                       entry.value().misleading);
-  op.bytes_logical = plain.size();
-  (void)op.finish(Status::Ok(), report, config_.worker_threads);
+  if (!plain.ok()) return op.finish(plain.status(), report);
+  op.bytes_logical = plain.value().size();
+  (void)op.finish(Status::Ok(), report);
   return plain;
 }
 
@@ -1043,25 +1112,12 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
                                              const std::string& password,
                                              const std::string& filename,
                                              OpReport* report) {
-  MetadataStore& md = plane_->store(plane_->shard_of(client, filename));
-  std::vector<ChunkRef> refs = md.file_chunks(client, filename);
-  if (refs.empty()) {
-    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
-    if (!auth.ok()) return auth.status();
-    return Status::NotFound("file " + filename + " for client " + client);
-  }
-  Result<PrivacyLevel> auth =
-      authorize(client, password, refs.front().privacy_level);
-  if (!auth.ok()) return auth.status();
-  for (const ChunkRef& ref : refs) {
-    if (!privileged_for(auth.value(), ref.privacy_level)) {
-      return Status::PermissionDenied("chunk " + std::to_string(ref.serial) +
-                                      " above password privilege");
-    }
-  }
+  Result<FileTarget> target = lookup_file(client, password, filename);
+  if (!target.ok()) return target.status();
+  const std::vector<ChunkRef>& refs = target.value().refs;
+  const MetadataStore& md = plane_->store(target.value().shard);
 
-  OpScope op(telemetry_.get(), "get_file", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
+  OpScope op(*this, "get_file", client, filename);
   struct ChunkRead {
     Status status = Status::Ok();
     Bytes plain;
@@ -1071,65 +1127,28 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
     StripeReadStats rstats;
   };
   std::vector<ChunkRead> reads(refs.size());
-  auto read_one = [&](std::size_t i, ReadMode mode) {
+  // Many chunks in flight read lazily (parity only on a data-shard miss);
+  // a lone chunk fetches its whole stripe at once for the lowest latency.
+  const ReadMode mode =
+      refs.size() > 1 ? ReadMode::kLazyParity : ReadMode::kEager;
+  fan_out(refs.size(), [&](std::size_t i) {
     ChunkRead& out = reads[i];
-    obs::SpanRecord proto;
-    proto.op_id = op.ctx().op_id;
-    proto.parent_id = op.ctx().parent;
-    proto.name = "chunk_get";
-    proto.chunk = refs[i].serial;
-    obs::ScopedSpan chunk_span(op.armed() ? telemetry_.get() : nullptr,
-                               std::move(proto));
-    auto close_span = [&] {
-      if (!chunk_span.armed()) return;
-      SimDuration chunk_sim{0};
-      for (const SimDuration& t : out.times) chunk_sim += t;
-      chunk_span.rec().sim_ns = chunk_sim.count();
-      chunk_span.rec().bytes = out.plain.size();
-      chunk_span.rec().outcome = out.status.code();
-    };
-    Result<ChunkEntry> entry = md.chunk_entry(refs[i].chunk_index);
-    if (!entry.ok()) {
-      out.status = entry.status();
-      close_span();
-      return;
-    }
-    Result<Bytes> padded =
-        read_stripe(entry.value().layout, entry.value().stripe,
-                    entry.value().shard_digests, entry.value().padded_size,
-                    out.times, mode, chunk_span.ctx(), &out.rstats);
-    if (!padded.ok()) {
-      out.status = padded.status();
-      close_span();
-      return;
-    }
-    remove_protection(padded.value(), entry.value().protection,
-                      entry.value().layout, entry.value().protect_nonce,
-                      entry.value().protect_bytes);
-    out.plain = MisleadingCodec::strip(padded.value(),
-                                       entry.value().misleading);
-    out.padded_size = entry.value().padded_size;
-    out.shards = entry.value().stripe.size();
-    close_span();
-  };
+    ChunkSpan span(op, "chunk_get", refs[i].serial);
+    out.status = [&]() -> Status {
+      Result<ChunkEntry> entry = md.chunk_entry(refs[i].chunk_index);
+      if (!entry.ok()) return entry.status();
+      Result<Bytes> plain = open(entry.value(), StripeVersion::kCurrent,
+                                 out.times, mode, span.ctx(), &out.rstats);
+      if (!plain.ok()) return plain.status();
+      out.plain = std::move(plain).value();
+      out.padded_size = entry.value().padded_size;
+      out.shards = entry.value().stripe.size();
+      return Status::Ok();
+    }();
+    span.close(out.times, out.plain.size(), out.status);
+  });
 
-  if (config_.pipelined && refs.size() > 1) {
-    // All chunk stripes in flight at once; reassembly below restores
-    // serial order.
-    std::vector<std::future<void>> futures;
-    futures.reserve(refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      futures.push_back(
-          pool_.submit([&read_one, i] { read_one(i, ReadMode::kLazyParity); }));
-    }
-    for (auto& f : futures) f.get();
-  } else {
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      read_one(i, ReadMode::kEager);
-      if (!reads[i].status.ok()) break;
-    }
-  }
-
+  // Reassembly restores serial order.
   Bytes out;
   Status first_error = Status::Ok();
   for (ChunkRead& r : reads) {
@@ -1146,18 +1165,17 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
     ++op.chunks;
     append(out, r.plain);
   }
-  if (!first_error.ok()) {
-    return op.finish(first_error, report, config_.worker_threads);
-  }
+  if (!first_error.ok()) return op.finish(first_error, report);
   op.bytes_logical = out.size();
-  (void)op.finish(Status::Ok(), report, config_.worker_threads);
+  (void)op.finish(Status::Ok(), report);
   return out;
 }
 
 Result<std::vector<CloudDataDistributor::FileInfo>>
 CloudDataDistributor::list_files(const std::string& client,
                                  const std::string& password) {
-  Result<PrivacyLevel> auth = metadata().authenticate(client, password);
+  Result<PrivacyLevel> auth =
+      authorize(client, password, PrivacyLevel::kPublic);
   if (!auth.ok()) return auth.status();
   // The store's filename index does the per-file aggregation (and the
   // privilege filtering) without scanning every ref per file. A client's
@@ -1184,26 +1202,16 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
                                           std::uint64_t serial,
                                           BytesView new_data,
                                           OpReport* report) {
-  const std::size_t shard = plane_->shard_of(client, filename);
+  Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
+  if (!target.ok()) return target.status();
+  const std::size_t shard = target.value().shard;
+  const std::size_t index = target.value().ref.chunk_index;
+  const ChunkEntry& entry = target.value().entry;
   MetadataStore& md = plane_->store(shard);
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
-  if (!ref.has_value()) {
-    return Status::NotFound("chunk " + filename + "#" +
-                            std::to_string(serial));
-  }
-  Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
-  if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry_r = md.chunk_entry(ref->chunk_index);
-  if (!entry_r.ok()) return entry_r.status();
-  ChunkEntry entry = std::move(entry_r).value();
 
-  OpScope op(telemetry_.get(), "update_chunk", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
+  OpScope op(*this, "update_chunk", client, filename);
   op.chunk_serial = serial;
   std::vector<SimDuration>& times = op.times;
-  auto fail = [&](const Status& st) {
-    return op.finish(st, report, config_.worker_threads);
-  };
 
   // 1. Read the current padded payload (pre-state, chaff included).
   StripeReadStats rstats;
@@ -1214,7 +1222,7 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   op.parity_reads = rstats.parity_reads;
   op.retries = rstats.retries;
   op.hedges = rstats.hedges;
-  if (!pre_state.ok()) return fail(pre_state.status());
+  if (!pre_state.ok()) return op.finish(pre_state.status(), report);
 
   // 2. Write the pre-state to a NEW snapshot stripe: "snapshot provider
   //    stores the pre-state and cloud provider stores the post-state of a
@@ -1223,72 +1231,42 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   //    journal -- a crash anywhere in between loses only fresh orphans,
   //    never referenced shards. A failure past this point unwinds the
   //    stripes this op wrote.
-  Result<std::vector<ProviderIndex>> snap_targets = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return placement_.choose(registry_, entry.privacy_level,
-                             entry.layout.total_shards());
-  }();
-  if (!snap_targets.ok()) return fail(snap_targets.status());
-  Result<StripeWriteResult> snap = write_stripe(
-      pre_state.value(), entry.layout, snap_targets.value(),
-      entry.privacy_level, times, op.ctx(), shard);
-  if (!snap.ok()) return fail(snap.status());
+  Result<StripeWriteResult> snap =
+      write_stripe(pre_state.value(), entry.layout, entry.privacy_level,
+                   times, op.ctx(), shard);
+  if (!snap.ok()) return op.finish(snap.status(), report);
   op.retries += snap.value().retries;
   op.replaced_shards += snap.value().replaced;
   auto unwind = [&](const Status& st) {
     op.rolled_back = true;
     drop_stripe(snap.value().locations, &times, shard);
-    return fail(st);
+    return op.finish(st, report);
   };
-
-  // 3. Chaff, re-protect (same mode as the original put, fresh nonce) and
-  //    write the post-state under fresh virtual ids.
-  MisleadingCodec::Encoded chaffed;
-  std::uint64_t protect_nonce = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    chaffed = MisleadingCodec::inject(new_data, chaff_fraction_of(entry),
-                                      chaff_rng_);
-    protect_nonce = chaff_rng_.next();
-  }
-  const std::size_t protect_bytes =
-      apply_protection(chaffed.data, entry.protection, entry.privacy_level,
-                       entry.layout, protect_nonce);
-  Result<std::vector<ProviderIndex>> new_targets = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return placement_.choose(registry_, entry.privacy_level,
-                             entry.layout.total_shards());
-  }();
-  if (!new_targets.ok()) return unwind(new_targets.status());
-  Result<StripeWriteResult> written =
-      write_stripe(chaffed.data, entry.layout, new_targets.value(),
-                   entry.privacy_level, times, op.ctx(), shard);
-  if (!written.ok()) return unwind(written.status());
-  op.retries += written.value().retries;
-  op.replaced_shards += written.value().replaced;
-
-  // 4. Commit: metadata row, then journal. Only after the journal append
-  //    is it safe to delete the superseded stripes.
+  // The snapshot stripe stores the pre-state exactly as it was protected;
+  // its original transform parameters move with it.
   ChunkEntry updated = entry;
   updated.snapshot = snap.value().locations;
   updated.snapshot_digests = std::move(snap.value().digests);
   updated.snapshot_misleading = entry.misleading;
   updated.snapshot_padded_size = entry.padded_size;
-  // The snapshot stripe stores the pre-state exactly as it was protected;
-  // its original transform parameters move with it.
   updated.snapshot_protection = entry.protection;
   updated.snapshot_protect_nonce = entry.protect_nonce;
   updated.snapshot_protect_bytes = entry.protect_bytes;
   updated.has_snapshot = true;
-  updated.stripe = written.value().locations;
-  updated.shard_digests = std::move(written.value().digests);
-  updated.misleading = std::move(chaffed.positions);
-  updated.padded_size = chaffed.data.size();
-  updated.protect_nonce = protect_nonce;
-  updated.protect_bytes = protect_bytes;
-  Status committed = md.update_chunk(ref->chunk_index, updated);
-  if (!committed.ok()) {
-    drop_stripe(written.value().locations, &times, shard);
+
+  // 3. Seal the post-state (the original put's chaff ratio and protection
+  //    mode, a fresh nonce) under fresh virtual ids.
+  Result<StripeWriteResult> written = seal(
+      new_data, chaff_fraction_of(entry), updated, times, op.ctx(), shard);
+  if (!written.ok()) return unwind(written.status());
+  op.retries += written.value().retries;
+  op.replaced_shards += written.value().replaced;
+  const std::size_t bytes_stored = updated.padded_size;
+
+  // 4. Commit: metadata row, then journal. Only after the journal append
+  //    is it safe to delete the superseded stripes.
+  if (Status committed = md.update_chunk(index, updated); !committed.ok()) {
+    drop_stripe(updated.stripe, &times, shard);
     return unwind(committed);
   }
   {
@@ -1296,9 +1274,10 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
     rec.op = JournalOp::kUpdateChunk;
     rec.client = client;
     rec.filename = filename;
-    rec.chunks.push_back(
-        JournalChunk{serial, ref->chunk_index, std::move(updated)});
-    if (Status st = journal_append(rec, shard); !st.ok()) return fail(st);
+    rec.chunks.push_back(JournalChunk{serial, index, std::move(updated)});
+    if (Status st = journal_append(rec, shard); !st.ok()) {
+      return op.finish(st, report);
+    }
   }
 
   // 5. Retire the old stripe and (if present) the old snapshot -- they are
@@ -1309,186 +1288,91 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   op.chunks = 1;
   op.shards = entry.layout.total_shards() * 2;
   op.bytes_logical = new_data.size();
-  op.bytes_stored = chaffed.data.size();
-  return op.finish(Status::Ok(), report, config_.worker_threads);
+  op.bytes_stored = bytes_stored;
+  return op.finish(Status::Ok(), report);
 }
 
 Result<Bytes> CloudDataDistributor::get_chunk_snapshot(
     const std::string& client, const std::string& password,
     const std::string& filename, std::uint64_t serial) {
-  MetadataStore& md = plane_->store(plane_->shard_of(client, filename));
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
-  if (!ref.has_value()) {
-    return Status::NotFound("chunk " + filename + "#" +
-                            std::to_string(serial));
-  }
-  Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
-  if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
-  if (!entry.ok()) return entry.status();
-  if (!entry.value().has_snapshot) {
+  Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
+  if (!target.ok()) return target.status();
+  if (!target.value().entry.has_snapshot) {
     return Status::NotFound("chunk has no snapshot (never modified)");
   }
   std::vector<SimDuration> times;
-  Result<Bytes> padded = read_stripe(
-      entry.value().layout, entry.value().snapshot,
-      entry.value().snapshot_digests, entry.value().snapshot_padded_size,
-      times);
-  if (!padded.ok()) return padded.status();
-  remove_protection(padded.value(), entry.value().snapshot_protection,
-                    entry.value().layout,
-                    entry.value().snapshot_protect_nonce,
-                    entry.value().snapshot_protect_bytes);
-  return MisleadingCodec::strip(padded.value(),
-                                entry.value().snapshot_misleading);
+  return open(target.value().entry, StripeVersion::kSnapshot, times,
+              ReadMode::kEager);
 }
 
 Status CloudDataDistributor::remove_chunk(const std::string& client,
                                           const std::string& password,
                                           const std::string& filename,
                                           std::uint64_t serial) {
-  const std::size_t shard = plane_->shard_of(client, filename);
-  MetadataStore& md = plane_->store(shard);
-  std::optional<ChunkRef> ref = md.find_chunk(client, filename, serial);
-  if (!ref.has_value()) {
-    return Status::NotFound("chunk " + filename + "#" +
-                            std::to_string(serial));
-  }
-  Result<PrivacyLevel> auth = authorize(client, password, ref->privacy_level);
-  if (!auth.ok()) return auth.status();
-  Result<ChunkEntry> entry = md.chunk_entry(ref->chunk_index);
-  if (!entry.ok()) return entry.status();
-
-  OpScope op(telemetry_.get(), "remove_chunk", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
-  op.chunk_serial = serial;
-  op.chunks = 1;
-  op.shards = entry.value().stripe.size() + entry.value().snapshot.size();
-
-  // Commit the removal (tombstone + unlink + journal) before any provider-
-  // side delete: a crash mid-drop must leave orphans, not a live chunk row
-  // pointing at vanished shards.
-  ChunkEntry tombstone = entry.value();
-  tombstone.deleted = true;
-  tombstone.stripe.clear();
-  tombstone.snapshot.clear();
-  tombstone.has_snapshot = false;
-  Status updated = md.update_chunk(ref->chunk_index, std::move(tombstone));
-  if (!updated.ok()) return op.finish(updated, nullptr,
-                                      config_.worker_threads);
-  Status unlinked = md.unlink_chunk(client, filename, serial);
-  if (!unlinked.ok()) return op.finish(unlinked, nullptr,
-                                       config_.worker_threads);
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemoveChunk;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.push_back(JournalChunk{serial, ref->chunk_index, {}});
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, nullptr, config_.worker_threads);
-    }
-  }
-
-  drop_stripe(entry.value().stripe, &op.times, shard);
-  if (entry.value().has_snapshot) {
-    drop_stripe(entry.value().snapshot, &op.times, shard);
-  }
-  return op.finish(Status::Ok(), nullptr, config_.worker_threads);
+  Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
+  if (!target.ok()) return target.status();
+  return remove_refs(client, filename,
+                     FileTarget{target.value().shard, {target.value().ref}},
+                     JournalOp::kRemoveChunk);
 }
 
 Status CloudDataDistributor::remove_file(const std::string& client,
                                          const std::string& password,
                                          const std::string& filename) {
-  const std::size_t shard = plane_->shard_of(client, filename);
-  MetadataStore& md = plane_->store(shard);
-  std::vector<ChunkRef> refs = md.file_chunks(client, filename);
-  if (refs.empty()) {
-    Result<PrivacyLevel> auth = metadata().authenticate(client, password);
-    if (!auth.ok()) return auth.status();
-    return Status::NotFound("file " + filename + " for client " + client);
-  }
-  // Authorize once against the file's highest chunk PL instead of
-  // re-authenticating the password for every chunk.
-  PrivacyLevel required = refs.front().privacy_level;
-  for (const ChunkRef& ref : refs) {
-    if (level_index(ref.privacy_level) > level_index(required)) {
-      required = ref.privacy_level;
-    }
-  }
-  Result<PrivacyLevel> auth = authorize(client, password, required);
-  if (!auth.ok()) return auth.status();
+  Result<FileTarget> target = lookup_file(client, password, filename);
+  if (!target.ok()) return target.status();
+  return remove_refs(client, filename, target.value(),
+                     JournalOp::kRemoveFile);
+}
 
-  std::vector<Result<ChunkEntry>> entries;
-  entries.reserve(refs.size());
+Status CloudDataDistributor::remove_refs(const std::string& client,
+                                         const std::string& filename,
+                                         const FileTarget& target,
+                                         JournalOp kind) {
+  MetadataStore& md = plane_->store(target.shard);
+  const std::vector<ChunkRef>& refs = target.refs;
+  std::vector<ChunkEntry> rows;
+  rows.reserve(refs.size());
   for (const ChunkRef& ref : refs) {
-    entries.push_back(md.chunk_entry(ref.chunk_index));
-  }
-  for (const auto& e : entries) {
-    if (!e.ok()) return e.status();
+    Result<ChunkEntry> row = md.chunk_entry(ref.chunk_index);
+    if (!row.ok()) return row.status();
+    rows.push_back(std::move(row).value());
   }
 
-  OpScope op(telemetry_.get(), "remove_file", client, filename,
-             config_.watchdog.get(), config_.retry.deadline.count());
+  const bool one_chunk = kind == JournalOp::kRemoveChunk;
+  OpScope op(*this, one_chunk ? "remove_chunk" : "remove_file", client,
+             filename);
   op.chunks = refs.size();
-
-  // Commit the removal first -- tombstone + unlink every ref, then one
-  // journal record covering the whole file -- and only then delete at
-  // providers. A crash mid-drop leaves orphans for reconcile, never a
-  // referenced-but-deleted shard.
+  if (one_chunk) op.chunk_serial = refs.front().serial;
+  JournalRecord rec;
+  rec.op = kind;
+  rec.client = client;
+  rec.filename = filename;
+  rec.chunks.reserve(refs.size());
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    ChunkEntry tombstone = entries[i].value();
-    tombstone.deleted = true;
-    tombstone.stripe.clear();
-    tombstone.snapshot.clear();
-    tombstone.has_snapshot = false;
-    Status updated = md.update_chunk(refs[i].chunk_index,
-                                     std::move(tombstone));
-    if (!updated.ok()) return op.finish(updated, nullptr,
-                                        config_.worker_threads);
-    Status unlinked = md.unlink_chunk(client, filename, refs[i].serial);
-    if (!unlinked.ok()) return op.finish(unlinked, nullptr,
-                                         config_.worker_threads);
+    Status st = md.update_chunk(refs[i].chunk_index, tombstone_of(rows[i]));
+    if (st.ok()) st = md.unlink_chunk(client, filename, refs[i].serial);
+    if (!st.ok()) return op.finish(st);
+    rec.chunks.push_back(JournalChunk{refs[i].serial, refs[i].chunk_index, {}});
   }
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemoveFile;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.reserve(refs.size());
-    for (const ChunkRef& ref : refs) {
-      rec.chunks.push_back(JournalChunk{ref.serial, ref.chunk_index, {}});
-    }
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, nullptr, config_.worker_threads);
-    }
+  if (Status st = journal_append(rec, target.shard); !st.ok()) {
+    return op.finish(st);
   }
 
-  // Drop all stripes through the pool. Each task owns its slot in
-  // `drop_times`, so no lock is needed; the futures are joined before the
-  // slots merge into the op accumulator.
+  // Each task owns its slot in `drop_times`, so no lock is needed; the
+  // slots merge into the op accumulator after fan_out joins.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
-  auto drop_one = [&](std::size_t i) {
-    const ChunkEntry& e = entries[i].value();
-    drop_stripe(e.stripe, &drop_times[i], shard);
-    if (e.has_snapshot) drop_stripe(e.snapshot, &drop_times[i], shard);
-  };
-  if (config_.pipelined && refs.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(refs.size());
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      futures.push_back(pool_.submit([&drop_one, i] { drop_one(i); }));
+  fan_out(refs.size(), [&](std::size_t i) {
+    drop_stripe(rows[i].stripe, &drop_times[i], target.shard);
+    if (rows[i].has_snapshot) {
+      drop_stripe(rows[i].snapshot, &drop_times[i], target.shard);
     }
-    for (auto& f : futures) f.get();
-  } else {
-    for (std::size_t i = 0; i < refs.size(); ++i) drop_one(i);
+  });
+  for (const std::vector<SimDuration>& t : drop_times) {
+    op.shards += t.size();
+    op.times.insert(op.times.end(), t.begin(), t.end());
   }
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    op.shards += drop_times[i].size();
-    op.times.insert(op.times.end(), drop_times[i].begin(),
-                    drop_times[i].end());
-  }
-  return op.finish(Status::Ok(), nullptr, config_.worker_threads);
+  return op.finish(Status::Ok());
 }
 
 Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
@@ -1689,8 +1573,7 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
 
 Result<std::size_t> CloudDataDistributor::maintenance_walk(
     const char* op_name, const MovePolicy& policy, const char* moved_counter) {
-  OpScope op(telemetry_.get(), op_name, "", "", config_.watchdog.get(),
-             config_.retry.deadline.count());
+  OpScope op(*this, op_name);
   // One chunk in flight keeps the index visit order, and so the journal
   // append order, deterministic.
   Migrator walker(*this, Migrator::Config{0.0, 1});
@@ -1700,8 +1583,7 @@ Result<std::size_t> CloudDataDistributor::maintenance_walk(
   if (moved != 0 && telemetry_->enabled()) {
     telemetry_->metrics().counter(moved_counter).inc(moved);
   }
-  CS_RETURN_IF_ERROR(
-      op.finish(pass.status(), nullptr, config_.worker_threads));
+  CS_RETURN_IF_ERROR(op.finish(pass.status()));
   return moved;
 }
 
@@ -1718,8 +1600,7 @@ Result<std::size_t> CloudDataDistributor::rebalance() {
 Result<CloudDataDistributor::ReconcileReport>
 CloudDataDistributor::reconcile(
     const std::vector<std::pair<std::string, std::string>>& in_flight) {
-  OpScope op(telemetry_.get(), "reconcile", "", "", config_.watchdog.get(),
-             config_.retry.deadline.count());
+  OpScope op(*this, "reconcile");
   ReconcileReport report;
 
   // 1. The referenced set: every (provider, id) a live chunk row points at,
@@ -1788,7 +1669,7 @@ CloudDataDistributor::reconcile(
     rec.client = client;
     rec.filename = filename;
     if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, nullptr, config_.worker_threads);
+      return op.finish(st);
     }
     ++report.aborted_files;
   }
@@ -1798,7 +1679,7 @@ CloudDataDistributor::reconcile(
   //    provider that lost writes).
   Result<std::size_t> repaired = repair();
   if (!repaired.ok()) {
-    return op.finish(repaired.status(), nullptr, config_.worker_threads);
+    return op.finish(repaired.status());
   }
   report.repaired_shards = repaired.value();
 
@@ -1811,7 +1692,7 @@ CloudDataDistributor::reconcile(
       m.counter("cdd.recovery_aborted_puts").inc(report.aborted_files);
     }
   }
-  (void)op.finish(Status::Ok(), nullptr, config_.worker_threads);
+  (void)op.finish(Status::Ok());
   return report;
 }
 

@@ -25,6 +25,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,17 +72,16 @@ struct DistributorConfig {
                                 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A,
                                 0x0B, 0x0C};
   PlacementMode placement = PlacementMode::kCostAware;
-  std::size_t worker_threads = 8;      ///< chunk-level compute channels
+  /// Chunk-level compute channels. A multi-chunk put/get/remove fans every
+  /// chunk's stripe out to this pool as independent work, so up to this
+  /// many stripes are in flight at once; 1 walks the chunks one stripe at
+  /// a time (the per-stripe barrier baseline bench_throughput gates
+  /// against).
+  std::size_t worker_threads = 8;
   /// Shard RPC channels. Shard I/O is latency-bound, not CPU-bound, so the
   /// I/O pool is wider than the compute pool (real object-store clients do
   /// the same). 0 = 4 x worker_threads.
   std::size_t io_threads = 0;
-  /// Chunk-level pipelining for file-granularity ops: put_file/get_file fan
-  /// every chunk's stripe out to the pool as independent work instead of
-  /// walking chunks serially with a barrier per stripe. false reproduces the
-  /// serial per-stripe loop (the pre-pipeline baseline; kept for A/B
-  /// benchmarking -- see bench_throughput).
-  bool pipelined = true;
   /// Runtime telemetry toggle. When true the distributor records per-op
   /// trace spans and pipeline metrics into `telemetry_sink` (or, when that
   /// is null, the process-global obs::Telemetry::global()), and wires the
@@ -389,9 +389,13 @@ class CloudDataDistributor {
   /// concurrently (lowest latency for a single chunk). kLazyParity first
   /// fetches only the data shards -- encode() lays shards out data-first --
   /// and touches parity solely when a data shard is missing or corrupt;
-  /// the pipelined get_file uses it to cut per-stripe work by the parity
+  /// a multi-chunk get_file uses it to cut per-stripe work by the parity
   /// fraction.
   enum class ReadMode { kEager, kLazyParity };
+
+  /// Which of a chunk row's two stripes to open: the current one (CP
+  /// column) or the pre-modification snapshot (SP column).
+  enum class StripeVersion { kCurrent, kSnapshot };
 
   /// What a stripe read had to do beyond the happy path (feeds the
   /// parity-fallback counters and OpReport::parity_reads).
@@ -402,10 +406,72 @@ class CloudDataDistributor {
     bool fallback = false;         ///< a data shard was missing/corrupt
   };
 
-  /// Authenticates and checks privilege against `required`.
+  /// Authenticates and checks privilege against `required`. Every failure
+  /// counts in cdd.auth_failures.
   Result<PrivacyLevel> authorize(const std::string& client,
                                  const std::string& password,
                                  PrivacyLevel required) const;
+
+  /// A chunk op's target: owning metadata partition, ref and row.
+  struct ChunkTarget {
+    std::size_t shard = 0;
+    ChunkRef ref;
+    ChunkEntry entry;
+  };
+  /// A file op's target: owning metadata partition and serial-ordered refs.
+  struct FileTarget {
+    std::size_t shard = 0;
+    std::vector<ChunkRef> refs;
+  };
+
+  /// The lookup-and-authorize preamble of every chunk op: resolves the ref
+  /// in the owning partition, authorizes against the chunk's PL and reads
+  /// its row. A missing name still authenticates first, so a bad password
+  /// is PERMISSION_DENIED whether or not the name exists -- it cannot probe
+  /// the namespace.
+  Result<ChunkTarget> lookup_chunk(const std::string& client,
+                                   const std::string& password,
+                                   const std::string& filename,
+                                   std::uint64_t serial) const;
+
+  /// The file ops' preamble, same contract: authorizes once against the
+  /// file's highest chunk PL.
+  Result<FileTarget> lookup_file(const std::string& client,
+                                 const std::string& password,
+                                 const std::string& filename) const;
+
+  /// Seals one chunk payload into a fresh current stripe of `row`: chaff at
+  /// ratio `chaff` on the chunk's own RNG stream (only the seed is drawn
+  /// under mu_), row.protection under a fresh nonce, then write_stripe.
+  /// The caller sets row.privacy_level, layout and protection; seal sets
+  /// stripe, shard_digests, misleading, padded_size, protect_nonce and
+  /// protect_bytes. The returned locations and digests have moved into
+  /// `row`; the rest of the result is the write's footprint.
+  Result<StripeWriteResult> seal(BytesView plain, double chaff,
+                                 ChunkEntry& row,
+                                 std::vector<SimDuration>& times,
+                                 const obs::SpanCtx& span, std::size_t shard);
+
+  /// Inverse of seal for one of `row`'s stripes: read_stripe, undo the
+  /// protection, strip the chaff. Returns the plaintext chunk.
+  Result<Bytes> open(const ChunkEntry& row, StripeVersion version,
+                     std::vector<SimDuration>& times, ReadMode mode,
+                     const obs::SpanCtx& span = {},
+                     StripeReadStats* stats = nullptr);
+
+  /// Runs body(i) for every i < n and joins: as independent compute-pool
+  /// tasks when n > 1 (an N-chunk op keeps every chunk's stripe in flight
+  /// at once instead of N per-stripe barriers), inline for one item.
+  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
+
+  /// The removal body of remove_chunk and remove_file: tombstones and
+  /// unlinks every ref in `target`, journals one `kind` record, and only
+  /// then deletes the stripes and snapshots at providers, so a crash
+  /// mid-drop leaves orphans for reconcile(), never a live row pointing at
+  /// vanished shards. `kind` (kRemoveChunk or kRemoveFile) also names the
+  /// op's span and metrics.
+  Status remove_refs(const std::string& client, const std::string& filename,
+                     const FileTarget& target, JournalOp kind);
 
   /// Applies the protection transform to a chaffed padded payload, in
   /// place, before it is encoded/digested/uploaded. Returns the AES-
@@ -425,21 +491,22 @@ class CloudDataDistributor {
 
   VirtualId next_virtual_id();
 
-  /// Encodes `payload` under `layout` and uploads shards to `targets` via
-  /// the I/O pool, appending per-request service times to `times`.
+  /// Places a stripe for `pl` (placement_ under mu_), encodes `payload`
+  /// under `layout` and uploads the shards via the I/O pool, appending
+  /// per-request service times to `times`.
   /// Per-shard SHA-256 digests are computed inside the upload tasks, off
   /// the caller thread. Safe to call from pool_ tasks: shard work runs on
   /// io_pool_, whose tasks never submit further work, so blocking on them
   /// cannot deadlock the compute pool.
-  /// `pl` is the chunk's privacy level -- needed so a shard whose provider
-  /// keeps failing can be re-placed on another *trust-eligible* provider
-  /// (the write-quarantine path) instead of failing the stripe.
+  /// `pl` is the chunk's privacy level: placement picks trust-eligible
+  /// providers for it, and a shard whose provider keeps failing is
+  /// re-placed on another trust-eligible one (the write-quarantine path)
+  /// instead of failing the stripe.
   /// `shard` is the metadata partition owning the chunk being written --
   /// its provider table records the placements, keeping each partition's
   /// checkpoint self-consistent with its own chunk rows.
   Result<StripeWriteResult> write_stripe(BytesView payload,
                                          const raid::StripeLayout& layout,
-                                         const std::vector<ProviderIndex>& targets,
                                          PrivacyLevel pl,
                                          std::vector<SimDuration>& times,
                                          const obs::SpanCtx& span,

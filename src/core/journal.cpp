@@ -659,12 +659,8 @@ Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
     case JournalOp::kRemoveFile: {
       for (const JournalChunk& c : rec.chunks) {
         const auto before = row_at(store, c.index);
-        ChunkEntry tombstone;
-        if (before) tombstone = *before;
-        tombstone.deleted = true;
-        tombstone.stripe.clear();
-        tombstone.snapshot.clear();
-        tombstone.has_snapshot = false;
+        const ChunkEntry tombstone =
+            tombstone_of(before.value_or(ChunkEntry{}));
         store.set_chunk(c.index, tombstone);
         sync_placements(store, before ? &*before : nullptr, tombstone);
         Status st = store.unlink_chunk(rec.client, rec.filename, c.serial);

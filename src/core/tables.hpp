@@ -71,6 +71,19 @@ struct ChunkEntry {
   bool deleted = false;  ///< tombstone; indices stay stable after removal
 };
 
+/// The deleted form of `row`: marked deleted, with no shard locations
+/// (current or snapshot) left, so indices stay stable after removal. Every
+/// writer of a removed row -- remove_chunk, remove_file, the put rollback
+/// and journal replay -- builds it here.
+[[nodiscard]] inline ChunkEntry tombstone_of(const ChunkEntry& row) {
+  ChunkEntry tombstone = row;
+  tombstone.deleted = true;
+  tombstone.stripe.clear();
+  tombstone.snapshot.clear();
+  tombstone.has_snapshot = false;
+  return tombstone;
+}
+
 /// Chunk coordinate within a client's namespace.
 struct ChunkRef {
   std::string filename;

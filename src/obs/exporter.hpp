@@ -27,6 +27,7 @@
 // readers copy.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -45,6 +46,56 @@
 #include "obs/watchdog.hpp"
 
 namespace cshield::obs {
+
+// --- window math over a sample ring ----------------------------------------
+//
+// A ring is any oldest-first sequence of MetricsExporter::Sample: the
+// exporter's live deque, or the copy the health engine evaluates. The
+// window is the span between the ring's two ends.
+
+/// Counter increase across the window (missing metric = 0). Counters are
+/// monotonic except for explicit reset(); a reset mid-window clamps to 0
+/// rather than going negative.
+template <typename Ring>
+[[nodiscard]] std::uint64_t window_counter_delta(const Ring& ring,
+                                                 const std::string& name) {
+  if (ring.size() < 2) return 0;
+  const auto value = [&name](const auto& sample) -> std::uint64_t {
+    auto it = sample.snap.counters.find(name);
+    return it == sample.snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t oldest = value(ring.front());
+  const std::uint64_t newest = value(ring.back());
+  return newest >= oldest ? newest - oldest : 0;
+}
+
+/// Windowed histogram: per-bucket count deltas between the ring's ends,
+/// packaged as a Histogram::Snapshot so percentile()/mean() answer for the
+/// window instead of the process lifetime. min/max stay lifetime values
+/// (the registry does not window them); nullopt when the metric is absent
+/// or the window holds no new observations.
+template <typename Ring>
+[[nodiscard]] std::optional<Histogram::Snapshot> window_histogram(
+    const Ring& ring, const std::string& name) {
+  if (ring.empty()) return std::nullopt;
+  auto newest = ring.back().snap.histograms.find(name);
+  if (newest == ring.back().snap.histograms.end()) return std::nullopt;
+  Histogram::Snapshot w = newest->second;
+  if (ring.size() >= 2) {
+    auto oldest = ring.front().snap.histograms.find(name);
+    if (oldest != ring.front().snap.histograms.end() &&
+        oldest->second.counts.size() == w.counts.size() &&
+        oldest->second.count <= w.count) {
+      for (std::size_t i = 0; i < w.counts.size(); ++i) {
+        w.counts[i] -= std::min(oldest->second.counts[i], w.counts[i]);
+      }
+      w.count -= oldest->second.count;
+      w.sum -= oldest->second.sum;
+    }
+  }
+  if (w.count == 0) return std::nullopt;
+  return w;
+}
 
 class MetricsExporter {
  public:
@@ -159,27 +210,20 @@ class MetricsExporter {
     return {ring_.begin(), ring_.end()};
   }
 
-  /// Counter increase across the retained window (missing metric = 0).
-  /// Counters are monotonic except for explicit reset(); a reset mid-window
-  /// clamps to 0 rather than going negative.
+  /// Counter increase across the retained window (window_counter_delta).
   [[nodiscard]] std::uint64_t counter_delta(const std::string& name) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.size() < 2) return 0;
-    const std::uint64_t oldest = counter_in(ring_.front(), name);
-    const std::uint64_t newest = counter_in(ring_.back(), name);
-    return newest >= oldest ? newest - oldest : 0;
+    return window_counter_delta(ring_, name);
   }
 
   /// counter_delta divided by the window's wall span.
   [[nodiscard]] double counter_rate_per_sec(const std::string& name) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (ring_.size() < 2) return 0.0;
-    const std::uint64_t oldest = counter_in(ring_.front(), name);
-    const std::uint64_t newest = counter_in(ring_.back(), name);
     const double span_s =
         static_cast<double>(ring_.back().t_ns - ring_.front().t_ns) * 1e-9;
-    if (span_s <= 0.0 || newest < oldest) return 0.0;
-    return static_cast<double>(newest - oldest) / span_s;
+    if (span_s <= 0.0) return 0.0;
+    return static_cast<double>(window_counter_delta(ring_, name)) / span_s;
   }
 
   /// Latest value of a counter / gauge in the ring (nullopt = never seen).
@@ -201,32 +245,11 @@ class MetricsExporter {
     return it->second;
   }
 
-  /// Rolling-window histogram: per-bucket count deltas between the ring's
-  /// ends, packaged as a Histogram::Snapshot so percentile()/mean() answer
-  /// for the window instead of the process lifetime. min/max stay lifetime
-  /// values (the registry does not window them); nullopt when the metric
-  /// is absent or the window holds no new observations.
+  /// Rolling-window histogram over the retained ring (window_histogram).
   [[nodiscard]] std::optional<Histogram::Snapshot> histogram_window(
       const std::string& name) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.empty()) return std::nullopt;
-    auto newest = ring_.back().snap.histograms.find(name);
-    if (newest == ring_.back().snap.histograms.end()) return std::nullopt;
-    Histogram::Snapshot w = newest->second;
-    if (ring_.size() >= 2) {
-      auto oldest = ring_.front().snap.histograms.find(name);
-      if (oldest != ring_.front().snap.histograms.end() &&
-          oldest->second.counts.size() == w.counts.size() &&
-          oldest->second.count <= w.count) {
-        for (std::size_t i = 0; i < w.counts.size(); ++i) {
-          w.counts[i] -= std::min(oldest->second.counts[i], w.counts[i]);
-        }
-        w.count -= oldest->second.count;
-        w.sum -= oldest->second.sum;
-      }
-    }
-    if (w.count == 0) return std::nullopt;
-    return w;
+    return window_histogram(ring_, name);
   }
 
   // --- rendering --------------------------------------------------------
@@ -277,11 +300,6 @@ class MetricsExporter {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
-  static std::uint64_t counter_in(const Sample& s, const std::string& name) {
-    auto it = s.snap.counters.find(name);
-    return it == s.snap.counters.end() ? 0 : it->second;
-  }
-
   void loop() {
     std::unique_lock<std::mutex> lk(cv_mu_);
     while (!stop_) {

@@ -247,45 +247,10 @@ class HealthEngine {
  private:
   using Sample = MetricsExporter::Sample;
 
-  static std::uint64_t counter_in(const Sample& s, const std::string& name) {
-    auto it = s.snap.counters.find(name);
-    return it == s.snap.counters.end() ? 0 : it->second;
-  }
-
-  static std::uint64_t counter_delta(const std::vector<Sample>& ring,
-                                     const std::string& name) {
-    if (ring.size() < 2) return 0;
-    const std::uint64_t oldest = counter_in(ring.front(), name);
-    const std::uint64_t newest = counter_in(ring.back(), name);
-    return newest >= oldest ? newest - oldest : 0;
-  }
-
   static std::int64_t gauge_latest(const std::vector<Sample>& ring,
                                    const std::string& name) {
     auto it = ring.back().snap.gauges.find(name);
     return it == ring.back().snap.gauges.end() ? 0 : it->second;
-  }
-
-  /// Windowed p99 of a histogram (bucket-count deltas between ring ends);
-  /// 0 when absent or quiet -- a silent subsystem is a healthy one.
-  static double windowed_p99(const std::vector<Sample>& ring,
-                             const std::string& name) {
-    auto newest = ring.back().snap.histograms.find(name);
-    if (newest == ring.back().snap.histograms.end()) return 0.0;
-    Histogram::Snapshot w = newest->second;
-    if (ring.size() >= 2) {
-      auto oldest = ring.front().snap.histograms.find(name);
-      if (oldest != ring.front().snap.histograms.end() &&
-          oldest->second.counts.size() == w.counts.size() &&
-          oldest->second.count <= w.count) {
-        for (std::size_t i = 0; i < w.counts.size(); ++i) {
-          w.counts[i] -= std::min(oldest->second.counts[i], w.counts[i]);
-        }
-        w.count -= oldest->second.count;
-        w.sum -= oldest->second.sum;
-      }
-    }
-    return w.count == 0 ? 0.0 : w.percentile(0.99);
   }
 
   [[nodiscard]] static HealthState state_of(double value, double degraded,
@@ -318,8 +283,8 @@ class HealthEngine {
       p.name = metric.substr(kPrefix.size(),
                              metric.size() - kPrefix.size() - kSuffix.size());
       const std::string base = std::string(kPrefix) + p.name;
-      p.window_requests = counter_delta(ring, base + ".requests");
-      p.window_errors = counter_delta(ring, base + ".errors");
+      p.window_requests = window_counter_delta(ring, base + ".requests");
+      p.window_errors = window_counter_delta(ring, base + ".errors");
       p.error_rate = p.window_requests == 0
                          ? 0.0
                          : static_cast<double>(p.window_errors) /
@@ -346,8 +311,12 @@ class HealthEngine {
       for (const auto& [metric, unused] : ring.back().snap.counters) {
         (void)unused;
         if (metric.compare(0, kCdd.size(), kCdd) != 0) continue;
-        if (ends_with(metric, "_total")) ok += counter_delta(ring, metric);
-        if (ends_with(metric, "_errors")) bad += counter_delta(ring, metric);
+        if (ends_with(metric, "_total")) {
+          ok += window_counter_delta(ring, metric);
+        }
+        if (ends_with(metric, "_errors")) {
+          bad += window_counter_delta(ring, metric);
+        }
       }
       SloStatus s;
       s.name = "availability";
@@ -394,9 +363,9 @@ class HealthEngine {
     // scrub integrity: corrupt shards per chunk scanned in the window.
     {
       const std::uint64_t scanned =
-          counter_delta(ring, "scrub.chunks_scanned");
+          window_counter_delta(ring, "scrub.chunks_scanned");
       const std::uint64_t mismatched =
-          counter_delta(ring, "scrub.digest_mismatches");
+          window_counter_delta(ring, "scrub.digest_mismatches");
       SloStatus s;
       s.name = "scrub.integrity";
       s.objective = policy_.scrub_error_degraded;
@@ -440,7 +409,7 @@ class HealthEngine {
       s.name = "migration";
       s.objective = policy_.migration_errors_degraded;
       s.value =
-          static_cast<double>(counter_delta(ring, "migration.errors"));
+          static_cast<double>(window_counter_delta(ring, "migration.errors"));
       s.state = state_of(s.value, policy_.migration_errors_degraded,
                          policy_.migration_errors_critical);
       s.budget_spent = budget_spent(s.value, s.objective);
@@ -453,7 +422,10 @@ class HealthEngine {
     SloStatus s;
     s.name = slo_name;
     s.objective = target;
-    s.value = windowed_p99(ring, metric);
+    // A quiet (or absent) histogram reads 0: a silent subsystem is healthy.
+    const std::optional<Histogram::Snapshot> window =
+        window_histogram(ring, metric);
+    s.value = window.has_value() ? window->percentile(0.99) : 0.0;
     s.state = state_of(s.value, target,
                        target * policy_.latency_critical_multiple);
     s.budget_spent = budget_spent(s.value, s.objective);

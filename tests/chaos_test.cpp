@@ -5,11 +5,11 @@
 // noise over a 256-chunk put/get with zero client-visible errors and
 // byte-for-byte replayable retry counts and trace spans.
 //
-// Every scenario runs the replay harness configuration: one worker thread,
-// one I/O thread, pipelined engine. The pools drain FIFO, so each
-// provider's request sequence -- the FaultPlan's clock -- is a pure
-// function of the workload, and two runs with the same plan seed produce
-// identical faults, retries, and span streams.
+// Every scenario runs the replay harness configuration: one worker thread
+// and one I/O thread. The pools drain FIFO, so each provider's request
+// sequence -- the FaultPlan's clock -- is a pure function of the workload,
+// and two runs with the same plan seed produce identical faults, retries,
+// and span streams.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -57,14 +57,13 @@ storage::ProviderRegistry flat_registry(std::size_t n) {
 }
 
 /// Deterministic-replay distributor config: single-threaded pools (FIFO
-/// request order), pipelined engine (exercises lazy-parity reads and
-/// hedging), private telemetry sink.
+/// request order; multi-chunk reads still take the lazy-parity path and
+/// hedge), private telemetry sink.
 DistributorConfig replay_config(std::shared_ptr<obs::Telemetry> sink) {
   DistributorConfig config;
   config.stripe_data_shards = 3;
   config.worker_threads = 1;
   config.io_threads = 1;
-  config.pipelined = true;
   config.telemetry = true;
   config.telemetry_sink = std::move(sink);
   config.seed = 0xC405;

@@ -635,8 +635,57 @@ TEST(DistributorTest, RemoveFileDeletesAllShards) {
             ErrorCode::kNotFound);
 }
 
+TEST(DistributorTest, BadPasswordCannotProbeTheNamespace) {
+  // A wrong password gets PERMISSION_DENIED whether or not the name exists.
+  // Answering NOT_FOUND for a missing name would let anyone without
+  // credentials map a client's files and chunk serials.
+  DistFixture f;
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  ASSERT_TRUE(
+      f.cdd->put_file("Bob", "Ty7e", "real", payload_of(3000), opts).ok());
+  // A modified chunk, so the existing name also has a snapshot.
+  ASSERT_TRUE(
+      f.cdd->update_chunk("Bob", "Ty7e", "real", 0, payload_of(100)).ok());
+
+  using Probe = ErrorCode (*)(CloudDataDistributor&, const std::string&);
+  const std::vector<std::pair<const char*, Probe>> ops = {
+      {"get_chunk",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.get_chunk("Bob", "wrong", n, 0).status().code();
+       }},
+      {"get_file",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.get_file("Bob", "wrong", n).status().code();
+       }},
+      {"update_chunk",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.update_chunk("Bob", "wrong", n, 0, payload_of(10)).code();
+       }},
+      {"get_chunk_snapshot",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.get_chunk_snapshot("Bob", "wrong", n, 0).status().code();
+       }},
+      {"remove_chunk",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.remove_chunk("Bob", "wrong", n, 0).code();
+       }},
+      {"remove_file",
+       [](CloudDataDistributor& c, const std::string& n) {
+         return c.remove_file("Bob", "wrong", n).code();
+       }},
+  };
+  for (const auto& [op, probe] : ops) {
+    for (const char* name : {"real", "missing"}) {
+      EXPECT_EQ(probe(*f.cdd, name), ErrorCode::kPermissionDenied)
+          << op << " on " << name;
+    }
+  }
+  EXPECT_TRUE(f.cdd->get_file("Bob", "Ty7e", "real").ok());
+}
+
 TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
-  for (bool pipelined : {true, false}) {
+  for (std::size_t workers : {8, 1}) {
     storage::ProviderRegistry registry;
     for (int i = 0; i < 5; ++i) {
       storage::ProviderDescriptor d;
@@ -647,7 +696,7 @@ TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
     }
     DistributorConfig config;
     config.stripe_data_shards = 3;
-    config.pipelined = pipelined;
+    config.worker_threads = workers;
     CloudDataDistributor cdd(registry, config);
     ASSERT_TRUE(cdd.register_client("Bob").ok());
     ASSERT_TRUE(cdd.add_password("Bob", "Ty7e", PrivacyLevel::kHigh).ok());
@@ -661,15 +710,15 @@ TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
     registry.at(4).set_online(false);
     PutOptions opts;
     opts.privacy_level = PrivacyLevel::kHigh;  // 1 KiB chunks -> 64 chunks
-    const Bytes data = payload_of(64 * 1024, pipelined ? 11 : 12);
+    const Bytes data = payload_of(64 * 1024, workers == 8 ? 11 : 12);
     EXPECT_FALSE(cdd.put_file("Bob", "Ty7e", "wedge", data, opts).ok())
-        << "pipelined=" << pipelined;
+        << "workers=" << workers;
 
     // No orphans: every shard of every stripe written before the failure
     // must have been dropped again.
     for (ProviderIndex p = 0; p < registry.size(); ++p) {
       EXPECT_EQ(registry.at(p).object_count(), 0u)
-          << "pipelined=" << pipelined << " provider " << p;
+          << "workers=" << workers << " provider " << p;
     }
     for (const auto& row : cdd.metadata().provider_table()) {
       EXPECT_EQ(row.count(), 0u) << row.name;
@@ -692,15 +741,16 @@ TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
   }
 }
 
-TEST(DistributorTest, SerialModeMatchesPipelined) {
-  // pipelined=false is the A/B baseline for bench_throughput; it must stay
-  // behaviorally identical to the pipelined engine.
-  for (bool pipelined : {true, false}) {
+TEST(DistributorTest, SingleWorkerMatchesPooled) {
+  // One worker walks a file's stripes one at a time -- the per-stripe
+  // barrier baseline bench_throughput gates against. It must stay
+  // behaviorally identical to the pooled engine.
+  for (std::size_t workers : {8, 1}) {
     storage::ProviderRegistry registry = storage::make_default_registry(12);
     DistributorConfig config;
     config.stripe_data_shards = 3;
     config.misleading_fraction = 0.2;
-    config.pipelined = pipelined;
+    config.worker_threads = workers;
     CloudDataDistributor cdd(registry, config);
     ASSERT_TRUE(cdd.register_client("Bob").ok());
     ASSERT_TRUE(cdd.add_password("Bob", "Ty7e", PrivacyLevel::kHigh).ok());
@@ -710,13 +760,13 @@ TEST(DistributorTest, SerialModeMatchesPipelined) {
     ASSERT_TRUE(cdd.put_file("Bob", "Ty7e", "ab.bin", data, opts).ok());
     Result<Bytes> back = cdd.get_file("Bob", "Ty7e", "ab.bin");
     ASSERT_TRUE(back.ok()) << back.status().to_string();
-    EXPECT_TRUE(equal(back.value(), data)) << "pipelined=" << pipelined;
+    EXPECT_TRUE(equal(back.value(), data)) << "workers=" << workers;
     ASSERT_TRUE(cdd.remove_file("Bob", "Ty7e", "ab.bin").ok());
     std::size_t stored = 0;
     for (ProviderIndex p = 0; p < registry.size(); ++p) {
       stored += registry.at(p).object_count();
     }
-    EXPECT_EQ(stored, 0u) << "pipelined=" << pipelined;
+    EXPECT_EQ(stored, 0u) << "workers=" << workers;
   }
 }
 

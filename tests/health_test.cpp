@@ -6,7 +6,7 @@
 // degraded -> healthy) is asserted transition by transition.
 //
 // The chaos scenario reuses chaos_test.cpp's replay harness (single-
-// threaded pools, pipelined engine, fixed seeds) so the breaker walk --
+// threaded pools, fixed seeds) so the breaker walk --
 // trip, rejections, failed probes, healing probe -- is a pure function of
 // the read count, and the engine's transition log replays byte-for-byte.
 #include <gtest/gtest.h>
@@ -96,7 +96,6 @@ DistributorConfig replay_config(std::shared_ptr<Telemetry> sink) {
   config.stripe_data_shards = 3;
   config.worker_threads = 1;
   config.io_threads = 1;
-  config.pipelined = true;
   config.telemetry = true;
   config.telemetry_sink = std::move(sink);
   config.seed = 0xC405;

@@ -534,6 +534,12 @@ TEST(DistributorTelemetryTest, AuthFailuresAreCounted) {
   opts.privacy_level = PrivacyLevel::kHigh;
   EXPECT_FALSE(f.cdd->put_file("Bob", "wrong", "x", data, opts).ok());
   EXPECT_EQ(f.sink->metrics().counter("cdd.auth_failures").value(), 1u);
+  // A bad password on a name that does not exist, and on the inventory,
+  // counts the same way.
+  EXPECT_FALSE(f.cdd->get_file("Bob", "wrong", "missing").ok());
+  EXPECT_EQ(f.sink->metrics().counter("cdd.auth_failures").value(), 2u);
+  EXPECT_FALSE(f.cdd->list_files("Bob", "wrong").ok());
+  EXPECT_EQ(f.sink->metrics().counter("cdd.auth_failures").value(), 3u);
 }
 
 }  // namespace

@@ -196,7 +196,6 @@ TEST_P(DistributorFaultSweep, SucceedsOrFailsCleanNeverPartial) {
   config.replication = 2;
   config.worker_threads = 1;  // deterministic request order per provider
   config.io_threads = 1;
-  config.pipelined = true;
   CloudDataDistributor cdd(registry, config);
   ASSERT_TRUE(cdd.register_client("C").ok());
   ASSERT_TRUE(cdd.add_password("C", "pw", PrivacyLevel::kHigh).ok());
