@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "core/distributor.hpp"
+#include "harness.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/table.hpp"
 
@@ -21,13 +22,6 @@ using core::CloudDataDistributor;
 using core::DistributorConfig;
 using core::OpReport;
 using core::PutOptions;
-
-Bytes make_payload(std::size_t n) {
-  Rng rng(n * 2654435761u + 17);
-  Bytes data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-  return data;
-}
 
 double ms(SimDuration d) { return static_cast<double>(d.count()) / 1e6; }
 
@@ -47,8 +41,9 @@ OpReport run_put(std::size_t file_size, PrivacyLevel pl,
   opts.privacy_level = pl;
   opts.raid = level;
   OpReport report;
-  Status st = cdd.put_file("bench", "pw", "payload.bin",
-                           make_payload(file_size), opts, &report);
+  Status st =
+      cdd.put_file("bench", "pw", "payload.bin",
+                   bench::make_payload(file_size, file_size), opts, &report);
   CS_REQUIRE(st.ok(), st.to_string());
   return report;
 }

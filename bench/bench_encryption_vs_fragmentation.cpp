@@ -31,13 +31,11 @@
 //     fragmentation achieves >= 2x partial-AES effective throughput on BOTH
 //     put and get under EVERY measured arm, while its worst-coalition
 //     mining success is no better for the attacker than partial-AES's.
-// Results land in ./BENCH_frontier.json (a bare argument overrides the
-// path); see EXPERIMENTS.md E19.
+// Results land in ./BENCH_frontier.json through the bench harness envelope
+// (a bare argument overrides the path); see EXPERIMENTS.md E19.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,6 +46,7 @@
 #include "crypto/aes.hpp"
 #include "crypto/fragmentation.hpp"
 #include "crypto/gf256_kernels.hpp"
+#include "harness.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/cpu.hpp"
 #include "util/table.hpp"
@@ -81,28 +80,10 @@ std::size_t aes_prefix_for(PrivacyLevel pl, std::size_t n) {
   return (n * kQuarters[static_cast<std::size_t>(level_index(pl))] + 3) / 4;
 }
 
-/// Best-of-three GB/s for `fn`; reps auto-scaled to >= ~20 ms per sample.
-/// `bytes_per_call` is the PROTECTED payload size, so a partial transform
-/// is credited with the whole payload it protects (effective throughput).
-template <typename Fn>
-double gbps(std::size_t bytes_per_call, Fn&& fn) {
-  std::size_t reps = 1;
-  for (;;) {
-    Stopwatch w;
-    for (std::size_t i = 0; i < reps; ++i) fn();
-    if (w.elapsed_seconds() >= 0.02 || reps >= (1u << 22)) break;
-    reps *= 4;
-  }
-  double best = 0.0;
-  for (int sample = 0; sample < 3; ++sample) {
-    Stopwatch w;
-    for (std::size_t i = 0; i < reps; ++i) fn();
-    const double s = w.elapsed_seconds();
-    best = std::max(best, static_cast<double>(bytes_per_call) *
-                              static_cast<double>(reps) / s / 1e9);
-  }
-  return best;
-}
+// Throughput rows credit a partial transform with the whole payload it
+// protects (effective throughput): bench::gbps is given the PROTECTED size.
+using bench::gbps;
+using bench::Json;
 
 std::vector<Arm> measured_arms() {
   std::vector<Arm> arms = {Arm::kScalar};
@@ -310,9 +291,7 @@ int main(int argc, char** argv) {
   {
     constexpr std::size_t kPayload = 256 * 1024;  // one PL3-ish chunk
     constexpr std::size_t kFragments = 3;         // stripe_data_shards
-    Rng fill(0xE19);
-    Bytes payload(kPayload);
-    for (auto& b : payload) b = static_cast<std::uint8_t>(fill.below(256));
+    const Bytes payload = bench::make_payload(kPayload, 0xE19);
 
     for (PrivacyLevel pl : pls) {
       // Partial-AES: encrypt the per-PL prefix, credit the whole payload.
@@ -442,20 +421,22 @@ int main(int argc, char** argv) {
     return nullptr;
   };
 
-  bool gate_ok = false;
+  // The best PL's worst-case ratio over put/get and every arm, among PLs
+  // where fragmentation gives the coalition no more coverage than AES.
+  double best_ratio = 0.0;
+  Json frontier = Json::array();
   std::cout << "\n=== gate ===\n";
   for (PrivacyLevel pl : pls) {
     const ThroughputRow* aes = tput_of(pl, "partial-aes", "any");
     const AttackRow* aes_atk = attack_of(pl, "partial-aes");
     const AttackRow* frag_atk = attack_of(pl, "fragmentation");
     if (aes == nullptr || aes_atk == nullptr || frag_atk == nullptr) continue;
-    bool tput_ok = true;
     double min_ratio = 1e18;
     for (Arm arm : measured_arms()) {
       const ThroughputRow* frag =
           tput_of(pl, "fragmentation", cpu::simd_level_name(arm));
       if (frag == nullptr) {
-        tput_ok = false;
+        min_ratio = 0.0;
         break;
       }
       const double put_ratio =
@@ -463,58 +444,72 @@ int main(int argc, char** argv) {
       const double get_ratio =
           aes->get_gb_s > 0 ? frag->get_gb_s / aes->get_gb_s : 1e18;
       min_ratio = std::min({min_ratio, put_ratio, get_ratio});
-      tput_ok = tput_ok && put_ratio >= 2.0 && get_ratio >= 2.0;
     }
     const bool atk_ok =
         frag_atk->worst_coverage <= aes_atk->worst_coverage + 1e-9;
+    const bool pl_ok = min_ratio >= 2.0 && atk_ok;
     std::cout << privacy_level_name(pl) << ": frag/aes throughput >= "
-              << (min_ratio >= 1e18 ? 0.0 : min_ratio)
+              << min_ratio
               << "x (need >= 2 on put+get, all arms), frag worst coverage "
               << frag_atk->worst_coverage << " vs aes "
               << aes_atk->worst_coverage << " -> "
-              << (tput_ok && atk_ok ? "PASS" : "fail") << "\n";
-    gate_ok = gate_ok || (tput_ok && atk_ok);
+              << (pl_ok ? "PASS" : "fail") << "\n";
+    if (atk_ok) best_ratio = std::max(best_ratio, min_ratio);
+    frontier.push(Json::object()
+                      .set("pl", level_index(pl))
+                      .set("min_throughput_ratio", min_ratio)
+                      .set("frag_worst_coverage", frag_atk->worst_coverage)
+                      .set("aes_worst_coverage", aes_atk->worst_coverage)
+                      .set("coverage_ok", atk_ok)
+                      .set("pass", pl_ok));
   }
-  std::cout << (gate_ok ? "PASS" : "FAIL")
-            << " (need at least one passing PL)\n";
 
-  // --- JSON ----------------------------------------------------------------
-  std::ostringstream js;
-  js << "{\n";
-  js << "  \"active_arm\": \"" << cpu::simd_level_name(active) << "\",\n";
-  js << "  \"throughput\": [\n";
-  for (std::size_t i = 0; i < tput_rows.size(); ++i) {
-    const auto& r = tput_rows[i];
-    js << "    {\"pl\": " << level_index(r.pl) << ", \"mode\": \"" << r.mode
-       << "\", \"arm\": \"" << r.arm << "\", \"put_gb_s\": " << r.put_gb_s
-       << ", \"get_gb_s\": " << r.get_gb_s << "}"
-       << (i + 1 == tput_rows.size() ? "\n" : ",\n");
+  bench::Report report("frontier");
+  report.config.set("table_rows", 65536)
+      .set("queries", kQueries)
+      .set("tput_payload_bytes", 256 * 1024)
+      .set("fragments", 3)
+      .set("attack_table_rows", 2048)
+      .set("attack_providers", 12)
+      .set("colluding", 3)
+      .set("timer", "best of 3 samples of >= 20 ms each");
+  report.gate("e19.frontier",
+              "max over PLs of min frag/partial-aes GB/s (put, get, every "
+              "arm)",
+              best_ratio, 2.0,
+              "some PL has value >= bound with frag worst-coalition "
+              "coverage <= partial-aes",
+              best_ratio >= 2.0);
+
+  Json throughput = Json::array();
+  for (const auto& r : tput_rows) {
+    throughput.push(Json::object()
+                        .set("pl", level_index(r.pl))
+                        .set("mode", r.mode)
+                        .set("arm", r.arm)
+                        .set("put_gb_s", r.put_gb_s)
+                        .set("get_gb_s", r.get_gb_s));
   }
-  js << "  ],\n";
-  js << "  \"attack\": [\n";
-  for (std::size_t i = 0; i < attack_rows.size(); ++i) {
-    const auto& r = attack_rows[i];
-    js << "    {\"pl\": " << level_index(r.pl) << ", \"mode\": \"" << r.mode
-       << "\", \"coalitions\": " << r.coalitions
-       << ", \"worst_coverage\": " << r.worst_coverage
-       << ", \"mean_coverage\": " << r.mean_coverage
-       << ", \"regression_ok\": " << (r.regression_ok ? "true" : "false")
-       << ", \"regression_rmse\": " << r.regression_rmse << "}"
-       << (i + 1 == attack_rows.size() ? "\n" : ",\n");
+  Json attack = Json::array();
+  for (const auto& r : attack_rows) {
+    attack.push(Json::object()
+                    .set("pl", level_index(r.pl))
+                    .set("mode", r.mode)
+                    .set("coalitions", r.coalitions)
+                    .set("worst_coverage", r.worst_coverage)
+                    .set("mean_coverage", r.mean_coverage)
+                    .set("regression_ok", r.regression_ok)
+                    .set("regression_rmse", r.regression_rmse));
   }
-  js << "  ],\n";
-  js << "  \"gate\": {\"pass\": " << (gate_ok ? "true" : "false") << "}\n";
-  js << "}\n";
-  std::ofstream out(out_path);
-  out << js.str();
-  out.close();
-  std::cout << "\nwrote " << out_path << "\n";
+  report.rows.set("throughput", throughput)
+      .set("attack", attack)
+      .set("frontier", frontier);
 
   std::cout << "expected shape: regime C pays ~#chunks more transfer and a "
                "whole-file decrypt per query; fragmentation regimes answer "
                "point queries at single-chunk cost; the frontier shows "
                "key-less entanglement beating partial AES on both put and "
                "get throughput while holding the colluding adversary to "
-               "equal-or-worse reconstruction.\n";
-  return gate_ok ? 0 : 1;
+               "equal-or-worse reconstruction.\n\n";
+  return report.finish(out_path);
 }

@@ -1,6 +1,6 @@
 // GB/s microbenchmark + CI gate for the SIMD erasure-code data plane.
 //
-// Four sections:
+// Five sections:
 //   1. Kernel arms: xor_into and mul_add through every arm the host can run
 //      (scalar byte loop, 64-bit SWAR, SSSE3, AVX2) across shard sizes
 //      4 KiB / 64 KiB / 1 MiB, reported in GB/s.
@@ -11,7 +11,9 @@
 //      as a speedup.
 //   4. SHA-256 arms: one-shot digest GB/s through every compress arm the
 //      host can run (portable FIPS 180-4 loop, SHA-NI) at 4 KiB and 64 KiB.
-//      Recorded only; no gate reads them.
+//   5. Pipeline stages: AES-128-CTR at 1 KiB and 256 KiB, split_file on
+//      1 MiB, MisleadingCodec::inject on 64 KiB, and HashRing::lookup.
+// Sections 4 and 5 are recorded only; no gate reads them.
 //
 // Gate (exit non-zero on failure; skipped when the host has no SIMD or
 // CSHIELD_FORCE_SCALAR is set, but the numbers are always recorded):
@@ -19,19 +21,22 @@
 //   * vectorized xor     >= 4x the scalar byte loop at 64 KiB
 //   * targeted reconstruct >= 2x the decode+re-encode path (RAID-6 k=8)
 //
-// Results land in ./BENCH_kernels.json (a bare argument overrides the path)
-// so the perf trajectory is diffable across PRs; see EXPERIMENTS.md E16.
+// Results land in ./BENCH_kernels.json through the bench harness envelope
+// (a bare argument overrides the path); see EXPERIMENTS.md E16.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/chunker.hpp"
+#include "core/misleading.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/gf256.hpp"
 #include "crypto/gf256_kernels.hpp"
 #include "crypto/sha256.hpp"
+#include "dht/ring.hpp"
+#include "harness.hpp"
 #include "raid/raid.hpp"
 #include "util/cpu.hpp"
 #include "util/random.hpp"
@@ -44,44 +49,9 @@ using namespace cshield;
 namespace kern = gf256::kernels;
 using kern::Arm;
 
-Bytes make_payload(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 3);
-  Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
-
-/// Best-of-three GB/s for `fn` touching `bytes_per_call` per invocation.
-/// Reps are auto-scaled so each sample runs >= ~20 ms of wall clock.
-template <typename Fn>
-double gbps(std::size_t bytes_per_call, Fn&& fn) {
-  // Calibrate.
-  std::size_t reps = 1;
-  for (;;) {
-    Stopwatch w;
-    for (std::size_t i = 0; i < reps; ++i) fn();
-    if (w.elapsed_seconds() >= 0.02 || reps >= (1u << 24)) break;
-    reps *= 4;
-  }
-  double best = 0.0;
-  for (int sample = 0; sample < 3; ++sample) {
-    Stopwatch w;
-    for (std::size_t i = 0; i < reps; ++i) fn();
-    const double s = w.elapsed_seconds();
-    const double rate =
-        static_cast<double>(bytes_per_call) * static_cast<double>(reps) / s /
-        1e9;
-    best = std::max(best, rate);
-  }
-  return best;
-}
-
-struct KernelRow {
-  std::string kernel;  // "xor" | "mul_add"
-  std::string arm;
-  std::size_t size = 0;
-  double gb_s = 0.0;
-};
+using bench::gbps;
+using bench::Json;
+using bench::make_payload;
 
 std::vector<Arm> available_arms() {
   std::vector<Arm> arms;
@@ -90,28 +60,6 @@ std::vector<Arm> available_arms() {
   }
   return arms;
 }
-
-struct ShaRow {
-  std::string arm;
-  std::size_t size = 0;
-  double gb_s = 0.0;
-};
-
-struct RaidRow {
-  std::string op;     // "encode" | "decode2"
-  std::string level;  // "raid5" | "raid6"
-  std::size_t payload = 0;
-  double gb_s = 0.0;
-};
-
-struct RebuildRow {
-  std::string target;  // "data" | "p" | "q"
-  double targeted_gb_s = 0.0;
-  double full_path_gb_s = 0.0;
-  [[nodiscard]] double speedup() const {
-    return full_path_gb_s > 0 ? targeted_gb_s / full_path_gb_s : 0.0;
-  }
-};
 
 /// The pre-SIMD-PR rebuild strategy, kept here as the comparison baseline:
 /// decode the whole padded stripe, re-encode every shard, take one.
@@ -143,67 +91,74 @@ int main(int argc, char** argv) {
 
   // --- section 1: kernel arms ----------------------------------------------
   std::cout << "\n=== kernel arms (GB/s, best of 3) ===\n";
-  std::vector<KernelRow> kernel_rows;
-  const std::vector<std::size_t> sizes = {4096, 64 * 1024, 1 << 20};
-  for (std::size_t n : sizes) {
+  Json kernel_rows = Json::array();
+  // 64 KiB rates the gate compares: [kernel][scalar or active arm].
+  double rate64[2][2] = {{0.0, 0.0}, {0.0, 0.0}};
+  for (std::size_t n : {std::size_t{4096}, std::size_t{64 * 1024},
+                        std::size_t{1} << 20}) {
     const Bytes src = make_payload(n, n);
     Bytes dst = make_payload(n, n + 1);
     for (Arm arm : available_arms()) {
-      KernelRow row;
-      row.kernel = "xor";
-      row.arm = cpu::simd_level_name(arm);
-      row.size = n;
-      row.gb_s = gbps(n, [&] {
-        kern::xor_into_arm(arm, dst.data(), src.data(), n);
-      });
-      kernel_rows.push_back(row);
-      row.kernel = "mul_add";
-      row.gb_s = gbps(n, [&] {
-        kern::mul_add_arm(arm, 0x8E, src.data(), dst.data(), n);
-      });
-      kernel_rows.push_back(row);
+      const double rates[2] = {
+          gbps(n, [&] { kern::xor_into_arm(arm, dst.data(), src.data(), n); }),
+          gbps(n, [&] {
+            kern::mul_add_arm(arm, 0x8E, src.data(), dst.data(), n);
+          })};
+      for (int k = 0; k < 2; ++k) {
+        const char* kernel = k == 0 ? "xor" : "mul_add";
+        std::cout << kernel << " " << cpu::simd_level_name(arm) << " "
+                  << n / 1024 << " KiB: " << rates[k] << " GB/s\n";
+        kernel_rows.push(Json::object()
+                             .set("kernel", kernel)
+                             .set("arm", cpu::simd_level_name(arm))
+                             .set("bytes", n)
+                             .set("gb_s", rates[k]));
+        if (n == 64 * 1024 && arm == Arm::kScalar) rate64[k][0] = rates[k];
+        if (n == 64 * 1024 && arm == active) rate64[k][1] = rates[k];
+      }
     }
-  }
-  for (const auto& r : kernel_rows) {
-    std::cout << r.kernel << " " << r.arm << " " << r.size / 1024 << " KiB: "
-              << r.gb_s << " GB/s\n";
   }
 
   // --- section 2: raid data plane ------------------------------------------
   std::cout << "\n=== raid arena engine (GB/s of payload) ===\n";
-  std::vector<RaidRow> raid_rows;
+  Json raid_rows = Json::array();
+  const auto raid_row = [&](const char* op, const char* level,
+                            std::size_t payload, double gb_s) {
+    std::cout << op << " " << level << " " << payload / 1024
+              << " KiB payload: " << gb_s << " GB/s\n";
+    raid_rows.push(Json::object()
+                       .set("op", op)
+                       .set("level", level)
+                       .set("payload_bytes", payload)
+                       .set("gb_s", gb_s));
+  };
   for (auto [level, name] :
        {std::pair{raid::RaidLevel::kRaid5, "raid5"},
         std::pair{raid::RaidLevel::kRaid6, "raid6"}}) {
     const raid::StripeLayout layout = raid::StripeLayout::make(level, 8);
     for (std::size_t payload_size : {64ul * 1024, 1ul << 20}) {
       const Bytes payload = make_payload(payload_size, payload_size + 7);
-      raid_rows.push_back(
-          {"encode", name, payload_size, gbps(payload_size, [&] {
-             raid::EncodedStripe s = raid::encode(layout, payload);
-             CS_REQUIRE(s.arena.size() >= payload_size, "encode");
-           })});
+      raid_row("encode", name, payload_size, gbps(payload_size, [&] {
+                 raid::EncodedStripe s = raid::encode(layout, payload);
+                 CS_REQUIRE(s.arena.size() >= payload_size, "encode");
+               }));
       const raid::EncodedStripe stripe = raid::encode(layout, payload);
       auto shards = raid::shard_copies(stripe);
       for (std::size_t e = 0; e < layout.fault_tolerance(); ++e) {
         shards[e].reset();
       }
-      raid_rows.push_back(
-          {"decode2", name, payload_size, gbps(payload_size, [&] {
-             Result<Bytes> r = raid::decode(layout, shards, payload_size);
-             CS_REQUIRE(r.ok(), "decode");
-           })});
+      raid_row("decode2", name, payload_size, gbps(payload_size, [&] {
+                 Result<Bytes> r = raid::decode(layout, shards, payload_size);
+                 CS_REQUIRE(r.ok(), "decode");
+               }));
     }
-  }
-  for (const auto& r : raid_rows) {
-    std::cout << r.op << " " << r.level << " " << r.payload / 1024
-              << " KiB payload: " << r.gb_s << " GB/s\n";
   }
 
   // --- section 3: targeted rebuild vs full path ----------------------------
   std::cout << "\n=== targeted reconstruct vs decode+re-encode "
                "(raid6 k=8, 64 KiB shards) ===\n";
-  std::vector<RebuildRow> rebuild_rows;
+  Json rebuild_rows = Json::array();
+  double min_rebuild_speedup = 1e9;
   {
     const std::size_t k = 8;
     const raid::StripeLayout layout =
@@ -214,140 +169,134 @@ int main(int argc, char** argv) {
     const auto run_target = [&](std::size_t target, const char* name) {
       auto shards = raid::shard_copies(stripe);
       shards[target].reset();
-      RebuildRow row;
-      row.target = name;
-      row.targeted_gb_s = gbps(k * shard_size, [&] {
+      const double targeted = gbps(k * shard_size, [&] {
         Result<Bytes> r = raid::reconstruct_shard(layout, shards, target);
         CS_REQUIRE(r.ok(), "reconstruct");
       });
-      row.full_path_gb_s = gbps(k * shard_size, [&] {
+      const double full_path = gbps(k * shard_size, [&] {
         const Bytes b =
             rebuild_via_full_path(layout, shards, target, shard_size);
         CS_REQUIRE(b.size() == shard_size, "full path");
       });
-      rebuild_rows.push_back(row);
+      const double speedup = full_path > 0 ? targeted / full_path : 0.0;
+      min_rebuild_speedup = std::min(min_rebuild_speedup, speedup);
+      std::cout << "rebuild " << name << ": targeted " << targeted
+                << " GB/s vs full-path " << full_path << " GB/s -> "
+                << speedup << "x\n";
+      rebuild_rows.push(Json::object()
+                            .set("target", name)
+                            .set("targeted_gb_s", targeted)
+                            .set("full_path_gb_s", full_path)
+                            .set("speedup", speedup));
     };
     run_target(2, "data");
     run_target(k, "p");
     run_target(k + 1, "q");
-  }
-  for (const auto& r : rebuild_rows) {
-    std::cout << "rebuild " << r.target << ": targeted " << r.targeted_gb_s
-              << " GB/s vs full-path " << r.full_path_gb_s << " GB/s -> "
-              << r.speedup() << "x\n";
   }
 
   // --- section 4: sha-256 arms ---------------------------------------------
   std::cout << "\n=== sha-256 arms (GB/s, best of 3; active: "
             << crypto::sha256_arm_name(crypto::sha256_active_arm())
             << ") ===\n";
-  std::vector<ShaRow> sha_rows;
+  Json sha_rows = Json::array();
   for (std::size_t n : {std::size_t{4096}, std::size_t{64 * 1024}}) {
     const Bytes msg = make_payload(n, n + 11);
     for (crypto::Sha256Arm arm :
          {crypto::Sha256Arm::kPortable, crypto::Sha256Arm::kShaNi}) {
       if (!crypto::sha256_arm_available(arm)) continue;
       crypto::Sha256 h(arm);
-      sha_rows.push_back(
-          {std::string(crypto::sha256_arm_name(arm)), n, gbps(n, [&] {
-             h.update(msg);
-             (void)h.finish();
-           })});
+      const double gb_s = gbps(n, [&] {
+        h.update(msg);
+        (void)h.finish();
+      });
+      std::cout << "sha256 " << crypto::sha256_arm_name(arm) << " "
+                << n / 1024 << " KiB: " << gb_s << " GB/s\n";
+      sha_rows.push(Json::object()
+                        .set("arm", crypto::sha256_arm_name(arm))
+                        .set("bytes", n)
+                        .set("gb_s", gb_s));
     }
   }
-  for (const auto& r : sha_rows) {
-    std::cout << "sha256 " << r.arm << " " << r.size / 1024
-              << " KiB: " << r.gb_s << " GB/s\n";
+
+  // --- section 5: pipeline stages -----------------------------------------
+  std::cout << "\n=== pipeline stages (best of 3) ===\n";
+  Json stage_rows = Json::array();
+  // `bytes` 0 marks a per-call op (ring lookup) with no GB/s figure.
+  const auto stage = [&](const char* op, std::size_t bytes, double calls_s) {
+    const double gb_s = static_cast<double>(bytes) * calls_s / 1e9;
+    std::cout << op << " " << bytes / 1024 << " KiB: " << calls_s
+              << " calls/s";
+    if (bytes > 0) std::cout << ", " << gb_s << " GB/s";
+    std::cout << "\n";
+    Json row = Json::object().set("op", op).set("bytes", bytes);
+    if (bytes > 0) row.set("gb_s", gb_s);
+    stage_rows.push(row.set("calls_per_s", calls_s));
+  };
+  const crypto::AesKey key = {1, 2, 3, 4, 5, 6, 7, 8,
+                              9, 10, 11, 12, 13, 14, 15, 16};
+  for (std::size_t n : {std::size_t{1024}, std::size_t{256 * 1024}}) {
+    const Bytes msg = make_payload(n, n + 13);
+    stage("aes128_ctr", n, bench::calls_per_sec([&] {
+            const Bytes ct = crypto::aes128_ctr(key, 7, msg);
+            CS_REQUIRE(ct.size() == n, "aes");
+          }));
+  }
+  {
+    const Bytes file = make_payload(1 << 20, 0x5F);
+    const core::ChunkSizePolicy policy;
+    stage("split_file", file.size(), bench::calls_per_sec([&] {
+            const auto chunks =
+                core::split_file(file, PrivacyLevel::kHigh, policy);
+            CS_REQUIRE(!chunks.empty(), "split_file");
+          }));
+  }
+  {
+    const Bytes chunk = make_payload(64 * 1024, 0x3C);
+    Rng rng(3);
+    stage("misleading_inject", chunk.size(), bench::calls_per_sec([&] {
+            const auto enc = core::MisleadingCodec::inject(chunk, 0.2, rng);
+            CS_REQUIRE(enc.data.size() > chunk.size(), "inject");
+          }));
+  }
+  {
+    dht::HashRing ring(128);
+    for (ProviderIndex p = 0; p < 16; ++p) {
+      ring.add_provider(p, "provider" + std::to_string(p));
+    }
+    std::uint64_t key_hash = 1;
+    std::uint64_t owners = 0;  // keeps the lookups observable
+    stage("ring_lookup", 0, bench::calls_per_sec([&] {
+            key_hash = mix64(key_hash);
+            owners += ring.lookup(key_hash);
+          }));
+    CS_REQUIRE(owners > 0, "ring_lookup");
   }
 
   // --- gate ----------------------------------------------------------------
-  auto find_rate = [&](const char* kernel, Arm arm) {
-    double best = 0.0;
-    for (const auto& r : kernel_rows) {
-      if (r.kernel == kernel && r.size == 64 * 1024 &&
-          r.arm == cpu::simd_level_name(arm)) {
-        best = std::max(best, r.gb_s);
-      }
-    }
-    return best;
-  };
-  const double xor_scalar = find_rate("xor", Arm::kScalar);
-  const double mul_scalar = find_rate("mul_add", Arm::kScalar);
-  const double xor_simd = find_rate("xor", active);
-  const double mul_simd = find_rate("mul_add", active);
-  double min_rebuild_speedup = 1e9;
-  for (const auto& r : rebuild_rows) {
-    min_rebuild_speedup = std::min(min_rebuild_speedup, r.speedup());
-  }
-  const double xor_ratio = xor_scalar > 0 ? xor_simd / xor_scalar : 0.0;
-  const double mul_ratio = mul_scalar > 0 ? mul_simd / mul_scalar : 0.0;
-
-  bool gate_ok = true;
-  std::cout << "\n=== gate ===\n";
+  bench::Report report("kernels");
+  report.config.set("hardware_simd", cpu::simd_level_name(hw))
+      .set("simd_active", simd_active)
+      .set("timer", "best of 3 samples of >= 20 ms each");
   if (simd_active) {
-    std::cout << "mul_add " << cpu::simd_level_name(active) << "/scalar: "
-              << mul_ratio << "x (need >= 4)\n";
-    std::cout << "xor     " << cpu::simd_level_name(active) << "/scalar: "
-              << xor_ratio << "x (need >= 4)\n";
-    std::cout << "reconstruct targeted/full: " << min_rebuild_speedup
-              << "x (need >= 2)\n";
-    gate_ok = mul_ratio >= 4.0 && xor_ratio >= 4.0 &&
-              min_rebuild_speedup >= 2.0;
-    std::cout << (gate_ok ? "PASS" : "FAIL") << "\n";
+    const std::string arm(cpu::simd_level_name(active));
+    report.at_least("xor." + arm + "_over_scalar_64k",
+                    "ratio of best-of-3 GB/s",
+                    rate64[0][0] > 0 ? rate64[0][1] / rate64[0][0] : 0.0, 4.0);
+    report.at_least("mul_add." + arm + "_over_scalar_64k",
+                    "ratio of best-of-3 GB/s",
+                    rate64[1][0] > 0 ? rate64[1][1] / rate64[1][0] : 0.0, 4.0);
+    report.at_least("reconstruct.targeted_over_full_path",
+                    "min over targets of best-of-3 GB/s ratios",
+                    min_rebuild_speedup, 2.0);
   } else {
-    std::cout << "no SIMD arm active; speedup gate skipped "
+    std::cout << "\nno SIMD arm active; speedup gate skipped "
                  "(numbers recorded)\n";
   }
-
-  // --- JSON ----------------------------------------------------------------
-  std::ostringstream js;
-  js << "{\n";
-  js << "  \"hardware\": \"" << cpu::simd_level_name(hw) << "\",\n";
-  js << "  \"active_arm\": \"" << cpu::simd_level_name(active) << "\",\n";
-  js << "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-    const auto& r = kernel_rows[i];
-    js << "    {\"kernel\": \"" << r.kernel << "\", \"arm\": \"" << r.arm
-       << "\", \"bytes\": " << r.size << ", \"gb_s\": " << r.gb_s << "}"
-       << (i + 1 == kernel_rows.size() ? "\n" : ",\n");
-  }
-  js << "  ],\n";
-  js << "  \"raid\": [\n";
-  for (std::size_t i = 0; i < raid_rows.size(); ++i) {
-    const auto& r = raid_rows[i];
-    js << "    {\"op\": \"" << r.op << "\", \"level\": \"" << r.level
-       << "\", \"payload_bytes\": " << r.payload << ", \"gb_s\": " << r.gb_s
-       << "}" << (i + 1 == raid_rows.size() ? "\n" : ",\n");
-  }
-  js << "  ],\n";
-  js << "  \"reconstruct\": [\n";
-  for (std::size_t i = 0; i < rebuild_rows.size(); ++i) {
-    const auto& r = rebuild_rows[i];
-    js << "    {\"target\": \"" << r.target << "\", \"targeted_gb_s\": "
-       << r.targeted_gb_s << ", \"full_path_gb_s\": " << r.full_path_gb_s
-       << ", \"speedup\": " << r.speedup() << "}"
-       << (i + 1 == rebuild_rows.size() ? "\n" : ",\n");
-  }
-  js << "  ],\n";
-  js << "  \"sha256\": [\n";
-  for (std::size_t i = 0; i < sha_rows.size(); ++i) {
-    const auto& r = sha_rows[i];
-    js << "    {\"arm\": \"" << r.arm << "\", \"bytes\": " << r.size
-       << ", \"gb_s\": " << r.gb_s << "}"
-       << (i + 1 == sha_rows.size() ? "\n" : ",\n");
-  }
-  js << "  ],\n";
-  js << "  \"gate\": {\"simd_active\": " << (simd_active ? "true" : "false")
-     << ", \"mul_add_ratio\": " << mul_ratio
-     << ", \"xor_ratio\": " << xor_ratio
-     << ", \"min_reconstruct_speedup\": "
-     << (rebuild_rows.empty() ? 0.0 : min_rebuild_speedup)
-     << ", \"pass\": " << (gate_ok ? "true" : "false") << "}\n";
-  js << "}\n";
-  std::ofstream out(out_path);
-  out << js.str();
-  out.close();
-  std::cout << "\nwrote " << out_path << "\n";
-
-  return gate_ok ? 0 : 1;
+  report.rows.set("kernels", kernel_rows)
+      .set("raid", raid_rows)
+      .set("reconstruct", rebuild_rows)
+      .set("sha256", sha_rows)
+      .set("stages", stage_rows);
+  std::cout << "\n";
+  return report.finish(out_path);
 }

@@ -15,9 +15,9 @@
 //      transient fault plan while a client hammers get_file. Zero read
 //      failures tolerated.
 //
-// Results land in BENCH_migration.json (default; first CLI arg overrides).
-// Exit status is non-zero when any gate fails, so CI can gate on it.
-#include <fstream>
+// Results land in BENCH_migration.json through the bench harness envelope
+// (default; first CLI arg overrides). Exit status is non-zero when any gate
+// fails, so CI can gate on it.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,9 +25,9 @@
 
 #include "core/distributor.hpp"
 #include "core/migrator.hpp"
+#include "harness.hpp"
 #include "storage/fault_plan.hpp"
 #include "storage/provider_registry.hpp"
-#include "util/random.hpp"
 #include "util/status.hpp"
 
 namespace cshield {
@@ -39,12 +39,7 @@ using core::Migrator;
 
 constexpr double kMovedLimit = 0.35;
 
-Bytes make_payload(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  Bytes out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
-  return out;
-}
+using bench::make_payload;
 
 storage::ProviderRegistry flat_registry(std::size_t n) {
   storage::ProviderRegistry registry;
@@ -115,29 +110,19 @@ struct AvailabilityGate {
   }
 };
 
-void emit_json(const std::string& path, const MoveGate& join,
-               const MoveGate& drain, const AvailabilityGate& avail) {
-  std::ofstream out(path, std::ios::trunc);
-  CS_REQUIRE(static_cast<bool>(out), "cannot write " + path);
-  auto move_obj = [&out](const MoveGate& g) {
-    out << "{\"fleet\": " << g.fleet << ", \"shard_slots\": " << g.shard_slots
-        << ", \"shards_moved\": " << g.shards_moved
-        << ", \"bytes_moved\": " << g.bytes_moved
-        << ", \"moved_fraction\": " << g.fraction()
-        << ", \"limit\": " << kMovedLimit
-        << ", \"reads_ok\": " << (g.reads_ok ? "true" : "false")
-        << ", \"pass\": " << (g.pass() ? "true" : "false") << "}";
-  };
-  out << "{\n  \"schema\": \"cshield.bench.migration.v1\",\n  \"join\": ";
-  move_obj(join);
-  out << ",\n  \"drain\": ";
-  move_obj(drain);
-  out << ",\n  \"availability\": {\"reads\": " << avail.reads
-      << ", \"failures\": " << avail.failures
-      << ", \"drained\": " << (avail.drained ? "true" : "false")
-      << ", \"pass\": " << (avail.pass() ? "true" : "false") << "}";
-  const bool all = join.pass() && drain.pass() && avail.pass();
-  out << ",\n  \"gate\": {\"pass\": " << (all ? "true" : "false") << "}\n}\n";
+/// Records a move gate and returns its JSON row.
+bench::Json record(bench::Report& report, const MoveGate& g) {
+  report.gate(g.kind + ".moved_fraction", "shards moved / live shard slots",
+              g.fraction(), kMovedLimit,
+              "value <= bound, > 0 shards moved, every file byte-identical",
+              g.pass());
+  return bench::Json::object()
+      .set("fleet", g.fleet)
+      .set("shard_slots", g.shard_slots)
+      .set("shards_moved", g.shards_moved)
+      .set("bytes_moved", g.bytes_moved)
+      .set("moved_fraction", g.fraction())
+      .set("reads_ok", g.reads_ok);
 }
 
 }  // namespace
@@ -269,9 +254,24 @@ int main(int argc, char** argv) {
             << avail.failures << " failures -> "
             << (avail.pass() ? "PASS" : "FAIL") << "\n";
 
-  emit_json(out_path, join_gate, drain_gate, avail);
-  const bool all = join_gate.pass() && drain_gate.pass() && avail.pass();
-  std::cout << "gate: " << (all ? "PASS" : "FAIL") << " -> " << out_path
-            << "\n";
-  return all ? 0 : 1;
+  bench::Report report("migration");
+  report.config.set("fleet", 8)
+      .set("files", 4)
+      .set("data_shards", 3)
+      .set("misleading_fraction", 0.05)
+      .set("fault_rate", 0.05)
+      .set("drain_stripes_per_sec", 75.0)
+      .set("drain_max_in_flight", 2);
+  report.rows.set("join", record(report, join_gate))
+      .set("drain", record(report, drain_gate));
+  report.gate("availability.read_failures", "failed reads during the drain",
+              static_cast<double>(avail.failures), 0.0,
+              "value <= bound, > 0 reads, drain committed and subject empty",
+              avail.pass());
+  report.rows.set("availability", bench::Json::object()
+                                      .set("reads", avail.reads)
+                                      .set("failures", avail.failures)
+                                      .set("drained", avail.drained));
+  std::cout << "\n";
+  return report.finish(out_path);
 }

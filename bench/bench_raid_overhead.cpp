@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/distributor.hpp"
+#include "harness.hpp"
 #include "raid/raid.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/sim_clock.hpp"
@@ -22,18 +23,11 @@ using core::DistributorConfig;
 using core::OpReport;
 using core::PutOptions;
 
-Bytes make_payload(std::size_t n) {
-  Rng rng(0xE8);
-  Bytes data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-  return data;
-}
-
 /// Availability: fraction of `trials` where the file reads back intact with
 /// `kill` random providers offline.
 double availability(raid::RaidLevel level, std::size_t kill,
                     std::uint64_t seed) {
-  const Bytes payload = make_payload(256 * 1024);
+  const Bytes payload = bench::make_payload(256 * 1024, 0xE8);
   Rng rng(seed);
   int ok = 0;
   constexpr int kTrials = 20;
@@ -55,7 +49,8 @@ double availability(raid::RaidLevel level, std::size_t kill,
     for (ProviderIndex p = 0; p < registry.size(); ++p) all.push_back(p);
     rng.shuffle(all);
     for (std::size_t k = 0; k < kill; ++k) {
-      registry.at(all[k]).set_online(false);
+      registry.at(all[k]).install_fault_plan(
+          storage::FaultPlan::outage(all[k]), all[k]);
     }
     Result<Bytes> back = cdd.get_file("C", "pw", "f");
     if (back.ok() && equal(back.value(), payload)) ++ok;
@@ -69,7 +64,7 @@ int main() {
   std::cout << "=== E8a: storage overhead and code throughput by RAID level "
                "(k=4 data shards, 4 MiB payload) ===\n";
   {
-    const Bytes payload = make_payload(4 * 1024 * 1024);
+    const Bytes payload = bench::make_payload(4 * 1024 * 1024, 0xE8);
     TextTable t({"raid", "overhead x", "tolerance", "encode MB/s",
                  "decode-2-erasures MB/s"});
     for (auto level : {raid::RaidLevel::kNone, raid::RaidLevel::kRaid0,
@@ -129,7 +124,7 @@ int main() {
     TextTable t({"raid", "shards repaired", "file intact after repair",
                  "survives second failure"});
     for (auto level : {raid::RaidLevel::kRaid5, raid::RaidLevel::kRaid6}) {
-      const Bytes payload = make_payload(1024 * 1024);
+      const Bytes payload = bench::make_payload(1024 * 1024, 0xE8);
       storage::ProviderRegistry registry = storage::make_default_registry(12);
       DistributorConfig config;
       config.default_raid = level;
@@ -157,10 +152,10 @@ int main() {
       bool survives_second = false;
       for (ProviderIndex p = 0; p < registry.size(); ++p) {
         if (p != victim && registry.at(p).object_count() > 0) {
-          registry.at(p).set_online(false);
+          registry.at(p).install_fault_plan(storage::FaultPlan::outage(p), p);
           Result<Bytes> back = cdd.get_file("C", "pw", "f");
           survives_second = back.ok() && equal(back.value(), payload);
-          registry.at(p).set_online(true);
+          registry.at(p).install_fault_plan(nullptr, p);
           break;
         }
       }

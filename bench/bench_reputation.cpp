@@ -11,6 +11,7 @@
 
 #include "core/distributor.hpp"
 #include "core/reputation.hpp"
+#include "harness.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/table.hpp"
 
@@ -20,13 +21,6 @@ using namespace cshield;
 using core::CloudDataDistributor;
 using core::DistributorConfig;
 using core::PutOptions;
-
-Bytes make_payload(std::size_t n) {
-  Rng rng(0xE11);
-  Bytes data(n);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-  return data;
-}
 
 }  // namespace
 
@@ -74,7 +68,7 @@ int main() {
     CloudDataDistributor cdd(registry, config);
     (void)cdd.register_client("C");
     (void)cdd.add_password("C", "pw", PrivacyLevel::kHigh);
-    const Bytes data = make_payload(2 * 1024 * 1024);
+    const Bytes data = bench::make_payload(2 * 1024 * 1024, 0xE11);
     PutOptions opts;
     opts.privacy_level = PrivacyLevel::kHigh;
     Status st = cdd.put_file("C", "pw", "crown-jewels", data, opts);

@@ -51,7 +51,7 @@ int main() {
   check_read("all providers healthy    ");
 
   // The EC2-style outage: one provider goes dark.
-  providers.at(1).set_online(false);
+  providers.at(1).install_fault_plan(storage::FaultPlan::outage(1), 1);
   std::cout << "\n>> " << providers.at(1).descriptor().name
             << " suffers an outage (temporary)\n";
   check_read("one provider down        ");
@@ -69,7 +69,7 @@ int main() {
             << " shards onto healthy providers\n";
 
   // The outage ends but full redundancy no longer depends on it.
-  providers.at(1).set_online(true);
+  providers.at(1).install_fault_plan(nullptr, 1);
   std::cout << ">> " << providers.at(1).descriptor().name
             << " comes back online\n";
 

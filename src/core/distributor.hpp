@@ -92,7 +92,6 @@ struct DistributorConfig {
   std::shared_ptr<obs::Telemetry> telemetry_sink;
   /// Fault tolerance for every shard RPC: retry budget, backoff, deadline,
   /// breaker gating and hedged reads (see core/request_layer.hpp).
-  /// `retry.enabled = false` reproduces the raw single-attempt behavior.
   RetryPolicy retry;
   /// Cross-operation shard-RPC batching (see core/shard_batcher.hpp): when
   /// > 1, the stripe writer routes every shard put through a per-provider

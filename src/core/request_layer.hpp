@@ -41,9 +41,6 @@
 namespace cshield::core {
 
 struct RetryPolicy {
-  /// false = single attempt, no breaker gating (the pre-retry behavior;
-  /// kept for A/B comparison and for harnesses that script raw faults).
-  bool enabled = true;
   std::size_t max_attempts = 4;
   /// Attempt budget for data-shard reads when parity can reconstruct --
   /// the degraded-read mode: don't wait out the full budget on a slow or
@@ -56,7 +53,6 @@ struct RetryPolicy {
   /// retries stop rather than cross it.
   SimDuration deadline{std::chrono::seconds(2)};
   // --- hedged reads ---
-  bool hedged_reads = true;
   /// A shard read slower than this percentile of the provider's get_ns
   /// history (times hedge_factor) triggers the parity hedge.
   double hedge_percentile = 0.95;
@@ -179,7 +175,6 @@ class RequestLayer {
   /// exceeds hedge_percentile of the provider's own get_ns histogram by
   /// hedge_factor (with enough history to trust the percentile).
   [[nodiscard]] bool should_hedge(ProviderIndex p, SimDuration observed) {
-    if (!policy_.enabled || !policy_.hedged_reads) return false;
     if (telemetry_ == nullptr || !telemetry_->enabled()) return false;
     const obs::Histogram::Snapshot snap =
         telemetry_->metrics()
@@ -200,17 +195,11 @@ class RequestLayer {
     Outcome out;
     obs::StallWatchdog::Armed armed(watchdog_, "shard_rpc",
                                     policy_.deadline.count());
-    const std::size_t budget =
-        policy_.enabled
-            ? std::max<std::size_t>(1, attempt_budget != 0
-                                           ? attempt_budget
-                                           : policy_.max_attempts)
-            : 1;
+    const std::size_t budget = std::max<std::size_t>(
+        1, attempt_budget != 0 ? attempt_budget : policy_.max_attempts);
     storage::CircuitBreaker& breaker = registry_.breaker(p);
     for (std::size_t a = 1; a <= budget; ++a) {
-      const auto admitted = policy_.enabled
-                                ? breaker.admit()
-                                : storage::CircuitBreaker::Decision::kProceed;
+      const auto admitted = breaker.admit();
       if (admitted == storage::CircuitBreaker::Decision::kReject) {
         // Fail fast: no provider I/O, no time burned, and no point
         // retrying -- the breaker already knows this provider is down.
@@ -232,18 +221,18 @@ class RequestLayer {
       if (out.status.ok() || out.status.code() != ErrorCode::kUnavailable) {
         // The provider answered -- success, or a definitive error that the
         // erasure layer owns. Either way it is healthy.
-        if (policy_.enabled && breaker.on_success()) {
+        if (breaker.on_success()) {
           count("rt.breaker_closes");
           gauge_add("rt.open_breakers", -1);
         }
-        if (policy_.enabled) publish_breaker_state(p, breaker);
+        publish_breaker_state(p, breaker);
         break;
       }
-      if (policy_.enabled && breaker.on_failure()) {
+      if (breaker.on_failure()) {
         count("rt.breaker_trips");
         gauge_add("rt.open_breakers", 1);
       }
-      if (policy_.enabled) publish_breaker_state(p, breaker);
+      publish_breaker_state(p, breaker);
       if (a == budget) {
         count("rt.giveups");
         break;
@@ -276,15 +265,12 @@ class RequestLayer {
     if (n == 0) return out;
     obs::StallWatchdog::Armed armed(watchdog_, "shard_batch_rpc",
                                     policy_.deadline.count());
-    const std::size_t budget =
-        policy_.enabled ? std::max<std::size_t>(1, policy_.max_attempts) : 1;
+    const std::size_t budget = std::max<std::size_t>(1, policy_.max_attempts);
     storage::CircuitBreaker& breaker = registry_.breaker(p);
     std::vector<std::size_t> pending(n);
     std::iota(pending.begin(), pending.end(), std::size_t{0});
     for (std::size_t a = 1; a <= budget; ++a) {
-      const auto admitted = policy_.enabled
-                                ? breaker.admit()
-                                : storage::CircuitBreaker::Decision::kProceed;
+      const auto admitted = breaker.admit();
       if (admitted == storage::CircuitBreaker::Decision::kReject) {
         const Status quarantined = Status::Unavailable(
             registry_.at(p).descriptor().name + " quarantined (breaker open)");
@@ -319,18 +305,18 @@ class RequestLayer {
       if (still.empty()) {
         // The provider answered every remaining item -- it is healthy,
         // whatever the erasure layer makes of the individual answers.
-        if (policy_.enabled && breaker.on_success()) {
+        if (breaker.on_success()) {
           count("rt.breaker_closes");
           gauge_add("rt.open_breakers", -1);
         }
-        if (policy_.enabled) publish_breaker_state(p, breaker);
+        publish_breaker_state(p, breaker);
         break;
       }
-      if (policy_.enabled && breaker.on_failure()) {
+      if (breaker.on_failure()) {
         count("rt.breaker_trips");
         gauge_add("rt.open_breakers", 1);
       }
-      if (policy_.enabled) publish_breaker_state(p, breaker);
+      publish_breaker_state(p, breaker);
       pending = std::move(still);
       if (a == budget) {
         count("rt.giveups");

@@ -98,6 +98,30 @@ struct FaultPlan {
     return d;
   }
 
+  /// True when a kCrash episode covers `provider` at `seq`: its requests
+  /// fail whatever the other episodes decide.
+  [[nodiscard]] bool crashed(ProviderIndex provider, std::uint64_t seq) const {
+    for (const FaultEpisode& ep : episodes) {
+      if (ep.kind == FaultKind::kCrash &&
+          (ep.provider == kEveryProvider || ep.provider == provider) &&
+          seq >= ep.begin && seq < ep.end) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// A provider outage: one sticky kCrash episode on `provider` that never
+  /// ends. Install it with SimCloudProvider::install_fault_plan(plan, p);
+  /// the outage ends when the provider's plan is replaced or uninstalled.
+  [[nodiscard]] static std::shared_ptr<const FaultPlan> outage(
+      ProviderIndex provider) {
+    auto plan = std::make_shared<FaultPlan>();
+    plan->episodes.push_back(
+        {provider, FaultKind::kCrash, 0, kNoSeqEnd});
+    return plan;
+  }
+
   /// Uniform 5%-style background noise: one transient episode covering
   /// every provider forever.
   [[nodiscard]] static FaultPlan transient(std::uint64_t seed,

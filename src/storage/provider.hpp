@@ -55,7 +55,7 @@ struct LatencyModel {
 
 /// Per-provider traffic counters (monotonic, thread-safe). Failures are
 /// split by origin: `injected_failures` counts requests the fault model
-/// (an outage window or an installed FaultPlan) rejected; `io_errors`
+/// (an installed FaultPlan, outages included) rejected; `io_errors`
 /// counts the object store itself failing a request it accepted (missing
 /// object, wiped store). Conflating the two hid real errors inside chaos
 /// noise.
@@ -316,22 +316,17 @@ class SimCloudProvider {
 
   // --- fault injection -------------------------------------------------
 
-  /// Starts/ends an outage window (requests return kUnavailable while down).
-  void set_online(bool online) {
-    std::lock_guard<std::mutex> lock(mu_);
-    online_ = online;
-  }
-
+  /// False while the installed fault plan holds this provider in a kCrash
+  /// episode, so its next request fails (an outage: FaultPlan::outage).
   [[nodiscard]] bool online() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return online_;
+    return plan_ == nullptr || !plan_->crashed(plan_self_, plan_seq_);
   }
 
   /// Installs a scripted fault schedule (see fault_plan.hpp); this provider
   /// answers to `self` in the plan's episodes. Resets the request-sequence
   /// counter so an identical request stream replays identical faults.
-  /// nullptr uninstalls. Composes with the outage window (both are
-  /// consulted).
+  /// nullptr uninstalls.
   void install_fault_plan(std::shared_ptr<const FaultPlan> plan,
                           ProviderIndex self) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -347,11 +342,13 @@ class SimCloudProvider {
     return plan_seq_;
   }
 
-  /// Provider exits the market: all stored data is gone and it stays down.
+  /// Provider exits the market: all stored data is gone and it stays down
+  /// (a sticky outage replaces any installed plan).
   void go_out_of_business() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      online_ = false;
+      plan_ = FaultPlan::outage(plan_self_);
+      plan_seq_ = 0;
     }
     store_.wipe();
   }
@@ -384,16 +381,12 @@ class SimCloudProvider {
   }
 
  private:
-  /// One fault decision per request: the outage window first, then the
-  /// scripted plan. `slow` (never null) receives the plan's service-time
-  /// multiplier for this request, valid whether or not the request fails.
+  /// One fault decision per request from the scripted plan. `slow` (never
+  /// null) receives the plan's service-time multiplier for this request,
+  /// valid whether or not the request fails.
   Status check_faults(double* slow) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t seq = plan_seq_++;
-    if (!online_) {
-      note_injected();
-      return Status::Unavailable(descriptor_.name + " is offline");
-    }
     if (plan_ != nullptr) {
       const FaultDecision d = plan_->decide(plan_self_, seq);
       *slow = d.slow_factor;
@@ -475,7 +468,6 @@ class SimCloudProvider {
   Tele tele_;
   std::atomic<bool> tele_armed_{false};
   mutable std::mutex mu_;
-  bool online_ = true;  ///< false = outage window (kUnavailable); mu_
   std::shared_ptr<const FaultPlan> plan_;  ///< guarded by mu_
   ProviderIndex plan_self_ = kNoProvider;
   std::uint64_t plan_seq_ = 0;  ///< requests seen since plan install

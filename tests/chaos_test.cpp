@@ -266,7 +266,7 @@ TEST(RequestLayerBatchTest, DefinitiveItemAnswersAreFinal) {
 TEST(RequestLayerBatchTest, OpenBreakerFailsBatchFast) {
   storage::ProviderRegistry registry = flat_registry(1);
   registry.set_breaker_config(storage::CircuitBreaker::Config{2, 8});
-  registry.at(0).set_online(false);
+  registry.at(0).install_fault_plan(storage::FaultPlan::outage(0), 0);
   core::RetryPolicy policy;
   policy.max_attempts = 2;
   core::RequestLayer rt(registry, policy, nullptr, 0x0DD);

@@ -458,7 +458,7 @@ TEST(DistributorTest, Raid5SurvivesSingleProviderOutage) {
   PutOptions opts;
   opts.privacy_level = PrivacyLevel::kPublic;
   ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "hot", data, opts).ok());
-  f.registry.at(0).set_online(false);
+  f.registry.at(0).install_fault_plan(storage::FaultPlan::outage(0), 0);
   Result<Bytes> back = f.cdd->get_file("Bob", "Ty7e", "hot");
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_TRUE(equal(back.value(), data));
@@ -471,8 +471,8 @@ TEST(DistributorTest, Raid6SurvivesDoubleProviderOutage) {
   opts.privacy_level = PrivacyLevel::kPublic;
   opts.raid = raid::RaidLevel::kRaid6;  // "higher assurance" path
   ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "hot6", data, opts).ok());
-  f.registry.at(0).set_online(false);
-  f.registry.at(1).set_online(false);
+  f.registry.at(0).install_fault_plan(storage::FaultPlan::outage(0), 0);
+  f.registry.at(1).install_fault_plan(storage::FaultPlan::outage(1), 1);
   Result<Bytes> back = f.cdd->get_file("Bob", "Ty7e", "hot6");
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_TRUE(equal(back.value(), data));
@@ -706,8 +706,8 @@ TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
     // one provider outside each 4-wide stripe, the write-quarantine
     // re-placement path cannot rescue a stripe that lost two shards (or
     // whose only spare is the other dead provider): every stripe fails.
-    registry.at(3).set_online(false);
-    registry.at(4).set_online(false);
+    registry.at(3).install_fault_plan(storage::FaultPlan::outage(3), 3);
+    registry.at(4).install_fault_plan(storage::FaultPlan::outage(4), 4);
     PutOptions opts;
     opts.privacy_level = PrivacyLevel::kHigh;  // 1 KiB chunks -> 64 chunks
     const Bytes data = payload_of(64 * 1024, workers == 8 ? 11 : 12);
@@ -730,8 +730,8 @@ TEST(DistributorTest, PartialPutFailureRollsBackAllStripes) {
     // dead providers opened their breakers; recovery resets them (the
     // operator's "provider is back" action -- organic half-open healing is
     // chaos_test territory).
-    registry.at(3).set_online(true);
-    registry.at(4).set_online(true);
+    registry.at(3).install_fault_plan(nullptr, 3);
+    registry.at(4).install_fault_plan(nullptr, 4);
     registry.breaker(3).reset();
     registry.breaker(4).reset();
     ASSERT_TRUE(cdd.put_file("Bob", "Ty7e", "wedge", data, opts).ok());
@@ -802,7 +802,8 @@ TEST(DistributorTest, RepairRestoresLostShards) {
     }
   }
   ASSERT_NE(second, kNoProvider);
-  f.registry.at(second).set_online(false);
+  f.registry.at(second).install_fault_plan(
+      storage::FaultPlan::outage(second), second);
   Result<Bytes> back = f.cdd->get_file("Bob", "Ty7e", "durable");
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_TRUE(equal(back.value(), data));
@@ -811,7 +812,7 @@ TEST(DistributorTest, RepairRestoresLostShards) {
   // The degraded read tripped its breaker; reset it with the recovery,
   // otherwise repair (correctly) treats the quarantined provider's shards
   // as broken and re-homes them.
-  f.registry.at(second).set_online(true);
+  f.registry.at(second).install_fault_plan(nullptr, second);
   f.registry.breaker(second).reset();
   Result<std::size_t> again = f.cdd->repair();
   ASSERT_TRUE(again.ok());
@@ -966,7 +967,7 @@ TEST(ClientSideTest, ReplicationSurvivesOneProviderLoss) {
   // Kill one provider holding objects.
   for (ProviderIndex p = 0; p < reg.size(); ++p) {
     if (reg.at(p).object_count() > 0) {
-      reg.at(p).set_online(false);
+      reg.at(p).install_fault_plan(storage::FaultPlan::outage(p), p);
       break;
     }
   }

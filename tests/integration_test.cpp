@@ -49,7 +49,7 @@ TEST(IntegrationTest, FullLifecycleWithOutagesAndRepair) {
   }
 
   // Outage + permanent loss, then repair, then read everything back.
-  registry.at(2).set_online(false);
+  registry.at(2).install_fault_plan(storage::FaultPlan::outage(2), 2);
   Result<std::size_t> repaired = cdd.repair();
   // repair() skips offline shards it can't probe but can still be blocked;
   // with RAID-5 and one provider down every file must still read.

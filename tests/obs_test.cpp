@@ -482,7 +482,7 @@ TEST(DistributorTelemetryTest, CorruptDataShardTripsParityFallback) {
 TEST(DistributorTelemetryTest, FailedPutRollsBackAndCountsIt) {
   ObsFixture f;
   for (ProviderIndex p = 0; p < f.registry.size(); ++p) {
-    f.registry.at(p).set_online(false);
+    f.registry.at(p).install_fault_plan(storage::FaultPlan::outage(p), p);
   }
   const Bytes data = payload_of(4 * 1024);
   PutOptions opts;

@@ -82,7 +82,8 @@ TEST_P(DistributorRoundTrip, ExactRecoveryUnderToleratedOutages) {
           : raid::StripeLayout::make(p.level, config.stripe_data_shards);
   const std::size_t tolerance = layout.fault_tolerance();
   for (std::size_t down = 0; down < tolerance; ++down) {
-    registry.at(down).set_online(false);
+    registry.at(down).install_fault_plan(storage::FaultPlan::outage(down),
+                                         down);
   }
   {
     Result<Bytes> back = cdd.get_file("C", "pw", "f");
@@ -93,7 +94,8 @@ TEST_P(DistributorRoundTrip, ExactRecoveryUnderToleratedOutages) {
   }
   // One more outage than tolerated: reads must fail closed (never return
   // wrong bytes) whenever the extra-down provider actually held shards.
-  registry.at(tolerance).set_online(false);
+  registry.at(tolerance).install_fault_plan(
+      storage::FaultPlan::outage(tolerance), tolerance);
   {
     Result<Bytes> back = cdd.get_file("C", "pw", "f");
     if (back.ok()) {

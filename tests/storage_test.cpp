@@ -150,11 +150,11 @@ TEST(ProviderTest, PutGetRemoveFlow) {
 TEST(ProviderTest, OutageMakesRequestsUnavailable) {
   SimCloudProvider p(test_descriptor());
   ASSERT_TRUE(p.put(1, to_bytes("x")).ok());
-  p.set_online(false);
+  p.install_fault_plan(FaultPlan::outage(0), 0);
   EXPECT_EQ(p.put(2, to_bytes("y")).code(), ErrorCode::kUnavailable);
   EXPECT_EQ(p.get(1).status().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(p.remove(1).code(), ErrorCode::kUnavailable);
-  p.set_online(true);
+  p.install_fault_plan(nullptr, 0);
   // Data survives a temporary outage.
   EXPECT_TRUE(p.get(1).ok());
 }
@@ -225,7 +225,7 @@ TEST(ProviderTest, BatchLevelFaultFailsEveryItem) {
   SimCloudProvider p(test_descriptor());
   const Bytes x = to_bytes("x");
   ASSERT_TRUE(p.put(1, x).ok());
-  p.set_online(false);
+  p.install_fault_plan(FaultPlan::outage(0), 0);
   const std::vector<Status> statuses = p.put_many({{2, x}, {3, x}});
   ASSERT_EQ(statuses.size(), 2u);
   for (const Status& st : statuses) {
@@ -240,7 +240,7 @@ TEST(ProviderTest, BatchLevelFaultFailsEveryItem) {
   const std::vector<Result<Bytes>> results = p.get_many({1});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status().code(), ErrorCode::kUnavailable);
-  p.set_online(true);
+  p.install_fault_plan(nullptr, 0);
   EXPECT_TRUE(p.get_many({1})[0].ok());
 }
 
