@@ -1,6 +1,6 @@
 // GB/s microbenchmark + CI gate for the SIMD erasure-code data plane.
 //
-// Five sections:
+// Six sections:
 //   1. Kernel arms: xor_into and mul_add through every arm the host can run
 //      (scalar byte loop, 64-bit SWAR, SSSE3, AVX2) across shard sizes
 //      4 KiB / 64 KiB / 1 MiB, reported in GB/s.
@@ -11,9 +11,11 @@
 //      as a speedup.
 //   4. SHA-256 arms: one-shot digest GB/s through every compress arm the
 //      host can run (portable FIPS 180-4 loop, SHA-NI) at 4 KiB and 64 KiB.
-//   5. Pipeline stages: AES-128-CTR at 1 KiB and 256 KiB, split_file on
-//      1 MiB, MisleadingCodec::inject on 64 KiB, and HashRing::lookup.
-// Sections 4 and 5 are recorded only; no gate reads them.
+//   5. AES-128-CTR arms: in-place CTR GB/s through every AES arm the host
+//      can run (portable FIPS-197 rounds, AES-NI) at 1 KiB and 256 KiB.
+//   6. Pipeline stages: split_file on 1 MiB, MisleadingCodec::inject on
+//      64 KiB, and HashRing::lookup.
+// Sections 4 to 6 are recorded only; no gate reads them.
 //
 // Gate (exit non-zero on failure; skipped when the host has no SIMD or
 // CSHIELD_FORCE_SCALAR is set, but the numbers are always recorded):
@@ -218,7 +220,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- section 5: pipeline stages -----------------------------------------
+  // --- section 5: aes-128-ctr arms -----------------------------------------
+  std::cout << "\n=== aes-128-ctr arms (GB/s, best of 3; active: "
+            << crypto::aes_arm_name(crypto::aes_active_arm()) << ") ===\n";
+  Json aes_rows = Json::array();
+  const crypto::AesKey key = {1, 2, 3, 4, 5, 6, 7, 8,
+                              9, 10, 11, 12, 13, 14, 15, 16};
+  for (std::size_t n : {std::size_t{1024}, std::size_t{256 * 1024}}) {
+    Bytes msg = make_payload(n, n + 13);
+    for (crypto::AesArm arm :
+         {crypto::AesArm::kPortable, crypto::AesArm::kAesNi}) {
+      if (!crypto::aes_arm_available(arm)) continue;
+      const crypto::Aes128 cipher(key, arm);
+      const double gb_s =
+          gbps(n, [&] { cipher.ctr(7, msg.data(), msg.size()); });
+      std::cout << "aes128_ctr " << crypto::aes_arm_name(arm) << " "
+                << n / 1024 << " KiB: " << gb_s << " GB/s\n";
+      aes_rows.push(Json::object()
+                        .set("arm", crypto::aes_arm_name(arm))
+                        .set("bytes", n)
+                        .set("gb_s", gb_s));
+    }
+  }
+
+  // --- section 6: pipeline stages -----------------------------------------
   std::cout << "\n=== pipeline stages (best of 3) ===\n";
   Json stage_rows = Json::array();
   // `bytes` 0 marks a per-call op (ring lookup) with no GB/s figure.
@@ -232,15 +257,6 @@ int main(int argc, char** argv) {
     if (bytes > 0) row.set("gb_s", gb_s);
     stage_rows.push(row.set("calls_per_s", calls_s));
   };
-  const crypto::AesKey key = {1, 2, 3, 4, 5, 6, 7, 8,
-                              9, 10, 11, 12, 13, 14, 15, 16};
-  for (std::size_t n : {std::size_t{1024}, std::size_t{256 * 1024}}) {
-    const Bytes msg = make_payload(n, n + 13);
-    stage("aes128_ctr", n, bench::calls_per_sec([&] {
-            const Bytes ct = crypto::aes128_ctr(key, 7, msg);
-            CS_REQUIRE(ct.size() == n, "aes");
-          }));
-  }
   {
     const Bytes file = make_payload(1 << 20, 0x5F);
     const core::ChunkSizePolicy policy;
@@ -296,6 +312,7 @@ int main(int argc, char** argv) {
       .set("raid", raid_rows)
       .set("reconstruct", rebuild_rows)
       .set("sha256", sha_rows)
+      .set("aes128_ctr", aes_rows)
       .set("stages", stage_rows);
   std::cout << "\n";
   return report.finish(out_path);

@@ -36,6 +36,7 @@
 
 #include "core/distributor.hpp"
 #include "core/metadata_plane.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/gf256_kernels.hpp"
 #include "crypto/sha256.hpp"
 #include "storage/provider_registry.hpp"
@@ -423,7 +424,8 @@ inline Json hardware() {
   return Json::object()
       .set("cores", std::max(1u, std::thread::hardware_concurrency()))
       .set("gf256_arm", cpu::simd_level_name(gf256::kernels::active_arm()))
-      .set("sha256_arm", crypto::sha256_arm_name(crypto::sha256_active_arm()));
+      .set("sha256_arm", crypto::sha256_arm_name(crypto::sha256_active_arm()))
+      .set("aes_arm", crypto::aes_arm_name(crypto::aes_active_arm()));
 }
 
 /// One BENCH_*.json: `schema`, `bench`, `git_rev`, `hardware`, `config`,

@@ -214,6 +214,7 @@ CloudDataDistributor::CloudDataDistributor(
     storage::ProviderRegistry& registry, DistributorConfig config)
     : registry_(registry),
       config_(std::move(config)),
+      protection_cipher_(config_.protection_key),
       telemetry_(config_.telemetry
                      ? (config_.telemetry_sink ? config_.telemetry_sink
                                                : obs::Telemetry::global())
@@ -431,9 +432,7 @@ std::size_t CloudDataDistributor::apply_protection(
       const std::size_t prefix =
           (padded.size() * aes_quarters_for(pl) + 3) / 4;
       if (prefix == 0) return 0;
-      const Bytes enc = crypto::aes128_ctr(config_.protection_key, nonce,
-                                           BytesView(padded.data(), prefix));
-      std::copy(enc.begin(), enc.end(), padded.begin());
+      protection_cipher_.ctr(nonce, padded.data(), prefix);
       return prefix;
     }
     case ProtectionMode::kFragmentation:
@@ -458,9 +457,7 @@ void CloudDataDistributor::remove_protection(Bytes& padded,
     case ProtectionMode::kPartialAes: {
       const std::size_t prefix = std::min(protect_bytes, padded.size());
       if (prefix == 0) return;  // nothing was encrypted
-      const Bytes dec = crypto::aes128_ctr(config_.protection_key, nonce,
-                                           BytesView(padded.data(), prefix));
-      std::copy(dec.begin(), dec.end(), padded.begin());
+      protection_cipher_.ctr(nonce, padded.data(), prefix);
       return;
     }
     case ProtectionMode::kFragmentation:

@@ -566,6 +566,8 @@ class CloudDataDistributor {
 
   storage::ProviderRegistry& registry_;
   DistributorConfig config_;
+  /// kPartialAes cipher: `config_.protection_key`'s schedule, built once.
+  const crypto::Aes128 protection_cipher_;
   std::shared_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<MetadataPlane> plane_;
   RequestLayer rt_;  ///< retry/breaker/hedge wrapper for every shard RPC

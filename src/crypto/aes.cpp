@@ -1,6 +1,15 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/cpu.hpp"
+#include "util/status.hpp"
+
+#if !defined(CSHIELD_FORCE_SCALAR) && (defined(__x86_64__) || defined(__i386__))
+#define CSHIELD_HAVE_AES_NI 1
+#include <immintrin.h>
+#endif
 
 namespace cshield::crypto {
 namespace {
@@ -116,9 +125,121 @@ void inv_mix_columns(AesBlock& s) {
   }
 }
 
+void encrypt_portable(const std::uint8_t* round_keys, AesBlock& block) {
+  auto add_round_key = [&](int round) {
+    for (int i = 0; i < 16; ++i) {
+      block[static_cast<std::size_t>(i)] ^= round_keys[16 * round + i];
+    }
+  };
+  add_round_key(0);
+  for (int round = 1; round < 10; ++round) {
+    sub_bytes(block);
+    shift_rows(block);
+    mix_columns(block);
+    add_round_key(round);
+  }
+  sub_bytes(block);
+  shift_rows(block);
+  add_round_key(10);
+}
+
+#if defined(CSHIELD_HAVE_AES_NI)
+
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// XORs the CTR keystream from counter block `nonce || first_block` (both
+/// big-endian) into data[0, n). `round_keys` is the portable schedule: FIPS
+/// byte order is the order AESENC takes its round key in. Four blocks run
+/// interleaved so each AESENC overlaps the others' latency; whole blocks
+/// left over go one at a time, and a partial last block XORs byte-wise.
+__attribute__((target("aes,ssse3"))) void ctr_aes_ni(
+    const std::uint8_t* round_keys, std::uint64_t nonce,
+    std::uint64_t first_block, std::uint8_t* data, std::size_t n) {
+  __m128i rk[11];
+  for (int r = 0; r < 11; ++r) {
+    rk[r] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_keys + 16 * r));
+  }
+  // The counter lives as two native 64-bit lanes (nonce, block index);
+  // reversing the bytes of each lane gives the big-endian counter block.
+  const __m128i bswap64 =
+      _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
+  const __m128i one = _mm_set_epi64x(1, 0);
+  __m128i counter = _mm_set_epi64x(static_cast<long long>(first_block),
+                                   static_cast<long long>(nonce));
+
+  constexpr std::size_t kLanes = 4;
+  while (n >= 16 * kLanes) {
+    // Fully unrolled, so the lanes live in registers, not a stack array.
+    __m128i b[kLanes];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_xor_si128(_mm_shuffle_epi8(counter, bswap64), rk[0]);
+      counter = _mm_add_epi64(counter, one);
+    }
+#pragma GCC unroll 9
+    for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        b[j] = _mm_aesenc_si128(b[j], rk[r]);
+      }
+    }
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      __m128i* p = reinterpret_cast<__m128i*>(data + 16 * j);
+      _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p),
+                                        _mm_aesenclast_si128(b[j], rk[10])));
+    }
+    data += 16 * kLanes;
+    n -= 16 * kLanes;
+  }
+  while (n > 0) {
+    __m128i b = _mm_xor_si128(_mm_shuffle_epi8(counter, bswap64), rk[0]);
+    counter = _mm_add_epi64(counter, one);
+#pragma GCC unroll 9
+    for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
+    b = _mm_aesenclast_si128(b, rk[10]);
+    if (n < 16) {
+      alignas(16) std::uint8_t ks[16];
+      _mm_store_si128(reinterpret_cast<__m128i*>(ks), b);
+      for (std::size_t i = 0; i < n; ++i) data[i] ^= ks[i];
+      return;
+    }
+    __m128i* p = reinterpret_cast<__m128i*>(data);
+    _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), b));
+    data += 16;
+    n -= 16;
+  }
+}
+
+#endif  // CSHIELD_HAVE_AES_NI
+
 }  // namespace
 
-Aes128::Aes128(const AesKey& key) {
+std::string_view aes_arm_name(AesArm arm) {
+  switch (arm) {
+    case AesArm::kPortable: return "portable";
+    case AesArm::kAesNi: return "aes-ni";
+  }
+  return "invalid";
+}
+
+bool aes_arm_available(AesArm arm) {
+  return arm == AesArm::kPortable || cpu::hardware_aes();
+}
+
+AesArm aes_active_arm() {
+  static const AesArm arm =
+      cpu::preferred_aes() ? AesArm::kAesNi : AesArm::kPortable;
+  return arm;
+}
+
+Aes128::Aes128(const AesKey& key, AesArm arm) : arm_(arm) {
+  CS_REQUIRE(aes_arm_available(arm), "Aes128: arm not available");
   std::memcpy(round_keys_.data(), key.data(), 16);
   for (int i = 4; i < 44; ++i) {
     std::array<std::uint8_t, 4> temp{};
@@ -141,22 +262,18 @@ Aes128::Aes128(const AesKey& key) {
 }
 
 void Aes128::encrypt_block(AesBlock& block) const {
-  auto add_round_key = [&](int round) {
-    for (int i = 0; i < 16; ++i) {
-      block[static_cast<std::size_t>(i)] ^=
-          round_keys_[static_cast<std::size_t>(16 * round + i)];
-    }
-  };
-  add_round_key(0);
-  for (int round = 1; round < 10; ++round) {
-    sub_bytes(block);
-    shift_rows(block);
-    mix_columns(block);
-    add_round_key(round);
+#if defined(CSHIELD_HAVE_AES_NI)
+  if (arm_ == AesArm::kAesNi) {
+    // E(block) is the CTR keystream at counter block `block`: read it as
+    // (nonce, index) and XOR that one keystream block into zeros.
+    const std::uint64_t hi = load_be64(block.data());
+    const std::uint64_t lo = load_be64(block.data() + 8);
+    block.fill(0);
+    ctr_aes_ni(round_keys_.data(), hi, lo, block.data(), block.size());
+    return;
   }
-  sub_bytes(block);
-  shift_rows(block);
-  add_round_key(10);
+#endif
+  encrypt_portable(round_keys_.data(), block);
 }
 
 void Aes128::decrypt_block(AesBlock& block) const {
@@ -178,26 +295,36 @@ void Aes128::decrypt_block(AesBlock& block) const {
   add_round_key(0);
 }
 
-Bytes aes128_ctr(const AesKey& key, std::uint64_t nonce, BytesView data) {
-  const Aes128 cipher(key);
-  Bytes out(data.begin(), data.end());
+void Aes128::ctr(std::uint64_t nonce, std::uint8_t* data,
+                 std::size_t n) const {
+#if defined(CSHIELD_HAVE_AES_NI)
+  if (arm_ == AesArm::kAesNi) {
+    ctr_aes_ni(round_keys_.data(), nonce, 0, data, n);
+    return;
+  }
+#endif
   AesBlock counter{};
   for (int i = 0; i < 8; ++i) {
     counter[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
   }
   std::uint64_t block_index = 0;
-  for (std::size_t offset = 0; offset < out.size(); offset += 16) {
+  for (std::size_t offset = 0; offset < n; offset += 16) {
     AesBlock keystream = counter;
     for (int i = 0; i < 8; ++i) {
       keystream[static_cast<std::size_t>(8 + i)] =
           static_cast<std::uint8_t>(block_index >> (56 - 8 * i));
     }
-    cipher.encrypt_block(keystream);
-    const std::size_t n = std::min<std::size_t>(16, out.size() - offset);
-    for (std::size_t i = 0; i < n; ++i) out[offset + i] ^= keystream[i];
+    encrypt_portable(round_keys_.data(), keystream);
+    const std::size_t take = std::min<std::size_t>(16, n - offset);
+    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
     ++block_index;
   }
+}
+
+Bytes aes128_ctr(const AesKey& key, std::uint64_t nonce, BytesView data) {
+  Bytes out(data.begin(), data.end());
+  Aes128(key).ctr(nonce, out.data(), out.size());
   return out;
 }
 

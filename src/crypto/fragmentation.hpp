@@ -12,10 +12,14 @@
 //
 //   1. whiten   -- XOR a SplitMix64 keystream expanded from a per-chunk
 //                  nonce (stored in the distributor-side Chunk Table, never
-//                  shipped to providers). Destroys plaintext byte statistics
-//                  inside each fragment; costs ~1 cycle/byte.
+//                  shipped to providers), one 64-bit word at a time.
+//                  Destroys plaintext byte statistics inside each fragment.
 //   2. forward  -- for i = 1..k-1:   f[i] ^= c_i * f[i-1]   over GF(2^8)
 //   3. backward -- for i = k-2..0:   f[i] ^= d_i * f[i+1]
+//
+// Steps 1 and 2 are fused: each fragment is whitened just before the
+// forward step that first reads it, so the whitening adds no pass of its
+// own over the chunk. The output is that of the three separate steps.
 //
 // The sweeps run on the dispatched gf256::kernels::mul_add arms (scalar /
 // SWAR / SSSE3 / AVX2 -- bit-identical by construction and by
@@ -25,7 +29,8 @@
 // earlier fragment, so each output fragment is a full-rank linear
 // combination of all k inputs. Detangling replays the elementary row
 // operations in exact reverse order (each is a self-inverse XOR update),
-// then strips the whitening.
+// stripping each fragment's whitening as soon as its forward step is
+// undone.
 //
 // The mixing coefficients are public constants derived from the fragment
 // index -- the all-or-nothing argument does not rest on their secrecy, only

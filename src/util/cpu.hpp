@@ -4,20 +4,23 @@
 // arm once per process: AVX2 when the host has it, SSSE3 below that, and a
 // portable 64-bit SWAR arm everywhere else. The SHA-256 digest
 // (crypto/sha256) likewise binds its SHA-NI compress when the host has the
-// x86 SHA extensions, and the portable FIPS 180-4 loop otherwise. Detection
-// is a one-time CPUID probe; the result is cached in a function-local static
-// so the hot paths never re-query.
+// x86 SHA extensions, and the portable FIPS 180-4 loop otherwise; AES-128
+// (crypto/aes) binds its AES-NI arm when the host has AES-NI, and the
+// portable FIPS-197 rounds otherwise. Detection is a one-time CPUID probe;
+// the result is cached in a function-local static so the hot paths never
+// re-query.
 //
 // Overrides, strongest first:
-//   * CMake -DCSHIELD_FORCE_SCALAR=ON compiles the SIMD and SHA-NI arms out
-//     entirely (the macro CSHIELD_FORCE_SCALAR is defined; hardware_level()
-//     reports kScalar and hardware_sha() false).
+//   * CMake -DCSHIELD_FORCE_SCALAR=ON compiles the SIMD, SHA-NI and AES-NI
+//     arms out entirely (the macro CSHIELD_FORCE_SCALAR is defined;
+//     hardware_level() reports kScalar, hardware_sha() and hardware_aes()
+//     false).
 //   * Environment CSHIELD_FORCE_SCALAR=1 (any value other than "0"/"swar")
 //     forces the byte-at-a-time scalar arm at startup.
 //   * CSHIELD_FORCE_SCALAR=swar forces the portable word-wide arm, which is
 //     what non-x86 hosts get by default.
 //   * Any value other than "0" (so "swar" too) pins the portable SHA-256
-//     compress.
+//     compress and the portable AES rounds.
 #pragma once
 
 #include <cstdlib>
@@ -70,6 +73,21 @@ enum class SimdLevel { kScalar, kSwar, kSsse3, kAvx2 };
 #endif
 }
 
+/// Raw AES-NI capability: the AES instructions plus the SSSE3 byte shuffle
+/// that builds CTR counter blocks (ignores the environment override).
+/// Always false when the build forced SIMD out and on non-x86 builds.
+[[nodiscard]] inline bool hardware_aes() {
+#if defined(CSHIELD_FORCE_SCALAR)
+  return false;
+#elif defined(__x86_64__) || defined(__i386__)
+  static const bool has = __builtin_cpu_supports("aes") &&
+                          __builtin_cpu_supports("ssse3");
+  return has;
+#else
+  return false;
+#endif
+}
+
 /// The CSHIELD_FORCE_SCALAR environment value, read once per process;
 /// null when unset or "0".
 [[nodiscard]] inline const char* force_scalar_env() {
@@ -99,6 +117,13 @@ enum class SimdLevel { kScalar, kSwar, kSsse3, kAvx2 };
 /// what crypto/sha256 binds at startup.
 [[nodiscard]] inline bool preferred_sha() {
   return hardware_sha() && force_scalar_env() == nullptr;
+}
+
+/// hardware_aes() clamped by the environment override: any
+/// CSHIELD_FORCE_SCALAR value pins the portable AES rounds. This is what
+/// crypto/aes binds at startup.
+[[nodiscard]] inline bool preferred_aes() {
+  return hardware_aes() && force_scalar_env() == nullptr;
 }
 
 }  // namespace cshield::cpu

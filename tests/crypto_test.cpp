@@ -1,8 +1,9 @@
 // Tests for the crypto substrate: GF(2^8) field axioms, SHA-256 FIPS
 // vectors and the portable/SHA-NI arm differential, AES-128 FIPS-197
-// vectors and CTR-mode properties.
+// vectors, CTR-mode properties and the portable/AES-NI arm differential.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <set>
@@ -392,6 +393,126 @@ TEST(AesCtrTest, CiphertextLooksUniform) {
     EXPECT_GT(h, expected * 0.5);
     EXPECT_LT(h, expected * 1.5);
   }
+}
+
+// --- AES arms ---------------------------------------------------------------------
+//
+// The portable and AES-NI arms must be byte-identical. The AES-NI half of
+// each check skips on hosts without AES-NI (or under
+// -DCSHIELD_FORCE_SCALAR=ON, which compiles the arm out).
+
+using crypto::AesArm;
+
+void expect_ecb_vectors(AesArm arm) {
+  const std::string label(crypto::aes_arm_name(arm));
+  crypto::AesBlock block = {0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
+                            0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
+  crypto::Aes128(fips_key(), arm).encrypt_block(block);
+  EXPECT_EQ(block, (crypto::AesBlock{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b,
+                                     0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
+                                     0x70, 0xb4, 0xc5, 0x5a}))
+      << label;
+  // SP 800-38A F.1.1 ECB-AES128, all four blocks.
+  const crypto::AesKey key = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+                              0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
+  const crypto::Aes128 aes(key, arm);
+  const char* const vectors[4][2] = {
+      {"6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"},
+      {"ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"},
+      {"30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"},
+      {"f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"}};
+  for (const auto& v : vectors) {
+    const Bytes plain = from_hex(v[0]);
+    crypto::AesBlock b{};
+    std::copy(plain.begin(), plain.end(), b.begin());
+    aes.encrypt_block(b);
+    EXPECT_EQ(to_hex(BytesView(b.data(), b.size())), v[1]) << label;
+  }
+}
+
+Bytes ctr_with(AesArm arm, const crypto::AesKey& key, std::uint64_t nonce,
+               BytesView data) {
+  Bytes out(data.begin(), data.end());
+  crypto::Aes128(key, arm).ctr(nonce, out.data(), out.size());
+  return out;
+}
+
+TEST(AesArmTest, PortableArmPassesEcbVectors) {
+  expect_ecb_vectors(AesArm::kPortable);
+}
+
+TEST(AesArmTest, AesNiArmPassesEcbVectors) {
+  if (!crypto::aes_arm_available(AesArm::kAesNi)) {
+    GTEST_SKIP() << "host has no AES-NI";
+  }
+  expect_ecb_vectors(AesArm::kAesNi);
+}
+
+TEST(AesArmTest, AesNiCtrMatchesPortableOnEveryLength) {
+  if (!crypto::aes_arm_available(AesArm::kAesNi)) {
+    GTEST_SKIP() << "host has no AES-NI";
+  }
+  Rng rng(0xAE5);
+  Bytes msg;
+  for (std::size_t len = 0; len < 1200; ++len) {
+    crypto::AesKey key{};
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.below(256));
+    // High bit set: the counter's byte order must hold in the top byte too.
+    const std::uint64_t nonce = rng.next() | (std::uint64_t{1} << 63);
+    ASSERT_EQ(ctr_with(AesArm::kAesNi, key, nonce, msg),
+              ctr_with(AesArm::kPortable, key, nonce, msg))
+        << "len=" << len;
+    msg.push_back(static_cast<std::uint8_t>(rng.below(256)));
+  }
+}
+
+// ctr() on a window of a larger buffer, at every alignment, touches only the
+// window and equals the one-shot copy.
+TEST(AesArmTest, InPlaceCtrAtUnalignedOffsetsMatchesOneShot) {
+  const crypto::AesKey key = fips_key();
+  Rng rng(0xAE6);
+  Bytes base(4096 + 64);
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng.below(256));
+  for (AesArm arm : {AesArm::kPortable, AesArm::kAesNi}) {
+    if (!crypto::aes_arm_available(arm)) continue;
+    const crypto::Aes128 aes(key, arm);
+    for (std::size_t offset = 0; offset < 32; ++offset) {
+      for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 4000u}) {
+        Bytes buf = base;
+        const std::uint64_t nonce = 0x8000000000000000ULL + offset;
+        aes.ctr(nonce, buf.data() + offset, len);
+        const Bytes want = crypto::aes128_ctr(
+            key, nonce, BytesView(base.data() + offset, len));
+        ASSERT_TRUE(equal(BytesView(buf.data() + offset, len), want))
+            << crypto::aes_arm_name(arm) << " offset=" << offset
+            << " len=" << len;
+        ASSERT_TRUE(equal(BytesView(buf.data(), offset),
+                          BytesView(base.data(), offset)));
+        ASSERT_TRUE(equal(BytesView(buf.data() + offset + len,
+                                    buf.size() - offset - len),
+                          BytesView(base.data() + offset + len,
+                                    base.size() - offset - len)));
+      }
+    }
+  }
+}
+
+TEST(AesArmTest, ActiveArmFollowsOverride) {
+  // Bound once per process: the env override pins the portable arm,
+  // otherwise ciphers take AES-NI whenever the host has it.
+  const char* force = std::getenv("CSHIELD_FORCE_SCALAR");
+  const bool forced = force != nullptr && std::string_view(force) != "0";
+  const bool aes_ni = crypto::aes_arm_available(AesArm::kAesNi);
+  EXPECT_EQ(crypto::aes_active_arm(),
+            aes_ni && !forced ? AesArm::kAesNi : AesArm::kPortable);
+}
+
+TEST(AesArmTest, UnavailableArmThrows) {
+  if (crypto::aes_arm_available(AesArm::kAesNi)) {
+    GTEST_SKIP() << "host has AES-NI; nothing unavailable to probe";
+  }
+  EXPECT_THROW(crypto::Aes128(fips_key(), AesArm::kAesNi),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -112,7 +112,8 @@ TEST(HarnessReportTest, EnvelopeCarriesTheSharedKeysFirst) {
   for (const char* key : {"\"schema\": \"cshield.bench.v1\"",
                           "\"bench\": \"test\"", "\"git_rev\": ",
                           "\"hardware\": ", "\"cores\": ", "\"gf256_arm\": ",
-                          "\"sha256_arm\": ", "\"config\": {\"reps\": 5}",
+                          "\"sha256_arm\": ", "\"aes_arm\": ",
+                          "\"config\": {\"reps\": 5}",
                           "\"gates\": ", "\"statistic\": \"count\"",
                           "\"form\": \"value >= bound\"", "\"pass\": true",
                           "\"rows\": "}) {
