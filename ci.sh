@@ -7,7 +7,11 @@
 #
 # Stages:
 #   1. tier-1: default build with -DCSHIELD_WERROR=ON (the build stays
-#              warning-free), full ctest suite (the ROADMAP acceptance bar)
+#              warning-free), full ctest suite (the ROADMAP acceptance bar),
+#              and a source check that no file under src/ calls the
+#              unversioned MetadataStore::update_chunk(index, entry): every
+#              live row writer commits through the update_chunk_if version
+#              CAS
 #   2. bench_ledger: configures and builds the bench_ledger/ package (its own
 #              CMake project, compiled from ../src the way BENCHMARK.json's
 #              run.sh builds it) and runs its ledger_smoke ctest: every
@@ -34,7 +38,10 @@
 #              + migration_test (the provider-lifecycle registry hammer --
 #              concurrent drain/activate churn against eligibility readers
 #              -- plus the background Migrator running alongside live
-#              reads, and rebalance() racing a client update of one chunk)
+#              reads, a drain racing continuous client updates, which must
+#              leave every row's stripe and snapshot whole and the provider
+#              objects exactly the rows' references, and rebalance() racing
+#              a client update of one chunk)
 #              + shardplane_test (the N-way partitioned metadata/journal
 #              plane: 8 front-ends x 64 clients hammering a shared 4-shard
 #              plane, routing-discipline checks, and the per-shard
@@ -108,6 +115,12 @@ cd "$(dirname "$0")"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "== [1/8] tier-1: build + ctest =="
+if grep -rnE '(\.|->)update_chunk\(' src |
+    grep -vE 'update_chunk\(client, password,'; then
+  echo "src/ calls the unversioned MetadataStore::update_chunk;" \
+    "commit row writes through update_chunk_if" >&2
+  exit 1
+fi
 cmake -B build -S . -DCSHIELD_WERROR=ON >/dev/null
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")

@@ -35,6 +35,36 @@ std::size_t aes_quarters_for(PrivacyLevel pl) {
   return 4;
 }
 
+/// A committed client row write: the row as written, and the locations the
+/// replaced row held that it does not.
+struct RowCommit {
+  ChunkEntry row;
+  std::vector<ShardLocation> retired;
+};
+
+/// The commit of every client row write: writes next(row) over chunk row
+/// `index` by version CAS against `row`, the row as read. The retired
+/// locations leave the provider tables in the same write, and the caller
+/// deletes them at providers after its journal append. A lost race re-reads
+/// the row and rebuilds from it; `next` does no I/O, and every loss means
+/// another writer committed. NotFound once the row is deleted.
+Result<RowCommit> commit_row(
+    MetadataStore& md, std::size_t index,
+    Result<MetadataStore::VersionedChunk> row,
+    const std::function<ChunkEntry(const ChunkEntry&)>& next) {
+  for (;; row = md.chunk_entry_versioned(index)) {
+    if (!row.ok()) return row.status();
+    const MetadataStore::VersionedChunk& read = row.value();
+    if (read.entry.deleted) return Status::NotFound("chunk removed");
+    RowCommit out{next(read.entry), {}};
+    out.retired = retired_locations(read.entry, out.row);
+    Status st =
+        md.update_chunk_if(index, out.row, read.version, out.retired, {});
+    if (st.ok()) return out;
+    if (st.code() != ErrorCode::kFailedPrecondition) return st;
+  }
+}
+
 }  // namespace
 
 SimDuration parallel_makespan(std::vector<SimDuration> times,
@@ -529,50 +559,35 @@ CloudDataDistributor::write_stripe(BytesView payload,
     return outcome;
   };
 
+  // Without a batcher every shard uploads on the I/O pool. Batched-RPC
+  // mode hands each shard to the cross-op batcher instead, which coalesces
+  // it with shards of other in-flight stripes bound for the same provider.
+  // Placement makes the stripe's own targets distinct, so within this call
+  // each provider sees one shard -- the batching win is across concurrent
+  // operations. Batched digests are computed here on the caller thread
+  // (small-op path: the shards are small by construction). Providers joined
+  // after the batcher was built have no lane; their shards take the I/O
+  // pool too. `encoded` outlives the futures: we block on them below.
   std::vector<ShardOutcome> outcomes(encoded.shard_count);
-  if (batcher_ != nullptr) {
-    // Batched-RPC mode: every shard goes to the cross-op batcher, which
-    // coalesces it with shards of other in-flight stripes bound for the
-    // same provider. Placement makes the stripe's own targets distinct, so
-    // within this call each provider sees one shard -- the batching win is
-    // across concurrent operations. Digests are computed here on the
-    // caller thread (small-op path: the shards are small by construction).
-    // Providers joined after the batcher was built have no lane; their
-    // shards take the direct per-shard path instead.
-    // `encoded` outlives the futures: we block on them below.
-    std::vector<std::pair<std::size_t, std::future<ShardBatcher::PutResult>>>
-        batched;
-    std::vector<std::pair<std::size_t, std::future<ShardOutcome>>> direct;
-    batched.reserve(encoded.shard_count);
-    for (std::size_t s = 0; s < encoded.shard_count; ++s) {
-      if (targets[s] >= batcher_->lanes()) {
-        direct.emplace_back(s, io_pool_.submit(upload, s, targets[s],
-                                               result.locations[s].virtual_id));
-        continue;
-      }
-      outcomes[s].digest = crypto::sha256(encoded.shard(s));
-      batched.emplace_back(s, batcher_->put(targets[s],
-                                            result.locations[s].virtual_id,
-                                            encoded.shard(s)));
+  std::vector<std::pair<std::size_t, std::future<ShardBatcher::PutResult>>>
+      batched;
+  std::vector<std::pair<std::size_t, std::future<ShardOutcome>>> direct;
+  for (std::size_t s = 0; s < encoded.shard_count; ++s) {
+    const VirtualId id = result.locations[s].virtual_id;
+    if (batcher_ == nullptr || targets[s] >= batcher_->lanes()) {
+      direct.emplace_back(s, io_pool_.submit(upload, s, targets[s], id));
+      continue;
     }
-    for (auto& [s, fut] : batched) {
-      ShardBatcher::PutResult r = fut.get();
-      outcomes[s].status = std::move(r.status);
-      outcomes[s].time = r.time;
-      outcomes[s].retries = r.retries;
-    }
-    for (auto& [s, fut] : direct) outcomes[s] = fut.get();
-  } else {
-    std::vector<std::future<ShardOutcome>> futures;
-    futures.reserve(encoded.shard_count);
-    for (std::size_t s = 0; s < encoded.shard_count; ++s) {
-      futures.push_back(io_pool_.submit(upload, s, targets[s],
-                                        result.locations[s].virtual_id));
-    }
-    for (std::size_t s = 0; s < futures.size(); ++s) {
-      outcomes[s] = futures[s].get();
-    }
+    outcomes[s].digest = crypto::sha256(encoded.shard(s));
+    batched.emplace_back(s, batcher_->put(targets[s], id, encoded.shard(s)));
   }
+  for (auto& [s, fut] : batched) {
+    ShardBatcher::PutResult r = fut.get();
+    outcomes[s].status = std::move(r.status);
+    outcomes[s].time = r.time;
+    outcomes[s].retries = r.retries;
+  }
+  for (auto& [s, fut] : direct) outcomes[s] = fut.get();
 
   Status first_error = Status::Ok();
   for (std::size_t s = 0; s < outcomes.size(); ++s) {
@@ -606,9 +621,7 @@ CloudDataDistributor::write_stripe(BytesView payload,
   if (!first_error.ok()) {
     // Best-effort rollback of the shards that did land (with the request
     // layer's retry budget, so a transient blip cannot orphan a shard).
-    for (const auto& loc : result.locations) {
-      (void)rt_.remove(loc.provider, loc.virtual_id);
-    }
+    drop_stripe(result.locations, nullptr, shard);
     return first_error;
   }
   MetadataStore& part = plane_->store(shard);
@@ -818,9 +831,11 @@ Result<CloudDataDistributor::ChunkTarget> CloudDataDistributor::lookup_chunk(
                             std::to_string(serial));
   }
   target.ref = std::move(*ref);
-  Result<ChunkEntry> entry = md.chunk_entry(target.ref.chunk_index);
-  if (!entry.ok()) return entry.status();
-  target.entry = std::move(entry).value();
+  Result<MetadataStore::VersionedChunk> row =
+      md.chunk_entry_versioned(target.ref.chunk_index);
+  if (!row.ok()) return row.status();
+  target.entry = std::move(row.value().entry);
+  target.version = row.value().version;
   return target;
 }
 
@@ -1044,10 +1059,13 @@ Status CloudDataDistributor::put_file(const std::string& client,
     Result<std::size_t> idx = md.add_chunk(
         client, filename, chunks[i].serial, std::move(out.entry));
     if (!idx.ok()) {
+      // A committed row may already have had a shard moved: tombstone the
+      // fresh row and drop the shards it held, not the ones sealed here.
       for (std::size_t j = 0; j < committed.size(); ++j) {
-        if (Result<ChunkEntry> row = md.chunk_entry(committed[j]); row.ok()) {
-          (void)md.update_chunk(committed[j], tombstone_of(row.value()));
-        }
+        Result<RowCommit> tomb =
+            commit_row(md, committed[j],
+                       md.chunk_entry_versioned(committed[j]), tombstone_of);
+        if (tomb.ok()) outcomes[j].stripe = std::move(tomb.value().retired);
         (void)md.unlink_chunk(client, filename, chunks[j].serial);
       }
       return rollback(idx.status());
@@ -1084,18 +1102,40 @@ Result<Bytes> CloudDataDistributor::get_chunk(const std::string& client,
                                               const std::string& filename,
                                               std::uint64_t serial,
                                               OpReport* report) {
+  return read_chunk(client, password, filename, serial,
+                    StripeVersion::kCurrent, report);
+}
+
+Result<Bytes> CloudDataDistributor::get_chunk_snapshot(
+    const std::string& client, const std::string& password,
+    const std::string& filename, std::uint64_t serial) {
+  return read_chunk(client, password, filename, serial,
+                    StripeVersion::kSnapshot, nullptr);
+}
+
+Result<Bytes> CloudDataDistributor::read_chunk(const std::string& client,
+                                               const std::string& password,
+                                               const std::string& filename,
+                                               std::uint64_t serial,
+                                               StripeVersion version,
+                                               OpReport* report) {
   Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
   if (!target.ok()) return target.status();
   const ChunkEntry& entry = target.value().entry;
+  const bool snap = version == StripeVersion::kSnapshot;
+  if (snap && !entry.has_snapshot) {
+    return Status::NotFound("chunk has no snapshot (never modified)");
+  }
 
-  OpScope op(*this, "get_chunk", client, filename);
+  OpScope op(*this, snap ? "get_chunk_snapshot" : "get_chunk", client,
+             filename);
   op.chunk_serial = serial;
   op.chunks = 1;
-  op.shards = entry.stripe.size();
-  op.bytes_stored = entry.padded_size;
+  op.shards = (snap ? entry.snapshot : entry.stripe).size();
+  op.bytes_stored = snap ? entry.snapshot_padded_size : entry.padded_size;
   StripeReadStats rstats;
-  Result<Bytes> plain = open(entry, StripeVersion::kCurrent, op.times,
-                             ReadMode::kEager, op.ctx(), &rstats);
+  Result<Bytes> plain =
+      open(entry, version, op.times, ReadMode::kEager, op.ctx(), &rstats);
   op.parity_reads = rstats.parity_reads;
   op.retries = rstats.retries;
   op.hedges = rstats.hedges;
@@ -1208,98 +1248,60 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
 
   OpScope op(*this, "update_chunk", client, filename);
   op.chunk_serial = serial;
-  std::vector<SimDuration>& times = op.times;
 
-  // 1. Read the current padded payload (pre-state, chaff included).
-  StripeReadStats rstats;
-  Result<Bytes> pre_state = read_stripe(entry.layout, entry.stripe,
-                                        entry.shard_digests,
-                                        entry.padded_size, times,
-                                        ReadMode::kEager, op.ctx(), &rstats);
-  op.parity_reads = rstats.parity_reads;
-  op.retries = rstats.retries;
-  op.hedges = rstats.hedges;
-  if (!pre_state.ok()) return op.finish(pre_state.status(), report);
-
-  // 2. Write the pre-state to a NEW snapshot stripe: "snapshot provider
-  //    stores the pre-state and cloud provider stores the post-state of a
-  //    chunk after each modification" (Table III). The old snapshot and
-  //    old stripe are NOT touched until the new state has committed to the
-  //    journal -- a crash anywhere in between loses only fresh orphans,
-  //    never referenced shards. A failure past this point unwinds the
-  //    stripes this op wrote.
-  Result<StripeWriteResult> snap =
-      write_stripe(pre_state.value(), entry.layout, entry.privacy_level,
-                   times, op.ctx(), shard);
-  if (!snap.ok()) return op.finish(snap.status(), report);
-  op.retries += snap.value().retries;
-  op.replaced_shards += snap.value().replaced;
-  auto unwind = [&](const Status& st) {
-    op.rolled_back = true;
-    drop_stripe(snap.value().locations, &times, shard);
-    return op.finish(st, report);
-  };
-  // The snapshot stripe stores the pre-state exactly as it was protected;
-  // its original transform parameters move with it.
-  ChunkEntry updated = entry;
-  updated.snapshot = snap.value().locations;
-  updated.snapshot_digests = std::move(snap.value().digests);
-  updated.snapshot_misleading = entry.misleading;
-  updated.snapshot_padded_size = entry.padded_size;
-  updated.snapshot_protection = entry.protection;
-  updated.snapshot_protect_nonce = entry.protect_nonce;
-  updated.snapshot_protect_bytes = entry.protect_bytes;
-  updated.has_snapshot = true;
-
-  // 3. Seal the post-state (the original put's chaff ratio and protection
+  // 1. Seal the post-state (the original put's chaff ratio and protection
   //    mode, a fresh nonce) under fresh virtual ids.
+  ChunkEntry sealed = entry;
   Result<StripeWriteResult> written = seal(
-      new_data, chaff_fraction_of(entry), updated, times, op.ctx(), shard);
-  if (!written.ok()) return unwind(written.status());
-  op.retries += written.value().retries;
-  op.replaced_shards += written.value().replaced;
-  const std::size_t bytes_stored = updated.padded_size;
+      new_data, chaff_fraction_of(entry), sealed, op.times, op.ctx(), shard);
+  if (!written.ok()) return op.finish(written.status(), report);
+  op.retries = written.value().retries;
+  op.replaced_shards = written.value().replaced;
 
-  // 4. Commit: metadata row, then journal. Only after the journal append
-  //    is it safe to delete the superseded stripes.
-  if (Status committed = md.update_chunk(index, updated); !committed.ok()) {
-    drop_stripe(updated.stripe, &times, shard);
-    return unwind(committed);
+  // 2. Promote: "snapshot provider stores the pre-state and cloud provider
+  //    stores the post-state of a chunk after each modification" (Table
+  //    III). The current stripe becomes the snapshot where it lies, still
+  //    protected as it was, and the sealed stripe becomes current. A stale
+  //    promotion could snapshot a shard a concurrent move already deleted,
+  //    so the commit is a version CAS.
+  Result<RowCommit> committed = commit_row(
+      md, index, MetadataStore::VersionedChunk{entry, target.value().version},
+      [&sealed](const ChunkEntry& row) {
+        ChunkEntry next = sealed;
+        next.snapshot = row.stripe;
+        next.snapshot_digests = row.shard_digests;
+        next.snapshot_misleading = row.misleading;
+        next.snapshot_padded_size = row.padded_size;
+        next.snapshot_protection = row.protection;
+        next.snapshot_protect_nonce = row.protect_nonce;
+        next.snapshot_protect_bytes = row.protect_bytes;
+        next.has_snapshot = true;
+        return next;
+      });
+  if (!committed.ok()) {
+    op.rolled_back = true;
+    drop_stripe(sealed.stripe, &op.times, shard);
+    return op.finish(committed.status(), report);
   }
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kUpdateChunk;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.push_back(JournalChunk{serial, index, std::move(updated)});
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, report);
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kUpdateChunk;
+  rec.client = client;
+  rec.filename = filename;
+  rec.chunks.push_back(
+      JournalChunk{serial, index, std::move(committed.value().row)});
+  if (Status st = journal_append(rec, shard); !st.ok()) {
+    return op.finish(st, report);
   }
 
-  // 5. Retire the old stripe and (if present) the old snapshot -- they are
-  //    unreferenced now, so a crash mid-drop leaves only orphans.
-  if (entry.has_snapshot) drop_stripe(entry.snapshot, &times, shard);
-  drop_stripe(entry.stripe, &times, shard);
+  // 3. Only now, with the new row durable, delete the superseded snapshot:
+  //    a crash mid-drop leaves only orphans.
+  drop_stripe(committed.value().retired, &op.times, shard);
 
   op.chunks = 1;
-  op.shards = entry.layout.total_shards() * 2;
+  op.shards = entry.layout.total_shards();
   op.bytes_logical = new_data.size();
-  op.bytes_stored = bytes_stored;
+  op.bytes_stored = sealed.padded_size;
   return op.finish(Status::Ok(), report);
-}
-
-Result<Bytes> CloudDataDistributor::get_chunk_snapshot(
-    const std::string& client, const std::string& password,
-    const std::string& filename, std::uint64_t serial) {
-  Result<ChunkTarget> target = lookup_chunk(client, password, filename, serial);
-  if (!target.ok()) return target.status();
-  if (!target.value().entry.has_snapshot) {
-    return Status::NotFound("chunk has no snapshot (never modified)");
-  }
-  std::vector<SimDuration> times;
-  return open(target.value().entry, StripeVersion::kSnapshot, times,
-              ReadMode::kEager);
 }
 
 Status CloudDataDistributor::remove_chunk(const std::string& client,
@@ -1328,14 +1330,6 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
                                          JournalOp kind) {
   MetadataStore& md = plane_->store(target.shard);
   const std::vector<ChunkRef>& refs = target.refs;
-  std::vector<ChunkEntry> rows;
-  rows.reserve(refs.size());
-  for (const ChunkRef& ref : refs) {
-    Result<ChunkEntry> row = md.chunk_entry(ref.chunk_index);
-    if (!row.ok()) return row.status();
-    rows.push_back(std::move(row).value());
-  }
-
   const bool one_chunk = kind == JournalOp::kRemoveChunk;
   OpScope op(*this, one_chunk ? "remove_chunk" : "remove_file", client,
              filename);
@@ -1346,11 +1340,18 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
   rec.client = client;
   rec.filename = filename;
   rec.chunks.reserve(refs.size());
+  // Each row is tombstoned from its fresh version, so the shards dropped
+  // below are the ones it held then, a concurrent move's new copies too.
+  std::vector<std::vector<ShardLocation>> retired(refs.size());
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    Status st = md.update_chunk(refs[i].chunk_index, tombstone_of(rows[i]));
-    if (st.ok()) st = md.unlink_chunk(client, filename, refs[i].serial);
+    const std::size_t index = refs[i].chunk_index;
+    Result<RowCommit> tomb =
+        commit_row(md, index, md.chunk_entry_versioned(index), tombstone_of);
+    Status st = tomb.ok() ? md.unlink_chunk(client, filename, refs[i].serial)
+                          : tomb.status();
     if (!st.ok()) return op.finish(st);
-    rec.chunks.push_back(JournalChunk{refs[i].serial, refs[i].chunk_index, {}});
+    retired[i] = std::move(tomb.value().retired);
+    rec.chunks.push_back(JournalChunk{refs[i].serial, index, {}});
   }
   if (Status st = journal_append(rec, target.shard); !st.ok()) {
     return op.finish(st);
@@ -1360,10 +1361,7 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
   // slots merge into the op accumulator after fan_out joins.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
   fan_out(refs.size(), [&](std::size_t i) {
-    drop_stripe(rows[i].stripe, &drop_times[i], target.shard);
-    if (rows[i].has_snapshot) {
-      drop_stripe(rows[i].snapshot, &drop_times[i], target.shard);
-    }
+    drop_stripe(retired[i], &drop_times[i], target.shard);
   });
   for (const std::vector<SimDuration>& t : drop_times) {
     op.shards += t.size();
@@ -1544,9 +1542,7 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
     if (!updated.ok()) {
       // The new copies never became referenced: delete them so the lost
       // race leaves no orphans behind.
-      for (const ShardLocation& loc : placed) {
-        (void)rt_.remove(loc.provider, loc.virtual_id);
-      }
+      drop_stripe(placed, nullptr, part);
       if (updated.code() == ErrorCode::kFailedPrecondition) continue;
       return updated;
     }
@@ -1555,9 +1551,7 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
     rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
     CS_RETURN_IF_ERROR(journal_append(rec, part));
     // The new locations are durable; the old copies can go.
-    for (const ShardLocation& loc : doomed) {
-      (void)rt_.remove(loc.provider, loc.virtual_id);
-    }
+    drop_stripe(doomed, nullptr, part);
     return stats;
   }
 
@@ -1671,9 +1665,8 @@ CloudDataDistributor::reconcile(
     ++report.aborted_files;
   }
 
-  // 5. Heal any stripe the crash degraded (e.g. an update that journaled
-  //    its commit but died before every superseded-stripe drop, or a
-  //    provider that lost writes).
+  // 5. Heal any stripe the crash degraded (e.g. a provider that lost
+  //    writes).
   Result<std::size_t> repaired = repair();
   if (!repaired.ok()) {
     return op.finish(repaired.status());

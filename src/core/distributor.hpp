@@ -236,14 +236,17 @@ class CloudDataDistributor {
 
   // --- modification & snapshots (Table III's SP column) ------------------
 
-  /// Overwrites one chunk's payload. The pre-state moves to a snapshot
-  /// stripe on distinct providers first, so the previous version stays
-  /// retrievable.
+  /// Overwrites one chunk's payload by promotion: the new payload is sealed
+  /// into a fresh stripe, and one version-CAS row commit makes the current
+  /// stripe the snapshot -- left on its providers, protected as it was --
+  /// and the sealed stripe current. The superseded snapshot is deleted
+  /// after the journal append. No stripe is read back or copied.
   Status update_chunk(const std::string& client, const std::string& password,
                       const std::string& filename, std::uint64_t serial,
                       BytesView new_data, OpReport* report = nullptr);
 
-  /// Retrieves the pre-modification state of a chunk.
+  /// Retrieves the pre-modification state of a chunk: the stripe that was
+  /// current before its last update. NotFound when it was never updated.
   [[nodiscard]] Result<Bytes> get_chunk_snapshot(const std::string& client,
                                                  const std::string& password,
                                                  const std::string& filename,
@@ -411,11 +414,13 @@ class CloudDataDistributor {
                                  const std::string& password,
                                  PrivacyLevel required) const;
 
-  /// A chunk op's target: owning metadata partition, ref and row.
+  /// A chunk op's target: owning metadata partition, ref, and row with the
+  /// version it was read at (the token a row commit is checked against).
   struct ChunkTarget {
     std::size_t shard = 0;
     ChunkRef ref;
     ChunkEntry entry;
+    std::uint64_t version = 0;
   };
   /// A file op's target: owning metadata partition and serial-ordered refs.
   struct FileTarget {
@@ -451,6 +456,13 @@ class CloudDataDistributor {
                                  std::vector<SimDuration>& times,
                                  const obs::SpanCtx& span, std::size_t shard);
 
+  /// The body of get_chunk and get_chunk_snapshot: one traced op that
+  /// opens `version` of the chunk's row eagerly.
+  Result<Bytes> read_chunk(const std::string& client,
+                           const std::string& password,
+                           const std::string& filename, std::uint64_t serial,
+                           StripeVersion version, OpReport* report);
+
   /// Inverse of seal for one of `row`'s stripes: read_stripe, undo the
   /// protection, strip the chaff. Returns the plaintext chunk.
   Result<Bytes> open(const ChunkEntry& row, StripeVersion version,
@@ -463,12 +475,12 @@ class CloudDataDistributor {
   /// at once instead of N per-stripe barriers), inline for one item.
   void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// The removal body of remove_chunk and remove_file: tombstones and
-  /// unlinks every ref in `target`, journals one `kind` record, and only
-  /// then deletes the stripes and snapshots at providers, so a crash
-  /// mid-drop leaves orphans for reconcile(), never a live row pointing at
-  /// vanished shards. `kind` (kRemoveChunk or kRemoveFile) also names the
-  /// op's span and metrics.
+  /// The removal body of remove_chunk and remove_file: tombstones every
+  /// ref in `target` by version CAS from its fresh row and unlinks it,
+  /// journals one `kind` record, and only then deletes the shards those
+  /// rows held at providers, so a crash mid-drop leaves orphans for
+  /// reconcile(), never a live row pointing at vanished shards. `kind`
+  /// (kRemoveChunk or kRemoveFile) also names the op's span and metrics.
   Status remove_refs(const std::string& client, const std::string& filename,
                      const FileTarget& target, JournalOp kind);
 
@@ -523,8 +535,10 @@ class CloudDataDistributor {
                             const obs::SpanCtx& span = {},
                             StripeReadStats* stats = nullptr);
 
-  /// Deletes stripe shards at providers and updates the provider table of
-  /// the owning metadata partition.
+  /// Deletes stripe shards at providers, one after another, and erases
+  /// them from the provider table of the owning metadata partition (a no-op
+  /// for ids a row commit already retired or that were never recorded).
+  /// The one per-stripe delete loop.
   void drop_stripe(const std::vector<ShardLocation>& stripe,
                    std::vector<SimDuration>* times, std::size_t shard);
 

@@ -575,22 +575,19 @@ namespace {
 void sync_placements(MetadataStore& store, const ChunkEntry* before,
                      const ChunkEntry& after) {
   const std::size_t providers = store.provider_count();
-  auto locations = [](const ChunkEntry& e) {
-    std::set<std::pair<ProviderIndex, VirtualId>> out;
-    for (const auto& s : e.stripe) out.emplace(s.provider, s.virtual_id);
-    for (const auto& s : e.snapshot) out.emplace(s.provider, s.virtual_id);
-    return out;
-  };
-  const auto now = locations(after);
   if (before != nullptr) {
-    for (const auto& [p, id] : locations(*before)) {
-      if (now.count({p, id}) == 0 && p < providers) {
-        store.record_removal(p, id);
+    for (const ShardLocation& loc : retired_locations(*before, after)) {
+      if (loc.provider < providers) {
+        store.record_removal(loc.provider, loc.virtual_id);
       }
     }
   }
-  for (const auto& [p, id] : now) {
-    if (p < providers) store.record_placement(p, id);
+  for (const auto* stripe : {&after.stripe, &after.snapshot}) {
+    for (const ShardLocation& loc : *stripe) {
+      if (loc.provider < providers) {
+        store.record_placement(loc.provider, loc.virtual_id);
+      }
+    }
   }
 }
 

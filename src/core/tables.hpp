@@ -84,6 +84,30 @@ struct ChunkEntry {
   return tombstone;
 }
 
+/// The shard locations `before` references and `after` does not: what
+/// writing `after` over `before` retires from the provider tables. The
+/// client row commit and journal replay both derive the delta here.
+[[nodiscard]] inline std::vector<ShardLocation> retired_locations(
+    const ChunkEntry& before, const ChunkEntry& after) {
+  auto kept = [&after](const ShardLocation& loc) {
+    for (const auto* stripe : {&after.stripe, &after.snapshot}) {
+      for (const ShardLocation& l : *stripe) {
+        if (l.provider == loc.provider && l.virtual_id == loc.virtual_id) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  std::vector<ShardLocation> out;
+  for (const auto* stripe : {&before.stripe, &before.snapshot}) {
+    for (const ShardLocation& loc : *stripe) {
+      if (!kept(loc)) out.push_back(loc);
+    }
+  }
+  return out;
+}
+
 /// Chunk coordinate within a client's namespace.
 struct ChunkRef {
   std::string filename;

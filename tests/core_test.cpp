@@ -525,6 +525,49 @@ TEST(DistributorTest, UpdateChunkKeepsSnapshot) {
       equal(f.cdd->get_chunk_snapshot("Bob", "Ty7e", "doc", 0).value(), v2));
 }
 
+TEST(DistributorTest, UpdatePromotesCurrentStripeToSnapshot) {
+  // An update reads no stripe and writes one: the current stripe becomes
+  // the snapshot where it lies, and only the superseded snapshot goes.
+  DistFixture f;
+  auto objects = [&f] {
+    std::size_t n = 0;
+    for (ProviderIndex p = 0; p < f.registry.size(); ++p) {
+      n += f.registry.at(p).object_count();
+    }
+    return n;
+  };
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(900, 1), opts)
+                  .ok());
+  const std::size_t index =
+      f.cdd->metadata().file_chunks("Bob", "doc").front().chunk_index;
+  const std::size_t stripe_shards =
+      f.cdd->metadata().chunk_entry(index).value().layout.total_shards();
+  const std::size_t put_objects = objects();
+
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE("update " + std::to_string(round));
+    const ChunkEntry before = f.cdd->metadata().chunk_entry(index).value();
+    OpReport report;
+    ASSERT_TRUE(f.cdd->update_chunk("Bob", "Ty7e", "doc", 0,
+                                    payload_of(800, 2 + round), &report)
+                    .ok());
+    const ChunkEntry after = f.cdd->metadata().chunk_entry(index).value();
+    ASSERT_TRUE(after.has_snapshot);
+    ASSERT_EQ(after.snapshot.size(), before.stripe.size());
+    for (std::size_t s = 0; s < before.stripe.size(); ++s) {
+      EXPECT_EQ(after.snapshot[s].provider, before.stripe[s].provider);
+      EXPECT_EQ(after.snapshot[s].virtual_id, before.stripe[s].virtual_id);
+    }
+    EXPECT_EQ(after.snapshot_padded_size, before.padded_size);
+    EXPECT_EQ(after.snapshot_protect_nonce, before.protect_nonce);
+    EXPECT_EQ(report.shards, stripe_shards);
+    EXPECT_EQ(report.parity_reads, 0u);
+    EXPECT_EQ(objects(), put_objects + stripe_shards);
+  }
+}
+
 TEST(DistributorTest, EveryProtectionModeRoundTripsAllOps) {
   // Put / get_file / get_chunk / update_chunk / snapshot under each
   // protection transform, at every PL: the mode is sticky across updates

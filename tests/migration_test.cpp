@@ -577,7 +577,10 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
   // retired copies that newer row still references -- a permanent hole.
   // Here a client rewrites every chunk continuously while a throttled
   // drain walks the table; afterwards every chunk must read back equal to
-  // its last committed update.
+  // its last committed update, its snapshot equal to the update before
+  // that, and -- with no reconcile pass -- the provider objects must be
+  // exactly the rows' references: an update that promoted a stale row
+  // would leak the move's new copy.
   storage::ProviderRegistry reg = flat_registry(8);
   CloudDataDistributor cdd(reg, base_config(0x90C));
   ASSERT_TRUE(cdd.register_client("alice").ok());
@@ -598,8 +601,15 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
   migrator.start(MigrationKind::kDrain, subject);
 
   // Serial updater racing the background walk: per chunk, the last update
-  // this loop committed is the content the final read must return.
+  // this loop committed is the content the final read must return, and the
+  // one before it (or the put's) is the snapshot.
   std::map<std::uint64_t, Bytes> expected;
+  std::map<std::uint64_t, Bytes> previous;
+  for (const core::ChunkRef& ref : refs) {
+    Result<Bytes> put = cdd.get_chunk("alice", "pw", "f", ref.serial);
+    ASSERT_TRUE(put.ok()) << put.status().to_string();
+    expected[ref.serial] = std::move(put).value();
+  }
   std::uint64_t seed = 0x9000;
   do {
     for (const core::ChunkRef& ref : refs) {
@@ -607,7 +617,7 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
       ++seed;
       Status st = cdd.update_chunk("alice", "pw", "f", ref.serial, next);
       ASSERT_TRUE(st.ok()) << st.to_string();
-      expected[ref.serial] = next;
+      previous[ref.serial] = std::exchange(expected[ref.serial], next);
     }
   } while (migrator.progress().running);
   Result<Migrator::Report> report = migrator.wait();
@@ -625,6 +635,30 @@ TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {
     ASSERT_TRUE(back.ok()) << "chunk " << serial
                            << " lost: " << back.status().to_string();
     EXPECT_TRUE(equal(back.value(), want)) << "chunk " << serial;
+    Result<Bytes> snap = cdd.get_chunk_snapshot("alice", "pw", "f", serial);
+    ASSERT_TRUE(snap.ok()) << "chunk " << serial << " snapshot lost: "
+                           << snap.status().to_string();
+    EXPECT_TRUE(equal(snap.value(), previous.at(serial)))
+        << "chunk " << serial << " snapshot";
+  }
+
+  std::set<std::pair<ProviderIndex, VirtualId>> referenced;
+  for (const core::ChunkEntry& entry : cdd.metadata().chunk_table()) {
+    for (const auto* stripe : {&entry.stripe, &entry.snapshot}) {
+      for (const core::ShardLocation& loc : *stripe) {
+        referenced.insert({loc.provider, loc.virtual_id});
+      }
+    }
+  }
+  std::set<std::pair<ProviderIndex, VirtualId>> stored;
+  for (ProviderIndex p = 0; p < reg.size(); ++p) {
+    for (VirtualId id : reg.at(p).list_ids()) stored.insert({p, id});
+  }
+  for (const auto& [p, id] : stored) {
+    EXPECT_TRUE(referenced.count({p, id})) << "orphan at provider " << p;
+  }
+  for (const auto& [p, id] : referenced) {
+    EXPECT_TRUE(stored.count({p, id})) << "hole at provider " << p;
   }
 }
 

@@ -400,6 +400,37 @@ TEST(ProviderTelemetryTest, SplitsInjectedFailuresFromIoErrors) {
   EXPECT_EQ(s.counters.at("provider.Split.errors"), 2u);
 }
 
+TEST(DistributorTelemetryTest, SnapshotReadIsATracedOp) {
+  // get_chunk_snapshot is a client op like get_chunk: counted, timed and
+  // traced as a root span with one shard_get child per snapshot shard.
+  ObsFixture f;
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  ASSERT_TRUE(
+      f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(900), opts).ok());
+  ASSERT_TRUE(
+      f.cdd->update_chunk("Bob", "Ty7e", "doc", 0, payload_of(800, 9)).ok());
+  ASSERT_TRUE(f.cdd->get_chunk_snapshot("Bob", "Ty7e", "doc", 0).ok());
+
+  const MetricsRegistry::Snapshot s = f.sink->metrics().snapshot();
+  EXPECT_EQ(s.counters.at("cdd.get_chunk_snapshot_total"), 1u);
+  EXPECT_EQ(s.counters.count("cdd.get_chunk_snapshot_errors"), 0u);
+  EXPECT_EQ(s.histograms.at("cdd.get_chunk_snapshot_wall_ns").count, 1u);
+  EXPECT_EQ(s.gauges.at("cdd.inflight_ops"), 0);
+  const std::vector<SpanRecord> spans = f.sink->tracer().snapshot();
+  const SpanRecord* root = nullptr;
+  for (const SpanRecord& sp : spans) {
+    if (sp.name == "get_chunk_snapshot" && sp.parent_id == 0) root = &sp;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->outcome, ErrorCode::kOk);
+  std::size_t shard_gets = 0;
+  for (const SpanRecord& sp : spans) {
+    if (sp.op_id == root->op_id && sp.name == "shard_get") ++shard_gets;
+  }
+  EXPECT_EQ(shard_gets, 4u);  // RAID-5 over 3 data shards
+}
+
 TEST(DistributorTelemetryTest, ChildSpansCoverRootSimTime) {
   ObsFixture f;
   const Bytes data = payload_of(64 * 1024);

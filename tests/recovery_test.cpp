@@ -541,6 +541,7 @@ struct Scenario {
   Bytes checkpoint;  ///< empty = metadata.bin does not exist
   std::vector<std::map<VirtualId, Bytes>> providers;  ///< durable objects
   std::map<std::string, Bytes> expected;  ///< committed file -> content
+  std::map<std::string, Bytes> snapshots;  ///< updated file -> its pre-state
 };
 
 /// Watches a live workload through the journal's append hooks and mints a
@@ -565,6 +566,7 @@ class CrashRecorder {
       pending_.checkpoint = read_disk(checkpoint_path_);
       pending_.providers = snapshot_providers();
       pending_.expected = expected_;
+      pending_.snapshots = snapshots_;
       scenarios_.push_back(pending_);
     };
     journal.test_hook_after_append = [this](const JournalRecord& rec) {
@@ -574,6 +576,7 @@ class CrashRecorder {
                     " op=" + std::to_string(static_cast<int>(rec.op));
       after.journal = read_disk(journal_path_);
       after.expected = expected_;
+      after.snapshots = snapshots_;
       scenarios_.push_back(std::move(after));
     };
   }
@@ -581,6 +584,13 @@ class CrashRecorder {
   /// Declare the content an upcoming put/update will commit for `file`.
   void will_write(const std::string& file, Bytes content) {
     pending_content_[file] = std::move(content);
+  }
+
+  /// Declare an upcoming update of `file`'s chunk 0, whose snapshot is then
+  /// `pre_state`.
+  void will_update(const std::string& file, Bytes content, Bytes pre_state) {
+    will_write(file, std::move(content));
+    pending_snapshot_[file] = std::move(pre_state);
   }
 
   /// Snapshot the current on-disk + provider state outside any append
@@ -592,6 +602,7 @@ class CrashRecorder {
     s.checkpoint = read_disk(checkpoint_path_);
     s.providers = snapshot_providers();
     s.expected = expected_;
+    s.snapshots = snapshots_;
     return s;
   }
 
@@ -619,10 +630,16 @@ class CrashRecorder {
         if (rec.filename.empty()) break;  // repair/rebalance rewrite
         auto it = pending_content_.find(rec.filename);
         if (it != pending_content_.end()) expected_[rec.filename] = it->second;
+        auto pre = pending_snapshot_.find(rec.filename);
+        if (rec.op == JournalOp::kUpdateChunk &&
+            pre != pending_snapshot_.end()) {
+          snapshots_[rec.filename] = pre->second;
+        }
         break;
       }
       case JournalOp::kRemoveFile:
         expected_.erase(rec.filename);
+        snapshots_.erase(rec.filename);
         break;
       default:
         break;
@@ -633,15 +650,19 @@ class CrashRecorder {
   fs::path checkpoint_path_;
   storage::ProviderRegistry* registry_;
   std::map<std::string, Bytes> pending_content_;
+  std::map<std::string, Bytes> pending_snapshot_;
   std::map<std::string, Bytes> expected_;
+  std::map<std::string, Bytes> snapshots_;
   Scenario pending_;
   std::vector<Scenario> scenarios_;
 };
 
 /// Reconstructs a world from a crash Scenario and asserts full convergence:
-/// recovery succeeds, committed files read back byte-identical, uncommitted
-/// files are gone, reconciliation leaves zero unreferenced provider
-/// objects, and a second recovery pass changes nothing.
+/// recovery succeeds, committed files read back byte-identical, a committed
+/// update's snapshot reads back its pre-state (and no other chunk 0 has
+/// one), uncommitted files are gone, reconciliation leaves zero
+/// unreferenced provider objects, and a second recovery pass changes
+/// nothing.
 void verify_recovery(const Scenario& sc,
                      const std::set<std::string>& universe) {
   SCOPED_TRACE(sc.label);
@@ -681,6 +702,16 @@ void verify_recovery(const Scenario& sc,
       EXPECT_TRUE(equal(got.value(), want->second)) << file;
     } else {
       EXPECT_FALSE(got.ok()) << file << " should not have survived";
+    }
+    Result<Bytes> snap = cdd.get_chunk_snapshot("alice", "pw", file, 0);
+    auto pre = sc.snapshots.find(file);
+    if (pre != sc.snapshots.end()) {
+      ASSERT_TRUE(snap.ok()) << file << ": " << snap.status().to_string();
+      EXPECT_TRUE(equal(snap.value(), pre->second)) << file << " snapshot";
+    } else if (want != sc.expected.end()) {
+      EXPECT_EQ(snap.status().code(), ErrorCode::kNotFound) << file;
+    } else {
+      EXPECT_FALSE(snap.ok()) << file;
     }
   }
 
@@ -777,7 +808,7 @@ TEST(RecoveryTest, CrashInjectionSweep) {
     const Bytes fresh = payload_of(span, 11);
     f1_updated = fresh;
     f1_updated.insert(f1_updated.end(), f1.begin() + span, f1.end());
-    recorder.will_write("f1", f1_updated);
+    recorder.will_update("f1", f1_updated, chunk0.value());
     ASSERT_TRUE(cdd.update_chunk("alice", "pw", "f1", 0, fresh).ok());
 
     ASSERT_TRUE(cdd.remove_file("alice", "pw", "f2").ok());
