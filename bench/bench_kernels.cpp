@@ -14,7 +14,8 @@
 //   5. AES-128-CTR arms: in-place CTR GB/s through every AES arm the host
 //      can run (portable FIPS-197 rounds, AES-NI) at 1 KiB and 256 KiB.
 //   6. Pipeline stages: split_file on 1 MiB, MisleadingCodec::inject on
-//      64 KiB, and HashRing::lookup.
+//      64 KiB, HashRing::lookup, crc32 on 64 KiB, and one journal frame
+//      (encode_record plus crc32) of a bulk-shaped kCommitPut.
 // Sections 4 to 6 are recorded only; no gate reads them.
 //
 // Gate (exit non-zero on failure; skipped when the host has no SIMD or
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "core/chunker.hpp"
+#include "core/journal.hpp"
 #include "core/misleading.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/gf256.hpp"
@@ -41,6 +43,7 @@
 #include "harness.hpp"
 #include "raid/raid.hpp"
 #include "util/cpu.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
 #include "util/sim_clock.hpp"
 #include "util/status.hpp"
@@ -73,6 +76,30 @@ Bytes rebuild_via_full_path(const raid::StripeLayout& layout,
   CS_REQUIRE(payload.ok(), payload.status().to_string());
   raid::EncodedStripe re = raid::encode(layout, payload.value());
   return re.shard_copy(target);
+}
+
+/// A kCommitPut shaped like one 256 KiB bulk put: 16 chunk rows on 4-shard
+/// RAID-5 stripes, each with four digests and ~10 % chaff positions (about
+/// 26k positions, a ~110 KB record).
+core::JournalRecord bulk_commit_record() {
+  core::JournalRecord rec;
+  rec.op = core::JournalOp::kCommitPut;
+  rec.client = "client-0";
+  rec.filename = "bulk-000000";
+  for (std::uint64_t c = 0; c < 16; ++c) {
+    core::ChunkEntry e;
+    e.privacy_level = PrivacyLevel::kLow;
+    e.layout = raid::StripeLayout::make(raid::RaidLevel::kRaid5, 3);
+    for (std::uint64_t s = 0; s < 4; ++s) {
+      e.stripe.push_back({static_cast<ProviderIndex>(s), mix64(c * 4 + s)});
+    }
+    for (std::uint32_t i = 0; i < 1638; ++i) e.misleading.push_back(10 * i);
+    e.padded_size = 16384 + 1638;
+    e.shard_digests.resize(4);
+    e.protection = ProtectionMode::kFragmentation;
+    rec.chunks.push_back(core::JournalChunk{c, c, e});
+  }
+  return rec;
 }
 
 }  // namespace
@@ -286,6 +313,23 @@ int main(int argc, char** argv) {
             owners += ring.lookup(key_hash);
           }));
     CS_REQUIRE(owners > 0, "ring_lookup");
+  }
+  {
+    const Bytes block = make_payload(64 * 1024, 0xC2);
+    std::uint64_t crcs = 0;  // keeps the checksums observable
+    stage("crc32", block.size(), bench::calls_per_sec([&] {
+            crcs += crc32(block);
+          }));
+    CS_REQUIRE(crcs > 0, "crc32");
+  }
+  {
+    const core::JournalRecord rec = bulk_commit_record();
+    const std::size_t frame_bytes = core::encode_record(rec).size();
+    std::uint64_t crcs = 0;
+    stage("journal_frame", frame_bytes, bench::calls_per_sec([&] {
+            crcs += crc32(core::encode_record(rec));
+          }));
+    CS_REQUIRE(crcs > 0, "journal_frame");
   }
 
   // --- gate ----------------------------------------------------------------

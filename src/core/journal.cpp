@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <thread>
 
@@ -27,16 +26,11 @@ constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4 + 4;
 constexpr std::size_t kFrameOverhead = 4 + 4;  // length + crc
 
 [[nodiscard]] std::uint32_t load_u32(BytesView image, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(image[off + i]) << (8 * i);
-  }
-  return v;
+  return wire::load_le<std::uint32_t>(image.data() + off);
 }
 
 [[nodiscard]] std::uint64_t load_u64(BytesView image, std::size_t off) {
-  return load_u32(image, off) |
-         static_cast<std::uint64_t>(load_u32(image, off + 4)) << 32;
+  return wire::load_le<std::uint64_t>(image.data() + off);
 }
 
 /// The one journal header decoder. Fields a short prefix does carry are
@@ -118,20 +112,50 @@ void fsync_parent_dir(const std::filesystem::path& p) {
   }
 }
 
+/// Reads the whole file with one sized read.
 [[nodiscard]] Result<Bytes> read_file_bytes(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) return Status::Internal("cannot open " + p.string());
-  Bytes data{std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>()};
-  if (in.bad()) return Status::Internal("read failed for " + p.string());
+  const int fd = ::open(p.c_str(), O_RDONLY);
+  if (fd < 0) return errno_status("cannot open " + p.string());
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status err = errno_status("stat " + p.string());
+    ::close(fd);
+    return err;
+  }
+  Bytes data(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status err = errno_status("read failed for " + p.string());
+      ::close(fd);
+      return err;
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  data.resize(done);
   return data;
 }
 
-}  // namespace
+/// An upper bound on encode_record(rec).size() (every field any op writes),
+/// so a frame buffer is sized once before encoding.
+[[nodiscard]] std::size_t record_size_bound(const JournalRecord& rec) {
+  // op | provider index | three u8 fields | two strings | chunk count
+  std::size_t n =
+      1 + 8 + 3 + 4 + rec.client.size() + 4 + rec.filename.size() + 4;
+  const bool rows = rec.op == JournalOp::kCommitPut ||
+                    rec.op == JournalOp::kUpdateChunk;
+  for (const JournalChunk& c : rec.chunks) {
+    n += 8 + 8 + (rows ? chunk_entry_wire_size(c.entry) : 0);
+  }
+  return n;
+}
 
-Bytes encode_record(const JournalRecord& rec) {
-  Bytes out;
-  wire::Writer w(out);
+/// Appends the wire form of `rec` through `w`.
+void write_record(wire::Writer& w, const JournalRecord& rec) {
   w.u8(static_cast<std::uint8_t>(rec.op));
   switch (rec.op) {
     case JournalOp::kRegisterProvider:
@@ -182,6 +206,15 @@ Bytes encode_record(const JournalRecord& rec) {
       w.u8(rec.level);    // MigrationKind
       break;
   }
+}
+
+}  // namespace
+
+Bytes encode_record(const JournalRecord& rec) {
+  Bytes out;
+  out.reserve(record_size_bound(rec));
+  wire::Writer w(out);
+  write_record(w, rec);
   return out;
 }
 
@@ -390,14 +423,18 @@ void Journal::attach_watchdog(obs::StallWatchdog* wd) {
 
 Status Journal::append(const JournalRecord& rec) {
   // Frame encoding needs no journal state -- do it before taking the lock
-  // so contending appenders only serialize on the queue and the disk.
+  // so contending appenders only serialize on the queue and the disk. The
+  // frame is one buffer sized up front: the payload is encoded in place
+  // behind a blank `len | crc` header, which is patched last.
   Waiter w;
   w.rec = &rec;
-  const Bytes payload = encode_record(rec);
+  w.frame.reserve(kFrameOverhead + record_size_bound(rec));
+  w.frame.resize(kFrameOverhead);
   wire::Writer wr(w.frame);
-  wr.u32(static_cast<std::uint32_t>(payload.size()));
-  wr.u32(crc32(payload));
-  w.frame.insert(w.frame.end(), payload.begin(), payload.end());
+  write_record(wr, rec);
+  const BytesView payload = BytesView(w.frame).subspan(kFrameOverhead);
+  wire::store_le(w.frame.data(), static_cast<std::uint32_t>(payload.size()));
+  wire::store_le(w.frame.data() + 4, crc32(payload));
 
   std::unique_lock<std::mutex> lk(mu_);
   queue_.push_back(&w);

@@ -42,24 +42,9 @@ bool read_digests(wire::Reader& r, std::vector<crypto::Digest>& ds) {
   if (!r.u32(n) || static_cast<std::size_t>(n) > r.remaining()) return false;
   ds.resize(n);
   for (auto& d : ds) {
-    Bytes raw;
-    if (!r.bytes(raw) || raw.size() != d.size()) return false;
-    std::copy(raw.begin(), raw.end(), d.begin());
-  }
-  return true;
-}
-
-void write_positions(wire::Writer& w, const std::vector<std::uint32_t>& ps) {
-  w.u32(static_cast<std::uint32_t>(ps.size()));
-  for (std::uint32_t p : ps) w.u32(p);
-}
-
-bool read_positions(wire::Reader& r, std::vector<std::uint32_t>& ps) {
-  std::uint32_t n = 0;
-  if (!r.u32(n) || static_cast<std::size_t>(n) > r.remaining()) return false;
-  ps.resize(n);
-  for (auto& p : ps) {
-    if (!r.u32(p)) return false;
+    // Each digest keeps the length-prefixed form of Writer::bytes.
+    std::uint32_t len = 0;
+    if (!r.u32(len) || len != d.size() || !r.raw(d)) return false;
   }
   return true;
 }
@@ -74,12 +59,12 @@ void write_chunk_entry(wire::Writer& w, const ChunkEntry& e) {
   w.u64(e.layout.parity_shards);
   write_shards(w, e.stripe);
   write_shards(w, e.snapshot);
-  write_positions(w, e.misleading);
+  w.u32s(e.misleading);
   w.u64(e.padded_size);
   write_digests(w, e.shard_digests);
   w.u8(e.has_snapshot ? 1 : 0);
   w.u64(e.snapshot_padded_size);
-  write_positions(w, e.snapshot_misleading);
+  w.u32s(e.snapshot_misleading);
   write_digests(w, e.snapshot_digests);
   w.u8(e.deleted ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(e.protection));
@@ -88,6 +73,16 @@ void write_chunk_entry(wire::Writer& w, const ChunkEntry& e) {
   w.u8(static_cast<std::uint8_t>(e.snapshot_protection));
   w.u64(e.snapshot_protect_nonce);
   w.u64(e.snapshot_protect_bytes);
+}
+
+std::size_t chunk_entry_wire_size(const ChunkEntry& e) {
+  // The fixed fields of write_chunk_entry: 7 u8s, 8 u64s and 6 counts.
+  constexpr std::size_t kFixed = 7 + 8 * 8 + 6 * 4;
+  constexpr std::size_t kShard = 2 * 8;
+  constexpr std::size_t kDigest = 4 + std::tuple_size_v<crypto::Digest>;
+  return kFixed + kShard * (e.stripe.size() + e.snapshot.size()) +
+         4 * (e.misleading.size() + e.snapshot_misleading.size()) +
+         kDigest * (e.shard_digests.size() + e.snapshot_digests.size());
 }
 
 bool read_chunk_entry(wire::Reader& r, ChunkEntry& e) {
@@ -113,9 +108,9 @@ bool read_chunk_entry(wire::Reader& r, ChunkEntry& e) {
   std::uint64_t padded = 0;
   std::uint64_t snap_padded = 0;
   if (!read_shards(r, e.stripe) || !read_shards(r, e.snapshot) ||
-      !read_positions(r, e.misleading) || !r.u64(padded) ||
+      !r.u32s(e.misleading) || !r.u64(padded) ||
       !read_digests(r, e.shard_digests) || !r.u8(has_snapshot) ||
-      !r.u64(snap_padded) || !read_positions(r, e.snapshot_misleading) ||
+      !r.u64(snap_padded) || !r.u32s(e.snapshot_misleading) ||
       !read_digests(r, e.snapshot_digests) || !r.u8(deleted)) {
     return false;
   }

@@ -58,6 +58,10 @@ struct ShardStamp {
 /// to a checkpointed one. Every row leads with a 0xF2 marker byte.
 void write_chunk_entry(wire::Writer& w, const ChunkEntry& entry);
 
+/// The exact number of bytes write_chunk_entry emits for `entry`, so a
+/// writer can size its buffer before encoding.
+[[nodiscard]] std::size_t chunk_entry_wire_size(const ChunkEntry& entry);
+
 /// Reads one chunk-table row; false on a missing marker, truncation or an
 /// implausible field (bad privacy level, unknown RAID level, unknown
 /// protection mode, protected prefix past the payload, count past the

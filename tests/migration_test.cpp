@@ -545,11 +545,13 @@ TEST(MetadataCasTest, UpdateChunkIfRefusesStaleVersion) {
       store.chunk_entry_versioned(idx.value());
   ASSERT_TRUE(v0.ok());
 
-  // A concurrent writer commits first: the stale token must be refused and
-  // the newer row left untouched.
+  // A concurrent writer that read the same version commits first: the
+  // token it shares with us is then stale, so ours must be refused and the
+  // newer row left untouched.
   core::ChunkEntry newer = v0.value().entry;
   newer.padded_size = 111;
-  ASSERT_TRUE(store.update_chunk(idx.value(), newer).ok());
+  ASSERT_TRUE(
+      store.update_chunk_if(idx.value(), newer, v0.value().version).ok());
   core::ChunkEntry stale = v0.value().entry;
   stale.padded_size = 222;
   const Status lost =

@@ -301,8 +301,8 @@ TEST(MetadataIoTest, FuzzSingleByteFlipNeverCrashes) {
 
 // --- chunk-row wire format ----------------------------------------------------
 
-/// A current-format chunk row with every section populated.
-Bytes sample_chunk_row() {
+/// A chunk entry with every section populated.
+core::ChunkEntry sample_chunk_entry() {
   core::ChunkEntry entry;
   entry.privacy_level = PrivacyLevel::kModerate;
   entry.layout = raid::StripeLayout::make(raid::RaidLevel::kRaid5, 3);
@@ -317,10 +317,54 @@ Bytes sample_chunk_row() {
   entry.protection = ProtectionMode::kFragmentation;
   entry.protect_nonce = 77;
   entry.protect_bytes = 4096;
+  return entry;
+}
+
+/// A current-format chunk row with every section populated.
+Bytes sample_chunk_row() {
+  Bytes row;
+  wire::Writer w(row);
+  core::write_chunk_entry(w, sample_chunk_entry());
+  return row;
+}
+
+TEST(MetadataIoTest, ChunkRowWireSizeIsExact) {
+  core::ChunkEntry full = sample_chunk_entry();
+  full.misleading = {3, 9, 27, 81, 243};
+  full.snapshot_misleading = {1, 2};
+  full.shard_digests.resize(4);
+  for (const core::ChunkEntry& entry : {core::ChunkEntry{}, full}) {
+    Bytes row;
+    wire::Writer w(row);
+    core::write_chunk_entry(w, entry);
+    EXPECT_EQ(core::chunk_entry_wire_size(entry), row.size());
+  }
+}
+
+TEST(MetadataIoTest, ChunkRowRejectsDigestOfWrongLength) {
+  core::ChunkEntry entry;
+  entry.stripe = {{0, 1}};
+  entry.misleading = {5};
+  entry.shard_digests = {crypto::sha256(to_bytes("shard"))};
   Bytes row;
   wire::Writer w(row);
   core::write_chunk_entry(w, entry);
-  return row;
+  // tag | PL | RAID level | two u64 | stripe (count + one shard) | empty
+  // snapshot | positions (count + one) | padded size | digest count.
+  const std::size_t len_off = 3 + 16 + (4 + 16) + 4 + (4 + 4) + 8 + 4;
+  ASSERT_EQ(wire::load_le<std::uint32_t>(row.data() + len_off), 32u);
+  for (std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{31},
+                           std::uint8_t{33}}) {
+    Bytes mutated = row;
+    mutated[len_off] = bad;
+    wire::Reader r(mutated);
+    core::ChunkEntry decoded;
+    EXPECT_FALSE(core::read_chunk_entry(r, decoded)) << int(bad);
+  }
+  wire::Reader r(row);
+  core::ChunkEntry decoded;
+  ASSERT_TRUE(core::read_chunk_entry(r, decoded));
+  EXPECT_EQ(decoded.shard_digests, entry.shard_digests);
 }
 
 TEST(MetadataIoTest, ChunkRowWithoutMarkerIsRejected) {

@@ -26,6 +26,7 @@
 #include "core/journal.hpp"
 #include "core/metadata_io.hpp"
 #include "core/migrator.hpp"
+#include "crypto/sha256.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/hash.hpp"
 #include "util/wire.hpp"
@@ -393,6 +394,143 @@ TEST(GroupCommitTest, BatchOpsOneIsByteIdenticalToPerOpFormat) {
     }
   }
   EXPECT_TRUE(equal(read_disk(grouped), expected));
+}
+
+// --- pinned on-disk bytes ---------------------------------------------------
+
+// A chunk row with every field set and `positions` chaff positions, all
+// derived from `seed` so the row is the same on every build.
+core::ChunkEntry pinned_row(std::uint32_t seed, std::size_t positions) {
+  core::ChunkEntry e;
+  e.privacy_level = static_cast<PrivacyLevel>(seed % kNumPrivacyLevels);
+  e.layout = raid::StripeLayout::make(raid::RaidLevel::kRaid5, 3);
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    e.stripe.push_back({static_cast<ProviderIndex>(s), 1000 * seed + s});
+  }
+  for (std::size_t i = 0; i < positions; ++i) {
+    e.misleading.push_back(static_cast<std::uint32_t>(5 * i + (i + seed) % 4));
+  }
+  e.padded_size = 5 * positions + 17;
+  e.shard_digests.resize(4);
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (std::size_t b = 0; b < e.shard_digests[s].size(); ++b) {
+      e.shard_digests[s][b] = static_cast<std::uint8_t>(31 * s + 7 * b + seed);
+    }
+  }
+  e.protection = static_cast<ProtectionMode>(seed % kNumProtectionModes);
+  e.protect_nonce = 0x0123456789ABCDEFULL ^ seed;
+  e.protect_bytes = e.padded_size / 3;
+  return e;
+}
+
+// A fixed history touching every record kind: fleet and client setup, a
+// three-chunk put, an update that snapshots, a removal, an aborted put and
+// a drain.
+std::vector<JournalRecord> pinned_history() {
+  std::vector<JournalRecord> recs;
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    JournalRecord rec;
+    rec.op = JournalOp::kRegisterProvider;
+    rec.provider_index = p;
+    rec.client = "provider-" + std::to_string(p);
+    rec.level = static_cast<std::uint8_t>(p % kNumPrivacyLevels);
+    rec.cost = static_cast<std::uint8_t>(p % kNumCostLevels);
+    recs.push_back(rec);
+  }
+  JournalRecord client;
+  client.op = JournalOp::kRegisterClient;
+  client.client = "alice";
+  recs.push_back(client);
+  JournalRecord password = client;
+  password.op = JournalOp::kAddPassword;
+  password.filename = "hunter2";
+  password.level = 2;
+  recs.push_back(password);
+  recs.push_back(begin_record("report"));
+
+  JournalRecord commit;
+  commit.op = JournalOp::kCommitPut;
+  commit.client = "alice";
+  commit.filename = "report";
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    commit.chunks.push_back(JournalChunk{c, c, pinned_row(c, 700 + 300 * c)});
+  }
+  recs.push_back(commit);
+
+  JournalRecord update = commit;
+  update.op = JournalOp::kUpdateChunk;
+  core::ChunkEntry next = pinned_row(9, 450);
+  const core::ChunkEntry& prev = commit.chunks[1].entry;
+  next.has_snapshot = true;
+  next.snapshot = prev.stripe;
+  next.snapshot_padded_size = prev.padded_size;
+  next.snapshot_misleading = prev.misleading;
+  next.snapshot_digests = prev.shard_digests;
+  next.snapshot_protection = prev.protection;
+  next.snapshot_protect_nonce = prev.protect_nonce;
+  next.snapshot_protect_bytes = prev.protect_bytes;
+  update.chunks = {JournalChunk{1, 1, next}};
+  recs.push_back(update);
+
+  JournalRecord remove = commit;
+  remove.op = JournalOp::kRemoveChunk;
+  remove.chunks = {JournalChunk{2, 2, core::ChunkEntry{}}};
+  recs.push_back(remove);
+
+  recs.push_back(begin_record("draft"));
+  JournalRecord abort = begin_record("draft");
+  abort.op = JournalOp::kAbortPut;
+  recs.push_back(abort);
+  for (JournalOp op : {JournalOp::kBeginMigrate, JournalOp::kCommitMigrate}) {
+    JournalRecord migrate;
+    migrate.op = op;
+    migrate.provider_index = 3;
+    migrate.client = "provider-3";
+    migrate.level = static_cast<std::uint8_t>(core::MigrationKind::kDrain);
+    recs.push_back(migrate);
+  }
+  return recs;
+}
+
+// The journal and image bytes of a fixed history are pinned by SHA-256.
+// The constants were taken from the build whose CRC-32 ran bit by bit, so
+// they hold any faster checksum or encoder to the same on-disk bytes
+// independently of the code under test (expected_journal_image above uses
+// that code's own crc32 and encode_record).
+TEST(PinnedBytesTest, JournalAndImageMatchTheirRecordedDigests) {
+  const std::vector<JournalRecord> recs = pinned_history();
+  TempDir dir;
+  const fs::path path = dir.path() / "pinned.wal";
+  {
+    Result<std::unique_ptr<Journal>> j = Journal::open(path);
+    ASSERT_TRUE(j.ok());
+    for (const JournalRecord& rec : recs) {
+      ASSERT_TRUE(j.value()->append(rec).ok());
+    }
+  }
+  core::MetadataStore store;
+  for (const JournalRecord& rec : recs) {
+    ASSERT_TRUE(core::apply_journal_record(store, rec).ok())
+        << "op " << static_cast<int>(rec.op);
+  }
+  const Bytes journal = read_disk(path);
+  const Bytes image = core::serialize_metadata(store);
+  EXPECT_EQ(journal.size(), 19750u);
+  EXPECT_EQ(image.size(), 15144u);
+  EXPECT_EQ(crypto::digest_hex(crypto::sha256(journal)),
+            "e2c50a911793180d50e3b0c24abd854a5c377f8874e8e0245358529d8b053fe5");
+  EXPECT_EQ(crypto::digest_hex(crypto::sha256(image)),
+            "70766805a796bfed33de4847c55569d393500a3afbaaeb97f7489addf3e051e9");
+
+  // The pinned journal replays to the same image.
+  Result<core::JournalReplay> replay = core::replay_journal_image(journal);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_EQ(replay.value().records.size(), recs.size());
+  core::MetadataStore replayed;
+  for (const JournalRecord& rec : replay.value().records) {
+    ASSERT_TRUE(core::apply_journal_record(replayed, rec).ok());
+  }
+  EXPECT_TRUE(equal(core::serialize_metadata(replayed), image));
 }
 
 TEST(GroupCommitTest, ConcurrentAppendsSurviveCrashAtEveryBatchBoundary) {
