@@ -539,7 +539,6 @@ struct FaultRow {
   std::size_t ops = 0;            ///< put+get operations attempted
   std::size_t client_errors = 0;  ///< failed or wrong-bytes client ops
   std::size_t retries = 0;
-  std::size_t hedges = 0;
   std::size_t replaced_shards = 0;
   std::uint64_t injected = 0;  ///< provider-side injected faults
   std::uint64_t breaker_trips = 0;
@@ -555,7 +554,6 @@ struct FaultRow {
         .set("client_errors", client_errors)
         .set("availability", availability())
         .set("retries", retries)
-        .set("hedges", hedges)
         .set("replaced_shards", replaced_shards)
         .set("injected_failures", injected)
         .set("breaker_trips", breaker_trips);
@@ -592,7 +590,6 @@ FaultRow run_faults(double rate, std::uint64_t seed) {
     Result<Bytes> back = cdd.get_file("bench", "pw", name, &get_report);
     ++row.ops;
     row.retries += get_report.retries;
-    row.hedges += get_report.hedges;
     if (!back.ok() || !equal(back.value(), data)) ++row.client_errors;
   }
   for (ProviderIndex p = 0; p < registry.size(); ++p) {
@@ -744,8 +741,7 @@ int main(int argc, char** argv) {
   const FaultRow smoke = run_faults(0.05, 0xFA17);
   std::cout << "injected " << smoke.injected << " faults -> " << smoke.retries
             << " retries, " << smoke.replaced_shards << " re-placed shards, "
-            << smoke.hedges << " hedges, " << smoke.client_errors
-            << " client errors\n";
+            << smoke.client_errors << " client errors\n";
   report.at_most("fault_smoke.client_errors", "count",
                  static_cast<double>(smoke.client_errors), 0.0);
   report.at_least("fault_smoke.injected_failures", "count",

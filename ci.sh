@@ -26,7 +26,8 @@
 #   4. tsan:   -DCSHIELD_SANITIZE=thread, concurrency_test (the shared-
 #              MetadataStore / two-front-end interleaving harness, telemetry
 #              on) + obs_test (metrics/tracer semantics under TSan) +
-#              chaos_test (retry/hedge/breaker layer under injected faults)
+#              chaos_test (retry/breaker layer and degraded reads under
+#              injected faults)
 #              + recovery_test (journal append path + background scrub
 #              pass of the maintenance walker, including the group-commit
 #              multi-threaded append hammer and its crash-at-every-batch-
@@ -75,6 +76,12 @@
 #              the host has it) arm and reads it back in a process pinned
 #              to the portable arm by CSHIELD_FORCE_SCALAR=1, then the
 #              reverse; both must `cmp` identical.
+#              A degraded-read drill overwrites bytes in one data shard's
+#              .obj file of a committed file: every file must still `get`
+#              byte-identical in a fresh process, through the parity
+#              fallback (its counter shows in `--stats`), `scrub` must
+#              repair exactly that shard, and a second `scrub` must find
+#              nothing.
 #              A fourth drill (run against the ASan-built cli) covers the
 #              dynamic-topology migration: join a 9th provider, kill the
 #              process mid-drain via the same crash hook, verify the restart
@@ -342,6 +349,68 @@ CSHIELD_FORCE_SCALAR=1 \
 "${cli}" "${xarm_root}" get alice secret f2 "${xarm}/f2.out"
 cmp "${xarm}/f2.bin" "${xarm}/f2.out"
 echo "crash e2e[partial-aes cross-arm]: PASS"
+
+# Degraded-read drill: a shard corrupted on disk is an erasure. Reads fetch
+# data shards only, so the victim must be a data shard for the fallback to
+# run: overwrite candidates in turn until a read reports a parity fallback,
+# restoring each one that did not.
+deg="${e2e}/degraded"
+deg_root="${deg}/root"
+mkdir -p "${deg}"
+"${cli}" "${deg_root}" init 12
+"${cli}" "${deg_root}" adduser alice secret 2
+for i in 1 2 3; do
+  head -c $((5000 * i)) /dev/urandom > "${deg}/f${i}.bin"
+  "${cli}" "${deg_root}" put alice secret "f${i}" "${deg}/f${i}.bin" 2
+done
+# get_all <suffix> [flags]: reads every file, each in a fresh process,
+# prints the invocations' output and fails unless every file is
+# byte-identical.
+get_all() {
+  local suffix="$1"; shift
+  local i
+  for i in 1 2 3; do
+    if ! "${cli}" "${deg_root}" get alice secret "f${i}" \
+        "${deg}/f${i}.${suffix}" "$@"; then
+      echo "degraded e2e: get of f${i} failed" >&2
+      return 1
+    fi
+    cmp "${deg}/f${i}.bin" "${deg}/f${i}.${suffix}" >&2 || return 1
+  done
+}
+victim=""
+while read -r obj; do
+  cp "${obj}" "${deg}/victim.bak"
+  printf '\xde\xad\xbe\xef' | dd of="${obj}" bs=1 seek=0 conv=notrunc status=none
+  reads="$(get_all degraded --stats)"
+  if grep -q "^cdd_parity_fallbacks 1$" <<< "${reads}"; then
+    victim="${obj}"
+    break
+  fi
+  cp "${deg}/victim.bak" "${obj}"
+done < <(find "${deg_root}" -name '*.obj' | sort)
+if [[ -z "${victim}" ]]; then
+  echo "degraded e2e: no corrupted shard made a read fall back to parity" >&2
+  exit 1
+fi
+scrub_out="$("${cli}" "${deg_root}" scrub)"
+echo "${scrub_out}"
+if ! grep -q "1 digest mismatches, 1 shards repaired" <<< "${scrub_out}"; then
+  echo "degraded e2e: scrub did not repair exactly the corrupted shard" >&2
+  exit 1
+fi
+scrub_out="$("${cli}" "${deg_root}" scrub)"
+echo "${scrub_out}"
+if ! grep -q "0 digest mismatches, 0 shards repaired" <<< "${scrub_out}"; then
+  echo "degraded e2e: a second scrub still found damage" >&2
+  exit 1
+fi
+reads="$(get_all repaired --stats)"
+if grep -q "^cdd_parity_fallbacks" <<< "${reads}"; then
+  echo "degraded e2e: a read still fell back to parity after the repair" >&2
+  exit 1
+fi
+echo "crash e2e[degraded read]: PASS"
 
 # Migration crash drill, run under ASan: join a provider, kill the process
 # mid-drain (the crash hook fires inside the 3rd journal append -- after

@@ -406,7 +406,8 @@ int main(int argc, char** argv) {
   const std::size_t batch_ms =
       batch_ms_flag.empty() ? 0 : std::stoul(batch_ms_flag);
   // `--faults <p>` injects seeded transient failures at rate p into every
-  // provider, exercising the retry/hedge/breaker path; the same
+  // provider, exercising the retry/breaker path and the parity fallback of
+  // reads; the same
   // `--fault-seed` replays the exact same failure pattern.
   auto arm_faults = [&](CliWorld& world) {
     if (faults.empty()) return;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <numeric>
 #include <queue>
 #include <unordered_set>
 
@@ -33,6 +34,16 @@ std::size_t aes_quarters_for(PrivacyLevel pl) {
     case PrivacyLevel::kHigh: return 4;
   }
   return 4;
+}
+
+/// True when a stripe's shard count matches its layout and every shard has
+/// a digest. A checkpoint image carries no checksum, so a row that breaks
+/// this reaches the readers unchecked; they treat it as corrupt.
+bool counts_agree(const raid::StripeLayout& layout,
+                  const std::vector<ShardLocation>& stripe,
+                  const std::vector<crypto::Digest>& digests) {
+  return stripe.size() == layout.total_shards() &&
+         digests.size() == stripe.size();
 }
 
 /// A committed client row write: the row as written, and the locations the
@@ -145,7 +156,6 @@ class OpScope {
   std::size_t bytes_stored = 0;
   std::size_t parity_reads = 0;
   std::size_t retries = 0;
-  std::size_t hedges = 0;
   std::size_t replaced_shards = 0;
   bool rolled_back = false;
   std::uint64_t chunk_serial = obs::kNoChunk;  ///< for chunk-granularity ops
@@ -168,7 +178,6 @@ class OpScope {
       report->bytes_stored = bytes_stored;
       report->parity_reads = parity_reads;
       report->retries = retries;
-      report->hedges = hedges;
       report->replaced_shards = replaced_shards;
       report->rolled_back = rolled_back;
       report->sim_time_parallel = par;
@@ -658,146 +667,114 @@ ProviderIndex CloudDataDistributor::replacement_target(
   return kNoProvider;
 }
 
+std::vector<CloudDataDistributor::ShardRead>
+CloudDataDistributor::fetch_shards(const raid::StripeLayout& layout,
+                                   const std::vector<ShardLocation>& stripe,
+                                   const std::vector<crypto::Digest>& digests,
+                                   const std::vector<std::size_t>& idxs,
+                                   std::size_t attempts,
+                                   const obs::SpanCtx& span) {
+  // A shard that is unreachable OR fails its integrity digest counts as an
+  // erasure; the caller's RAID decode recovers through it if it can.
+  // `span`, `stripe` and `digests` outlive the tasks: this blocks on them.
+  using Held = ShardRead::Held;
+  auto fetch = [&](std::size_t s) {
+    std::optional<obs::ScopedSpan> sp;
+    if (span.armed()) {
+      obs::SpanRecord proto;
+      proto.op_id = span.op_id;
+      proto.parent_id = span.parent;
+      proto.name = "shard_get";
+      proto.provider = stripe[s].provider;
+      proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
+                                                : obs::ShardKind::kParity;
+      sp.emplace(telemetry_.get(), std::move(proto));
+    }
+    RequestLayer::GetOutcome r =
+        rt_.get(stripe[s].provider, stripe[s].virtual_id, attempts);
+    ShardRead out;
+    out.time = r.time;
+    out.retries = r.retries;
+    if (r.data.has_value()) {
+      out.held = crypto::sha256(*r.data) == digests[s] ? Held::kIntact
+                                                       : Held::kCorrupt;
+    }
+    if (sp.has_value() && sp->armed()) {
+      sp->rec().sim_ns = r.time.count();
+      sp->rec().attempts = std::max<std::uint32_t>(r.attempts, 1);
+      sp->rec().bytes = r.data.has_value() ? r.data->size() : 0;
+      sp->rec().outcome = out.held == Held::kIntact    ? ErrorCode::kOk
+                          : out.held == Held::kCorrupt ? ErrorCode::kCorrupted
+                                                       : r.status.code();
+    }
+    if (out.held == Held::kIntact) out.data = std::move(r.data);
+    return out;
+  };
+  std::vector<std::future<ShardRead>> futures;
+  futures.reserve(idxs.size());
+  for (std::size_t s : idxs) {
+    futures.push_back(io_pool_.submit([&fetch, s] { return fetch(s); }));
+  }
+  std::vector<ShardRead> reads;
+  reads.reserve(idxs.size());
+  for (auto& f : futures) reads.push_back(f.get());
+  return reads;
+}
+
 Result<Bytes> CloudDataDistributor::read_stripe(
     const raid::StripeLayout& layout, const std::vector<ShardLocation>& stripe,
     const std::vector<crypto::Digest>& digests, std::size_t padded_size,
-    std::vector<SimDuration>& times, ReadMode mode, const obs::SpanCtx& span,
+    std::vector<SimDuration>& times, const obs::SpanCtx& span,
     StripeReadStats* stats) {
-  CS_REQUIRE(stripe.size() == layout.total_shards(),
-             "read_stripe: stripe arity mismatch");
-  struct ShardFetch {
-    std::optional<Bytes> data;
-    SimDuration time{0};
-    std::uint32_t retries = 0;
-  };
-  std::vector<std::optional<Bytes>> shards(stripe.size());
-  std::vector<SimDuration> fetch_time(stripe.size(), SimDuration{0});
-  std::size_t rpc_retries = 0;
-
-  // One shard fetch through the request layer (retries + breaker). A shard
-  // that is unreachable OR fails its integrity digest counts as an erasure;
-  // the RAID decode below recovers through it if it can.
-  auto fetch_one = [&](std::size_t s, std::size_t budget, const char* name) {
-    ShardFetch f;
-    obs::SpanRecord proto;
-    proto.op_id = span.op_id;
-    proto.parent_id = span.parent;
-    proto.name = name;
-    proto.provider = stripe[s].provider;
-    proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
-                                              : obs::ShardKind::kParity;
-    obs::ScopedSpan sp(span.armed() ? telemetry_.get() : nullptr,
-                       std::move(proto));
-    RequestLayer::GetOutcome r =
-        rt_.get(stripe[s].provider, stripe[s].virtual_id, budget);
-    f.time = r.time;
-    f.retries = r.retries;
-    const bool intact =
-        r.data.has_value() && crypto::sha256(*r.data) == digests[s];
-    if (sp.armed()) {
-      sp.rec().sim_ns = r.time.count();
-      sp.rec().attempts = std::max<std::uint32_t>(r.attempts, 1);
-      sp.rec().bytes = r.data.has_value() ? r.data->size() : 0;
-      sp.rec().outcome = intact ? ErrorCode::kOk
-                                : (r.data.has_value() ? ErrorCode::kCorrupted
-                                                      : r.status.code());
-    }
-    if (intact) f.data = std::move(*r.data);
-    return f;
-  };
-  // Fetches `idxs` concurrently through the I/O pool. `span` outlives the
-  // tasks: fetch_set blocks on the futures.
-  auto fetch_set = [&](const std::vector<std::size_t>& idxs,
-                       std::size_t budget) {
-    std::vector<std::future<ShardFetch>> futures;
-    futures.reserve(idxs.size());
-    for (std::size_t s : idxs) {
-      futures.push_back(io_pool_.submit(
-          [&fetch_one, s, budget] { return fetch_one(s, budget, "shard_get"); }));
-    }
-    bool all_present = true;
-    for (std::size_t i = 0; i < idxs.size(); ++i) {
-      ShardFetch f = futures[i].get();
-      const std::size_t s = idxs[i];
-      times.push_back(f.time);
-      fetch_time[s] = f.time;
-      rpc_retries += f.retries;
-      if (!f.data.has_value()) all_present = false;
-      shards[s] = std::move(f.data);
-    }
-    return all_present;
-  };
-
-  std::vector<std::size_t> data_idx;
-  std::vector<std::size_t> parity_idx;
-  for (std::size_t s = 0; s < stripe.size(); ++s) {
-    (s < layout.data_shards ? data_idx : parity_idx).push_back(s);
+  if (!counts_agree(layout, stripe, digests)) {
+    return Status::Corrupted("stripe row: shard or digest count disagrees "
+                             "with its layout");
   }
+  std::vector<std::optional<Bytes>> shards(stripe.size());
+  std::size_t retries = 0;
+  auto fetch = [&](const std::vector<std::size_t>& idxs,
+                   std::size_t attempts) {
+    std::vector<ShardRead> reads =
+        fetch_shards(layout, stripe, digests, idxs, attempts, span);
+    for (std::size_t i = 0; i < idxs.size(); ++i) {
+      times.push_back(reads[i].time);
+      retries += reads[i].retries;
+      shards[idxs[i]] = std::move(reads[i].data);
+    }
+  };
 
-  const bool lazy = mode == ReadMode::kLazyParity && layout.parity_shards > 0;
-  std::size_t parity_fetched = 0;
-  bool data_degraded = false;
-  std::size_t hedges = 0;
-  if (!lazy) {
-    (void)fetch_set(data_idx, 0);
-    (void)fetch_set(parity_idx, 0);
-    parity_fetched = parity_idx.size();
-    for (std::size_t s : data_idx) {
-      if (!shards[s].has_value()) data_degraded = true;
-    }
-  } else {
-    // Lazy-parity with a degraded-read budget: data shards get only
-    // `degraded_attempts` tries, because waiting out the full retry budget
-    // on a slow provider is pointless when parity can reconstruct. On a
-    // miss, escalate -- re-fetch the missing data shards at full budget
-    // alongside all parity, so one transient blip per shard never
-    // outnumbers the stripe's erasure tolerance.
-    if (!fetch_set(data_idx, config_.retry.degraded_attempts)) {
-      data_degraded = true;
-      std::vector<std::size_t> recover = parity_idx;
-      for (std::size_t s : data_idx) {
-        if (!shards[s].has_value()) recover.push_back(s);
-      }
-      (void)fetch_set(recover, 0);
-      parity_fetched = parity_idx.size();
-    } else {
-      // Hedged read: when the slowest data shard sits far above its
-      // provider's own latency percentile, race the parity path (a shard
-      // lives on exactly one provider, so "a second eligible provider"
-      // means the stripe's redundancy). The hedge models what a client
-      // racing both would pay; the decode uses the data shards either way.
-      std::size_t slowest = data_idx.front();
-      for (std::size_t s : data_idx) {
-        if (fetch_time[s] > fetch_time[slowest]) slowest = s;
-      }
-      if (rt_.should_hedge(stripe[slowest].provider, fetch_time[slowest])) {
-        const ShardFetch hedge =
-            fetch_one(parity_idx.front(), 0, "shard_hedge");
-        times.push_back(hedge.time);
-        rpc_retries += hedge.retries;
-        hedges = 1;
-        if (telemetry_->enabled()) {
-          obs::MetricsRegistry& m = telemetry_->metrics();
-          m.counter("cdd.hedged_reads").inc();
-          if (hedge.data.has_value() && hedge.time < fetch_time[slowest]) {
-            m.counter("cdd.hedge_wins").inc();
-          }
-        }
-      }
-    }
+  // Data shards first, at the degraded-read budget: waiting out the full
+  // retry budget on a slow or flaky provider is pointless when parity can
+  // reconstruct. encode() lays shards out data-first, so a clean read never
+  // touches parity. On a miss, escalate -- re-fetch the missing data shards
+  // at the full budget alongside all parity, so one transient blip per
+  // shard never outnumbers the stripe's erasure tolerance.
+  const bool has_parity = layout.parity_shards > 0;
+  std::vector<std::size_t> data_idx(layout.data_shards);
+  std::iota(data_idx.begin(), data_idx.end(), std::size_t{0});
+  fetch(data_idx, has_parity ? config_.retry.degraded_attempts : 0);
+  std::vector<std::size_t> missing;
+  for (std::size_t s : data_idx) {
+    if (!shards[s].has_value()) missing.push_back(s);
+  }
+  const bool fallback = !missing.empty();
+  const std::size_t parity_fetched = fallback ? layout.parity_shards : 0;
+  if (parity_fetched != 0) {
+    std::vector<std::size_t> recover(layout.parity_shards);
+    std::iota(recover.begin(), recover.end(), layout.data_shards);
+    recover.insert(recover.end(), missing.begin(), missing.end());
+    fetch(recover, 0);
   }
   if (telemetry_->enabled()) {
     obs::MetricsRegistry& m = telemetry_->metrics();
-    if (data_degraded) m.counter("cdd.parity_fallbacks").inc();
+    if (fallback) m.counter("cdd.parity_fallbacks").inc();
     if (parity_fetched != 0) {
       m.counter("cdd.parity_shard_reads").inc(parity_fetched);
     }
   }
   if (stats != nullptr) {
     stats->parity_reads = parity_fetched;
-    stats->fallback = data_degraded;
-    stats->retries = rpc_retries;
-    stats->hedges = hedges;
+    stats->retries = retries;
   }
   return raid::decode(layout, shards, padded_size);
 }
@@ -893,7 +870,6 @@ Result<CloudDataDistributor::StripeWriteResult> CloudDataDistributor::seal(
 Result<Bytes> CloudDataDistributor::open(const ChunkEntry& row,
                                          StripeVersion version,
                                          std::vector<SimDuration>& times,
-                                         ReadMode mode,
                                          const obs::SpanCtx& span,
                                          StripeReadStats* stats) {
   // The snapshot stripe stores the pre-update payload still protected under
@@ -902,8 +878,7 @@ Result<Bytes> CloudDataDistributor::open(const ChunkEntry& row,
   Result<Bytes> padded = read_stripe(
       row.layout, snap ? row.snapshot : row.stripe,
       snap ? row.snapshot_digests : row.shard_digests,
-      snap ? row.snapshot_padded_size : row.padded_size, times, mode, span,
-      stats);
+      snap ? row.snapshot_padded_size : row.padded_size, times, span, stats);
   if (!padded.ok()) return padded.status();
   remove_protection(padded.value(),
                     snap ? row.snapshot_protection : row.protection,
@@ -1134,11 +1109,9 @@ Result<Bytes> CloudDataDistributor::read_chunk(const std::string& client,
   op.shards = (snap ? entry.snapshot : entry.stripe).size();
   op.bytes_stored = snap ? entry.snapshot_padded_size : entry.padded_size;
   StripeReadStats rstats;
-  Result<Bytes> plain =
-      open(entry, version, op.times, ReadMode::kEager, op.ctx(), &rstats);
+  Result<Bytes> plain = open(entry, version, op.times, op.ctx(), &rstats);
   op.parity_reads = rstats.parity_reads;
   op.retries = rstats.retries;
-  op.hedges = rstats.hedges;
   if (!plain.ok()) return op.finish(plain.status(), report);
   op.bytes_logical = plain.value().size();
   (void)op.finish(Status::Ok(), report);
@@ -1164,10 +1137,6 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
     StripeReadStats rstats;
   };
   std::vector<ChunkRead> reads(refs.size());
-  // Many chunks in flight read lazily (parity only on a data-shard miss);
-  // a lone chunk fetches its whole stripe at once for the lowest latency.
-  const ReadMode mode =
-      refs.size() > 1 ? ReadMode::kLazyParity : ReadMode::kEager;
   fan_out(refs.size(), [&](std::size_t i) {
     ChunkRead& out = reads[i];
     ChunkSpan span(op, "chunk_get", refs[i].serial);
@@ -1175,7 +1144,7 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
       Result<ChunkEntry> entry = md.chunk_entry(refs[i].chunk_index);
       if (!entry.ok()) return entry.status();
       Result<Bytes> plain = open(entry.value(), StripeVersion::kCurrent,
-                                 out.times, mode, span.ctx(), &out.rstats);
+                                 out.times, span.ctx(), &out.rstats);
       if (!plain.ok()) return plain.status();
       out.plain = std::move(plain).value();
       out.padded_size = entry.value().padded_size;
@@ -1192,7 +1161,6 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
     op.times.insert(op.times.end(), r.times.begin(), r.times.end());
     op.parity_reads += r.rstats.parity_reads;
     op.retries += r.rstats.retries;
-    op.hedges += r.rstats.hedges;
     if (!r.status.ok()) {
       if (first_error.ok()) first_error = r.status;
       continue;
@@ -1300,7 +1268,7 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   op.chunks = 1;
   op.shards = entry.layout.total_shards();
   op.bytes_logical = new_data.size();
-  op.bytes_stored = sealed.padded_size;
+  op.bytes_stored = written.value().bytes_stored;
   return op.finish(Status::Ok(), report);
 }
 
@@ -1413,40 +1381,26 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
     std::vector<ShardLocation> doomed;
     auto rewrite_stripe = [&](std::vector<ShardLocation>& stripe,
                               const std::vector<crypto::Digest>& digests) {
-      enum class Held : std::uint8_t { kUnprobed, kIntact, kCorrupt, kMissing };
-      std::vector<Held> held(stripe.size(), Held::kUnprobed);
+      if (!counts_agree(entry.layout, stripe, digests)) {
+        ++stats.errors;  // a malformed row: nothing here can be trusted
+        return;
+      }
+      using Held = ShardRead::Held;
+      std::vector<std::optional<Held>> held(stripe.size());  // null: unprobed
       std::vector<std::optional<Bytes>> shards(stripe.size());
-      struct Probe {
-        Held held = Held::kMissing;
-        std::optional<Bytes> data;  ///< set only when intact
-      };
-      // Fetches and digest-checks the unprobed shards `wanted` picks, on the
-      // I/O pool (leaf tasks only, so any thread may block on them).
+      // Fetches and digest-checks the unprobed shards `wanted` picks.
       auto probe = [&](auto wanted) {
-        std::vector<std::pair<std::size_t, std::future<Probe>>> futures;
+        std::vector<std::size_t> idxs;
         for (std::size_t t = 0; t < stripe.size(); ++t) {
-          if (held[t] != Held::kUnprobed || !wanted(t)) continue;
-          futures.emplace_back(
-              t, io_pool_.submit([this, loc = stripe[t], digest = digests[t],
-                                  attempts] {
-                Probe p;
-                RequestLayer::GetOutcome got =
-                    rt_.get(loc.provider, loc.virtual_id, attempts);
-                if (!got.data.has_value()) return p;
-                if (crypto::sha256(*got.data) != digest) {
-                  p.held = Held::kCorrupt;
-                  return p;
-                }
-                p.held = Held::kIntact;
-                p.data = std::move(got.data);
-                return p;
-              }));
+          if (!held[t].has_value() && wanted(t)) idxs.push_back(t);
         }
-        for (auto& [t, future] : futures) {
-          Probe p = future.get();
-          held[t] = p.held;
-          shards[t] = std::move(p.data);
-          if (p.held == Held::kCorrupt) {
+        std::vector<ShardRead> reads =
+            fetch_shards(entry.layout, stripe, digests, idxs, attempts, {});
+        for (std::size_t i = 0; i < idxs.size(); ++i) {
+          const std::size_t t = idxs[i];
+          held[t] = reads[i].held;
+          shards[t] = std::move(reads[i].data);
+          if (reads[i].held == Held::kCorrupt) {
             ++stats.mismatches;
             if (policy.scrub) {
               registry_.at(stripe[t].provider).note_scrub_error();

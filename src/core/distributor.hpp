@@ -90,8 +90,9 @@ struct DistributorConfig {
   /// instrumentation site reduces to one relaxed atomic load.
   bool telemetry = true;
   std::shared_ptr<obs::Telemetry> telemetry_sink;
-  /// Fault tolerance for every shard RPC: retry budget, backoff, deadline,
-  /// breaker gating and hedged reads (see core/request_layer.hpp).
+  /// Fault tolerance for every shard RPC: retry budget, degraded-read
+  /// budget, backoff, deadline and breaker gating (see
+  /// core/request_layer.hpp).
   RetryPolicy retry;
   /// Cross-operation shard-RPC batching (see core/shard_batcher.hpp): when
   /// > 1, the stripe writer routes every shard put through a per-provider
@@ -145,7 +146,6 @@ struct OpReport {
   std::size_t bytes_stored = 0;   ///< bytes at providers (chaff + parity)
   std::size_t parity_reads = 0;   ///< parity shards actually fetched
   std::size_t retries = 0;        ///< shard RPCs re-issued after kUnavailable
-  std::size_t hedges = 0;         ///< parity hedges raced against slow reads
   std::size_t replaced_shards = 0;  ///< shards re-placed off failing providers
   bool rolled_back = false;       ///< op unwound already-written stripes
   SimDuration sim_time_parallel{0};  ///< modeled makespan over worker channels
@@ -387,14 +387,6 @@ class CloudDataDistributor {
     std::size_t replaced = 0;  ///< shards re-placed off failing providers
   };
 
-  /// Stripe read strategy. kEager fetches every shard of the stripe
-  /// concurrently (lowest latency for a single chunk). kLazyParity first
-  /// fetches only the data shards -- encode() lays shards out data-first --
-  /// and touches parity solely when a data shard is missing or corrupt;
-  /// a multi-chunk get_file uses it to cut per-stripe work by the parity
-  /// fraction.
-  enum class ReadMode { kEager, kLazyParity };
-
   /// Which of a chunk row's two stripes to open: the current one (CP
   /// column) or the pre-modification snapshot (SP column).
   enum class StripeVersion { kCurrent, kSnapshot };
@@ -404,8 +396,6 @@ class CloudDataDistributor {
   struct StripeReadStats {
     std::size_t parity_reads = 0;  ///< parity shards fetched for recovery
     std::size_t retries = 0;       ///< shard RPC retries across the stripe
-    std::size_t hedges = 0;        ///< parity hedges raced vs slow shards
-    bool fallback = false;         ///< a data shard was missing/corrupt
   };
 
   /// Authenticates and checks privilege against `required`. Every failure
@@ -457,7 +447,7 @@ class CloudDataDistributor {
                                  const obs::SpanCtx& span, std::size_t shard);
 
   /// The body of get_chunk and get_chunk_snapshot: one traced op that
-  /// opens `version` of the chunk's row eagerly.
+  /// opens `version` of the chunk's row.
   Result<Bytes> read_chunk(const std::string& client,
                            const std::string& password,
                            const std::string& filename, std::uint64_t serial,
@@ -466,7 +456,7 @@ class CloudDataDistributor {
   /// Inverse of seal for one of `row`'s stripes: read_stripe, undo the
   /// protection, strip the chaff. Returns the plaintext chunk.
   Result<Bytes> open(const ChunkEntry& row, StripeVersion version,
-                     std::vector<SimDuration>& times, ReadMode mode,
+                     std::vector<SimDuration>& times,
                      const obs::SpanCtx& span = {},
                      StripeReadStats* stats = nullptr);
 
@@ -494,8 +484,7 @@ class CloudDataDistributor {
                                std::uint64_t nonce) const;
 
   /// Inverse of apply_protection on a decoded padded payload (runs before
-  /// the chaff strip). A v1 chunk row decodes to kPartialAes with
-  /// protect_bytes == 0, making this a no-op on pre-ProtectionMode blobs.
+  /// the chaff strip), under the parameters the row recorded for it.
   void remove_protection(Bytes& padded, ProtectionMode mode,
                          const raid::StripeLayout& layout,
                          std::uint64_t nonce, std::size_t protect_bytes) const;
@@ -524,16 +513,43 @@ class CloudDataDistributor {
                                          std::size_t shard);
 
   /// Fetches + digest-verifies + RAID-decodes one stripe into its padded
-  /// payload (chaff still present). Shard fetches run on io_pool_ (same
-  /// deadlock-freedom argument as write_stripe).
+  /// payload (chaff still present). The one read strategy: the data shards
+  /// at the degraded-read budget, then -- only on a miss or a digest
+  /// failure -- the missing data shards plus all parity at the full budget,
+  /// in one round. A layout without parity reads its data shards at the
+  /// full budget. A row whose stripe or digest count disagrees with its
+  /// layout reads as kCorrupted.
   Result<Bytes> read_stripe(const raid::StripeLayout& layout,
                             const std::vector<ShardLocation>& stripe,
                             const std::vector<crypto::Digest>& digests,
                             std::size_t padded_size,
                             std::vector<SimDuration>& times,
-                            ReadMode mode = ReadMode::kEager,
                             const obs::SpanCtx& span = {},
                             StripeReadStats* stats = nullptr);
+
+  /// One shard as fetch_shards found it.
+  struct ShardRead {
+    enum class Held : std::uint8_t { kIntact, kCorrupt, kMissing };
+    Held held = Held::kMissing;
+    std::optional<Bytes> data;  ///< set only when intact
+    SimDuration time{0};        ///< modeled request time, retries included
+    std::uint32_t retries = 0;
+  };
+
+  /// The one fetch-and-verify body of every shard read (read_stripe and
+  /// rewrite_chunk's probes): fetches stripe[s] for each s in `idxs`
+  /// through the request layer with `attempts` (0 = the full budget) and
+  /// checks it against digests[s]; the result aligns with `idxs`. Fetches
+  /// run concurrently on io_pool_ (same deadlock-freedom argument as
+  /// write_stripe). When `span` is armed each fetch records a shard_get
+  /// child span; otherwise no span record is built. The caller checks the
+  /// stripe and digest counts first.
+  std::vector<ShardRead> fetch_shards(const raid::StripeLayout& layout,
+                                      const std::vector<ShardLocation>& stripe,
+                                      const std::vector<crypto::Digest>& digests,
+                                      const std::vector<std::size_t>& idxs,
+                                      std::size_t attempts,
+                                      const obs::SpanCtx& span);
 
   /// Deletes stripe shards at providers, one after another, and erases
   /// them from the provider table of the owning metadata partition (a no-op
@@ -584,7 +600,7 @@ class CloudDataDistributor {
   const crypto::Aes128 protection_cipher_;
   std::shared_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<MetadataPlane> plane_;
-  RequestLayer rt_;  ///< retry/breaker/hedge wrapper for every shard RPC
+  RequestLayer rt_;  ///< retry/breaker wrapper for every shard RPC
   PlacementPolicy placement_;
   ThreadPool pool_;     ///< chunk-level pipeline stages
   ThreadPool io_pool_;  ///< shard-level provider RPCs (leaf tasks only)

@@ -10,9 +10,10 @@
 //   - the provider's circuit breaker (owned by the registry): an open
 //     breaker fails fast without provider I/O; every `probe_after`-th
 //     rejection is admitted as the half-open probe that can heal it.
-//   - hedge advice: should_hedge() compares an observed shard-read time
-//     against a percentile of the provider's own get-latency histogram, so
-//     the read path can race the parity path against a slow provider.
+//
+// A slow provider is not a failure and gets no special path: a read waits
+// for its data shards, and parity is fetched only when a data shard is
+// missing or fails its digest (see CloudDataDistributor::read_stripe).
 //
 // Backoff jitter is hash-derived from (seed, provider, virtual id,
 // attempt) -- no RNG stream that concurrent requests could perturb -- so a
@@ -42,9 +43,9 @@ namespace cshield::core {
 
 struct RetryPolicy {
   std::size_t max_attempts = 4;
-  /// Attempt budget for data-shard reads when parity can reconstruct --
-  /// the degraded-read mode: don't wait out the full budget on a slow or
-  /// flaky provider when the erasure code can route around it.
+  /// Attempt budget of a read's first round, its data shards, when the
+  /// layout has parity: don't wait out the full budget on a slow or flaky
+  /// provider when the erasure code can route around it.
   std::size_t degraded_attempts = 1;
   SimDuration base_backoff{std::chrono::milliseconds(2)};
   SimDuration max_backoff{std::chrono::milliseconds(64)};
@@ -52,15 +53,6 @@ struct RetryPolicy {
   /// Cap on one request's total modeled time (service + backoff waits);
   /// retries stop rather than cross it.
   SimDuration deadline{std::chrono::seconds(2)};
-  // --- hedged reads ---
-  /// A shard read slower than this percentile of the provider's get_ns
-  /// history (times hedge_factor) triggers the parity hedge.
-  double hedge_percentile = 0.95;
-  /// Margin over the percentile: the natural jitter tail crosses p95 by
-  /// construction, a genuinely slow provider crosses p95 * factor.
-  double hedge_factor = 2.0;
-  /// Minimum get_ns samples before hedging arms (cold histograms lie).
-  std::uint64_t hedge_min_samples = 64;
 };
 
 class RequestLayer {
@@ -169,21 +161,6 @@ class RequestLayer {
         },
         ids.empty() ? VirtualId{0} : ids.front());
     return out;
-  }
-
-  /// Hedge advice for a completed data-shard read: true when `observed`
-  /// exceeds hedge_percentile of the provider's own get_ns histogram by
-  /// hedge_factor (with enough history to trust the percentile).
-  [[nodiscard]] bool should_hedge(ProviderIndex p, SimDuration observed) {
-    if (telemetry_ == nullptr || !telemetry_->enabled()) return false;
-    const obs::Histogram::Snapshot snap =
-        telemetry_->metrics()
-            .histogram("provider." + registry_.at(p).descriptor().name +
-                       ".get_ns")
-            .snapshot();
-    if (snap.count < policy_.hedge_min_samples) return false;
-    return static_cast<double>(observed.count()) >
-           snap.percentile(policy_.hedge_percentile) * policy_.hedge_factor;
   }
 
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }

@@ -54,8 +54,7 @@ struct ChunkEntry {
   std::size_t padded_size = 0;   ///< payload length incl. misleading bytes
   std::vector<crypto::Digest> shard_digests;  ///< integrity per shard
   /// Protection transform applied to the padded payload before encoding.
-  /// The kPartialAes/protect_bytes==0 defaults make pre-ProtectionMode
-  /// entries (metadata wire v1, no such fields) read back as a no-op.
+  /// Every encoded row carries it with its nonce and prefix length.
   ProtectionMode protection = ProtectionMode::kPartialAes;
   std::uint64_t protect_nonce = 0;  ///< per-chunk CTR nonce / entangle nonce
   std::size_t protect_bytes = 0;    ///< AES-encrypted prefix length (partial-AES)

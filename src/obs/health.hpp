@@ -1,9 +1,9 @@
 // Rolling SLO evaluation + per-provider / per-subsystem health states.
 //
-// PRs 3-6 grew rich degraded-mode machinery -- breakers, hedges, the
-// scrubber, group commit -- but nothing folded their signals into "is this
-// deployment healthy, and which provider or subsystem is the reason it
-// isn't". The HealthEngine answers that continuously: every evaluate()
+// Breakers, parity fallback, the scrubbing walker and group commit each
+// publish their own degraded-mode signals. The HealthEngine folds them into
+// "is this deployment healthy, and which provider or subsystem is the
+// reason it isn't", continuously: every evaluate()
 // reads the exporter's retained sample ring (never the live registry --
 // the window IS the ring) and reduces it to one HealthReport.
 //

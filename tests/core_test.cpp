@@ -568,6 +568,132 @@ TEST(DistributorTest, UpdatePromotesCurrentStripeToSnapshot) {
   }
 }
 
+TEST(DistributorTest, UpdateReportsStoredBytesLikePut) {
+  // bytes_stored is the bytes at providers (chaff + parity) for every op:
+  // an update with a payload the put's size stores the same stripe size.
+  DistFixture f(raid::RaidLevel::kRaid5, /*misleading=*/0.1);
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  OpReport put;
+  ASSERT_TRUE(
+      f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(900, 1), opts, &put)
+          .ok());
+  ASSERT_EQ(put.chunks, 1u);
+  OpReport update;
+  ASSERT_TRUE(
+      f.cdd->update_chunk("Bob", "Ty7e", "doc", 0, payload_of(900, 2), &update)
+          .ok());
+  EXPECT_EQ(update.bytes_stored, put.bytes_stored);
+  EXPECT_GT(update.bytes_stored, 900u);
+}
+
+TEST(DistributorTest, CleanReadsFetchOnlyDataShards) {
+  // The one read strategy: data shards first, parity only on a loss. A
+  // clean read of a RAID-5 k=3 stripe is three provider gets, whichever
+  // client read issues it.
+  DistFixture f(raid::RaidLevel::kRaid5);
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;  // 1 KiB chunks: one stripe
+  ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(900, 1), opts)
+                  .ok());
+  ASSERT_TRUE(
+      f.cdd->update_chunk("Bob", "Ty7e", "doc", 0, payload_of(800, 2)).ok());
+  auto provider_gets = [&f] {
+    std::uint64_t n = 0;
+    for (ProviderIndex p = 0; p < f.registry.size(); ++p) {
+      n += f.registry.at(p).counters().gets.load();
+    }
+    return n;
+  };
+  auto parity_shard_reads = [&f] {
+    return f.cdd->telemetry()->metrics().counter("cdd.parity_shard_reads")
+        .value();
+  };
+  const std::uint64_t parity_before = parity_shard_reads();
+
+  std::uint64_t before = provider_gets();
+  OpReport chunk_report;
+  ASSERT_TRUE(f.cdd->get_chunk("Bob", "Ty7e", "doc", 0, &chunk_report).ok());
+  EXPECT_EQ(provider_gets() - before, 3u) << "get_chunk";
+  EXPECT_EQ(chunk_report.parity_reads, 0u);
+
+  before = provider_gets();
+  ASSERT_TRUE(f.cdd->get_chunk_snapshot("Bob", "Ty7e", "doc", 0).ok());
+  EXPECT_EQ(provider_gets() - before, 3u) << "get_chunk_snapshot";
+
+  before = provider_gets();
+  OpReport file_report;
+  ASSERT_TRUE(f.cdd->get_file("Bob", "Ty7e", "doc", &file_report).ok());
+  EXPECT_EQ(provider_gets() - before, 3u) << "one-chunk get_file";
+  EXPECT_EQ(file_report.chunks, 1u);
+  EXPECT_EQ(file_report.parity_reads, 0u);
+
+  EXPECT_EQ(parity_shard_reads(), parity_before);
+}
+
+TEST(DistributorTest, RowWithDisagreeingCountsReadsAsCorrupted) {
+  // A checkpoint image has no checksum, so a row whose stripe or digest
+  // count disagrees with its layout can arrive unchecked. Reads answer it
+  // with an error and the maintenance walker counts it, neither throws.
+  DistFixture f(raid::RaidLevel::kRaid5);
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;
+  ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(900, 1), opts)
+                  .ok());
+  ASSERT_TRUE(
+      f.cdd->update_chunk("Bob", "Ty7e", "doc", 0, payload_of(800, 2)).ok());
+  const std::size_t index =
+      f.cdd->metadata().file_chunks("Bob", "doc").front().chunk_index;
+  const ChunkEntry good = f.cdd->metadata().chunk_entry(index).value();
+  ASSERT_TRUE(good.has_snapshot);
+  MetadataStore& md = f.cdd->plane()->store(0);
+
+  struct Variant {
+    const char* name;
+    void (*mangle)(ChunkEntry&);
+    bool current;  ///< the current stripe (else only the snapshot) is bad
+  };
+  const std::vector<Variant> variants = {
+      {"short stripe", [](ChunkEntry& e) { e.stripe.pop_back(); }, true},
+      {"long stripe",
+       [](ChunkEntry& e) {
+         e.stripe.push_back(e.stripe.front());
+         e.shard_digests.push_back(e.shard_digests.front());
+       },
+       true},
+      {"short digests", [](ChunkEntry& e) { e.shard_digests.pop_back(); },
+       true},
+      {"short snapshot digests",
+       [](ChunkEntry& e) { e.snapshot_digests.pop_back(); }, false},
+      {"short snapshot", [](ChunkEntry& e) { e.snapshot.pop_back(); }, false},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    ChunkEntry bad = good;
+    v.mangle(bad);
+    md.set_chunk(index, bad);
+    if (v.current) {
+      Result<Bytes> chunk = f.cdd->get_chunk("Bob", "Ty7e", "doc", 0);
+      EXPECT_EQ(chunk.status().code(), ErrorCode::kCorrupted);
+      EXPECT_FALSE(f.cdd->get_file("Bob", "Ty7e", "doc").ok());
+    } else {
+      EXPECT_EQ(f.cdd->get_chunk_snapshot("Bob", "Ty7e", "doc", 0)
+                    .status()
+                    .code(),
+                ErrorCode::kCorrupted);
+    }
+    Result<std::size_t> repaired = Status::Internal("repair not run");
+    EXPECT_NO_THROW(repaired = f.cdd->repair());
+    EXPECT_FALSE(repaired.ok()) << "the malformed stripe counts as an error";
+    md.set_chunk(index, good);
+  }
+  Result<std::size_t> clean = f.cdd->repair();
+  ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+  EXPECT_EQ(clean.value(), 0u);
+  EXPECT_TRUE(f.cdd->get_chunk("Bob", "Ty7e", "doc", 0).ok());
+  EXPECT_TRUE(f.cdd->get_chunk_snapshot("Bob", "Ty7e", "doc", 0).ok());
+}
+
 TEST(DistributorTest, EveryProtectionModeRoundTripsAllOps) {
   // Put / get_file / get_chunk / update_chunk / snapshot under each
   // protection transform, at every PL: the mode is sticky across updates

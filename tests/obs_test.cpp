@@ -402,7 +402,8 @@ TEST(ProviderTelemetryTest, SplitsInjectedFailuresFromIoErrors) {
 
 TEST(DistributorTelemetryTest, SnapshotReadIsATracedOp) {
   // get_chunk_snapshot is a client op like get_chunk: counted, timed and
-  // traced as a root span with one shard_get child per snapshot shard.
+  // traced as a root span with one shard_get child per shard it fetched --
+  // a clean read fetches the data shards only.
   ObsFixture f;
   PutOptions opts;
   opts.privacy_level = PrivacyLevel::kHigh;
@@ -428,7 +429,7 @@ TEST(DistributorTelemetryTest, SnapshotReadIsATracedOp) {
   for (const SpanRecord& sp : spans) {
     if (sp.op_id == root->op_id && sp.name == "shard_get") ++shard_gets;
   }
-  EXPECT_EQ(shard_gets, 4u);  // RAID-5 over 3 data shards
+  EXPECT_EQ(shard_gets, 3u);  // RAID-5 over 3 data shards: no parity
 }
 
 TEST(DistributorTelemetryTest, ChildSpansCoverRootSimTime) {
