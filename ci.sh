@@ -11,7 +11,10 @@
 #              and a source check that no file under src/ calls the
 #              unversioned MetadataStore::update_chunk(index, entry): every
 #              live row writer commits through the update_chunk_if version
-#              CAS
+#              CAS; and a check that src/core/distributor.cpp never calls
+#              .submit( on pool_ or io_pool_: ThreadPool::for_each is its one
+#              fan-out, so a stripe whose providers never wait runs its shard
+#              requests on the calling thread
 #   2. bench_ledger: configures and builds the bench_ledger/ package (its own
 #              CMake project, compiled from ../src the way BENCHMARK.json's
 #              run.sh builds it) and runs its ledger_smoke ctest: every
@@ -47,6 +50,8 @@
 #              plane: 8 front-ends x 64 clients hammering a shared 4-shard
 #              plane, routing-discipline checks, and the per-shard
 #              crash-at-every-append-boundary recovery sweep)
+#              + util_test's ThreadPoolTest cases (for_each's inline and
+#              concurrent arms, and its join-before-rethrow contract)
 #   5. crash-e2e: scripted end-to-end crash drill against cshield_cli on a
 #              disk-backed root: put files, kill the process mid-stripe via
 #              CSHIELD_CRASH_AFTER_APPENDS (it _exit(42)s inside a journal
@@ -128,6 +133,11 @@ if grep -rnE '(\.|->)update_chunk\(' src |
     "commit row writes through update_chunk_if" >&2
   exit 1
 fi
+if grep -nE 'pool_\.submit\(' src/core/distributor.cpp; then
+  echo "src/core/distributor.cpp submits to a thread pool directly;" \
+    "fan out through ThreadPool::for_each" >&2
+  exit 1
+fi
 cmake -B build -S . -DCSHIELD_WERROR=ON >/dev/null
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
@@ -147,11 +157,11 @@ cmake -B build-asan -S . -DCSHIELD_SANITIZE=address >/dev/null
 cmake --build build-asan -j "${jobs}"
 (cd build-asan && ctest --output-on-failure -j "${jobs}")
 
-echo "== [4/8] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test =="
+echo "== [4/8] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test + util_test ThreadPoolTest =="
 cmake -B build-tsan -S . -DCSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
   chaos_test recovery_test health_test fragmentation_test migration_test \
-  shardplane_test
+  shardplane_test util_test
 ./build-tsan/tests/concurrency_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/chaos_test
@@ -160,6 +170,7 @@ cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
 ./build-tsan/tests/fragmentation_test
 ./build-tsan/tests/migration_test
 ./build-tsan/tests/shardplane_test
+./build-tsan/tests/util_test --gtest_filter='ThreadPoolTest.*'
 
 echo "== [5/8] crash e2e: put, kill mid-stripe, recover, verify =="
 cli=./build/examples/cshield_cli

@@ -536,67 +536,74 @@ CloudDataDistributor::write_stripe(BytesView payload,
     SimDuration time{0};
     std::uint32_t retries = 0;
   };
-  // Digest computation lives inside the upload task, so with Exec::kPool it
-  // runs off the caller thread. Shard bytes stay in `encoded`'s arena (each
-  // task reads only its own zero-copy slice) so a failed shard can be
-  // re-placed below.
-  // `span` and `encoded` outlive the futures: write_stripe blocks on them.
+  // The digest is computed with the upload, on whichever thread runs it.
+  // Shard bytes stay in `encoded`'s arena (each upload reads only its own
+  // zero-copy slice) so a failed shard can be re-placed below.
   auto upload = [this, &span, &encoded, &layout](std::size_t s,
                                                  ProviderIndex provider,
                                                  VirtualId id) {
     ShardOutcome outcome;
-    obs::SpanRecord proto;
-    proto.op_id = span.op_id;
-    proto.parent_id = span.parent;
-    proto.name = "shard_put";
-    proto.provider = provider;
-    proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
-                                              : obs::ShardKind::kParity;
-    proto.bytes = encoded.shard_size;
-    obs::ScopedSpan sp(span.armed() ? telemetry_.get() : nullptr,
-                       std::move(proto));
+    std::optional<obs::ScopedSpan> sp;
+    if (span.armed()) {
+      obs::SpanRecord proto;
+      proto.op_id = span.op_id;
+      proto.parent_id = span.parent;
+      proto.name = "shard_put";
+      proto.provider = provider;
+      proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
+                                                : obs::ShardKind::kParity;
+      proto.bytes = encoded.shard_size;
+      sp.emplace(telemetry_.get(), std::move(proto));
+    }
     outcome.digest = crypto::sha256(encoded.shard(s));
     RequestLayer::Outcome rpc = rt_.put(provider, id, encoded.shard(s));
     outcome.status = rpc.status;
     outcome.time = rpc.time;
     outcome.retries = rpc.retries;
-    if (sp.armed()) {
-      sp.rec().sim_ns = rpc.time.count();
-      sp.rec().attempts = std::max<std::uint32_t>(rpc.attempts, 1);
-      sp.rec().outcome = rpc.status.code();
+    if (sp.has_value() && sp->armed()) {
+      sp->rec().sim_ns = rpc.time.count();
+      sp->rec().attempts = std::max<std::uint32_t>(rpc.attempts, 1);
+      sp->rec().outcome = rpc.status.code();
     }
     return outcome;
   };
 
-  // Without a batcher every shard uploads on the I/O pool. Batched-RPC
-  // mode hands each shard to the cross-op batcher instead, which coalesces
-  // it with shards of other in-flight stripes bound for the same provider.
+  // Without a batcher every shard uploads directly. Batched-RPC mode hands
+  // each shard to the cross-op batcher instead, which coalesces it with
+  // shards of other in-flight stripes bound for the same provider.
   // Placement makes the stripe's own targets distinct, so within this call
   // each provider sees one shard -- the batching win is across concurrent
   // operations. Batched digests are computed here on the caller thread
   // (small-op path: the shards are small by construction). Providers joined
-  // after the batcher was built have no lane; their shards take the I/O
-  // pool too. `encoded` outlives the futures: we block on them below.
+  // after the batcher was built have no lane; their shards upload directly
+  // too, concurrently on the I/O pool when a target can wait and inline
+  // otherwise. `encoded` outlives every upload: both paths join here.
   std::vector<ShardOutcome> outcomes(encoded.shard_count);
   std::vector<std::pair<std::size_t, std::future<ShardBatcher::PutResult>>>
       batched;
-  std::vector<std::pair<std::size_t, std::future<ShardOutcome>>> direct;
+  std::vector<std::size_t> direct;
   for (std::size_t s = 0; s < encoded.shard_count; ++s) {
-    const VirtualId id = result.locations[s].virtual_id;
     if (batcher_ == nullptr || targets[s] >= batcher_->lanes()) {
-      direct.emplace_back(s, io_pool_.submit(upload, s, targets[s], id));
+      direct.push_back(s);
       continue;
     }
     outcomes[s].digest = crypto::sha256(encoded.shard(s));
-    batched.emplace_back(s, batcher_->put(targets[s], id, encoded.shard(s)));
+    batched.emplace_back(s, batcher_->put(targets[s],
+                                          result.locations[s].virtual_id,
+                                          encoded.shard(s)));
   }
+  io_pool_.for_each(direct.size(), any_waits(result.locations),
+                    [&](std::size_t i) {
+                      const std::size_t s = direct[i];
+                      outcomes[s] = upload(s, targets[s],
+                                           result.locations[s].virtual_id);
+                    });
   for (auto& [s, fut] : batched) {
     ShardBatcher::PutResult r = fut.get();
     outcomes[s].status = std::move(r.status);
     outcomes[s].time = r.time;
     outcomes[s].retries = r.retries;
   }
-  for (auto& [s, fut] : direct) outcomes[s] = fut.get();
 
   Status first_error = Status::Ok();
   for (std::size_t s = 0; s < outcomes.size(); ++s) {
@@ -676,7 +683,7 @@ CloudDataDistributor::fetch_shards(const raid::StripeLayout& layout,
                                    const obs::SpanCtx& span) {
   // A shard that is unreachable OR fails its integrity digest counts as an
   // erasure; the caller's RAID decode recovers through it if it can.
-  // `span`, `stripe` and `digests` outlive the tasks: this blocks on them.
+  // `span`, `stripe` and `digests` outlive the fetches: for_each joins them.
   using Held = ShardRead::Held;
   auto fetch = [&](std::size_t s) {
     std::optional<obs::ScopedSpan> sp;
@@ -710,14 +717,9 @@ CloudDataDistributor::fetch_shards(const raid::StripeLayout& layout,
     if (out.held == Held::kIntact) out.data = std::move(r.data);
     return out;
   };
-  std::vector<std::future<ShardRead>> futures;
-  futures.reserve(idxs.size());
-  for (std::size_t s : idxs) {
-    futures.push_back(io_pool_.submit([&fetch, s] { return fetch(s); }));
-  }
-  std::vector<ShardRead> reads;
-  reads.reserve(idxs.size());
-  for (auto& f : futures) reads.push_back(f.get());
+  std::vector<ShardRead> reads(idxs.size());
+  io_pool_.for_each(idxs.size(), any_waits(stripe),
+                    [&](std::size_t i) { reads[i] = fetch(idxs[i]); });
   return reads;
 }
 
@@ -783,11 +785,20 @@ void CloudDataDistributor::drop_stripe(const std::vector<ShardLocation>& stripe,
                                        std::vector<SimDuration>* times,
                                        std::size_t shard) {
   MetadataStore& part = plane_->store(shard);
-  for (const auto& loc : stripe) {
-    RequestLayer::Outcome rpc = rt_.remove(loc.provider, loc.virtual_id);
-    if (times != nullptr) times->push_back(rpc.time);
-    part.record_removal(loc.provider, loc.virtual_id);
-  }
+  std::vector<SimDuration> took(stripe.size());
+  io_pool_.for_each(stripe.size(), any_waits(stripe), [&](std::size_t s) {
+    took[s] = rt_.remove(stripe[s].provider, stripe[s].virtual_id).time;
+    part.record_removal(stripe[s].provider, stripe[s].virtual_id);
+  });
+  if (times != nullptr) times->insert(times->end(), took.begin(), took.end());
+}
+
+bool CloudDataDistributor::any_waits(
+    const std::vector<ShardLocation>& stripe) const {
+  return std::any_of(stripe.begin(), stripe.end(),
+                     [this](const ShardLocation& loc) {
+                       return registry_.at(loc.provider).waits();
+                     });
 }
 
 Result<CloudDataDistributor::ChunkTarget> CloudDataDistributor::lookup_chunk(
@@ -890,23 +901,6 @@ Result<Bytes> CloudDataDistributor::open(const ChunkEntry& row,
                                      : row.misleading);
 }
 
-void CloudDataDistributor::fan_out(
-    std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n == 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool_.submit([&body, i] { body(i); }));
-  }
-  // Every task references `body` and the caller's state: all must finish
-  // before a failed one's exception leaves this frame.
-  for (auto& f : futures) f.wait();
-  for (auto& f : futures) f.get();
-}
-
 Status CloudDataDistributor::put_file(const std::string& client,
                                       const std::string& password,
                                       const std::string& filename,
@@ -972,7 +966,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
     std::vector<SimDuration> times;
   };
   std::vector<ChunkOutcome> outcomes(chunks.size());
-  fan_out(chunks.size(), [&](std::size_t i) {
+  pool_.for_each(chunks.size(), true, [&](std::size_t i) {
     ChunkOutcome& out = outcomes[i];
     ChunkSpan span(op, "chunk_put", chunks[i].serial);
     out.entry = file_row;
@@ -1107,7 +1101,8 @@ Result<Bytes> CloudDataDistributor::read_chunk(const std::string& client,
   op.chunk_serial = serial;
   op.chunks = 1;
   op.shards = (snap ? entry.snapshot : entry.stripe).size();
-  op.bytes_stored = snap ? entry.snapshot_padded_size : entry.padded_size;
+  op.bytes_stored = entry.layout.stored_bytes(snap ? entry.snapshot_padded_size
+                                                   : entry.padded_size);
   StripeReadStats rstats;
   Result<Bytes> plain = open(entry, version, op.times, op.ctx(), &rstats);
   op.parity_reads = rstats.parity_reads;
@@ -1131,13 +1126,13 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
   struct ChunkRead {
     Status status = Status::Ok();
     Bytes plain;
-    std::size_t padded_size = 0;
+    std::size_t bytes_stored = 0;
     std::size_t shards = 0;
     std::vector<SimDuration> times;
     StripeReadStats rstats;
   };
   std::vector<ChunkRead> reads(refs.size());
-  fan_out(refs.size(), [&](std::size_t i) {
+  pool_.for_each(refs.size(), true, [&](std::size_t i) {
     ChunkRead& out = reads[i];
     ChunkSpan span(op, "chunk_get", refs[i].serial);
     out.status = [&]() -> Status {
@@ -1147,7 +1142,8 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
                                  out.times, span.ctx(), &out.rstats);
       if (!plain.ok()) return plain.status();
       out.plain = std::move(plain).value();
-      out.padded_size = entry.value().padded_size;
+      out.bytes_stored =
+          entry.value().layout.stored_bytes(entry.value().padded_size);
       out.shards = entry.value().stripe.size();
       return Status::Ok();
     }();
@@ -1165,7 +1161,7 @@ Result<Bytes> CloudDataDistributor::get_file(const std::string& client,
       if (first_error.ok()) first_error = r.status;
       continue;
     }
-    op.bytes_stored += r.padded_size;
+    op.bytes_stored += r.bytes_stored;
     op.shards += r.shards;
     ++op.chunks;
     append(out, r.plain);
@@ -1326,9 +1322,9 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
   }
 
   // Each task owns its slot in `drop_times`, so no lock is needed; the
-  // slots merge into the op accumulator after fan_out joins.
+  // slots merge into the op accumulator after for_each joins.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
-  fan_out(refs.size(), [&](std::size_t i) {
+  pool_.for_each(refs.size(), true, [&](std::size_t i) {
     drop_stripe(retired[i], &drop_times[i], target.shard);
   });
   for (const std::vector<SimDuration>& t : drop_times) {

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -78,9 +77,12 @@ struct DistributorConfig {
   /// a time (the per-stripe barrier baseline bench_throughput gates
   /// against).
   std::size_t worker_threads = 8;
-  /// Shard RPC channels. Shard I/O is latency-bound, not CPU-bound, so the
-  /// I/O pool is wider than the compute pool (real object-store clients do
-  /// the same). 0 = 4 x worker_threads.
+  /// Shard RPC channels for providers whose requests wait (realtime
+  /// latency or a disk mirror: SimCloudProvider::waits). Such I/O is
+  /// latency-bound, not CPU-bound, so the I/O pool is wider than the
+  /// compute pool (real object-store clients do the same). A stripe whose
+  /// providers never wait runs its shard requests on the calling thread
+  /// and uses none of these. 0 = 4 x worker_threads.
   std::size_t io_threads = 0;
   /// Runtime telemetry toggle. When true the distributor records per-op
   /// trace spans and pipeline metrics into `telemetry_sink` (or, when that
@@ -460,11 +462,6 @@ class CloudDataDistributor {
                      const obs::SpanCtx& span = {},
                      StripeReadStats* stats = nullptr);
 
-  /// Runs body(i) for every i < n and joins: as independent compute-pool
-  /// tasks when n > 1 (an N-chunk op keeps every chunk's stripe in flight
-  /// at once instead of N per-stripe barriers), inline for one item.
-  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
-
   /// The removal body of remove_chunk and remove_file: tombstones every
   /// ref in `target` by version CAS from its fresh row and unlinks it,
   /// journals one `kind` record, and only then deletes the shards those
@@ -492,12 +489,13 @@ class CloudDataDistributor {
   VirtualId next_virtual_id();
 
   /// Places a stripe for `pl` (placement_ under mu_), encodes `payload`
-  /// under `layout` and uploads the shards via the I/O pool, appending
-  /// per-request service times to `times`.
-  /// Per-shard SHA-256 digests are computed inside the upload tasks, off
-  /// the caller thread. Safe to call from pool_ tasks: shard work runs on
-  /// io_pool_, whose tasks never submit further work, so blocking on them
-  /// cannot deadlock the compute pool.
+  /// under `layout` and uploads the shards, appending per-request service
+  /// times to `times`. Each shard's SHA-256 digest is computed with its
+  /// upload. When a target can wait (any_waits) the uploads overlap as
+  /// io_pool_ tasks; otherwise they run on the calling thread in shard
+  /// order, where a hand-off would cost more than the request. Safe to call
+  /// from pool_ tasks: io_pool_ tasks never submit further work, so
+  /// blocking on them cannot deadlock the compute pool.
   /// `pl` is the chunk's privacy level: placement picks trust-eligible
   /// providers for it, and a shard whose provider keeps failing is
   /// re-placed on another trust-eligible one (the write-quarantine path)
@@ -540,10 +538,11 @@ class CloudDataDistributor {
   /// rewrite_chunk's probes): fetches stripe[s] for each s in `idxs`
   /// through the request layer with `attempts` (0 = the full budget) and
   /// checks it against digests[s]; the result aligns with `idxs`. Fetches
-  /// run concurrently on io_pool_ (same deadlock-freedom argument as
-  /// write_stripe). When `span` is armed each fetch records a shard_get
-  /// child span; otherwise no span record is built. The caller checks the
-  /// stripe and digest counts first.
+  /// run concurrently on io_pool_ when a stripe member can wait and on the
+  /// calling thread in `idxs` order otherwise (as write_stripe's uploads,
+  /// with the same deadlock-freedom argument). When `span` is armed each
+  /// fetch records a shard_get child span; otherwise no span record is
+  /// built. The caller checks the stripe and digest counts first.
   std::vector<ShardRead> fetch_shards(const raid::StripeLayout& layout,
                                       const std::vector<ShardLocation>& stripe,
                                       const std::vector<crypto::Digest>& digests,
@@ -551,12 +550,19 @@ class CloudDataDistributor {
                                       std::size_t attempts,
                                       const obs::SpanCtx& span);
 
-  /// Deletes stripe shards at providers, one after another, and erases
-  /// them from the provider table of the owning metadata partition (a no-op
-  /// for ids a row commit already retired or that were never recorded).
-  /// The one per-stripe delete loop.
+  /// Deletes stripe shards at providers -- concurrently on io_pool_ when a
+  /// holder can wait, in stripe order on the calling thread otherwise --
+  /// erasing each from the provider table of the owning metadata partition
+  /// (a no-op for ids a row commit already retired or that were never
+  /// recorded). Appends the per-shard times in stripe order after the
+  /// join. The one per-stripe delete loop.
   void drop_stripe(const std::vector<ShardLocation>& stripe,
                    std::vector<SimDuration>* times, std::size_t shard);
+
+  /// True when a request to some provider of `stripe` can block
+  /// (SimCloudProvider::waits): only then do the stripe's shard requests
+  /// fan out on io_pool_.
+  [[nodiscard]] bool any_waits(const std::vector<ShardLocation>& stripe) const;
 
   /// First healthy (active, trust-eligible, online, not quarantined)
   /// provider outside `stripe`, in registry order; with a `ring_key`, the
@@ -603,7 +609,7 @@ class CloudDataDistributor {
   RequestLayer rt_;  ///< retry/breaker wrapper for every shard RPC
   PlacementPolicy placement_;
   ThreadPool pool_;     ///< chunk-level pipeline stages
-  ThreadPool io_pool_;  ///< shard-level provider RPCs (leaf tasks only)
+  ThreadPool io_pool_;  ///< shard RPCs that can wait (leaf tasks only)
   Rng chaff_rng_;
   std::atomic<std::uint64_t> id_counter_{1};
   std::uint64_t id_key_;

@@ -91,8 +91,8 @@ Result<Migrator::Report> Migrator::do_run(const MovePolicy& policy) {
   Status first_error = Status::Ok();
 
   // Bounded-concurrency walk: a private pool issues rewrite_chunk calls
-  // (each fans its shard RPCs out on the distributor's I/O pool) and a
-  // sliding window caps the chunks in flight.
+  // (each fans its shard RPCs out on the distributor's I/O pool when they
+  // can wait) and a sliding window caps the chunks in flight.
   const std::size_t width = std::max<std::size_t>(1, config_.max_in_flight);
   ThreadPool pool(width);
   std::deque<std::future<Result<RewriteStats>>> window;

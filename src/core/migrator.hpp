@@ -36,9 +36,9 @@ class Migrator {
     /// request layer allows).
     double stripes_per_sec = 0.0;
     /// Concurrent rewrite_chunk calls in flight (>= 1). Each call fans its
-    /// own shard RPCs out on the distributor's I/O pool, so this bounds
-    /// chunk-level, not shard-level, parallelism. 1 visits the chunks one
-    /// at a time, in index order.
+    /// own shard RPCs out on the distributor's I/O pool when their
+    /// providers can wait, so this bounds chunk-level, not shard-level,
+    /// parallelism. 1 visits the chunks one at a time, in index order.
     std::size_t max_in_flight = 4;
   };
 

@@ -54,6 +54,16 @@ struct StripeLayout {
     return data_shards + parity_shards;
   }
 
+  /// Bytes one stripe of a `payload_size`-byte payload holds at its
+  /// providers: total_shards() shards of ceil(payload / data_shards) bytes,
+  /// the size encode() gives them (kNone and kRaid1 have one data shard, so
+  /// each of their shards is the whole payload). 0 for a malformed layout
+  /// without data shards.
+  [[nodiscard]] std::size_t stored_bytes(std::size_t payload_size) const {
+    if (data_shards == 0) return 0;
+    return (payload_size + data_shards - 1) / data_shards * total_shards();
+  }
+
   /// Storage blow-up factor relative to the raw payload.
   [[nodiscard]] double overhead_factor() const {
     if (level == RaidLevel::kRaid1) {

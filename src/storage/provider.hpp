@@ -107,6 +107,17 @@ class SimCloudProvider {
     realtime_scale_.store(scale, std::memory_order_relaxed);
   }
 
+  /// True when a request here can block its thread: it sleeps out its
+  /// service time (realtime mode) or writes through to a mirror (disk I/O).
+  /// Derived, never set: the distributor overlaps a stripe's requests on
+  /// its I/O pool only when one of them waits, and otherwise runs them on
+  /// the calling thread, where an in-memory request costs less than the
+  /// hand-off would.
+  [[nodiscard]] bool waits() const {
+    return realtime_scale_.load(std::memory_order_relaxed) > 0.0 ||
+           mirror_ != nullptr;
+  }
+
   /// Wires this provider into a metrics registry: request/byte/error
   /// counters plus modeled-latency histograms under
   /// `provider.<name>.<metric>` -- the raw feed for health-based placement.

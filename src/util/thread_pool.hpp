@@ -1,12 +1,14 @@
-// Fixed-size thread pool plus a blocking parallel_for.
+// Fixed-size thread pool plus one blocking fan-out primitive, for_each.
 //
 // The Cloud Data Distributor fans one file's chunk stripe out to many
 // simulated providers; the paper (SVII-E) explicitly claims fragmentation
 // "exploits the benefit of parallel query processing", so the read/write
-// paths run provider RPCs through this pool. Work items are type-erased
-// std::move_only_function-style tasks queued under one mutex -- provider
-// latencies (tens of microseconds to milliseconds simulated) dwarf queue
-// contention, so a fancier work-stealing deque would buy nothing here.
+// paths run provider RPCs that can block through this pool (requests that
+// never wait run inline: a hop would cost more than it overlaps). Work
+// items are type-erased std::move_only_function-style tasks queued under
+// one mutex -- provider latencies (tens of microseconds to milliseconds
+// simulated) dwarf queue contention, so a fancier work-stealing deque would
+// buy nothing here.
 #pragma once
 
 #include <condition_variable>
@@ -70,27 +72,26 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs body(i) for i in [begin, end) across the pool and blocks until all
-  /// iterations finish. Iterations are batched into ~4 blocks per worker to
-  /// amortize scheduling overhead. Exceptions from any iteration propagate
-  /// (first one wins).
+  /// Runs body(i) for every i in [0, n) and returns when all have finished.
+  /// When `concurrent` is false or n <= 1 the calls run inline on the
+  /// caller's thread, in index order, and the first exception propagates at
+  /// once. Otherwise each index is one pool task; every task is joined
+  /// before the first exception (in index order) is rethrown, so `body` and
+  /// whatever it references may live on the caller's stack. A pool task
+  /// that calls for_each(..., true, ...) on its own pool can deadlock; nest
+  /// only onto a different pool whose tasks never block on further work.
   template <typename Body>
-  void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
-    if (begin >= end) return;
-    const std::size_t n = end - begin;
-    const std::size_t blocks =
-        std::min(n, std::max<std::size_t>(1, workers_.size() * 4));
-    const std::size_t block_size = (n + blocks - 1) / blocks;
-    std::vector<std::future<void>> futures;
-    futures.reserve(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t lo = begin + b * block_size;
-      const std::size_t hi = std::min(end, lo + block_size);
-      if (lo >= hi) break;
-      futures.push_back(submit([lo, hi, &body] {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      }));
+  void for_each(std::size_t n, bool concurrent, Body&& body) {
+    if (!concurrent || n <= 1) {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+      return;
     }
+    std::vector<std::future<void>> futures;
+    futures.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(submit([&body, i] { body(i); }));
+    }
+    for (auto& f : futures) f.wait();
     for (auto& f : futures) f.get();
   }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <set>
 
 #include "core/chunker.hpp"
@@ -585,6 +586,82 @@ TEST(DistributorTest, UpdateReportsStoredBytesLikePut) {
           .ok());
   EXPECT_EQ(update.bytes_stored, put.bytes_stored);
   EXPECT_GT(update.bytes_stored, 900u);
+}
+
+TEST(DistributorTest, ReadsReportStoredBytesLikePut) {
+  // A read's bytes_stored is the stripe it read as held at providers
+  // (chaff + parity), the figure the put reported, not the padded payload.
+  DistFixture f(raid::RaidLevel::kRaid5, /*misleading=*/0.1);
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;  // 1 KiB chunks
+  OpReport put;
+  ASSERT_TRUE(
+      f.cdd->put_file("Bob", "Ty7e", "doc", payload_of(2500, 1), opts, &put)
+          .ok());
+  ASSERT_EQ(put.chunks, 3u);
+  OpReport file;
+  ASSERT_TRUE(f.cdd->get_file("Bob", "Ty7e", "doc", &file).ok());
+  EXPECT_EQ(file.bytes_stored, put.bytes_stored);
+
+  OpReport one_put;
+  ASSERT_TRUE(f.cdd->put_file("Bob", "Ty7e", "one", payload_of(900, 2), opts,
+                              &one_put)
+                  .ok());
+  OpReport chunk;
+  ASSERT_TRUE(f.cdd->get_chunk("Bob", "Ty7e", "one", 0, &chunk).ok());
+  EXPECT_EQ(chunk.bytes_stored, one_put.bytes_stored);
+  EXPECT_GT(chunk.bytes_stored, 900u);
+}
+
+TEST(DistributorTest, WaitingProvidersKeepShardRequestsOverlapped) {
+  // Providers that sleep out a 20 ms service time: a one-chunk RAID-5 k=3
+  // stripe is 4 puts, 3 data-shard gets and 4 deletes, so one request
+  // after another would take 3-4x the latency. Shard requests that can
+  // wait fan out on the I/O pool, so each op costs about one round trip.
+  constexpr auto kLatency = std::chrono::milliseconds(20);
+  storage::ProviderRegistry registry;
+  storage::LatencyModel latency;
+  latency.base_latency = kLatency;
+  latency.jitter_mean = SimDuration{0};
+  for (int i = 0; i < 6; ++i) {
+    storage::ProviderDescriptor d;
+    d.name = "R" + std::to_string(i);
+    d.privacy_level = PrivacyLevel::kHigh;
+    registry.add(std::move(d), latency, 0x2A00 + i);
+    registry.at(static_cast<ProviderIndex>(i)).set_realtime_scale(1.0);
+  }
+  DistributorConfig config;
+  config.stripe_data_shards = 3;
+  CloudDataDistributor cdd(registry, config);
+  ASSERT_TRUE(cdd.register_client("Bob").ok());
+  ASSERT_TRUE(cdd.add_password("Bob", "Ty7e", PrivacyLevel::kHigh).ok());
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kHigh;  // 1 KiB chunks: one stripe
+
+  // Best of three per op, so one descheduled run on a loaded host cannot
+  // fail the bound; no serial run can beat it.
+  using Clock = std::chrono::steady_clock;
+  Clock::duration best_put = Clock::duration::max();
+  Clock::duration best_get = best_put;
+  Clock::duration best_remove = best_put;
+  for (int round = 0; round < 3; ++round) {
+    const std::string name = "doc" + std::to_string(round);
+    const Bytes data = payload_of(900, 10 + round);
+    Clock::time_point t0 = Clock::now();
+    ASSERT_TRUE(cdd.put_file("Bob", "Ty7e", name, data, opts).ok());
+    best_put = std::min(best_put, Clock::now() - t0);
+    t0 = Clock::now();
+    Result<Bytes> back = cdd.get_file("Bob", "Ty7e", name);
+    best_get = std::min(best_get, Clock::now() - t0);
+    ASSERT_TRUE(back.ok()) << back.status().to_string();
+    EXPECT_TRUE(equal(back.value(), data));
+    t0 = Clock::now();
+    ASSERT_TRUE(cdd.remove_file("Bob", "Ty7e", name).ok());
+    best_remove = std::min(best_remove, Clock::now() - t0);
+  }
+  EXPECT_LT(best_put, 2 * kLatency);
+  EXPECT_LT(best_get, 2 * kLatency);
+  EXPECT_LT(best_remove, 2 * kLatency);
 }
 
 TEST(DistributorTest, CleanReadsFetchOnlyDataShards) {

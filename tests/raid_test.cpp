@@ -70,6 +70,22 @@ TEST(StripeLayoutTest, OverheadFactors) {
                    1.5);
 }
 
+TEST(StripeLayoutTest, StoredBytesMatchEncodedArena) {
+  const Bytes payload = random_payload(1001, 3);  // deliberately not divisible
+  for (const StripeLayout layout :
+       {StripeLayout::make(RaidLevel::kNone, 1),
+        StripeLayout::make(RaidLevel::kRaid0, 4),
+        StripeLayout::make(RaidLevel::kRaid1, 1, 2),
+        StripeLayout::make(RaidLevel::kRaid5, 3),
+        StripeLayout::make(RaidLevel::kRaid6, 4)}) {
+    EXPECT_EQ(layout.stored_bytes(payload.size()),
+              encode(layout, payload).arena.size());
+  }
+  StripeLayout malformed;
+  malformed.data_shards = 0;  // as a corrupt checkpoint row can carry
+  EXPECT_EQ(malformed.stored_bytes(payload.size()), 0u);
+}
+
 TEST(StripeLayoutTest, InvalidShapesThrow) {
   EXPECT_THROW((void)StripeLayout::make(RaidLevel::kRaid5, 1), std::invalid_argument);
   EXPECT_THROW((void)StripeLayout::make(RaidLevel::kRaid1, 1, 0),

@@ -147,6 +147,20 @@ TEST(ProviderTest, PutGetRemoveFlow) {
   EXPECT_FALSE(p.contains(7));
 }
 
+TEST(ProviderTest, WaitsOnlyWhenRealtimeOrMirrored) {
+  SimCloudProvider p(test_descriptor());
+  EXPECT_FALSE(p.waits());  // in-memory, pure modelling
+  p.set_realtime_scale(1.0);
+  EXPECT_TRUE(p.waits());
+  p.set_realtime_scale(0.0);
+  EXPECT_FALSE(p.waits());
+  MemoryStore mirror;
+  p.set_mirror(&mirror);
+  EXPECT_TRUE(p.waits());
+  p.set_mirror(nullptr);
+  EXPECT_FALSE(p.waits());
+}
+
 TEST(ProviderTest, OutageMakesRequestsUnavailable) {
   SimCloudProvider p(test_descriptor());
   ASSERT_TRUE(p.put(1, to_bytes("x")).ok());

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
@@ -323,17 +326,62 @@ TEST(ThreadPoolTest, ExceptionsPropagateThroughFuture) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
+TEST(ThreadPoolTest, ForEachInlineRunsOnCallerInOrder) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  pool.for_each(64, false, [&](std::size_t i) {
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  // One index is inline whatever `concurrent` says.
+  std::thread::id ran_on;
+  pool.for_each(1, true, [&](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
+TEST(ThreadPoolTest, ForEachConcurrentRunsEveryIndexOnce) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(1000);
+  std::atomic<int> on_caller{0};
+  pool.for_each(hits.size(), true, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(on_caller.load(), 0);  // every index ran as a pool task
+}
+
+TEST(ThreadPoolTest, ForEachRethrowsOnlyAfterEveryTaskJoined) {
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 16;
+  std::atomic<std::size_t> finished{0};
+  // Index 0 throws at once; the others are still running (or queued) when
+  // it does, so an early rethrow would leave them touching `finished` after
+  // for_each returned.
+  EXPECT_THROW(pool.for_each(kTasks, true,
+                             [&](std::size_t i) {
+                               if (i == 0) throw std::runtime_error("boom");
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(5));
+                               finished.fetch_add(1);
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kTasks - 1);
+}
+
+TEST(ThreadPoolTest, ForEachOfZeroDoesNothing) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  pool.for_each(0, true, [&](std::size_t) { ran = true; });
+  pool.for_each(0, false, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
