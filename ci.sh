@@ -52,6 +52,9 @@
 #              crash-at-every-append-boundary recovery sweep)
 #              + util_test's ThreadPoolTest cases (for_each's inline and
 #              concurrent arms, and its join-before-rethrow contract)
+#              + storage_test (threads mixing put, put_many, get and remove
+#              on one flaky provider with a disk mirror: exact per-op
+#              counters, memory and mirror holding the same objects)
 #   5. crash-e2e: scripted end-to-end crash drill against cshield_cli on a
 #              disk-backed root: put files, kill the process mid-stripe via
 #              CSHIELD_CRASH_AFTER_APPENDS (it _exit(42)s inside a journal
@@ -157,11 +160,11 @@ cmake -B build-asan -S . -DCSHIELD_SANITIZE=address >/dev/null
 cmake --build build-asan -j "${jobs}"
 (cd build-asan && ctest --output-on-failure -j "${jobs}")
 
-echo "== [4/8] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test + util_test ThreadPoolTest =="
+echo "== [4/8] thread sanitizer: concurrency_test + obs_test + chaos_test + recovery_test + health_test + fragmentation_test + migration_test + shardplane_test + util_test ThreadPoolTest + storage_test =="
 cmake -B build-tsan -S . -DCSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
   chaos_test recovery_test health_test fragmentation_test migration_test \
-  shardplane_test util_test
+  shardplane_test util_test storage_test
 ./build-tsan/tests/concurrency_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/chaos_test
@@ -171,6 +174,7 @@ cmake --build build-tsan -j "${jobs}" --target concurrency_test obs_test \
 ./build-tsan/tests/migration_test
 ./build-tsan/tests/shardplane_test
 ./build-tsan/tests/util_test --gtest_filter='ThreadPoolTest.*'
+./build-tsan/tests/storage_test
 
 echo "== [5/8] crash e2e: put, kill mid-stripe, recover, verify =="
 cli=./build/examples/cshield_cli

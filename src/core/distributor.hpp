@@ -15,9 +15,11 @@
 //     -> upload under fresh virtual ids that carry no client identity.
 //
 // Reads authenticate a <password, PL> pair, check privilege against the
-// chunk PL, fetch the stripe in parallel, verify per-shard SHA-256 digests
-// (a corrupted shard counts as an erasure and RAID recovers through it),
-// decode, strip chaff, and return the plaintext chunk.
+// chunk PL, fetch the stripe's data shards (parity only when one of them is
+// missing or fails its SHA-256 digest -- RAID then recovers through the
+// erasure), decode, strip chaff, and return the plaintext chunk. A stripe's
+// shard requests overlap on the I/O pool when one of its providers waits,
+// and run inline on the calling thread when none does.
 //
 // Several distributor front-ends may share one MetadataPlane -- that is the
 // Fig. 2 multi-distributor architecture (see multi_distributor.hpp).

@@ -11,6 +11,9 @@
 //     breaker fails fast without provider I/O; every `probe_after`-th
 //     rejection is admitted as the half-open probe that can heal it.
 //
+// A single shard is a batch of one: put/get/remove and put_many run the
+// same loop, which tracks the items of a request still pending.
+//
 // A slow provider is not a failure and gets no special path: a read waits
 // for its data shards, and parity is fetched only when a data shard is
 // missing or fails its digest (see CloudDataDistributor::read_stripe).
@@ -57,9 +60,9 @@ struct RetryPolicy {
 
 class RequestLayer {
  public:
-  /// `watchdog` (optional) gets an armed in-flight entry per run()/
-  /// run_batch(), carrying the policy deadline as the modeled bound the
-  /// stall detector scales.
+  /// `watchdog` (optional) gets an armed in-flight entry per request,
+  /// carrying the policy deadline as the modeled bound the stall detector
+  /// scales.
   RequestLayer(storage::ProviderRegistry& registry, const RetryPolicy& policy,
                obs::Telemetry* telemetry, std::uint64_t seed,
                obs::StallWatchdog* watchdog = nullptr)
@@ -69,43 +72,39 @@ class RequestLayer {
         watchdog_(watchdog),
         seed_(mix64(seed ^ 0x5E7B9ULL)) {}
 
-  struct Outcome {
-    Status status = Status::Ok();
+  /// What a request cost, whatever it carried. For a batch, attempts and
+  /// retries count batch RPCs, not items.
+  struct Tally {
     SimDuration time{0};        ///< modeled: provider service + backoff waits
     std::uint32_t attempts = 0; ///< provider RPCs actually issued
     std::uint32_t retries = 0;  ///< attempts beyond the first
     bool fail_fast = false;     ///< breaker rejected before any provider I/O
   };
+  struct Outcome : Tally {
+    Status status = Status::Ok();
+  };
   struct GetOutcome : Outcome {
     std::optional<Bytes> data;
   };
-  /// Outcome of one batched RPC. Per-item statuses align with the input
-  /// batch; attempts/retries count batch RPCs, not items.
-  struct BatchOutcome {
+  /// Per-item statuses align with the input batch.
+  struct BatchOutcome : Tally {
     std::vector<Status> statuses;
-    SimDuration time{0};
-    std::uint32_t attempts = 0;
-    std::uint32_t retries = 0;
-    bool fail_fast = false;
-  };
-  struct BatchGetOutcome : BatchOutcome {
-    /// results[i] holds bytes iff statuses[i] is OK.
-    std::vector<std::optional<Bytes>> results;
   };
 
   /// `attempt_budget` 0 = the policy's max_attempts.
   Outcome put(ProviderIndex p, VirtualId id, BytesView data,
               std::size_t attempt_budget = 0) {
-    return run(p, id, attempt_budget, [&](SimDuration* t) {
+    Outcome out;
+    run_one(p, id, attempt_budget, out, [&](SimDuration* t) {
       return registry_.at(p).put(id, data, t);
     });
+    return out;
   }
 
   GetOutcome get(ProviderIndex p, VirtualId id,
                  std::size_t attempt_budget = 0) {
     GetOutcome out;
-    static_cast<Outcome&>(out) = run(p, id, attempt_budget,
-                                     [&](SimDuration* t) {
+    run_one(p, id, attempt_budget, out, [&](SimDuration* t) {
       Result<Bytes> r = registry_.at(p).get(id, t);
       if (r.ok()) out.data = std::move(r).value();
       return r.status();
@@ -115,62 +114,86 @@ class RequestLayer {
 
   Outcome remove(ProviderIndex p, VirtualId id,
                  std::size_t attempt_budget = 0) {
-    return run(p, id, attempt_budget, [&](SimDuration* t) {
+    Outcome out;
+    run_one(p, id, attempt_budget, out, [&](SimDuration* t) {
       return registry_.at(p).remove(id, t);
     });
+    return out;
   }
 
-  /// Batched put with the same retry/breaker discipline as run(), accounted
-  /// per batch RPC: one breaker admit per attempt, one on_success /
-  /// on_failure per attempt, one backoff between attempts. Partial-failure
-  /// splitting: after each attempt only the items that came back
-  /// kUnavailable stay pending -- a retry re-sends just that subset, and a
-  /// definitive per-item answer (OK, kNotFound, kInternal...) is final.
+  /// Batched put: the same loop as a single request, accounted per batch
+  /// RPC -- one breaker admit, one on_success / on_failure and one backoff
+  /// per attempt. Partial-failure splitting: after each attempt only the
+  /// items that came back kUnavailable stay pending -- a retry re-sends
+  /// just that subset, and a definitive per-item answer (OK, kNotFound,
+  /// kInternal...) is final.
   BatchOutcome put_many(ProviderIndex p,
                         const std::vector<storage::BatchPut>& batch) {
-    return run_batch(
-        p, batch.size(),
-        [&](const std::vector<std::size_t>& pending, SimDuration* t) {
-          std::vector<storage::BatchPut> subset;
-          subset.reserve(pending.size());
-          for (std::size_t i : pending) subset.push_back(batch[i]);
-          return registry_.at(p).put_many(subset, t);
-        },
-        batch.empty() ? VirtualId{0} : batch.front().id);
-  }
-
-  /// Batched get; see put_many for the retry/breaker semantics.
-  BatchGetOutcome get_many(ProviderIndex p,
-                           const std::vector<VirtualId>& ids) {
-    BatchGetOutcome out;
-    out.results.resize(ids.size());
-    static_cast<BatchOutcome&>(out) = run_batch(
-        p, ids.size(),
-        [&](const std::vector<std::size_t>& pending, SimDuration* t) {
-          std::vector<VirtualId> subset;
-          subset.reserve(pending.size());
-          for (std::size_t i : pending) subset.push_back(ids[i]);
-          std::vector<Result<Bytes>> got = registry_.at(p).get_many(subset, t);
-          std::vector<Status> statuses;
-          statuses.reserve(got.size());
-          for (std::size_t s = 0; s < got.size(); ++s) {
-            statuses.push_back(got[s].status());
-            if (got[s].ok()) out.results[pending[s]] = std::move(got[s]).value();
+    BatchOutcome out;
+    out.statuses.assign(batch.size(), Status::Ok());
+    if (batch.empty()) return out;
+    std::vector<std::size_t> pending(batch.size());
+    std::iota(pending.begin(), pending.end(), std::size_t{0});
+    std::vector<storage::BatchPut> subset;
+    subset.reserve(batch.size());
+    run(p, batch.front().id, 0, "shard_batch_rpc", out,
+        [&](SimDuration* t) {
+          if (telemetry_ != nullptr && telemetry_->enabled()) {
+            telemetry_->metrics().counter("rt.batch_rpcs").inc();
+            telemetry_->metrics().histogram("rt.batch_size")
+                .observe(static_cast<double>(pending.size()));
           }
-          return statuses;
+          subset.clear();
+          for (std::size_t i : pending) subset.push_back(batch[i]);
+          std::vector<Status> statuses = registry_.at(p).put_many(subset, t);
+          std::size_t kept = 0;
+          for (std::size_t s = 0; s < pending.size(); ++s) {
+            const std::size_t i = pending[s];
+            if (!answered(statuses[s])) pending[kept++] = i;
+            out.statuses[i] = std::move(statuses[s]);
+          }
+          pending.resize(kept);
+          return kept == 0;
         },
-        ids.empty() ? VirtualId{0} : ids.front());
+        [&](const Status& quarantined) {
+          for (std::size_t i : pending) out.statuses[i] = quarantined;
+        });
     return out;
   }
 
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
 
  private:
-  template <typename AttemptFn>
-  Outcome run(ProviderIndex p, VirtualId id, std::size_t attempt_budget,
-              AttemptFn&& attempt) {
-    Outcome out;
-    obs::StallWatchdog::Armed armed(watchdog_, "shard_rpc",
+  /// A definitive answer -- OK, kNotFound, kCorrupted... -- means the
+  /// provider is healthy; only kUnavailable retries.
+  [[nodiscard]] static bool answered(const Status& st) {
+    return st.code() != ErrorCode::kUnavailable;
+  }
+
+  /// run() for a single item: `rpc(&t)` returns that item's status.
+  template <typename RpcFn>
+  void run_one(ProviderIndex p, VirtualId id, std::size_t attempt_budget,
+               Outcome& out, RpcFn&& rpc) {
+    run(p, id, attempt_budget, "shard_rpc", out,
+        [&](SimDuration* t) {
+          out.status = rpc(t);
+          return answered(out.status);
+        },
+        [&](Status quarantined) { out.status = std::move(quarantined); });
+  }
+
+  /// The one breaker/retry/backoff/deadline loop, over the items of one
+  /// request still pending. `attempt(&t)` issues one provider RPC for
+  /// them, records each item's answer, keeps only the kUnavailable items
+  /// pending, and returns true when none is left. `reject(status)` fails
+  /// every pending item when the breaker turns the request away.
+  /// `backoff_key` seeds the deterministic jitter (the item's virtual id,
+  /// or a batch's first -- stable across retries).
+  template <typename AttemptFn, typename RejectFn>
+  void run(ProviderIndex p, VirtualId backoff_key, std::size_t attempt_budget,
+           const char* what, Tally& out, AttemptFn&& attempt,
+           RejectFn&& reject) {
+    obs::StallWatchdog::Armed armed(watchdog_, what,
                                     policy_.deadline.count());
     const std::size_t budget = std::max<std::size_t>(
         1, attempt_budget != 0 ? attempt_budget : policy_.max_attempts);
@@ -180,8 +203,8 @@ class RequestLayer {
       if (admitted == storage::CircuitBreaker::Decision::kReject) {
         // Fail fast: no provider I/O, no time burned, and no point
         // retrying -- the breaker already knows this provider is down.
-        out.status = Status::Unavailable(
-            registry_.at(p).descriptor().name + " quarantined (breaker open)");
+        reject(Status::Unavailable(registry_.at(p).descriptor().name +
+                                   " quarantined (breaker open)"));
         out.fail_fast = out.attempts == 0;
         count("rt.fail_fast");
         publish_breaker_state(p, breaker);
@@ -193,11 +216,11 @@ class RequestLayer {
       }
       ++out.attempts;
       SimDuration t{0};
-      out.status = attempt(&t);
+      const bool settled = attempt(&t);
       out.time += t;
-      if (out.status.ok() || out.status.code() != ErrorCode::kUnavailable) {
-        // The provider answered -- success, or a definitive error that the
-        // erasure layer owns. Either way it is healthy.
+      if (settled) {
+        // The provider answered every item -- success, or a definitive
+        // error that the erasure layer owns. Either way it is healthy.
         if (breaker.on_success()) {
           count("rt.breaker_closes");
           gauge_add("rt.open_breakers", -1);
@@ -210,91 +233,6 @@ class RequestLayer {
         gauge_add("rt.open_breakers", 1);
       }
       publish_breaker_state(p, breaker);
-      if (a == budget) {
-        count("rt.giveups");
-        break;
-      }
-      const SimDuration pause = backoff(p, id, a);
-      if (out.time + pause > policy_.deadline) {
-        count("rt.deadline_exceeded");
-        break;
-      }
-      out.time += pause;
-      ++out.retries;
-      count("rt.retries");
-      if (telemetry_ != nullptr && telemetry_->enabled()) {
-        telemetry_->metrics().histogram("rt.backoff_ns")
-            .observe(static_cast<double>(pause.count()));
-      }
-    }
-    return out;
-  }
-
-  /// Batched analogue of run(). `attempt` receives the indices (into the
-  /// original batch) still pending and must return one Status per index,
-  /// in order. `backoff_key` seeds the deterministic jitter (the first
-  /// item's virtual id -- stable across retries of the same batch).
-  template <typename BatchAttemptFn>
-  BatchOutcome run_batch(ProviderIndex p, std::size_t n,
-                         BatchAttemptFn&& attempt, VirtualId backoff_key) {
-    BatchOutcome out;
-    out.statuses.assign(n, Status::Ok());
-    if (n == 0) return out;
-    obs::StallWatchdog::Armed armed(watchdog_, "shard_batch_rpc",
-                                    policy_.deadline.count());
-    const std::size_t budget = std::max<std::size_t>(1, policy_.max_attempts);
-    storage::CircuitBreaker& breaker = registry_.breaker(p);
-    std::vector<std::size_t> pending(n);
-    std::iota(pending.begin(), pending.end(), std::size_t{0});
-    for (std::size_t a = 1; a <= budget; ++a) {
-      const auto admitted = breaker.admit();
-      if (admitted == storage::CircuitBreaker::Decision::kReject) {
-        const Status quarantined = Status::Unavailable(
-            registry_.at(p).descriptor().name + " quarantined (breaker open)");
-        for (std::size_t i : pending) out.statuses[i] = quarantined;
-        out.fail_fast = out.attempts == 0;
-        count("rt.fail_fast");
-        publish_breaker_state(p, breaker);
-        break;
-      }
-      if (admitted == storage::CircuitBreaker::Decision::kProbe) {
-        count("rt.probes");
-        publish_breaker_state(p, breaker);
-      }
-      ++out.attempts;
-      if (telemetry_ != nullptr && telemetry_->enabled()) {
-        telemetry_->metrics().counter("rt.batch_rpcs").inc();
-        telemetry_->metrics().histogram("rt.batch_size")
-            .observe(static_cast<double>(pending.size()));
-      }
-      SimDuration t{0};
-      const std::vector<Status> statuses = attempt(pending, &t);
-      out.time += t;
-      // Partial-failure split: only kUnavailable items remain pending; a
-      // definitive per-item answer is final (same rule as run()).
-      std::vector<std::size_t> still;
-      for (std::size_t s = 0; s < pending.size(); ++s) {
-        out.statuses[pending[s]] = statuses[s];
-        if (statuses[s].code() == ErrorCode::kUnavailable) {
-          still.push_back(pending[s]);
-        }
-      }
-      if (still.empty()) {
-        // The provider answered every remaining item -- it is healthy,
-        // whatever the erasure layer makes of the individual answers.
-        if (breaker.on_success()) {
-          count("rt.breaker_closes");
-          gauge_add("rt.open_breakers", -1);
-        }
-        publish_breaker_state(p, breaker);
-        break;
-      }
-      if (breaker.on_failure()) {
-        count("rt.breaker_trips");
-        gauge_add("rt.open_breakers", 1);
-      }
-      publish_breaker_state(p, breaker);
-      pending = std::move(still);
       if (a == budget) {
         count("rt.giveups");
         break;
@@ -312,7 +250,6 @@ class RequestLayer {
             .observe(static_cast<double>(pause.count()));
       }
     }
-    return out;
   }
 
   /// Backoff before attempt `attempt + 1`: capped exponential with

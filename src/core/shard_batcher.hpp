@@ -46,14 +46,6 @@ class ShardBatcher {
     std::size_t batch_shards = 16;
     /// Flush an under-full lane this long after its first pending shard.
     std::chrono::microseconds max_wait{500};
-    /// Opportunistic close: flush an under-full lane once no new shard has
-    /// arrived for this long. Under light concurrency a lane almost never
-    /// fills, and without this every batch waited out the full `max_wait`
-    /// -- a pure latency tax that made 8-client batched throughput WORSE
-    /// than per-op RPCs. With it, a drained queue closes after one idle
-    /// window while a hot queue keeps filling until `batch_shards` or
-    /// `max_wait`. 0 = always wait out max_wait (the old behavior).
-    std::chrono::microseconds idle_close{50};
   };
 
   /// What one shard's enqueue resolved to.
@@ -66,8 +58,6 @@ class ShardBatcher {
     /// per-op sums stay exact when shards of one batch report to
     /// different operations.
     std::uint32_t retries = 0;
-    /// Shards in the flushed batch (diagnostics).
-    std::uint32_t batch = 1;
   };
 
   /// `rt` must outlive the batcher; `providers` sizes the lane array.
@@ -127,6 +117,14 @@ class ShardBatcher {
   }
 
  private:
+  /// Opportunistic close: flush an under-full lane once no new shard has
+  /// arrived for this long. Under light concurrency a lane almost never
+  /// fills, and without it every batch waited out the full `max_wait` --
+  /// a pure latency tax that made 8-client batched throughput WORSE than
+  /// per-op RPCs. With it, a drained queue closes after one idle window
+  /// while a hot queue keeps filling until `batch_shards` or `max_wait`.
+  static constexpr std::chrono::microseconds kIdleClose{50};
+
   struct Pending {
     VirtualId id = 0;
     BytesView data;
@@ -149,16 +147,13 @@ class ShardBatcher {
       if (lane.queue.empty()) return;  // stop with nothing left to flush
       // Close the batch at batch_shards, at max_wait after the lane's first
       // pending shard, or -- opportunistically -- once the queue has been
-      // idle for `idle_close` (nothing new arrived in a whole window, so
+      // idle for kIdleClose (nothing new arrived in a whole window, so
       // waiting longer only taxes the shards already queued). Shutdown
       // flushes immediately -- enqueued shards still complete.
       const auto deadline = lane.first_enqueue + cfg_.max_wait;
       while (!lane.stop && lane.queue.size() < cfg_.batch_shards) {
-        auto close_at = deadline;
-        if (cfg_.idle_close.count() > 0) {
-          close_at = std::min(
-              deadline, std::chrono::steady_clock::now() + cfg_.idle_close);
-        }
+        const auto close_at =
+            std::min(deadline, std::chrono::steady_clock::now() + kIdleClose);
         const std::size_t before = lane.queue.size();
         if (lane.cv.wait_until(lk, close_at) == std::cv_status::timeout &&
             lane.queue.size() == before) {
@@ -207,7 +202,6 @@ class ShardBatcher {
       r.status = rpc.statuses[i];
       r.time = share;
       r.retries = i == 0 ? rpc.retries : 0;
-      r.batch = static_cast<std::uint32_t>(batch.size());
       batch[i].promise.set_value(std::move(r));
     }
   }

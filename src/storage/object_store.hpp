@@ -38,25 +38,8 @@ class ObjectStore {
   virtual Status remove(VirtualId id) = 0;
 
   /// Stores a batch; the returned statuses align with `batch` and items
-  /// fail independently. The default loops over put(), so every store
-  /// keeps working unmodified; stores with a cheaper bulk path (one lock
-  /// acquisition, one directory fsync) override it.
-  virtual std::vector<Status> put_many(const std::vector<BatchPut>& batch) {
-    std::vector<Status> statuses;
-    statuses.reserve(batch.size());
-    for (const BatchPut& item : batch) statuses.push_back(put(item.id, item.data));
-    return statuses;
-  }
-
-  /// Fetches a batch; results align with `ids` and items fail
-  /// independently. Default loops over get().
-  [[nodiscard]] virtual std::vector<Result<Bytes>> get_many(
-      const std::vector<VirtualId>& ids) const {
-    std::vector<Result<Bytes>> results;
-    results.reserve(ids.size());
-    for (VirtualId id : ids) results.push_back(get(id));
-    return results;
-  }
+  /// fail independently.
+  virtual std::vector<Status> put_many(const std::vector<BatchPut>& batch) = 0;
 
   [[nodiscard]] virtual bool contains(VirtualId id) const = 0;
   [[nodiscard]] virtual std::size_t object_count() const = 0;
@@ -70,16 +53,10 @@ class ObjectStore {
 /// Thread-safe in-memory object store.
 class MemoryStore final : public ObjectStore {
  public:
+  /// Never fails. The object's buffer is allocated on the calling thread.
   Status put(VirtualId id, BytesView data) override {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = objects_.find(id);
-    if (it != objects_.end()) {
-      bytes_ -= it->second.size();
-      it->second.assign(data.begin(), data.end());
-    } else {
-      objects_.emplace(id, Bytes(data.begin(), data.end()));
-    }
-    bytes_ += data.size();
+    put_locked(id, data);
     return Status::Ok();
   }
 
@@ -92,40 +69,11 @@ class MemoryStore final : public ObjectStore {
     return it->second;
   }
 
-  /// Batched variants take the store lock once for the whole batch instead
-  /// of once per object -- the map operations are identical.
+  /// Takes the store lock once for the whole batch.
   std::vector<Status> put_many(const std::vector<BatchPut>& batch) override {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Status> statuses;
-    statuses.reserve(batch.size());
-    for (const BatchPut& item : batch) {
-      auto it = objects_.find(item.id);
-      if (it != objects_.end()) {
-        bytes_ -= it->second.size();
-        it->second.assign(item.data.begin(), item.data.end());
-      } else {
-        objects_.emplace(item.id, Bytes(item.data.begin(), item.data.end()));
-      }
-      bytes_ += item.data.size();
-      statuses.push_back(Status::Ok());
-    }
-    return statuses;
-  }
-
-  [[nodiscard]] std::vector<Result<Bytes>> get_many(
-      const std::vector<VirtualId>& ids) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Result<Bytes>> results;
-    results.reserve(ids.size());
-    for (VirtualId id : ids) {
-      auto it = objects_.find(id);
-      if (it == objects_.end()) {
-        results.emplace_back(Status::NotFound("object " + std::to_string(id)));
-      } else {
-        results.emplace_back(it->second);
-      }
-    }
-    return results;
+    for (const BatchPut& item : batch) put_locked(item.id, item.data);
+    return std::vector<Status>(batch.size(), Status::Ok());
   }
 
   Status remove(VirtualId id) override {
@@ -185,6 +133,18 @@ class MemoryStore final : public ObjectStore {
   }
 
  private:
+  /// Shared body of put()/put_many(); the caller holds mu_.
+  void put_locked(VirtualId id, BytesView data) {
+    auto it = objects_.find(id);
+    if (it != objects_.end()) {
+      bytes_ -= it->second.size();
+      it->second.assign(data.begin(), data.end());
+    } else {
+      objects_.emplace(id, Bytes(data.begin(), data.end()));
+    }
+    bytes_ += data.size();
+  }
+
   mutable std::mutex mu_;
   std::unordered_map<VirtualId, Bytes> objects_;
   std::size_t bytes_ = 0;

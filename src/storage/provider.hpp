@@ -7,12 +7,14 @@
 // outage, going out of business (data loss), and silent corruption.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/types.hpp"
 #include "obs/telemetry.hpp"
@@ -63,8 +65,8 @@ struct ProviderCounters {
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> removes{0};
-  /// Batched RPCs served (each carries many objects but costs one round
-  /// trip; per-object traffic still lands in puts/gets/bytes_*).
+  /// put_many RPCs served (each carries many objects but costs one round
+  /// trip; per-object traffic still lands in puts/bytes_in).
   std::atomic<std::uint64_t> batch_requests{0};
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
@@ -147,80 +149,22 @@ class SimCloudProvider {
   /// request duration (valid for both success and failure).
   Status put(VirtualId id, BytesView data,
              SimDuration* service_time = nullptr) {
-    double slow = 1.0;
-    Status fault = check_faults(&slow);
-    const SimDuration t = scale_time(model_time(data.size()), slow);
-    maybe_sleep(t);
-    if (service_time != nullptr) *service_time = t;
-    if (!fault.ok()) {
-      record(&Tele::put_ns, t, data.size(), 0, false);
-      return fault;
-    }
-    counters_.puts.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_in.fetch_add(data.size(), std::memory_order_relaxed);
-    Status st = store_.put(id, data);
-    if (st.ok() && mirror_ != nullptr) {
-      st = mirror_->put(id, data);
-      // Back out of memory on mirror failure: the two stores must agree.
-      if (!st.ok()) (void)store_.remove(id);
-    }
-    if (!st.ok()) note_io_error();
-    record(&Tele::put_ns, t, data.size(), 0, st.ok());
+    const BatchPut item{id, data};
+    Status st;
+    put_items(&item, 1, &st, service_time);
     return st;
   }
 
-  /// Stores a batch of objects as ONE provider request: one fault decision
-  /// (a batch-level fault fails every item), one modeled service time
-  /// covering the whole payload, and one request-sequence tick -- batching
-  /// N shards costs one round trip, which is its entire point. A scripted
-  /// FaultPlan therefore sees the batch as a single request, so per-op and
-  /// batched request streams consume the sequence space differently (as
-  /// they would against a real endpoint). Item-level store/mirror failures
-  /// stay independent; the returned statuses align with `batch`.
+  /// Stores a batch of objects as ONE provider request -- batching N shards
+  /// costs one round trip, which is its entire point. A scripted FaultPlan
+  /// therefore sees the batch as a single request, so per-op and batched
+  /// request streams consume the sequence space differently (as they would
+  /// against a real endpoint). The returned statuses align with `batch`.
   std::vector<Status> put_many(const std::vector<BatchPut>& batch,
                                SimDuration* service_time = nullptr) {
-    double slow = 1.0;
-    Status fault = check_faults(&slow);
-    std::size_t total_bytes = 0;
-    for (const BatchPut& item : batch) total_bytes += item.data.size();
-    const SimDuration t = scale_time(model_time(total_bytes), slow);
-    maybe_sleep(t);
-    if (service_time != nullptr) *service_time = t;
     counters_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-    if (!fault.ok()) {
-      record(&Tele::put_ns, t, total_bytes, 0, false);
-      return std::vector<Status>(batch.size(), fault);
-    }
-    // Accepted-request accounting, matching put(): every item the fault
-    // model admitted counts, store failures surface as io_errors below.
-    counters_.puts.fetch_add(batch.size(), std::memory_order_relaxed);
-    counters_.bytes_in.fetch_add(total_bytes, std::memory_order_relaxed);
-    std::vector<Status> statuses = store_.put_many(batch);
-    if (mirror_ != nullptr) {
-      // Mirror the surviving items through the mirror's own batched path
-      // (a DiskStore mirror then pays one directory fsync per batch), and
-      // back each mirror failure out of memory: the two stores must agree.
-      std::vector<BatchPut> survivors;
-      std::vector<std::size_t> survivor_index;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!statuses[i].ok()) continue;
-        survivors.push_back(batch[i]);
-        survivor_index.push_back(i);
-      }
-      const std::vector<Status> mirrored = mirror_->put_many(survivors);
-      for (std::size_t s = 0; s < mirrored.size(); ++s) {
-        if (mirrored[s].ok()) continue;
-        (void)store_.remove(survivors[s].id);
-        statuses[survivor_index[s]] = mirrored[s];
-      }
-    }
-    bool all_ok = true;
-    for (const Status& st : statuses) {
-      if (st.ok()) continue;
-      note_io_error();
-      all_ok = false;
-    }
-    record(&Tele::put_ns, t, total_bytes, 0, all_ok);
+    std::vector<Status> statuses(batch.size());
+    put_items(batch.data(), batch.size(), statuses.data(), service_time);
     return statuses;
   }
 
@@ -230,6 +174,7 @@ class SimCloudProvider {
     Status fault = check_faults(&slow);
     if (!fault.ok()) {
       const SimDuration t = scale_time(model_time(0), slow);
+      maybe_sleep(t);
       if (service_time != nullptr) *service_time = t;
       record(&Tele::get_ns, t, 0, 0, false);
       return fault;
@@ -247,47 +192,6 @@ class SimCloudProvider {
     }
     record(&Tele::get_ns, t, 0, n, r.ok());
     return r;
-  }
-
-  /// Batched fetch mirroring put_many: one fault decision, one modeled
-  /// round trip sized by the bytes actually returned, one sequence tick.
-  /// Results align with `ids`; misses fail individually with kNotFound.
-  [[nodiscard]] std::vector<Result<Bytes>> get_many(
-      const std::vector<VirtualId>& ids,
-      SimDuration* service_time = nullptr) {
-    double slow = 1.0;
-    Status fault = check_faults(&slow);
-    counters_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-    if (!fault.ok()) {
-      const SimDuration t = scale_time(model_time(0), slow);
-      if (service_time != nullptr) *service_time = t;
-      record(&Tele::get_ns, t, 0, 0, false);
-      return std::vector<Result<Bytes>>(ids.size(), Result<Bytes>(fault));
-    }
-    std::vector<Result<Bytes>> results = store_.get_many(ids);
-    std::size_t total_bytes = 0;
-    bool all_ok = true;
-    for (const Result<Bytes>& r : results) {
-      if (r.ok()) {
-        total_bytes += r.value().size();
-      } else {
-        all_ok = false;
-      }
-    }
-    const SimDuration t = scale_time(model_time(total_bytes), slow);
-    maybe_sleep(t);
-    if (service_time != nullptr) *service_time = t;
-    for (const Result<Bytes>& r : results) {
-      if (r.ok()) {
-        counters_.gets.fetch_add(1, std::memory_order_relaxed);
-        counters_.bytes_out.fetch_add(r.value().size(),
-                                      std::memory_order_relaxed);
-      } else {
-        note_io_error();
-      }
-    }
-    record(&Tele::get_ns, t, 0, total_bytes, all_ok);
-    return results;
   }
 
   Status remove(VirtualId id, SimDuration* service_time = nullptr) {
@@ -392,6 +296,56 @@ class SimCloudProvider {
   }
 
  private:
+  /// The one put body, behind put() (a batch of one) and put_many(): one
+  /// fault decision (a fault fails every item) and one latency draw over
+  /// the payload bytes, then every item into memory and through the
+  /// mirror. Items fail independently; `statuses[i]` receives item i's.
+  void put_items(const BatchPut* items, std::size_t n, Status* statuses,
+                 SimDuration* service_time) {
+    double slow = 1.0;
+    Status fault = check_faults(&slow);
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) bytes += items[i].data.size();
+    const SimDuration t = scale_time(model_time(bytes), slow);
+    maybe_sleep(t);
+    if (service_time != nullptr) *service_time = t;
+    if (!fault.ok()) {
+      record(&Tele::put_ns, t, bytes, 0, false);
+      // Every item gets the fault; the last one takes it by move.
+      for (std::size_t i = 0; i + 1 < n; ++i) statuses[i] = fault;
+      if (n != 0) statuses[n - 1] = std::move(fault);
+      return;
+    }
+    // Accepted-request accounting: every item the fault model admitted
+    // counts, store failures surface as io_errors below.
+    counters_.puts.fetch_add(n, std::memory_order_relaxed);
+    counters_.bytes_in.fetch_add(bytes, std::memory_order_relaxed);
+    // The memory insert never fails, so an item's answer is the mirror's.
+    for (std::size_t i = 0; i < n; ++i) {
+      (void)store_.put(items[i].id, items[i].data);
+    }
+    if (mirror_ != nullptr) {
+      // One mirror request per provider request, so a DiskStore mirror
+      // pays one directory fsync; a single item skips the batch vectors.
+      if (n == 1) {
+        statuses[0] = mirror_->put(items[0].id, items[0].data);
+      } else {
+        const std::vector<Status> mirrored =
+            mirror_->put_many(std::vector<BatchPut>(items, items + n));
+        std::copy(mirrored.begin(), mirrored.end(), statuses);
+      }
+    }
+    bool all_ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (statuses[i].ok()) continue;
+      // Back out of memory on mirror failure: the two stores must agree.
+      (void)store_.remove(items[i].id);
+      note_io_error();
+      all_ok = false;
+    }
+    record(&Tele::put_ns, t, bytes, 0, all_ok);
+  }
+
   /// One fault decision per request from the scripted plan. `slow` (never
   /// null) receives the plan's service-time multiplier for this request,
   /// valid whether or not the request fails.

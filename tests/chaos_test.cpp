@@ -153,24 +153,49 @@ TEST(FaultPlanTest, ProviderReplaysIdenticalFaultsAfterReinstall) {
   auto plan = std::make_shared<FaultPlan>(FaultPlan::transient(0xF00, 0.5));
   storage::ProviderDescriptor d;
   d.name = "replay";
-  storage::SimCloudProvider prov(std::move(d), storage::LatencyModel{}, 77);
-  auto pattern = [&] {
+  storage::SimCloudProvider prov(d, storage::LatencyModel{}, 77);
+  // Same seeds, driven through one-item put_many batches instead of put.
+  storage::SimCloudProvider twin(d, storage::LatencyModel{}, 77);
+  auto pattern = [&](storage::SimCloudProvider& p, bool one_item_batches,
+                     std::vector<std::int64_t>* times) {
     std::string out;
     for (int i = 0; i < 100; ++i) {
-      out += prov.put(static_cast<VirtualId>(i + 1), Bytes{1, 2, 3}).ok()
-                 ? 'o'
-                 : 'x';
+      const auto id = static_cast<VirtualId>(i + 1);
+      const Bytes data{1, 2, 3};
+      SimDuration t{0};
+      const bool ok = one_item_batches ? p.put_many({{id, data}}, &t)[0].ok()
+                                       : p.put(id, data, &t).ok();
+      out += ok ? 'o' : 'x';
+      times->push_back(t.count());
     }
     return out;
   };
+  std::vector<std::int64_t> times;
   prov.install_fault_plan(plan, 0);
-  const std::string first = pattern();
+  const std::string first = pattern(prov, false, &times);
   EXPECT_NE(first.find('x'), std::string::npos);
   EXPECT_NE(first.find('o'), std::string::npos);
   // Reinstall resets the sequence clock: the same request stream replays
   // the exact same fault pattern.
   prov.install_fault_plan(plan, 0);
-  EXPECT_EQ(pattern(), first);
+  EXPECT_EQ(pattern(prov, false, &times), first);
+
+  // A one-item batch is the same request as a put: same faults, same
+  // modeled times, same counters -- only batch_requests tells them apart.
+  std::vector<std::int64_t> twin_times;
+  for (int pass = 0; pass < 2; ++pass) {
+    twin.install_fault_plan(plan, 0);
+    EXPECT_EQ(pattern(twin, true, &twin_times), first);
+  }
+  EXPECT_EQ(twin_times, times);
+  const storage::ProviderCounters& a = prov.counters();
+  const storage::ProviderCounters& b = twin.counters();
+  EXPECT_EQ(b.puts.load(), a.puts.load());
+  EXPECT_EQ(b.bytes_in.load(), a.bytes_in.load());
+  EXPECT_EQ(b.injected_failures.load(), a.injected_failures.load());
+  EXPECT_EQ(b.io_errors.load(), a.io_errors.load());
+  EXPECT_EQ(a.batch_requests.load(), 0u);
+  EXPECT_EQ(b.batch_requests.load(), 200u);
 }
 
 // --- circuit breaker state machine ------------------------------------------
@@ -245,22 +270,120 @@ TEST(RequestLayerBatchTest, BatchLevelFaultRetriesWholeBatchOnce) {
   EXPECT_EQ(registry.at(0).counters().puts.load(), 3u);
 }
 
+/// Write-through mirror that refuses one id with a definitive error.
+class RefusingMirror final : public storage::ObjectStore {
+ public:
+  explicit RefusingMirror(VirtualId refused) : refused_(refused) {}
+  Status put(VirtualId id, BytesView data) override {
+    if (id == refused_) return Status::Internal("mirror refuses the id");
+    return inner_.put(id, data);
+  }
+  std::vector<Status> put_many(
+      const std::vector<storage::BatchPut>& batch) override {
+    std::vector<Status> out;
+    for (const storage::BatchPut& item : batch) {
+      out.push_back(put(item.id, item.data));
+    }
+    return out;
+  }
+  [[nodiscard]] Result<Bytes> get(VirtualId id) const override {
+    return inner_.get(id);
+  }
+  Status remove(VirtualId id) override { return inner_.remove(id); }
+  [[nodiscard]] bool contains(VirtualId id) const override {
+    return inner_.contains(id);
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return inner_.object_count();
+  }
+  [[nodiscard]] std::size_t bytes_stored() const override {
+    return inner_.bytes_stored();
+  }
+  [[nodiscard]] std::vector<VirtualId> list_ids() const override {
+    return inner_.list_ids();
+  }
+
+ private:
+  VirtualId refused_;
+  storage::MemoryStore inner_;
+};
+
 TEST(RequestLayerBatchTest, DefinitiveItemAnswersAreFinal) {
   storage::ProviderRegistry registry = flat_registry(1);
+  RefusingMirror mirror(404);
+  registry.at(0).set_mirror(&mirror);
   core::RequestLayer rt(registry, core::RetryPolicy{}, nullptr, 0xD00D);
   const Bytes a = payload_of(64, 9);
-  ASSERT_TRUE(rt.put_many(0, {{5, a}}).statuses[0].ok());
-  const core::RequestLayer::BatchGetOutcome got = rt.get_many(0, {5, 404});
-  // A per-item miss is a definitive answer, not a provider failure: the
-  // retry budget must not be burned re-asking for it.
-  EXPECT_EQ(got.attempts, 1u);
-  EXPECT_EQ(got.retries, 0u);
-  ASSERT_EQ(got.statuses.size(), 2u);
-  ASSERT_TRUE(got.statuses[0].ok());
-  ASSERT_TRUE(got.results[0].has_value());
-  EXPECT_TRUE(equal(*got.results[0], a));
-  EXPECT_EQ(got.statuses[1].code(), ErrorCode::kNotFound);
-  EXPECT_FALSE(got.results[1].has_value());
+  const core::RequestLayer::BatchOutcome out =
+      rt.put_many(0, {{5, a}, {404, a}});
+  // A per-item refusal is a definitive answer, not a provider failure: the
+  // retry budget must not be burned re-sending it.
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_EQ(out.retries, 0u);
+  ASSERT_EQ(out.statuses.size(), 2u);
+  EXPECT_TRUE(out.statuses[0].ok());
+  EXPECT_EQ(out.statuses[1].code(), ErrorCode::kInternal);
+  // The refused item was backed out of memory: the two stores agree.
+  EXPECT_TRUE(registry.at(0).contains(5));
+  EXPECT_FALSE(registry.at(0).contains(404));
+  EXPECT_FALSE(registry.quarantined(0));
+}
+
+// With the same FaultPlan seed, a put and a one-item put_many are the same
+// request to the retry loop: same answers, modeled times, attempts,
+// retries, breaker moves and provider traffic.
+TEST(RequestLayerBatchTest, OneItemBatchAgreesWithSinglePut) {
+  struct Side {
+    std::shared_ptr<obs::Telemetry> sink =
+        std::make_shared<obs::Telemetry>(true);
+    storage::ProviderRegistry registry = flat_registry(1);
+    std::unique_ptr<core::RequestLayer> rt;
+  };
+  core::RetryPolicy policy;
+  policy.max_attempts = 3;
+  auto plan = std::make_shared<FaultPlan>(FaultPlan::transient(0x1A6E, 0.45));
+  Side single;
+  Side batched;
+  for (Side* side : {&single, &batched}) {
+    side->registry.set_breaker_config(CircuitBreaker::Config{2, 3});
+    side->registry.apply_fault_plan(plan);
+    side->rt = std::make_unique<core::RequestLayer>(side->registry, policy,
+                                                    side->sink.get(), 0x0E1);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const auto id = static_cast<VirtualId>(1000 + i);
+    const Bytes data = payload_of(40 + static_cast<std::size_t>(i), id);
+    const core::RequestLayer::Outcome one = single.rt->put(0, id, data);
+    const core::RequestLayer::BatchOutcome many =
+        batched.rt->put_many(0, {{id, data}});
+    ASSERT_EQ(many.statuses.size(), 1u);
+    EXPECT_EQ(many.statuses[0].code(), one.status.code()) << i;
+    EXPECT_EQ(many.time, one.time) << i;
+    EXPECT_EQ(many.attempts, one.attempts) << i;
+    EXPECT_EQ(many.retries, one.retries) << i;
+    EXPECT_EQ(many.fail_fast, one.fail_fast) << i;
+    EXPECT_EQ(batched.registry.breaker(0).state(),
+              single.registry.breaker(0).state()) << i;
+  }
+  const storage::ProviderCounters& a = single.registry.at(0).counters();
+  const storage::ProviderCounters& b = batched.registry.at(0).counters();
+  EXPECT_GT(a.injected_failures.load(), 0u);
+  EXPECT_EQ(b.puts.load(), a.puts.load());
+  EXPECT_EQ(b.bytes_in.load(), a.bytes_in.load());
+  EXPECT_EQ(b.injected_failures.load(), a.injected_failures.load());
+  EXPECT_EQ(b.io_errors.load(), a.io_errors.load());
+  EXPECT_EQ(batched.registry.at(0).fault_requests(),
+            single.registry.at(0).fault_requests());
+  EXPECT_EQ(a.batch_requests.load(), 0u);
+  EXPECT_EQ(b.batch_requests.load(), batched.registry.at(0).fault_requests());
+  for (const char* name : {"rt.retries", "rt.giveups", "rt.fail_fast",
+                           "rt.probes", "rt.breaker_trips",
+                           "rt.breaker_closes", "rt.deadline_exceeded"}) {
+    EXPECT_EQ(batched.sink->metrics().counter(name).value(),
+              single.sink->metrics().counter(name).value()) << name;
+  }
+  EXPECT_GT(single.sink->metrics().counter("rt.breaker_trips").value(), 0u);
+  EXPECT_EQ(single.sink->metrics().counter("rt.batch_rpcs").value(), 0u);
 }
 
 TEST(RequestLayerBatchTest, OpenBreakerFailsBatchFast) {

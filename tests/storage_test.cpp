@@ -2,8 +2,14 @@
 // provider latency/fault models, registry eligibility and cost accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <thread>
+
+#include "storage/disk_store.hpp"
 #include "storage/object_store.hpp"
 #include "util/stats.hpp"
 #include "storage/provider.hpp"
@@ -85,12 +91,6 @@ TEST(MemoryStoreTest, BatchedPutAndGetMatchPerOpSemantics) {
   for (const Status& st : statuses) EXPECT_TRUE(st.ok());
   EXPECT_EQ(store.object_count(), 3u);
   EXPECT_EQ(to_string(store.get(2).value()), "two");  // overwrite, like put()
-
-  const std::vector<Result<Bytes>> results = store.get_many({3, 99, 1});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(to_string(results[0].value()), "three");
-  EXPECT_EQ(results[1].status().code(), ErrorCode::kNotFound);  // item-level miss
-  EXPECT_EQ(to_string(results[2].value()), "one");
 }
 
 // --- LatencyModel -----------------------------------------------------------
@@ -223,16 +223,6 @@ TEST(ProviderTest, BatchedPutCostsOneProviderRequest) {
   EXPECT_EQ(p.counters().batch_requests.load(), 1u);
   EXPECT_EQ(p.counters().puts.load(), 3u);
   EXPECT_EQ(p.counters().bytes_in.load(), 7u);
-
-  const std::vector<Result<Bytes>> results = p.get_many({10, 11, 12});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(to_string(results[0].value()), "aaaa");
-  EXPECT_EQ(to_string(results[1].value()), "bb");
-  EXPECT_EQ(to_string(results[2].value()), "c");
-  EXPECT_EQ(p.fault_requests(), 2u);
-  EXPECT_EQ(p.counters().batch_requests.load(), 2u);
-  EXPECT_EQ(p.counters().gets.load(), 3u);
-  EXPECT_EQ(p.counters().bytes_out.load(), 7u);
 }
 
 TEST(ProviderTest, BatchLevelFaultFailsEveryItem) {
@@ -250,12 +240,143 @@ TEST(ProviderTest, BatchLevelFaultFailsEveryItem) {
   EXPECT_EQ(p.counters().injected_failures.load(), 1u);
   EXPECT_EQ(p.counters().puts.load(), 1u);
   EXPECT_FALSE(p.contains(2));
+}
 
-  const std::vector<Result<Bytes>> results = p.get_many({1});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status().code(), ErrorCode::kUnavailable);
-  p.install_fault_plan(nullptr, 0);
-  EXPECT_TRUE(p.get_many({1})[0].ok());
+TEST(ProviderTest, FaultedGetSleepsItsServiceTime) {
+  SimCloudProvider p(test_descriptor());
+  ASSERT_TRUE(p.put(1, to_bytes("x")).ok());
+  p.set_realtime_scale(1.0);
+  p.install_fault_plan(FaultPlan::outage(0), 0);
+  SimDuration t{0};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(p.get(1, &t).status().code(), ErrorCode::kUnavailable);
+  const auto wall = std::chrono::steady_clock::now() - start;
+  // A faulted get waits out its modeled time like a faulted put or remove.
+  EXPECT_GT(t.count(), 0);
+  EXPECT_GE(std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count(),
+            t.count());
+}
+
+// Threads mix put, put_many, get and remove on one flaky provider with a
+// disk mirror. Every request's answer is tallied on its own thread; the
+// provider's counters must match the sums exactly, and memory and mirror
+// must end up holding the same objects.
+TEST(ProviderTest, ThreadedMixKeepsCountersAndMirrorExact) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cshield_storage_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    DiskStore mirror(dir);
+    SimCloudProvider p(test_descriptor());
+    p.set_mirror(&mirror);
+    FaultPlan plan;
+    plan.episodes.push_back({0, FaultKind::kFlaky, 0, kNoSeqEnd, 1.0});
+    plan.episodes.back().period = 3;
+    plan.episodes.back().burst = 1;
+    p.install_fault_plan(std::make_shared<const FaultPlan>(plan), 0);
+
+    struct Tally {
+      std::uint64_t requests = 0, batches = 0, injected = 0, io_errors = 0;
+      std::uint64_t puts = 0, gets = 0, removes = 0;
+      std::uint64_t bytes_in = 0, bytes_out = 0;
+      std::vector<VirtualId> kept;
+    };
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 25;
+    std::vector<Tally> tallies(kThreads);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kThreads; ++w) {
+      threads.emplace_back([&p, &tally = tallies[w], w] {
+        auto unavailable = [&tally](ErrorCode code) {
+          if (code != ErrorCode::kUnavailable) return false;
+          ++tally.injected;
+          return true;
+        };
+        for (int r = 0; r < kRounds; ++r) {
+          const VirtualId base = (static_cast<VirtualId>(w) << 32) | (r * 4u);
+          const Bytes a(16 + r, static_cast<std::uint8_t>(w));
+          const Bytes b(32 + w, static_cast<std::uint8_t>(r));
+          tally.requests += 4;
+          const Status put = p.put(base, a);
+          if (!unavailable(put.code())) {
+            EXPECT_TRUE(put.ok()) << put.to_string();
+            ++tally.puts;
+            tally.bytes_in += a.size();
+            tally.kept.push_back(base);
+          }
+          ++tally.batches;
+          const std::vector<Status> many =
+              p.put_many({{base + 1, b}, {base + 2, a}});
+          if (!unavailable(many[0].code())) {
+            for (const Status& st : many) {
+              EXPECT_TRUE(st.ok()) << st.to_string();
+            }
+            tally.puts += 2;
+            tally.bytes_in += a.size() + b.size();
+            tally.kept.push_back(base + 2);  // base + 1 is removed below
+          }
+          const Result<Bytes> got = p.get(base);
+          if (got.ok()) {
+            ++tally.gets;
+            tally.bytes_out += got.value().size();
+          } else if (!unavailable(got.status().code())) {
+            EXPECT_EQ(got.status().code(), ErrorCode::kNotFound);
+            ++tally.io_errors;
+          }
+          const Status removed = p.remove(base + 1);
+          if (unavailable(removed.code())) {
+            // Still stored if its put_many went through.
+            if (many[0].ok()) tally.kept.push_back(base + 1);
+            continue;
+          }
+          ++tally.removes;
+          if (!removed.ok()) {
+            EXPECT_EQ(removed.code(), ErrorCode::kNotFound);
+            ++tally.io_errors;
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+
+    Tally sum;
+    for (const Tally& t : tallies) {
+      sum.requests += t.requests;
+      sum.batches += t.batches;
+      sum.injected += t.injected;
+      sum.io_errors += t.io_errors;
+      sum.puts += t.puts;
+      sum.gets += t.gets;
+      sum.removes += t.removes;
+      sum.bytes_in += t.bytes_in;
+      sum.bytes_out += t.bytes_out;
+      sum.kept.insert(sum.kept.end(), t.kept.begin(), t.kept.end());
+    }
+    const ProviderCounters& c = p.counters();
+    EXPECT_GT(sum.injected, 0u);
+    EXPECT_EQ(p.fault_requests(), sum.requests);
+    EXPECT_EQ(c.batch_requests.load(), sum.batches);
+    EXPECT_EQ(c.injected_failures.load(), sum.injected);
+    EXPECT_EQ(c.io_errors.load(), sum.io_errors);
+    EXPECT_EQ(c.puts.load(), sum.puts);
+    EXPECT_EQ(c.gets.load(), sum.gets);
+    EXPECT_EQ(c.removes.load(), sum.removes);
+    EXPECT_EQ(c.bytes_in.load(), sum.bytes_in);
+    EXPECT_EQ(c.bytes_out.load(), sum.bytes_out);
+
+    std::sort(sum.kept.begin(), sum.kept.end());
+    std::vector<VirtualId> in_memory = p.list_ids();
+    std::vector<VirtualId> on_disk = mirror.list_ids();
+    std::sort(in_memory.begin(), in_memory.end());
+    std::sort(on_disk.begin(), on_disk.end());
+    EXPECT_EQ(in_memory, sum.kept);
+    EXPECT_EQ(on_disk, sum.kept);
+    for (VirtualId id : sum.kept) {
+      EXPECT_EQ(p.raw_store().get(id).value(), mirror.get(id).value()) << id;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ProviderTest, MonthlyCostTracksBytes) {
