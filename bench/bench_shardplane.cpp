@@ -112,7 +112,6 @@ void run_rep(Cell& cell, int rep) {
     gc = core::GroupCommitConfig{
         64, std::chrono::microseconds(250 * static_cast<long>(cell.shards))};
     config.rpc_batch_shards = 16;
-    config.rpc_batch_wait = std::chrono::microseconds(500);
   }
   bench::PutLoad load = bench::closed_loop_puts(
       bench::open_plane(dir.path, cell.shards, gc), config, kClients,

@@ -260,7 +260,6 @@ double run_smallops_rep(SmallOpsMode mode, std::size_t clients, int rep,
   config.misleading_fraction = 0.1;
   if (mode == SmallOpsMode::kGroupCommitBatched) {
     config.rpc_batch_shards = 16;
-    config.rpc_batch_wait = std::chrono::microseconds(500);
   }
   // Opportunistic grouping (interval 0): the leader flushes whatever queued
   // behind the previous fsync, so batches form from backpressure without

@@ -14,7 +14,10 @@
 #              CAS; and a check that src/core/distributor.cpp never calls
 #              .submit( on pool_ or io_pool_: ThreadPool::for_each is its one
 #              fan-out, so a stripe whose providers never wait runs its shard
-#              requests on the calling thread
+#              requests on the calling thread; and a check that
+#              src/core/distributor.cpp never calls set_provider_lifecycle(
+#              or register_provider(: fleet rows change only by broadcasting
+#              the journal record replay applies
 #   2. bench_ledger: configures and builds the bench_ledger/ package (its own
 #              CMake project, compiled from ../src the way BENCHMARK.json's
 #              run.sh builds it) and runs its ledger_smoke ctest: every
@@ -139,6 +142,12 @@ fi
 if grep -nE 'pool_\.submit\(' src/core/distributor.cpp; then
   echo "src/core/distributor.cpp submits to a thread pool directly;" \
     "fan out through ThreadPool::for_each" >&2
+  exit 1
+fi
+if grep -nE '(set_provider_lifecycle|register_provider)\(' \
+    src/core/distributor.cpp; then
+  echo "src/core/distributor.cpp writes fleet rows directly;" \
+    "guard, then broadcast the journal record" >&2
   exit 1
 fi
 cmake -B build -S . -DCSHIELD_WERROR=ON >/dev/null

@@ -247,6 +247,50 @@ class ChunkSpan {
   obs::ScopedSpan span_;
 };
 
+/// Child span of one shard request inside a chunk span (shard_put,
+/// shard_get), built only when that chunk span is armed. close() stamps
+/// the request's provider time, attempts, bytes and outcome.
+class ShardSpan {
+ public:
+  ShardSpan(obs::Telemetry* tel, const obs::SpanCtx& chunk, const char* name,
+            ProviderIndex provider, bool data_shard) {
+    if (!chunk.armed()) return;
+    obs::SpanRecord rec;
+    rec.op_id = chunk.op_id;
+    rec.parent_id = chunk.parent;
+    rec.name = name;
+    rec.provider = provider;
+    rec.shard_kind =
+        data_shard ? obs::ShardKind::kData : obs::ShardKind::kParity;
+    span_.emplace(tel, std::move(rec));
+  }
+
+  void close(SimDuration time, std::uint32_t attempts, std::size_t bytes,
+             ErrorCode outcome) {
+    if (!span_.has_value() || !span_->armed()) return;
+    obs::SpanRecord& rec = span_->rec();
+    rec.sim_ns = time.count();
+    rec.attempts = std::max<std::uint32_t>(attempts, 1);
+    rec.bytes = bytes;
+    rec.outcome = outcome;
+  }
+
+ private:
+  std::optional<obs::ScopedSpan> span_;
+};
+
+/// The kBeginMigrate / kCommitMigrate record for one fleet transition;
+/// apply_journal_record maps (op, kind) to the partition lifecycle.
+JournalRecord migration_record(JournalOp op, MigrationKind kind,
+                               ProviderIndex subject, std::string name) {
+  JournalRecord rec;
+  rec.op = op;
+  rec.provider_index = subject;
+  rec.client = std::move(name);
+  rec.level = static_cast<std::uint8_t>(kind);
+  return rec;
+}
+
 }  // namespace
 
 CloudDataDistributor::CloudDataDistributor(
@@ -305,9 +349,7 @@ CloudDataDistributor::CloudDataDistributor(
   }
   if (config_.rpc_batch_shards > 1) {
     batcher_ = std::make_unique<ShardBatcher>(
-        rt_, registry_.size(),
-        ShardBatcher::Config{config_.rpc_batch_shards, config_.rpc_batch_wait},
-        telemetry_.get());
+        rt_, registry_.size(), config_.rpc_batch_shards, telemetry_.get());
   }
   // Mirror registry rows into every partition's Cloud Provider Table
   // (idempotent when a shared, already-populated plane is handed in). Each
@@ -318,23 +360,11 @@ CloudDataDistributor::CloudDataDistributor(
   // their id sets.
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     MetadataStore& part = plane_->store(s);
-    const std::size_t known = part.provider_table().size();
-    for (ProviderIndex i = known; i < registry_.size(); ++i) {
-      const auto& d = registry_.at(i).descriptor();
-      const ProviderLifecycle lc = registry_.lifecycle(i);
-      part.register_provider(d.name, d.privacy_level, d.cost_level, lc);
-      if (plane_->journal(s) != nullptr) {
-        JournalRecord rec;
-        rec.op = JournalOp::kRegisterProvider;
-        rec.provider_index = i;
-        rec.client = d.name;
-        rec.level = static_cast<std::uint8_t>(d.privacy_level);
-        rec.cost = static_cast<std::uint8_t>(d.cost_level);
-        rec.lifecycle = static_cast<std::uint8_t>(lc);
-        const Status journaled = journal_append(rec, s);
-        CS_REQUIRE(journaled.ok(),
-                   "journal unusable at startup: " + journaled.to_string());
-      }
+    for (ProviderIndex i = part.provider_count(); i < registry_.size(); ++i) {
+      const JournalRecord rec = provider_record(i, registry_.lifecycle(i));
+      Status st = apply_journal_record(part, rec);
+      if (st.ok()) st = journal_append(rec, s);
+      CS_REQUIRE(st.ok(), "provider top-up at startup: " + st.to_string());
     }
   }
   // Seed the topology ring with the placement-participating members. A
@@ -362,11 +392,30 @@ Status CloudDataDistributor::journal_append(const JournalRecord& rec,
   return Status::Ok();
 }
 
-Status CloudDataDistributor::journal_append_all(const JournalRecord& rec) {
+Status CloudDataDistributor::broadcast(const JournalRecord& rec) {
+  // Apply everywhere, then append everywhere -- the order every op keeps:
+  // a checkpoint that folds the record out of a journal has already
+  // captured its row in that partition's image.
+  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
+    CS_RETURN_IF_ERROR(apply_journal_record(plane_->store(s), rec));
+  }
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     CS_RETURN_IF_ERROR(journal_append(rec, s));
   }
   return Status::Ok();
+}
+
+JournalRecord CloudDataDistributor::provider_record(
+    ProviderIndex p, ProviderLifecycle lifecycle) const {
+  const storage::ProviderDescriptor& d = registry_.at(p).descriptor();
+  JournalRecord rec;
+  rec.op = JournalOp::kRegisterProvider;
+  rec.provider_index = p;
+  rec.client = d.name;
+  rec.level = static_cast<std::uint8_t>(d.privacy_level);
+  rec.cost = static_cast<std::uint8_t>(d.cost_level);
+  rec.lifecycle = static_cast<std::uint8_t>(lifecycle);
+  return rec;
 }
 
 Status CloudDataDistributor::checkpoint_shard(std::size_t shard) {
@@ -400,31 +449,28 @@ Status CloudDataDistributor::checkpoint() {
 
 Status CloudDataDistributor::register_client(const std::string& name) {
   if (name.empty()) return Status::InvalidArgument("empty client name");
-  // Client rows are broadcast to every partition: any front-end can then
-  // authenticate against any shard, and each shard journal stays
+  // Partition 0 is the guard (AlreadyExists before any record); the
+  // broadcast then gives every partition the row, so any front-end can
+  // authenticate against any shard and each shard journal stays
   // self-contained for parallel recovery.
-  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    CS_RETURN_IF_ERROR(plane_->store(s).register_client(name));
-  }
+  CS_RETURN_IF_ERROR(plane_->store(0).register_client(name));
   JournalRecord rec;
   rec.op = JournalOp::kRegisterClient;
   rec.client = name;
-  return journal_append_all(rec);
+  return broadcast(rec);
 }
 
 Status CloudDataDistributor::add_password(const std::string& client,
                                           const std::string& password,
                                           PrivacyLevel pl) {
   if (password.empty()) return Status::InvalidArgument("empty password");
-  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    CS_RETURN_IF_ERROR(plane_->store(s).add_password(client, password, pl));
-  }
+  CS_RETURN_IF_ERROR(plane_->store(0).add_password(client, password, pl));
   JournalRecord rec;
   rec.op = JournalOp::kAddPassword;
   rec.client = client;
   rec.filename = password;
   rec.level = static_cast<std::uint8_t>(pl);
-  return journal_append_all(rec);
+  return broadcast(rec);
 }
 
 Result<PrivacyLevel> CloudDataDistributor::authorize(
@@ -542,29 +588,15 @@ CloudDataDistributor::write_stripe(BytesView payload,
   auto upload = [this, &span, &encoded, &layout](std::size_t s,
                                                  ProviderIndex provider,
                                                  VirtualId id) {
+    ShardSpan sp(telemetry_.get(), span, "shard_put", provider,
+                 s < layout.data_shards);
     ShardOutcome outcome;
-    std::optional<obs::ScopedSpan> sp;
-    if (span.armed()) {
-      obs::SpanRecord proto;
-      proto.op_id = span.op_id;
-      proto.parent_id = span.parent;
-      proto.name = "shard_put";
-      proto.provider = provider;
-      proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
-                                                : obs::ShardKind::kParity;
-      proto.bytes = encoded.shard_size;
-      sp.emplace(telemetry_.get(), std::move(proto));
-    }
     outcome.digest = crypto::sha256(encoded.shard(s));
     RequestLayer::Outcome rpc = rt_.put(provider, id, encoded.shard(s));
     outcome.status = rpc.status;
     outcome.time = rpc.time;
     outcome.retries = rpc.retries;
-    if (sp.has_value() && sp->armed()) {
-      sp->rec().sim_ns = rpc.time.count();
-      sp->rec().attempts = std::max<std::uint32_t>(rpc.attempts, 1);
-      sp->rec().outcome = rpc.status.code();
-    }
+    sp.close(rpc.time, rpc.attempts, encoded.shard_size, rpc.status.code());
     return outcome;
   };
 
@@ -686,17 +718,8 @@ CloudDataDistributor::fetch_shards(const raid::StripeLayout& layout,
   // `span`, `stripe` and `digests` outlive the fetches: for_each joins them.
   using Held = ShardRead::Held;
   auto fetch = [&](std::size_t s) {
-    std::optional<obs::ScopedSpan> sp;
-    if (span.armed()) {
-      obs::SpanRecord proto;
-      proto.op_id = span.op_id;
-      proto.parent_id = span.parent;
-      proto.name = "shard_get";
-      proto.provider = stripe[s].provider;
-      proto.shard_kind = s < layout.data_shards ? obs::ShardKind::kData
-                                                : obs::ShardKind::kParity;
-      sp.emplace(telemetry_.get(), std::move(proto));
-    }
+    ShardSpan sp(telemetry_.get(), span, "shard_get", stripe[s].provider,
+                 s < layout.data_shards);
     RequestLayer::GetOutcome r =
         rt_.get(stripe[s].provider, stripe[s].virtual_id, attempts);
     ShardRead out;
@@ -706,14 +729,10 @@ CloudDataDistributor::fetch_shards(const raid::StripeLayout& layout,
       out.held = crypto::sha256(*r.data) == digests[s] ? Held::kIntact
                                                        : Held::kCorrupt;
     }
-    if (sp.has_value() && sp->armed()) {
-      sp->rec().sim_ns = r.time.count();
-      sp->rec().attempts = std::max<std::uint32_t>(r.attempts, 1);
-      sp->rec().bytes = r.data.has_value() ? r.data->size() : 0;
-      sp->rec().outcome = out.held == Held::kIntact    ? ErrorCode::kOk
-                          : out.held == Held::kCorrupt ? ErrorCode::kCorrupted
-                                                       : r.status.code();
-    }
+    sp.close(r.time, r.attempts, r.data.has_value() ? r.data->size() : 0,
+             out.held == Held::kIntact    ? ErrorCode::kOk
+             : out.held == Held::kCorrupt ? ErrorCode::kCorrupted
+                                          : r.status.code());
     if (out.held == Held::kIntact) out.data = std::move(r.data);
     return out;
   };
@@ -1665,29 +1684,17 @@ Result<ProviderIndex> CloudDataDistributor::add_provider(
   if (descriptor.name.empty()) {
     return Status::InvalidArgument("add_provider: empty provider name");
   }
+  std::lock_guard<std::mutex> lock(fleet_mu_);
   if (registry_.find(descriptor.name) != kNoProvider) {
     return Status::AlreadyExists("add_provider: " + descriptor.name);
   }
-  const std::string name = descriptor.name;
-  const PrivacyLevel pl = descriptor.privacy_level;
-  const CostLevel cl = descriptor.cost_level;
   // seed 0: the registry derives one from the fleet size under its lock.
   const ProviderIndex p = registry_.add(std::move(descriptor), latency, seed,
                                         ProviderLifecycle::kJoining);
   // Provider rows are broadcast: every partition's checkpoint+journal pair
   // must know the fleet to replay its own record_placements.
-  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    plane_->store(s).register_provider(name, pl, cl,
-                                       ProviderLifecycle::kJoining);
-  }
-  JournalRecord rec;
-  rec.op = JournalOp::kRegisterProvider;
-  rec.provider_index = p;
-  rec.client = name;
-  rec.level = static_cast<std::uint8_t>(pl);
-  rec.cost = static_cast<std::uint8_t>(cl);
-  rec.lifecycle = static_cast<std::uint8_t>(ProviderLifecycle::kJoining);
-  CS_RETURN_IF_ERROR(journal_append_all(rec));
+  CS_RETURN_IF_ERROR(
+      broadcast(provider_record(p, ProviderLifecycle::kJoining)));
   return p;
 }
 
@@ -1696,6 +1703,7 @@ Status CloudDataDistributor::begin_migration(MigrationKind kind,
   if (subject >= registry_.size()) {
     return Status::InvalidArgument("begin_migration: no such provider");
   }
+  std::lock_guard<std::mutex> lock(fleet_mu_);
   const std::string name = registry_.at(subject).descriptor().name;
   switch (kind) {
     case MigrationKind::kJoin: {
@@ -1720,22 +1728,15 @@ Status CloudDataDistributor::begin_migration(MigrationKind kind,
       // concurrent drains of the last two active providers cannot both
       // slip through a check-then-act window.
       CS_RETURN_IF_ERROR(registry_.drain(subject));
-      for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-        plane_->store(s).set_provider_lifecycle(subject,
-                                                ProviderLifecycle::kDraining);
-      }
       ring_erase(subject);
       break;
     }
   }
   // Migration intents are broadcast so any single shard's recovery alone
-  // can resume the interrupted migration.
-  JournalRecord rec;
-  rec.op = JournalOp::kBeginMigrate;
-  rec.provider_index = subject;
-  rec.client = name;
-  rec.level = static_cast<std::uint8_t>(kind);
-  return journal_append_all(rec);
+  // can resume the interrupted migration; applying the record sets each
+  // partition's lifecycle row.
+  return broadcast(
+      migration_record(JournalOp::kBeginMigrate, kind, subject, name));
 }
 
 Status CloudDataDistributor::commit_migration(MigrationKind kind,
@@ -1743,13 +1744,10 @@ Status CloudDataDistributor::commit_migration(MigrationKind kind,
   if (subject >= registry_.size()) {
     return Status::InvalidArgument("commit_migration: no such provider");
   }
+  std::lock_guard<std::mutex> lock(fleet_mu_);
   switch (kind) {
     case MigrationKind::kJoin:
       CS_RETURN_IF_ERROR(registry_.activate(subject));
-      for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-        plane_->store(s).set_provider_lifecycle(subject,
-                                                ProviderLifecycle::kActive);
-      }
       break;
     case MigrationKind::kDrain:
       // The provider stays kDraining -- emptied, still serving reads --
@@ -1757,18 +1755,10 @@ Status CloudDataDistributor::commit_migration(MigrationKind kind,
       break;
     case MigrationKind::kDecommission:
       CS_RETURN_IF_ERROR(registry_.decommission(subject));
-      for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-        plane_->store(s).set_provider_lifecycle(
-            subject, ProviderLifecycle::kDecommissioned);
-      }
       break;
   }
-  JournalRecord rec;
-  rec.op = JournalOp::kCommitMigrate;
-  rec.provider_index = subject;
-  rec.client = registry_.at(subject).descriptor().name;
-  rec.level = static_cast<std::uint8_t>(kind);
-  return journal_append_all(rec);
+  return broadcast(migration_record(JournalOp::kCommitMigrate, kind, subject,
+                                   registry_.at(subject).descriptor().name));
 }
 
 }  // namespace cshield::core

@@ -101,13 +101,12 @@ struct DistributorConfig {
   /// Cross-operation shard-RPC batching (see core/shard_batcher.hpp): when
   /// > 1, the stripe writer routes every shard put through a per-provider
   /// batcher that coalesces shards from concurrent operations into one
-  /// put_many RPC, closed at `rpc_batch_shards` shards or `rpc_batch_wait`
-  /// after a lane's first pending shard. 1 = per-shard RPCs (the
-  /// pre-batching behavior; default -- batching trades a bounded latency
-  /// wait for round-trip amortization, a good trade only under concurrent
-  /// small-op load).
+  /// put_many RPC, closed at `rpc_batch_shards` shards or 500 us after a
+  /// lane's first pending shard. 1 = per-shard RPCs (the pre-batching
+  /// behavior; default -- batching trades a bounded latency wait for
+  /// round-trip amortization, a good trade only under concurrent small-op
+  /// load).
   std::size_t rpc_batch_shards = 1;
-  std::chrono::microseconds rpc_batch_wait{500};
   /// Auto-checkpoint once a shard's journal holds this many records (0 =
   /// only explicit checkpoint() calls). Bounds both journal growth and
   /// replay time after a crash.
@@ -594,10 +593,17 @@ class CloudDataDistributor {
   /// triggers that shard's auto-checkpoint when the interval is reached.
   Status journal_append(const JournalRecord& rec, std::size_t shard);
 
-  /// Broadcast append: the record goes to every shard journal, so each
-  /// partition's checkpoint+journal pair stays self-contained (client rows,
-  /// provider rows, migration intents).
-  Status journal_append_all(const JournalRecord& rec);
+  /// The one writer of fleet and client rows (client rows, passwords,
+  /// provider rows, migration intents): applies `rec` to every partition
+  /// through apply_journal_record -- the function replay runs -- then
+  /// appends it to every shard journal, so each partition's
+  /// checkpoint+journal pair stays self-contained and the live rows equal
+  /// the replayed ones. Callers run their own guard first.
+  Status broadcast(const JournalRecord& rec);
+
+  /// The kRegisterProvider record for registry provider `p`.
+  [[nodiscard]] JournalRecord provider_record(
+      ProviderIndex p, ProviderLifecycle lifecycle) const;
 
   /// Folds one partition's journal into its checkpoint image.
   Status checkpoint_shard(std::size_t shard);
@@ -616,6 +622,11 @@ class CloudDataDistributor {
   std::atomic<std::uint64_t> id_counter_{1};
   std::uint64_t id_key_;
   mutable std::mutex mu_;  ///< guards placement_ and chaff_rng_
+  /// Held by add_provider and begin/commit_migration from guard through
+  /// broadcast, so partitions and journals take fleet records in the order
+  /// the registry made the transitions (a provider row's index is its
+  /// registry index; replay refuses a gap).
+  std::mutex fleet_mu_;
   /// Consistent-hash ring over placement-participating providers (kActive,
   /// plus a joiner from its kBeginMigrate on). Joins/drains consult it to
   /// identify the minimal affected shard set instead of rehashing the world.

@@ -704,8 +704,9 @@ Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
     }
     case JournalOp::kBeginMigrate:
     case JournalOp::kCommitMigrate: {
-      // Lifecycle transitions mirror the distributor's begin/commit
-      // protocol so checkpoint and replay agree on where the fleet stands:
+      // The one migration-kind -> lifecycle map: the distributor's live
+      // begin/commit broadcasts this record through here too, so the live
+      // fleet, the checkpoint and replay agree on where the fleet stands:
       //   Begin join      -> kJoining    Commit join          -> kActive
       //   Begin drain     -> kDraining   Commit drain         -> kDraining
       //   Begin decommiss.-> kDraining   Commit decommission  -> kDecommissioned

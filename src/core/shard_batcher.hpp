@@ -11,7 +11,7 @@
 //
 // One lane per provider: a queue, a condition variable, and a dedicated
 // flusher thread. Writers enqueue a shard and get a future; the flusher
-// closes a batch at `batch_shards` items or `max_wait` after the lane's
+// closes a batch at `batch_shards` items or kMaxWait after the lane's
 // first pending item (whichever first -- the same close rule as the
 // journal's group commit), sends it through RequestLayer::put_many (per
 // batch breaker/retry accounting, per-shard partial-failure splitting),
@@ -41,13 +41,6 @@ namespace cshield::core {
 
 class ShardBatcher {
  public:
-  struct Config {
-    /// Flush a lane once it holds this many shards.
-    std::size_t batch_shards = 16;
-    /// Flush an under-full lane this long after its first pending shard.
-    std::chrono::microseconds max_wait{500};
-  };
-
   /// What one shard's enqueue resolved to.
   struct PutResult {
     Status status;
@@ -60,12 +53,15 @@ class ShardBatcher {
     std::uint32_t retries = 0;
   };
 
-  /// `rt` must outlive the batcher; `providers` sizes the lane array.
-  /// `telemetry` may be null (no instrumentation).
-  ShardBatcher(RequestLayer& rt, std::size_t providers, Config cfg,
-               obs::Telemetry* telemetry)
-      : rt_(rt), cfg_(cfg), telemetry_(telemetry), lanes_(providers) {
-    if (cfg_.batch_shards == 0) cfg_.batch_shards = 1;
+  /// `rt` must outlive the batcher; `providers` sizes the lane array. A
+  /// lane flushes once it holds `batch_shards` shards. `telemetry` may be
+  /// null (no instrumentation).
+  ShardBatcher(RequestLayer& rt, std::size_t providers,
+               std::size_t batch_shards, obs::Telemetry* telemetry)
+      : rt_(rt),
+        batch_shards_(std::max<std::size_t>(batch_shards, 1)),
+        telemetry_(telemetry),
+        lanes_(providers) {
     if (telemetry_ != nullptr) {
       // Cached once: the queue-depth gauge is touched on every enqueue and
       // every flush (the health engine's batcher-backlog SLO feed).
@@ -117,12 +113,14 @@ class ShardBatcher {
   }
 
  private:
+  /// Flush an under-full lane this long after its first pending shard.
+  static constexpr std::chrono::microseconds kMaxWait{500};
   /// Opportunistic close: flush an under-full lane once no new shard has
   /// arrived for this long. Under light concurrency a lane almost never
-  /// fills, and without it every batch waited out the full `max_wait` --
+  /// fills, and without it every batch waited out the full kMaxWait --
   /// a pure latency tax that made 8-client batched throughput WORSE than
   /// per-op RPCs. With it, a drained queue closes after one idle window
-  /// while a hot queue keeps filling until `batch_shards` or `max_wait`.
+  /// while a hot queue keeps filling until `batch_shards` or kMaxWait.
   static constexpr std::chrono::microseconds kIdleClose{50};
 
   struct Pending {
@@ -145,13 +143,13 @@ class ShardBatcher {
     for (;;) {
       lane.cv.wait(lk, [&] { return lane.stop || !lane.queue.empty(); });
       if (lane.queue.empty()) return;  // stop with nothing left to flush
-      // Close the batch at batch_shards, at max_wait after the lane's first
+      // Close the batch at batch_shards, at kMaxWait after the lane's first
       // pending shard, or -- opportunistically -- once the queue has been
       // idle for kIdleClose (nothing new arrived in a whole window, so
       // waiting longer only taxes the shards already queued). Shutdown
       // flushes immediately -- enqueued shards still complete.
-      const auto deadline = lane.first_enqueue + cfg_.max_wait;
-      while (!lane.stop && lane.queue.size() < cfg_.batch_shards) {
+      const auto deadline = lane.first_enqueue + kMaxWait;
+      while (!lane.stop && lane.queue.size() < batch_shards_) {
         const auto close_at =
             std::min(deadline, std::chrono::steady_clock::now() + kIdleClose);
         const std::size_t before = lane.queue.size();
@@ -161,7 +159,7 @@ class ShardBatcher {
         }
       }
       std::vector<Pending> batch;
-      const std::size_t n = std::min(lane.queue.size(), cfg_.batch_shards);
+      const std::size_t n = std::min(lane.queue.size(), batch_shards_);
       batch.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(lane.queue.front()));
@@ -207,7 +205,7 @@ class ShardBatcher {
   }
 
   RequestLayer& rt_;
-  Config cfg_;
+  const std::size_t batch_shards_;
   obs::Telemetry* telemetry_;
   obs::Gauge* depth_gauge_ = nullptr;  ///< cdd.shard_batch_queue_depth
   std::vector<Lane> lanes_;

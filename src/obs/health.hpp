@@ -265,24 +265,33 @@ class HealthEngine {
     return value > 0.0 ? 1.0 : 0.0;  // zero-tolerance objective
   }
 
+  /// The `<middle>` of every `<prefix><middle><suffix>` key of `metrics`
+  /// with a non-empty middle, in key order: how the engine discovers
+  /// providers and journal lanes from the metric namespace itself.
+  template <typename Map>
+  [[nodiscard]] static std::vector<std::string> discover(
+      const Map& metrics, std::string_view prefix, std::string_view suffix) {
+    std::vector<std::string> out;
+    for (const auto& entry : metrics) {
+      const std::string& metric = entry.first;
+      if (metric.size() <= prefix.size() + suffix.size()) continue;
+      if (metric.compare(0, prefix.size(), prefix) != 0) continue;
+      if (!ends_with(metric, suffix)) continue;
+      out.push_back(metric.substr(
+          prefix.size(), metric.size() - prefix.size() - suffix.size()));
+    }
+    return out;
+  }
+
   void eval_providers(const std::vector<Sample>& ring, HealthReport& report) {
-    // Providers are discovered from the metric namespace itself --
+    // Providers are discovered from the metric namespace --
     // provider.<name>.requests -- so the engine needs no storage-layer
     // dependency and sees exactly the fleet that reported.
-    static constexpr std::string_view kPrefix = "provider.";
-    static constexpr std::string_view kSuffix = ".requests";
-    for (const auto& [metric, unused] : ring.back().snap.counters) {
-      (void)unused;
-      if (metric.size() <= kPrefix.size() + kSuffix.size()) continue;
-      if (metric.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-      if (metric.compare(metric.size() - kSuffix.size(), kSuffix.size(),
-                         kSuffix) != 0) {
-        continue;
-      }
+    for (std::string& name :
+         discover(ring.back().snap.counters, "provider.", ".requests")) {
       ProviderHealth p;
-      p.name = metric.substr(kPrefix.size(),
-                             metric.size() - kPrefix.size() - kSuffix.size());
-      const std::string base = std::string(kPrefix) + p.name;
+      p.name = std::move(name);
+      const std::string base = "provider." + p.name;
       p.window_requests = window_counter_delta(ring, base + ".requests");
       p.window_errors = window_counter_delta(ring, base + ".errors");
       p.error_rate = p.window_requests == 0
@@ -303,136 +312,90 @@ class HealthEngine {
   }
 
   void eval_slos(const std::vector<Sample>& ring, HealthReport& report) {
+    const SloPolicy& p = policy_;
     // availability: definitive client-visible failures over window ops.
-    {
-      static constexpr std::string_view kCdd = "cdd.";
-      std::uint64_t ok = 0;
-      std::uint64_t bad = 0;
-      for (const auto& [metric, unused] : ring.back().snap.counters) {
-        (void)unused;
-        if (metric.compare(0, kCdd.size(), kCdd) != 0) continue;
-        if (ends_with(metric, "_total")) {
-          ok += window_counter_delta(ring, metric);
-        }
-        if (ends_with(metric, "_errors")) {
-          bad += window_counter_delta(ring, metric);
-        }
+    static constexpr std::string_view kCdd = "cdd.";
+    std::uint64_t ok = 0;
+    std::uint64_t bad = 0;
+    for (const auto& entry : ring.back().snap.counters) {
+      const std::string& metric = entry.first;
+      if (metric.compare(0, kCdd.size(), kCdd) != 0) continue;
+      if (ends_with(metric, "_total")) ok += window_counter_delta(ring, metric);
+      if (ends_with(metric, "_errors")) {
+        bad += window_counter_delta(ring, metric);
       }
-      SloStatus s;
-      s.name = "availability";
-      s.objective = policy_.availability_degraded;
-      s.value = (ok + bad) == 0 ? 0.0
-                                : static_cast<double>(bad) /
-                                      static_cast<double>(ok + bad);
-      s.state = state_of(s.value, policy_.availability_degraded,
-                         policy_.availability_critical);
-      s.budget_spent = budget_spent(s.value, s.objective);
-      report.slos.push_back(std::move(s));
     }
-    push_latency(ring, report, "latency.put", "cdd.put_file_wall_ns",
-                 policy_.put_p99_target_ns);
-    push_latency(ring, report, "latency.get", "cdd.get_file_wall_ns",
-                 policy_.get_p99_target_ns);
-    push_latency(ring, report, "journal.flush", "journal.flush_ns",
-                 policy_.flush_p99_target_ns);
+    push_slo(report, "availability", ratio(bad, ok + bad),
+             p.availability_degraded, p.availability_critical);
+    const double slow = p.latency_critical_multiple;
+    push_slo(report, "latency.put", window_p99(ring, "cdd.put_file_wall_ns"),
+             p.put_p99_target_ns, p.put_p99_target_ns * slow);
+    push_slo(report, "latency.get", window_p99(ring, "cdd.get_file_wall_ns"),
+             p.get_p99_target_ns, p.get_p99_target_ns * slow);
+    push_slo(report, "journal.flush", window_p99(ring, "journal.flush_ns"),
+             p.flush_p99_target_ns, p.flush_p99_target_ns * slow);
     // Per-shard journal flush lanes (N-way metadata plane only; a 1-shard
-    // journal never emits these). Discovered from the metric namespace --
-    // journal.shard.<k>.flush_ns -- like providers, so one slow fsync lane
-    // shows up even when the aggregate p99 hides behind healthy shards.
-    {
-      static constexpr std::string_view kShardPrefix = "journal.shard.";
-      static constexpr std::string_view kShardSuffix = ".flush_ns";
-      for (const auto& [metric, unused] : ring.back().snap.histograms) {
-        (void)unused;
-        if (metric.size() <= kShardPrefix.size() + kShardSuffix.size()) {
-          continue;
-        }
-        if (metric.compare(0, kShardPrefix.size(), kShardPrefix) != 0) {
-          continue;
-        }
-        if (!ends_with(metric, kShardSuffix)) continue;
-        const std::string shard =
-            metric.substr(kShardPrefix.size(), metric.size() -
-                                                   kShardPrefix.size() -
-                                                   kShardSuffix.size());
-        const std::string slo = "journal.shard." + shard + ".flush";
-        push_latency(ring, report, slo.c_str(), metric.c_str(),
-                     policy_.flush_p99_target_ns);
-      }
+    // journal never emits these), discovered like providers, so one slow
+    // fsync lane shows up even when the aggregate p99 hides behind
+    // healthy shards.
+    for (const std::string& shard :
+         discover(ring.back().snap.histograms, "journal.shard.", ".flush_ns")) {
+      push_slo(report, "journal.shard." + shard + ".flush",
+               window_p99(ring, "journal.shard." + shard + ".flush_ns"),
+               p.flush_p99_target_ns, p.flush_p99_target_ns * slow);
     }
     // scrub integrity: corrupt shards per chunk scanned in the window.
-    {
-      const std::uint64_t scanned =
-          window_counter_delta(ring, "scrub.chunks_scanned");
-      const std::uint64_t mismatched =
-          window_counter_delta(ring, "scrub.digest_mismatches");
-      SloStatus s;
-      s.name = "scrub.integrity";
-      s.objective = policy_.scrub_error_degraded;
-      s.value = scanned == 0 ? 0.0
-                             : static_cast<double>(mismatched) /
-                                   static_cast<double>(scanned);
-      s.state = state_of(s.value, policy_.scrub_error_degraded,
-                         policy_.scrub_error_critical);
-      s.budget_spent = budget_spent(s.value, s.objective);
-      report.slos.push_back(std::move(s));
-    }
+    push_slo(report, "scrub.integrity",
+             ratio(window_counter_delta(ring, "scrub.digest_mismatches"),
+                   window_counter_delta(ring, "scrub.chunks_scanned")),
+             p.scrub_error_degraded, p.scrub_error_critical);
     // breaker / quarantine state, fleet-wide.
-    {
-      SloStatus s;
-      s.name = "breakers";
-      s.objective = policy_.breakers_degraded;
-      s.value = static_cast<double>(
-          std::max<std::int64_t>(0, gauge_latest(ring, "rt.open_breakers")));
-      s.state =
-          state_of(s.value, policy_.breakers_degraded, policy_.breakers_critical);
-      s.budget_spent = budget_spent(s.value, s.objective);
-      report.slos.push_back(std::move(s));
-    }
+    push_slo(report, "breakers",
+             static_cast<double>(std::max<std::int64_t>(
+                 0, gauge_latest(ring, "rt.open_breakers"))),
+             p.breakers_degraded, p.breakers_critical);
     // batcher backlog.
-    {
-      SloStatus s;
-      s.name = "batcher.queue";
-      s.objective = policy_.batcher_depth_degraded;
-      s.value = static_cast<double>(std::max<std::int64_t>(
-          0, gauge_latest(ring, "cdd.shard_batch_queue_depth")));
-      s.state = state_of(s.value, policy_.batcher_depth_degraded,
-                         policy_.batcher_depth_critical);
-      s.budget_spent = budget_spent(s.value, s.objective);
-      report.slos.push_back(std::move(s));
-    }
+    push_slo(report, "batcher.queue",
+             static_cast<double>(std::max<std::int64_t>(
+                 0, gauge_latest(ring, "cdd.shard_batch_queue_depth"))),
+             p.batcher_depth_degraded, p.batcher_depth_critical);
     // topology migration: shards the migrator could not move this window
     // (sources below RAID tolerance, no qualifying home, put failures).
     // Healthy-zero when no migration is running.
-    {
-      SloStatus s;
-      s.name = "migration";
-      s.objective = policy_.migration_errors_degraded;
-      s.value =
-          static_cast<double>(window_counter_delta(ring, "migration.errors"));
-      s.state = state_of(s.value, policy_.migration_errors_degraded,
-                         policy_.migration_errors_critical);
-      s.budget_spent = budget_spent(s.value, s.objective);
-      report.slos.push_back(std::move(s));
-    }
+    const std::uint64_t stuck = window_counter_delta(ring, "migration.errors");
+    push_slo(report, "migration", static_cast<double>(stuck),
+             p.migration_errors_degraded, p.migration_errors_critical);
   }
 
-  void push_latency(const std::vector<Sample>& ring, HealthReport& report,
-                    const char* slo_name, const char* metric, double target) {
+  /// Appends one SLO verdict. The degraded threshold is also the
+  /// objective its error budget is measured against.
+  static void push_slo(HealthReport& report, std::string name, double value,
+                       double degraded, double critical) {
     SloStatus s;
-    s.name = slo_name;
-    s.objective = target;
-    // A quiet (or absent) histogram reads 0: a silent subsystem is healthy.
-    const std::optional<Histogram::Snapshot> window =
-        window_histogram(ring, metric);
-    s.value = window.has_value() ? window->percentile(0.99) : 0.0;
-    s.state = state_of(s.value, target,
-                       target * policy_.latency_critical_multiple);
-    s.budget_spent = budget_spent(s.value, s.objective);
+    s.name = std::move(name);
+    s.value = value;
+    s.objective = degraded;
+    s.state = state_of(value, degraded, critical);
+    s.budget_spent = budget_spent(value, degraded);
     report.slos.push_back(std::move(s));
   }
 
-  [[nodiscard]] static bool ends_with(const std::string& s,
+  /// Rolling p99 of a histogram over the window. A quiet (or absent)
+  /// histogram reads 0: a silent subsystem is healthy.
+  [[nodiscard]] static double window_p99(const std::vector<Sample>& ring,
+                                         const std::string& metric) {
+    const std::optional<Histogram::Snapshot> window =
+        window_histogram(ring, metric);
+    return window.has_value() ? window->percentile(0.99) : 0.0;
+  }
+
+  /// part / whole, 0 when nothing happened.
+  [[nodiscard]] static double ratio(std::uint64_t part, std::uint64_t whole) {
+    return whole == 0 ? 0.0
+                      : static_cast<double>(part) / static_cast<double>(whole);
+  }
+
+  [[nodiscard]] static bool ends_with(std::string_view s,
                                       std::string_view suffix) {
     return s.size() >= suffix.size() &&
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;

@@ -7,9 +7,9 @@
 // with an explicit in-flight table: distributor entry points and request-
 // layer RPCs arm an entry carrying their *modeled deadline* on the way in
 // and disarm it on the way out; the journal flush leader brackets its
-// write+fsync window. A poll (background thread or an exporter tick)
-// flags any entry older than `deadline_multiple` times its own deadline,
-// or an fsync window open past `fsync_stall`.
+// write+fsync window. A poll (the exporter's sample tick, or a direct
+// poll() call) flags any entry older than `deadline_multiple` times its
+// own deadline, or an fsync window open past `fsync_stall`.
 //
 // The first stall fires a ONE-SHOT diagnostic dump -- stalled-op table,
 // caller-supplied context (breaker states), full Prometheus metrics text,
@@ -27,14 +27,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -50,9 +48,6 @@ class StallWatchdog {
     double deadline_multiple = 4.0;
     /// An fsync window (journal flush leader) open this long is a stall.
     std::chrono::nanoseconds fsync_stall{std::chrono::seconds(2)};
-    /// Background poll cadence (start()); poll() can also be driven
-    /// externally, e.g. from the exporter's sample tick.
-    std::chrono::milliseconds poll_interval{100};
     /// Diagnostic dump target; empty = in-memory report only.
     std::string dump_path;
     /// Trace spans included in the dump (most recent first).
@@ -68,8 +63,6 @@ class StallWatchdog {
 
   StallWatchdog(const StallWatchdog&) = delete;
   StallWatchdog& operator=(const StallWatchdog&) = delete;
-
-  ~StallWatchdog() { stop(); }
 
   /// Registers an in-flight op. `deadline_ns` is the op's own modeled
   /// deadline (0 = no deadline: the entry is visible in the table but can
@@ -182,28 +175,6 @@ class StallWatchdog {
     return stalled.size();
   }
 
-  /// Background polling at Config::poll_interval. No-op if running.
-  void start() {
-    std::lock_guard<std::mutex> lock(thread_mu_);
-    if (thread_.joinable()) return;
-    stop_ = false;
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  void stop() {
-    std::thread to_join;
-    {
-      std::lock_guard<std::mutex> lock(thread_mu_);
-      {
-        std::lock_guard<std::mutex> cv_lock(cv_mu_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      to_join = std::move(thread_);
-    }
-    if (to_join.joinable()) to_join.join();
-  }
-
   /// Extra dump context (breaker/quarantine states live in the storage
   /// layer, which obs must not depend on -- the owner injects a renderer).
   void set_context_fn(std::function<std::string()> fn) {
@@ -239,16 +210,6 @@ class StallWatchdog {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-  }
-
-  void loop() {
-    std::unique_lock<std::mutex> lk(cv_mu_);
-    while (!stop_) {
-      lk.unlock();
-      (void)poll();
-      lk.lock();
-      cv_.wait_for(lk, cfg_.poll_interval, [this] { return stop_; });
-    }
   }
 
   /// Builds + writes the diagnostic. Called once, off the stall path's
@@ -294,11 +255,6 @@ class StallWatchdog {
   std::unordered_map<std::uint64_t, Entry> inflight_;
   std::string report_;
   std::function<std::string()> context_fn_;
-  std::mutex thread_mu_;  ///< guards thread_
-  std::mutex cv_mu_;      ///< backs cv_ / stop_
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
 };
 
 }  // namespace cshield::obs

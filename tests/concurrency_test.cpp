@@ -216,7 +216,6 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
     config.seed = 0xBA7C11;
     config.plane = opened.value();
     config.rpc_batch_shards = 8;
-    config.rpc_batch_wait = std::chrono::microseconds(300);
     CloudDataDistributor cdd(registry, config);
 
     for (std::size_t t = 0; t < kThreads; ++t) {

@@ -27,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -376,6 +377,214 @@ TEST(PlaneRecoveryTest, RejectsMismatchedShardCount) {
   EXPECT_TRUE(core::recover_plane(dir.path() / "metadata.bin",
                                   dir.path() / "journal.wal", kShards)
                   .ok());
+}
+
+/// The client and provider rows of one partition, down to name, PL, CL
+/// and lifecycle (virtual-id sets are chunk bookkeeping, not fleet rows).
+struct PartitionRows {
+  std::vector<std::tuple<std::string, PrivacyLevel, CostLevel,
+                         ProviderLifecycle>>
+      providers;
+  std::vector<std::pair<std::string,
+                        std::vector<std::pair<std::string, PrivacyLevel>>>>
+      clients;
+
+  explicit PartitionRows(const core::MetadataStore& store) {
+    for (const core::ProviderEntry& p : store.provider_table()) {
+      providers.emplace_back(p.name, p.privacy_level, p.cost_level,
+                             p.lifecycle);
+    }
+    for (const core::ClientEntry& c : store.client_table()) {
+      clients.emplace_back(c.name, c.passwords);
+    }
+  }
+  bool operator==(const PartitionRows& o) const {
+    return providers == o.providers && clients == o.clients;
+  }
+};
+
+std::vector<std::size_t> record_counts(const MetadataPlane& plane) {
+  std::vector<std::size_t> out;
+  for (std::size_t k = 0; k < plane.shard_count(); ++k) {
+    out.push_back(plane.journal(k)->record_count());
+  }
+  return out;
+}
+
+storage::ProviderDescriptor joiner_descriptor() {
+  storage::ProviderDescriptor d;
+  d.name = "Joiner";
+  d.privacy_level = PrivacyLevel::kHigh;
+  d.cost_level = CostLevel::kCheap;
+  return d;
+}
+
+TEST(PlaneRecoveryTest, LiveBroadcastRowsMatchReplay) {
+  using core::MigrationKind;
+  TempDir dir;
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  std::shared_ptr<MetadataPlane> plane = open_plane(dir.path(), kShards);
+  std::vector<PartitionRows> live;
+  {
+    core::DistributorConfig config = base_config(0xB0A7);
+    config.plane = plane;
+    core::CloudDataDistributor cdd(registry, config);
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.register_client("bob").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "a-hi", PrivacyLevel::kHigh).ok());
+    ASSERT_TRUE(cdd.add_password("alice", "a-lo", PrivacyLevel::kLow).ok());
+    ASSERT_TRUE(cdd.add_password("bob", "b", PrivacyLevel::kModerate).ok());
+
+    // A rejected op answers from its guard and journals nothing.
+    const std::vector<std::size_t> before = record_counts(*plane);
+    EXPECT_EQ(cdd.register_client("alice").code(), ErrorCode::kAlreadyExists);
+    EXPECT_EQ(cdd.add_password("alice", "a-hi", PrivacyLevel::kLow).code(),
+              ErrorCode::kAlreadyExists);
+    EXPECT_EQ(cdd.add_password("carol", "c", PrivacyLevel::kLow).code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(record_counts(*plane), before);
+
+    Result<ProviderIndex> joiner = cdd.add_provider(joiner_descriptor());
+    ASSERT_TRUE(joiner.ok()) << joiner.status().to_string();
+    const ProviderIndex j = joiner.value();
+    const ProviderIndex retiree = 3;
+    ASSERT_TRUE(cdd.begin_migration(MigrationKind::kJoin, j).ok());
+    ASSERT_TRUE(cdd.commit_migration(MigrationKind::kJoin, j).ok());
+    ASSERT_TRUE(cdd.begin_migration(MigrationKind::kDrain, retiree).ok());
+    ASSERT_TRUE(cdd.commit_migration(MigrationKind::kDrain, retiree).ok());
+    ASSERT_TRUE(
+        cdd.begin_migration(MigrationKind::kDecommission, retiree).ok());
+    ASSERT_TRUE(
+        cdd.commit_migration(MigrationKind::kDecommission, retiree).ok());
+
+    for (std::size_t k = 0; k < kShards; ++k) {
+      live.emplace_back(plane->store(k));
+    }
+    // Every partition holds the same rows, and they say what the ops did.
+    for (std::size_t k = 1; k < kShards; ++k) EXPECT_TRUE(live[k] == live[0]);
+    ASSERT_EQ(live[0].providers.size(), kProviders + 1);
+    EXPECT_EQ(std::get<3>(live[0].providers[j]), ProviderLifecycle::kActive);
+    EXPECT_EQ(std::get<0>(live[0].providers[j]), "Joiner");
+    EXPECT_EQ(std::get<3>(live[0].providers[retiree]),
+              ProviderLifecycle::kDecommissioned);
+    ASSERT_EQ(live[0].clients.size(), 2u);
+    EXPECT_EQ(live[0].clients[0].second.size(), 2u);
+  }
+  plane.reset();
+  Result<core::PlaneRecovery> rec = core::recover_plane(
+      dir.path() / "metadata.bin", dir.path() / "journal.wal", kShards);
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  for (std::size_t k = 0; k < kShards; ++k) {
+    EXPECT_TRUE(PartitionRows(*rec.value().shards[k].metadata) == live[k])
+        << "partition " << k;
+  }
+}
+
+TEST(PlaneRecoveryTest, FreshDistributorRestoresAPartitionsMissingRow) {
+  TempDir dir;
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  // Durable images at the moment the last partition's journal was about
+  // to take the joiner's row: partitions 0..2 have it, partition 3 not.
+  std::array<Bytes, kShards> cut;
+  {
+    core::DistributorConfig config = base_config(0x5407);
+    config.plane = open_plane(dir.path(), kShards);
+    core::CloudDataDistributor cdd(registry, config);
+    const fs::path jpath = dir.path() / "journal.wal";
+    config.plane->journal(kShards - 1)->test_hook_before_append =
+        [&](const JournalRecord& rec) {
+          if (rec.op != JournalOp::kRegisterProvider) return;
+          for (std::size_t k = 0; k < kShards; ++k) {
+            cut[k] = read_disk(core::shard_file_path(jpath, k));
+          }
+        };
+    ASSERT_TRUE(cdd.add_provider(joiner_descriptor()).ok());
+  }
+  for (std::size_t k = 0; k < kShards; ++k) {
+    ASSERT_FALSE(cut[k].empty());
+    write_disk(core::shard_file_path(dir.path() / "journal.wal", k), cut[k]);
+  }
+  auto recover = [&] {
+    Result<core::PlaneRecovery> rec = core::recover_plane(
+        dir.path() / "metadata.bin", dir.path() / "journal.wal", kShards);
+    CS_REQUIRE(rec.ok(), rec.status().to_string());
+    std::vector<std::shared_ptr<core::MetadataStore>> stores;
+    for (auto& s : rec.value().shards) stores.push_back(s.metadata);
+    return stores;
+  };
+  std::vector<std::shared_ptr<core::MetadataStore>> stores = recover();
+  EXPECT_EQ(stores[0]->provider_count(), kProviders + 1);
+  EXPECT_EQ(stores[kShards - 1]->provider_count(), kProviders);
+  {
+    core::DistributorConfig config = base_config(0x5408);
+    config.plane = open_plane(dir.path(), kShards, std::move(stores));
+    core::CloudDataDistributor cdd(registry, config);
+    for (std::size_t k = 0; k < kShards; ++k) {
+      EXPECT_TRUE(PartitionRows(config.plane->store(k)) ==
+                  PartitionRows(config.plane->store(0)))
+          << "partition " << k;
+    }
+  }
+  // The healed row is journaled to the short partition's own WAL.
+  stores = recover();
+  const PartitionRows want(*stores[0]);
+  ASSERT_EQ(want.providers.size(), kProviders + 1);
+  EXPECT_EQ(std::get<0>(want.providers[kProviders]), "Joiner");
+  EXPECT_EQ(std::get<3>(want.providers[kProviders]),
+            ProviderLifecycle::kJoining);
+  for (std::size_t k = 1; k < kShards; ++k) {
+    EXPECT_TRUE(PartitionRows(*stores[k]) == want) << "partition " << k;
+  }
+}
+
+TEST(PlaneRecoveryTest, ConcurrentJoinsKeepRegistryOrder) {
+  // A provider row's index is its registry index, and replay refuses a
+  // gap, so racing add_provider calls must reach every partition and
+  // every journal in registry order.
+  constexpr int kRounds = 40;
+  constexpr int kJoiners = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    TempDir dir;
+    storage::ProviderRegistry registry = storage::make_default_registry(4);
+    std::vector<PartitionRows> live;
+    {
+      core::DistributorConfig config = base_config(0x701 + round);
+      config.plane = open_plane(dir.path(), 2);
+      core::CloudDataDistributor cdd(registry, config);
+      std::atomic<int> failed{0};
+      std::vector<std::thread> joiners;
+      for (int t = 0; t < kJoiners; ++t) {
+        joiners.emplace_back([&cdd, &failed, t] {
+          storage::ProviderDescriptor d = joiner_descriptor();
+          d.name += std::to_string(t);
+          if (!cdd.add_provider(d).ok()) failed.fetch_add(1);
+        });
+      }
+      for (std::thread& t : joiners) t.join();
+      ASSERT_EQ(failed.load(), 0) << "round " << round;
+      for (std::size_t k = 0; k < 2; ++k) {
+        live.emplace_back(config.plane->store(k));
+      }
+      for (std::size_t k = 0; k < 2; ++k) {
+        ASSERT_EQ(live[k].providers.size(), registry.size());
+        for (ProviderIndex i = 0; i < registry.size(); ++i) {
+          ASSERT_EQ(std::get<0>(live[k].providers[i]),
+                    registry.at(i).descriptor().name)
+              << "round " << round << " partition " << k;
+        }
+      }
+    }
+    Result<core::PlaneRecovery> rec = core::recover_plane(
+        dir.path() / "metadata.bin", dir.path() / "journal.wal", 2);
+    ASSERT_TRUE(rec.ok()) << "round " << round << ": "
+                          << rec.status().to_string();
+    for (std::size_t k = 0; k < 2; ++k) {
+      ASSERT_TRUE(PartitionRows(*rec.value().shards[k].metadata) == live[k])
+          << "round " << round << " partition " << k;
+    }
+  }
 }
 
 // --- 4-shard crash-injection sweep ------------------------------------------
