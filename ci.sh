@@ -11,7 +11,10 @@
 #              and a source check that no file under src/ calls the
 #              unversioned MetadataStore::update_chunk(index, entry): every
 #              live row writer commits through the update_chunk_if version
-#              CAS; and a check that src/core/distributor.cpp never calls
+#              CAS; and a check that no file under src/ calls
+#              record_placement( or sync_placements(: the provider tables
+#              change only with the row write that carries their delta;
+#              and a check that src/core/distributor.cpp never calls
 #              .submit( on pool_ or io_pool_: ThreadPool::for_each is its one
 #              fan-out, so a stripe whose providers never wait runs its shard
 #              requests on the calling thread; and a check that
@@ -51,8 +54,9 @@
 #              a client update of one chunk)
 #              + shardplane_test (the N-way partitioned metadata/journal
 #              plane: 8 front-ends x 64 clients hammering a shared 4-shard
-#              plane, routing-discipline checks, and the per-shard
-#              crash-at-every-append-boundary recovery sweep)
+#              plane, 4 client threads racing a drain with provider tables
+#              checked against the rows, routing-discipline checks, and the
+#              per-shard crash-at-every-append-boundary recovery sweep)
 #              + util_test's ThreadPoolTest cases (for_each's inline and
 #              concurrent arms, and its join-before-rethrow contract)
 #              + storage_test (threads mixing put, put_many, get and remove
@@ -137,6 +141,11 @@ if grep -rnE '(\.|->)update_chunk\(' src |
     grep -vE 'update_chunk\(client, password,'; then
   echo "src/ calls the unversioned MetadataStore::update_chunk;" \
     "commit row writes through update_chunk_if" >&2
+  exit 1
+fi
+if grep -rnE '(record_placement|sync_placements)\(' src; then
+  echo "src/ places shards in the provider tables outside a row write;" \
+    "every MetadataStore row writer applies its own row's delta" >&2
   exit 1
 fi
 if grep -nE 'pool_\.submit\(' src/core/distributor.cpp; then

@@ -54,9 +54,9 @@ struct RowCommit {
 };
 
 /// The commit of every client row write: writes next(row) over chunk row
-/// `index` by version CAS against `row`, the row as read. The retired
-/// locations leave the provider tables in the same write, and the caller
-/// deletes them at providers after its journal append. A lost race re-reads
+/// `index` by version CAS against `row`, the row as read. The store moves
+/// the provider tables with the row, and the caller deletes the retired
+/// locations at providers after its journal append. A lost race re-reads
 /// the row and rebuilds from it; `next` does no I/O, and every loss means
 /// another writer committed. NotFound once the row is deleted.
 Result<RowCommit> commit_row(
@@ -69,8 +69,7 @@ Result<RowCommit> commit_row(
     if (read.entry.deleted) return Status::NotFound("chunk removed");
     RowCommit out{next(read.entry), {}};
     out.retired = retired_locations(read.entry, out.row);
-    Status st =
-        md.update_chunk_if(index, out.row, read.version, out.retired, {});
+    Status st = md.update_chunk_if(index, out.row, read.version);
     if (st.ok()) return out;
     if (st.code() != ErrorCode::kFailedPrecondition) return st;
   }
@@ -356,8 +355,8 @@ CloudDataDistributor::CloudDataDistributor(
   // partition is topped up independently -- a crash mid-broadcast leaves
   // some partitions a row short, and this loop heals them -- and each new
   // row is journaled to that partition's own WAL: replay onto an empty
-  // store must know the providers before any record_placement touches
-  // their id sets.
+  // store must know the providers before any chunk row places shards on
+  // them.
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     MetadataStore& part = plane_->store(s);
     for (ProviderIndex i = part.provider_count(); i < registry_.size(); ++i) {
@@ -556,8 +555,7 @@ CloudDataDistributor::write_stripe(BytesView payload,
                                    const raid::StripeLayout& layout,
                                    PrivacyLevel pl,
                                    std::vector<SimDuration>& times,
-                                   const obs::SpanCtx& span,
-                                   std::size_t shard) {
+                                   const obs::SpanCtx& span) {
   Result<std::vector<ProviderIndex>> placed = [&] {
     std::lock_guard<std::mutex> lock(mu_);
     return placement_.choose(registry_, pl, layout.total_shards());
@@ -669,12 +667,8 @@ CloudDataDistributor::write_stripe(BytesView payload,
   if (!first_error.ok()) {
     // Best-effort rollback of the shards that did land (with the request
     // layer's retry budget, so a transient blip cannot orphan a shard).
-    drop_stripe(result.locations, nullptr, shard);
+    drop_stripe(result.locations, nullptr);
     return first_error;
-  }
-  MetadataStore& part = plane_->store(shard);
-  for (const auto& loc : result.locations) {
-    part.record_placement(loc.provider, loc.virtual_id);
   }
   return result;
 }
@@ -801,13 +795,10 @@ Result<Bytes> CloudDataDistributor::read_stripe(
 }
 
 void CloudDataDistributor::drop_stripe(const std::vector<ShardLocation>& stripe,
-                                       std::vector<SimDuration>* times,
-                                       std::size_t shard) {
-  MetadataStore& part = plane_->store(shard);
+                                       std::vector<SimDuration>* times) {
   std::vector<SimDuration> took(stripe.size());
   io_pool_.for_each(stripe.size(), any_waits(stripe), [&](std::size_t s) {
     took[s] = rt_.remove(stripe[s].provider, stripe[s].virtual_id).time;
-    part.record_removal(stripe[s].provider, stripe[s].virtual_id);
   });
   if (times != nullptr) times->insert(times->end(), took.begin(), took.end());
 }
@@ -868,8 +859,7 @@ Result<CloudDataDistributor::FileTarget> CloudDataDistributor::lookup_file(
 
 Result<CloudDataDistributor::StripeWriteResult> CloudDataDistributor::seal(
     BytesView plain, double chaff, ChunkEntry& row,
-    std::vector<SimDuration>& times, const obs::SpanCtx& span,
-    std::size_t shard) {
+    std::vector<SimDuration>& times, const obs::SpanCtx& span) {
   // Only the seed draw needs the shared RNG lock; the chaff injection itself
   // runs unlocked on the chunk's own stream.
   std::uint64_t chaff_seed = 0;
@@ -887,8 +877,8 @@ Result<CloudDataDistributor::StripeWriteResult> CloudDataDistributor::seal(
   row.protect_bytes = apply_protection(chaffed.data, row.protection,
                                        row.privacy_level, row.layout,
                                        row.protect_nonce);
-  Result<StripeWriteResult> written = write_stripe(
-      chaffed.data, row.layout, row.privacy_level, times, span, shard);
+  Result<StripeWriteResult> written =
+      write_stripe(chaffed.data, row.layout, row.privacy_level, times, span);
   if (!written.ok()) return written;
   row.stripe = std::move(written.value().locations);
   row.shard_digests = std::move(written.value().digests);
@@ -990,7 +980,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
     ChunkSpan span(op, "chunk_put", chunks[i].serial);
     out.entry = file_row;
     Result<StripeWriteResult> sealed =
-        seal(chunks[i].data, chaff, out.entry, out.times, span.ctx(), shard);
+        seal(chunks[i].data, chaff, out.entry, out.times, span.ctx());
     if (sealed.ok()) {
       out.stripe = out.entry.stripe;
       out.bytes_stored = sealed.value().bytes_stored;
@@ -1007,7 +997,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
   auto rollback = [&](const Status& error) {
     op.rolled_back = true;
     for (const ChunkOutcome& out : outcomes) {
-      if (!out.stripe.empty()) drop_stripe(out.stripe, &op.times, shard);
+      if (!out.stripe.empty()) drop_stripe(out.stripe, &op.times);
     }
     md.release_file(client, filename);
     // The abort record is best-effort BY DESIGN, not an ignored error: the
@@ -1235,8 +1225,8 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   // 1. Seal the post-state (the original put's chaff ratio and protection
   //    mode, a fresh nonce) under fresh virtual ids.
   ChunkEntry sealed = entry;
-  Result<StripeWriteResult> written = seal(
-      new_data, chaff_fraction_of(entry), sealed, op.times, op.ctx(), shard);
+  Result<StripeWriteResult> written =
+      seal(new_data, chaff_fraction_of(entry), sealed, op.times, op.ctx());
   if (!written.ok()) return op.finish(written.status(), report);
   op.retries = written.value().retries;
   op.replaced_shards = written.value().replaced;
@@ -1263,7 +1253,7 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
       });
   if (!committed.ok()) {
     op.rolled_back = true;
-    drop_stripe(sealed.stripe, &op.times, shard);
+    drop_stripe(sealed.stripe, &op.times);
     return op.finish(committed.status(), report);
   }
   JournalRecord rec;
@@ -1278,7 +1268,7 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
 
   // 3. Only now, with the new row durable, delete the superseded snapshot:
   //    a crash mid-drop leaves only orphans.
-  drop_stripe(committed.value().retired, &op.times, shard);
+  drop_stripe(committed.value().retired, &op.times);
 
   op.chunks = 1;
   op.shards = entry.layout.total_shards();
@@ -1344,7 +1334,7 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
   // slots merge into the op accumulator after for_each joins.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
   pool_.for_each(refs.size(), true, [&](std::size_t i) {
-    drop_stripe(retired[i], &drop_times[i], target.shard);
+    drop_stripe(retired[i], &drop_times[i]);
   });
   for (const std::vector<SimDuration>& t : drop_times) {
     op.shards += t.size();
@@ -1388,10 +1378,9 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
       return stats;  // joiner not trusted at this sensitivity: steals nothing
     }
 
-    // `retired[i]` is replaced by `placed[i]`; update_chunk_if() applies the
-    // provider-id-table deltas atomically with the row write. `doomed` are
-    // the retired copies that answered the fetch: deleted after the commit.
-    std::vector<ShardLocation> retired;
+    // `placed` are the new copies, which the row commit brings into the
+    // provider tables with it. `doomed` are the retired copies that
+    // answered the fetch: deleted after the commit.
     std::vector<ShardLocation> placed;
     std::vector<ShardLocation> doomed;
     auto rewrite_stripe = [&](std::vector<ShardLocation>& stripe,
@@ -1481,7 +1470,6 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
           ++stats.errors;
           continue;
         }
-        retired.push_back(old);
         placed.push_back(ShardLocation{home, id});
         // A missing or breaker-rejected copy gets no delete RPC: reconcile()
         // sweeps it if it ever comes back.
@@ -1506,12 +1494,11 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
       return stats;
     }
 
-    Status updated =
-        md.update_chunk_if(local, entry, row_version, retired, placed);
+    Status updated = md.update_chunk_if(local, entry, row_version);
     if (!updated.ok()) {
       // The new copies never became referenced: delete them so the lost
       // race leaves no orphans behind.
-      drop_stripe(placed, nullptr, part);
+      drop_stripe(placed, nullptr);
       if (updated.code() == ErrorCode::kFailedPrecondition) continue;
       return updated;
     }
@@ -1520,7 +1507,7 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
     rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
     CS_RETURN_IF_ERROR(journal_append(rec, part));
     // The new locations are durable; the old copies can go.
-    drop_stripe(doomed, nullptr, part);
+    drop_stripe(doomed, nullptr);
     return stats;
   }
 
@@ -1587,8 +1574,10 @@ CloudDataDistributor::reconcile(
 
   // 2. Sweep provider-side objects no row references: shards of
   //    uncommitted puts, or drops the crash interrupted after their
-  //    removal record committed. record_removal goes to every partition --
-  //    only the (unknown) owning one has the id, and erasure is a no-op
+  //    removal record committed. Row writers keep such ids out of every
+  //    provider table, but an image written by an older build can list
+  //    them, so record_removal goes to every partition -- only the
+  //    (unknown) owning one can have the id, and erasure is a no-op
   //    elsewhere.
   for (ProviderIndex p = 0; p < registry_.size(); ++p) {
     for (VirtualId id : registry_.at(p).list_ids()) {
@@ -1603,9 +1592,10 @@ CloudDataDistributor::reconcile(
   }
 
   // 3. Per-partition provider-table ids with neither a referencing row nor
-  //    an object (placements of writes whose shards never survived the
-  //    crash). An id lives in exactly one partition's table, so the count
-  //    does not double.
+  //    an object. Only an image written by an older build, which recorded
+  //    placements before the row committed, can hold one (a write whose
+  //    shards never survived the crash). An id lives in exactly one
+  //    partition's table, so the count does not double.
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
     MetadataStore& part = plane_->store(s);
     const auto provider_rows = part.provider_table();
@@ -1692,7 +1682,7 @@ Result<ProviderIndex> CloudDataDistributor::add_provider(
   const ProviderIndex p = registry_.add(std::move(descriptor), latency, seed,
                                         ProviderLifecycle::kJoining);
   // Provider rows are broadcast: every partition's checkpoint+journal pair
-  // must know the fleet to replay its own record_placements.
+  // must know the fleet to replay the rows that place shards on it.
   CS_RETURN_IF_ERROR(
       broadcast(provider_record(p, ProviderLifecycle::kJoining)));
   return p;

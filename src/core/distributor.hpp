@@ -443,11 +443,13 @@ class CloudDataDistributor {
   /// The caller sets row.privacy_level, layout and protection; seal sets
   /// stripe, shard_digests, misleading, padded_size, protect_nonce and
   /// protect_bytes. The returned locations and digests have moved into
-  /// `row`; the rest of the result is the write's footprint.
+  /// `row`; the rest of the result is the write's footprint. Seal touches
+  /// no metadata partition: the shards enter the provider tables when the
+  /// caller commits `row`.
   Result<StripeWriteResult> seal(BytesView plain, double chaff,
                                  ChunkEntry& row,
                                  std::vector<SimDuration>& times,
-                                 const obs::SpanCtx& span, std::size_t shard);
+                                 const obs::SpanCtx& span);
 
   /// The body of get_chunk and get_chunk_snapshot: one traced op that
   /// opens `version` of the chunk's row.
@@ -501,15 +503,11 @@ class CloudDataDistributor {
   /// providers for it, and a shard whose provider keeps failing is
   /// re-placed on another trust-eligible one (the write-quarantine path)
   /// instead of failing the stripe.
-  /// `shard` is the metadata partition owning the chunk being written --
-  /// its provider table records the placements, keeping each partition's
-  /// checkpoint self-consistent with its own chunk rows.
   Result<StripeWriteResult> write_stripe(BytesView payload,
                                          const raid::StripeLayout& layout,
                                          PrivacyLevel pl,
                                          std::vector<SimDuration>& times,
-                                         const obs::SpanCtx& span,
-                                         std::size_t shard);
+                                         const obs::SpanCtx& span);
 
   /// Fetches + digest-verifies + RAID-decodes one stripe into its padded
   /// payload (chaff still present). The one read strategy: the data shards
@@ -553,12 +551,11 @@ class CloudDataDistributor {
 
   /// Deletes stripe shards at providers -- concurrently on io_pool_ when a
   /// holder can wait, in stripe order on the calling thread otherwise --
-  /// erasing each from the provider table of the owning metadata partition
-  /// (a no-op for ids a row commit already retired or that were never
-  /// recorded). Appends the per-shard times in stripe order after the
-  /// join. The one per-stripe delete loop.
+  /// and appends the per-shard times in stripe order after the join. The
+  /// one per-stripe delete loop. Every stripe it drops is in no provider
+  /// table: it never committed, or its row's CAS already retired it.
   void drop_stripe(const std::vector<ShardLocation>& stripe,
-                   std::vector<SimDuration>* times, std::size_t shard);
+                   std::vector<SimDuration>* times);
 
   /// True when a request to some provider of `stripe` can block
   /// (SimCloudProvider::waits): only then do the stripe's shard requests

@@ -604,40 +604,6 @@ std::uint64_t Journal::group_commits() const {
   return group_commits_;
 }
 
-namespace {
-
-/// Re-derives the provider virtual-id bookkeeping for one chunk-row
-/// transition: locations leaving the row are removed, locations entering
-/// it are placed. Set-based insert/erase makes double application a no-op.
-void sync_placements(MetadataStore& store, const ChunkEntry* before,
-                     const ChunkEntry& after) {
-  const std::size_t providers = store.provider_count();
-  if (before != nullptr) {
-    for (const ShardLocation& loc : retired_locations(*before, after)) {
-      if (loc.provider < providers) {
-        store.record_removal(loc.provider, loc.virtual_id);
-      }
-    }
-  }
-  for (const auto* stripe : {&after.stripe, &after.snapshot}) {
-    for (const ShardLocation& loc : *stripe) {
-      if (loc.provider < providers) {
-        store.record_placement(loc.provider, loc.virtual_id);
-      }
-    }
-  }
-}
-
-/// Fetches the current row at `index`, if the table reaches that far.
-[[nodiscard]] std::optional<ChunkEntry> row_at(const MetadataStore& store,
-                                               std::size_t index) {
-  auto r = store.chunk_entry(index);
-  if (!r.ok()) return std::nullopt;
-  return std::move(r).value();
-}
-
-}  // namespace
-
 Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
   switch (rec.op) {
     case JournalOp::kRegisterProvider: {
@@ -674,29 +640,22 @@ Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
       return Status::Ok();
     case JournalOp::kCommitPut: {
       for (const JournalChunk& c : rec.chunks) {
-        const auto before = row_at(store, c.index);
         CS_RETURN_IF_ERROR(store.put_chunk_at(rec.client, rec.filename,
                                               c.serial, c.index, c.entry));
-        sync_placements(store, before ? &*before : nullptr, c.entry);
       }
       return Status::Ok();
     }
     case JournalOp::kUpdateChunk: {
       for (const JournalChunk& c : rec.chunks) {
-        const auto before = row_at(store, c.index);
         store.set_chunk(c.index, c.entry);
-        sync_placements(store, before ? &*before : nullptr, c.entry);
       }
       return Status::Ok();
     }
     case JournalOp::kRemoveChunk:
     case JournalOp::kRemoveFile: {
       for (const JournalChunk& c : rec.chunks) {
-        const auto before = row_at(store, c.index);
-        const ChunkEntry tombstone =
-            tombstone_of(before.value_or(ChunkEntry{}));
-        store.set_chunk(c.index, tombstone);
-        sync_placements(store, before ? &*before : nullptr, tombstone);
+        store.set_chunk(c.index, tombstone_of(store.chunk_entry(c.index)
+                                                  .value_or(ChunkEntry{})));
         Status st = store.unlink_chunk(rec.client, rec.filename, c.serial);
         if (!st.ok() && st.code() != ErrorCode::kNotFound) return st;
       }

@@ -301,8 +301,8 @@ class Journal {
 
 /// Applies one replayed record to a store. Idempotent: a record present in
 /// both the checkpoint image and the journal (an op that raced the
-/// checkpoint cut) applies cleanly twice. Provider virtual-id bookkeeping
-/// is re-derived by diffing the old and new chunk rows.
+/// checkpoint cut) applies cleanly twice. Each chunk-row write carries its
+/// own provider-table delta (MetadataStore's row writers apply it).
 Status apply_journal_record(MetadataStore& store, const JournalRecord& rec);
 
 /// A topology migration the crash caught mid-flight (kBeginMigrate with no

@@ -12,8 +12,16 @@
 // Internally the store is indexed so lookups scale with namespace size:
 //   - per client, a filename -> (serial -> ChunkRef) map backs find_chunk /
 //     file_chunks / list_files in O(log n) instead of a linear ref scan;
-//   - per provider, an unordered_set<VirtualId> makes record_placement /
-//     record_removal O(1) instead of an O(shards) vector erase.
+//   - per provider, an unordered_set<VirtualId> holds the ids placed there,
+//     so a row write's placement delta is O(1) per shard.
+// The Cloud Provider Table is the union of the live rows' shard locations
+// (stripe + snapshot): every chunk-row writer applies its own row's delta
+// -- ids that leave the row are erased, ids that enter it are inserted --
+// under the exclusive lock it already holds for the row. A shard that is
+// uploaded but not yet committed is in no row, so it is in no table; a
+// checkpoint never sees one without the other. record_removal is left only
+// for reconcile, which prunes the ids of never-committed uploads that
+// images written by older builds can still hold.
 // The public row structs (ProviderEntry, ClientEntry) keep their flat
 // vector shape -- they are materialized on demand -- so the metadata_io
 // wire format is unchanged; provider id vectors materialize sorted so
@@ -84,8 +92,9 @@ struct ChunkEntry {
 }
 
 /// The shard locations `before` references and `after` does not: what
-/// writing `after` over `before` retires from the provider tables. The
-/// client row commit and journal replay both derive the delta here.
+/// writing `after` over `before` retires from the provider tables. Every
+/// MetadataStore row writer derives its provider-table delta here, and a
+/// client row commit learns which shards to delete.
 [[nodiscard]] inline std::vector<ShardLocation> retired_locations(
     const ChunkEntry& before, const ChunkEntry& after) {
   auto kept = [&after](const ShardLocation& loc) {
@@ -179,12 +188,8 @@ class MetadataStore {
     return providers_[p].lifecycle;
   }
 
-  void record_placement(ProviderIndex p, VirtualId id) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    CS_REQUIRE(p < providers_.size(), "record_placement: bad provider index");
-    providers_[p].virtual_ids.insert(id);
-  }
-
+  /// Erases one id from provider p's table. Row writers keep the table in
+  /// step with the rows; reconcile uses this to prune ids no row holds.
   void record_removal(ProviderIndex p, VirtualId id) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     CS_REQUIRE(p < providers_.size(), "record_removal: bad provider index");
@@ -297,6 +302,7 @@ class MetadataStore {
                                    std::to_string(serial));
     }
     const PrivacyLevel pl = entry.privacy_level;
+    place_row(ChunkEntry{}, entry);
     chunks_.push_back(std::move(entry));
     versions_.push_back(0);
     const std::size_t idx = chunks_.size() - 1;
@@ -325,9 +331,7 @@ class MetadataStore {
           " already bound to index " + std::to_string(sit->second.chunk_index));
     }
     const PrivacyLevel pl = entry.privacy_level;
-    grow_chunks(index);
-    chunks_[index] = std::move(entry);
-    ++versions_[index];
+    write_row(index, std::move(entry));
     if (sit == serials.end()) {
       serials.emplace(serial, ChunkRef{filename, serial, pl, index});
     }
@@ -339,9 +343,7 @@ class MetadataStore {
   /// the row. No ref linkage changes.
   void set_chunk(std::size_t index, ChunkEntry entry) {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    grow_chunks(index);
-    chunks_[index] = std::move(entry);
-    ++versions_[index];
+    write_row(index, std::move(entry));
   }
 
   [[nodiscard]] Result<ChunkEntry> chunk_entry(std::size_t index) const {
@@ -375,29 +377,16 @@ class MetadataStore {
     if (index >= chunks_.size()) {
       return Status::NotFound("chunk index " + std::to_string(index));
     }
-    chunks_[index] = std::move(entry);
-    ++versions_[index];
+    write_row(index, std::move(entry));
     return Status::Ok();
   }
 
   /// Commits `entry` only while the row is still at `expected_version`
   /// (compare-and-swap). kFailedPrecondition when a concurrent writer
   /// committed first: the caller's snapshot is stale -- re-read and redo.
+  /// A lost race changes neither the row nor the provider tables.
   Status update_chunk_if(std::size_t index, ChunkEntry entry,
                          std::uint64_t expected_version) {
-    return update_chunk_if(index, std::move(entry), expected_version, {}, {});
-  }
-
-  /// CAS commit that also applies the shard-move bookkeeping -- `retired`
-  /// leaves the provider id tables, `placed` enters them -- under the same
-  /// exclusive lock as the row write. A checkpoint snapshot (which takes
-  /// this lock) therefore never observes the new row with the old id
-  /// tables: the pair is atomic, so persisted images stay consistent even
-  /// when a journal fold interleaves with a migration or heal commit.
-  Status update_chunk_if(std::size_t index, ChunkEntry entry,
-                         std::uint64_t expected_version,
-                         const std::vector<ShardLocation>& retired,
-                         const std::vector<ShardLocation>& placed) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (index >= chunks_.size()) {
       return Status::NotFound("chunk index " + std::to_string(index));
@@ -406,18 +395,7 @@ class MetadataStore {
       return Status::FailedPrecondition(
           "chunk index " + std::to_string(index) + " modified since read");
     }
-    chunks_[index] = std::move(entry);
-    ++versions_[index];
-    for (const ShardLocation& loc : retired) {
-      CS_REQUIRE(loc.provider < providers_.size(),
-                 "update_chunk_if: bad retired provider index");
-      providers_[loc.provider].virtual_ids.erase(loc.virtual_id);
-    }
-    for (const ShardLocation& loc : placed) {
-      CS_REQUIRE(loc.provider < providers_.size(),
-                 "update_chunk_if: bad placed provider index");
-      providers_[loc.provider].virtual_ids.insert(loc.virtual_id);
-    }
+    write_row(index, std::move(entry));
     return Status::Ok();
   }
 
@@ -539,14 +517,36 @@ class MetadataStore {
   }
 
  private:
-  /// Extends the chunk table through `index` with deleted tombstones
-  /// (callers hold mu_ exclusively).
-  void grow_chunks(std::size_t index) {
+  /// Writes `entry` over row `index`, growing the table with deleted
+  /// tombstones when the index lies past its end, and applies the row's
+  /// provider-table delta (callers hold mu_ exclusively).
+  void write_row(std::size_t index, ChunkEntry entry) {
     while (chunks_.size() <= index) {
       ChunkEntry tombstone;
       tombstone.deleted = true;
       chunks_.push_back(std::move(tombstone));
       versions_.push_back(0);
+    }
+    place_row(chunks_[index], entry);
+    chunks_[index] = std::move(entry);
+    ++versions_[index];
+  }
+
+  /// The provider-table delta of writing `after` over `before`: ids that
+  /// leave the row are erased, ids that enter it are inserted. Ids of
+  /// providers the store does not know yet (a replay ahead of the
+  /// provider's registration) are skipped. Set insert/erase makes
+  /// re-applying a row a no-op. Callers hold mu_ exclusively.
+  void place_row(const ChunkEntry& before, const ChunkEntry& after) {
+    for (const ShardLocation& loc : retired_locations(before, after)) {
+      if (loc.provider < providers_.size()) {
+        providers_[loc.provider].virtual_ids.erase(loc.virtual_id);
+      }
+    }
+    for (const ShardLocation& loc : retired_locations(after, before)) {
+      if (loc.provider < providers_.size()) {
+        providers_[loc.provider].virtual_ids.insert(loc.virtual_id);
+      }
     }
   }
 

@@ -257,13 +257,113 @@ TEST(MetadataTest, ChunkLinkage) {
 TEST(MetadataTest, ProviderPlacementBookkeeping) {
   MetadataStore meta;
   meta.register_provider("CP1", PrivacyLevel::kHigh, CostLevel::kPremium);
-  meta.record_placement(0, 41367);
-  meta.record_placement(0, 57643);
-  meta.record_removal(0, 41367);
+  ASSERT_TRUE(meta.register_client("CL1").ok());
+  ChunkEntry row;
+  row.stripe = {{0, 41367}, {0, 57643}};
+  Result<std::size_t> idx = meta.add_chunk("CL1", "f", 0, row);
+  ASSERT_TRUE(idx.ok());
+  row.stripe = {{0, 57643}};
+  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 0).ok());
   const auto table = meta.provider_table();
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table[0].count(), 1u);
   EXPECT_EQ(table[0].virtual_ids[0], 57643u);
+}
+
+/// Provider p's ids in `rows`, stripe and snapshot, for every provider the
+/// store knows: what its Cloud Provider Table must list.
+std::vector<std::set<VirtualId>> row_placements(const MetadataStore& meta) {
+  std::vector<std::set<VirtualId>> out(meta.provider_count());
+  for (const ChunkEntry& row : meta.chunk_table()) {
+    for (const auto* stripe : {&row.stripe, &row.snapshot}) {
+      for (const ShardLocation& loc : *stripe) {
+        if (loc.provider < out.size()) out[loc.provider].insert(loc.virtual_id);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::set<VirtualId>> table_placements(const MetadataStore& meta) {
+  std::vector<std::set<VirtualId>> out;
+  for (const ProviderEntry& p : meta.provider_table()) {
+    out.emplace_back(p.virtual_ids.begin(), p.virtual_ids.end());
+  }
+  return out;
+}
+
+TEST(MetadataTest, RowWritesCarryTheirPlacements) {
+  MetadataStore meta;
+  for (const char* name : {"CP0", "CP1", "CP2"}) {
+    meta.register_provider(name, PrivacyLevel::kHigh, CostLevel::kPremium);
+  }
+  ASSERT_TRUE(meta.register_client("CL1").ok());
+  auto stripe_of = [](VirtualId first) {
+    return std::vector<ShardLocation>{
+        {0, first}, {1, first + 1}, {2, first + 2}};
+  };
+  auto expect_tables_match_rows = [&meta](const char* after) {
+    EXPECT_EQ(table_placements(meta), row_placements(meta)) << after;
+  };
+
+  ChunkEntry row;
+  row.stripe = stripe_of(10);
+  Result<std::size_t> idx = meta.add_chunk("CL1", "f", 0, row);
+  ASSERT_TRUE(idx.ok());
+  expect_tables_match_rows("add_chunk");
+
+  // An update: the old stripe becomes the snapshot, a fresh one current.
+  row.snapshot = row.stripe;
+  row.has_snapshot = true;
+  row.stripe = stripe_of(20);
+  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 0).ok());
+  expect_tables_match_rows("update_chunk_if");
+  // The next update retires the first stripe.
+  row.snapshot = row.stripe;
+  row.stripe = stripe_of(30);
+  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 1).ok());
+  expect_tables_match_rows("second update_chunk_if");
+  EXPECT_EQ(table_placements(meta)[0], (std::set<VirtualId>{20, 30}));
+
+  // A lost CAS changes neither the row nor the tables.
+  const auto tables = table_placements(meta);
+  ChunkEntry stale = row;
+  stale.stripe = stripe_of(40);
+  EXPECT_EQ(meta.update_chunk_if(idx.value(), stale, 1).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(table_placements(meta), tables);
+  EXPECT_EQ(meta.chunk_entry(idx.value()).value().stripe[0].virtual_id, 30u);
+
+  ASSERT_TRUE(meta.update_chunk(idx.value(), tombstone_of(row)).ok());
+  expect_tables_match_rows("update_chunk");
+  EXPECT_EQ(table_placements(meta)[1], std::set<VirtualId>{});
+
+  // The replay writers, at an index past the table's end; re-applying
+  // either is a no-op.
+  ChunkEntry replayed;
+  replayed.stripe = stripe_of(50);
+  ASSERT_TRUE(meta.put_chunk_at("CL1", "g", 0, 5, replayed).ok());
+  expect_tables_match_rows("put_chunk_at");
+  const auto placed = table_placements(meta);
+  ASSERT_TRUE(meta.put_chunk_at("CL1", "g", 0, 5, replayed).ok());
+  EXPECT_EQ(table_placements(meta), placed);
+
+  replayed.snapshot = replayed.stripe;
+  replayed.has_snapshot = true;
+  replayed.stripe = stripe_of(60);
+  meta.set_chunk(5, replayed);
+  expect_tables_match_rows("set_chunk");
+  const auto set = table_placements(meta);
+  meta.set_chunk(5, replayed);
+  EXPECT_EQ(table_placements(meta), set);
+  EXPECT_EQ(table_placements(meta)[2], (std::set<VirtualId>{52, 62}));
+
+  // A row naming a provider the store has not registered yet (a replay
+  // ahead of its registration) places only what the store knows.
+  replayed.stripe.push_back(ShardLocation{7, 99});
+  meta.set_chunk(5, replayed);
+  expect_tables_match_rows("set_chunk with an unknown provider");
+  ASSERT_EQ(meta.provider_table().size(), 3u);
 }
 
 // --- placement policy ------------------------------------------------------------

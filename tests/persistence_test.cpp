@@ -154,8 +154,6 @@ TEST(ProviderMirrorTest, BatchedPutWritesThroughMirror) {
 void populate_store(core::MetadataStore& meta) {
   meta.register_provider("Adobe", PrivacyLevel::kHigh, CostLevel::kPremium);
   meta.register_provider("Sea", PrivacyLevel::kLow, CostLevel::kCheap);
-  meta.record_placement(0, 41367);
-  meta.record_placement(1, 10986);
   (void)meta.register_client("Bob");
   (void)meta.add_password("Bob", "x9pr", PrivacyLevel::kLow);
   (void)meta.add_password("Bob", "Ty7e", PrivacyLevel::kHigh);

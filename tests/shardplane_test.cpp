@@ -19,6 +19,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -35,6 +37,7 @@
 #include "core/journal.hpp"
 #include "core/metadata_io.hpp"
 #include "core/metadata_plane.hpp"
+#include "core/migrator.hpp"
 #include "core/multi_distributor.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/hash.hpp"
@@ -985,6 +988,296 @@ TEST(ShardPlaneCrashTest, ConcurrentAppendsToDifferentShards) {
   PlaneScenario final_state = snapshot("after all writers");
   EXPECT_EQ(final_state.expected.size(), kWriters * kFilesPerWriter);
   verify_plane_recovery(final_state, universe);
+}
+
+// --- provider tables equal the union of row references ----------------------
+
+/// Per provider, a set of virtual ids.
+using Placements = std::vector<std::set<VirtualId>>;
+
+/// The ids `store`'s live rows reference, stripe and snapshot.
+Placements row_placements(const core::MetadataStore& store,
+                          std::size_t providers) {
+  Placements out(providers);
+  for (const core::ChunkEntry& row : store.chunk_table()) {
+    for (const auto* stripe : {&row.stripe, &row.snapshot}) {
+      for (const core::ShardLocation& loc : *stripe) {
+        out.at(loc.provider).insert(loc.virtual_id);
+      }
+    }
+  }
+  return out;
+}
+
+/// The ids `store`'s Cloud Provider Table lists.
+Placements table_placements(const core::MetadataStore& store) {
+  Placements out;
+  for (const core::ProviderEntry& p : store.provider_table()) {
+    out.emplace_back(p.virtual_ids.begin(), p.virtual_ids.end());
+  }
+  return out;
+}
+
+/// The objects the providers hold.
+Placements stored_objects(const storage::ProviderRegistry& registry) {
+  Placements out(registry.size());
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    for (VirtualId id : registry.at(p).list_ids()) out[p].insert(id);
+  }
+  return out;
+}
+
+/// Checks every partition's tables against its own rows, and returns the
+/// plane-wide union of the rows' references.
+Placements expect_tables_equal_rows(
+    const std::vector<const core::MetadataStore*>& partitions,
+    std::size_t providers) {
+  Placements all(providers);
+  for (std::size_t k = 0; k < partitions.size(); ++k) {
+    const Placements rows = row_placements(*partitions[k], providers);
+    EXPECT_EQ(table_placements(*partitions[k]), rows) << "partition " << k;
+    for (std::size_t p = 0; p < providers; ++p) {
+      all[p].insert(rows[p].begin(), rows[p].end());
+    }
+  }
+  return all;
+}
+
+/// Write-through mirror whose first put blocks until release(): it holds
+/// one shard put of a live write in flight.
+class BlockingMirror final : public storage::ObjectStore {
+ public:
+  /// One gate shared by every provider's mirror: the first put anywhere
+  /// blocks.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = true;
+    bool holding = false;
+    bool released = false;
+
+    void wait_holding() {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [this] { return holding; });
+    }
+    void release() {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+      cv.notify_all();
+    }
+  };
+
+  explicit BlockingMirror(Gate& gate) : gate_(gate) {}
+
+  Status put(VirtualId id, BytesView data) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_.mu);
+      if (gate_.armed) {
+        gate_.armed = false;
+        gate_.holding = true;
+        gate_.cv.notify_all();
+        gate_.cv.wait(lock, [this] { return gate_.released; });
+      }
+    }
+    return inner_.put(id, data);
+  }
+  std::vector<Status> put_many(
+      const std::vector<storage::BatchPut>& batch) override {
+    std::vector<Status> out;
+    for (const storage::BatchPut& item : batch) {
+      out.push_back(put(item.id, item.data));
+    }
+    return out;
+  }
+  [[nodiscard]] Result<Bytes> get(VirtualId id) const override {
+    return inner_.get(id);
+  }
+  Status remove(VirtualId id) override { return inner_.remove(id); }
+  [[nodiscard]] bool contains(VirtualId id) const override {
+    return inner_.contains(id);
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return inner_.object_count();
+  }
+  [[nodiscard]] std::size_t bytes_stored() const override {
+    return inner_.bytes_stored();
+  }
+  [[nodiscard]] std::vector<VirtualId> list_ids() const override {
+    return inner_.list_ids();
+  }
+
+ private:
+  Gate& gate_;
+  storage::MemoryStore inner_;
+};
+
+TEST(ShardPlaneTest, InFlightPutPlacesNothingInItsPartitionImage) {
+  // A put's shards enter the provider tables with its rows, never before:
+  // while one shard put of a multi-chunk put is held, a checkpoint image
+  // of the owning partition lists exactly its rows' references.
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  BlockingMirror::Gate gate;
+  std::vector<std::unique_ptr<BlockingMirror>> mirrors;
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    mirrors.push_back(std::make_unique<BlockingMirror>(gate));
+  }
+  core::DistributorConfig config = base_config(0x1F11);
+  config.plane = MetadataPlane::make_in_memory(kShards);
+  core::CloudDataDistributor cdd(registry, config);
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  ASSERT_TRUE(cdd.put_file("alice", "pw", "done", payload_of(8192, 1), opts)
+                  .ok());
+  const Placements committed = stored_objects(registry);
+
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    registry.at(p).set_mirror(mirrors[p].get());
+  }
+  const Bytes data = payload_of(8 * 4096, 2);  // eight 4 KiB PL2 chunks
+  Status put_status = Status::Internal("put never returned");
+  std::thread put([&] {
+    put_status = cdd.put_file("alice", "pw", "in-flight", data, opts);
+  });
+  gate.wait_holding();
+  // Every other shard of the put lands while the held one waits (the
+  // held one is in memory already: the mirror is written after it), and
+  // each finished stripe gets time to return to its seal.
+  std::size_t shards = 8 * (config.stripe_data_shards + 1);  // RAID-5
+  for (const auto& ids : committed) shards += ids.size();
+  for (int spin = 0; spin < 2000; ++spin) {
+    std::size_t held = 0;
+    for (const auto& ids : stored_objects(registry)) held += ids.size();
+    if (held == shards) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const std::size_t owner = config.plane->shard_of("alice", "in-flight");
+  Result<std::shared_ptr<core::MetadataStore>> image =
+      core::deserialize_metadata(
+          core::serialize_metadata(config.plane->store(owner)));
+  gate.release();
+  put.join();
+  ASSERT_TRUE(image.ok()) << image.status().to_string();
+  ASSERT_TRUE(put_status.ok()) << put_status.to_string();
+
+  const Placements tables = table_placements(*image.value());
+  EXPECT_EQ(tables, row_placements(*image.value(), registry.size()));
+  const Placements in_flight = stored_objects(registry);
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    for (VirtualId id : in_flight[p]) {
+      if (committed[p].count(id) != 0) continue;
+      EXPECT_EQ(tables[p].count(id), 0u)
+          << "in-flight shard " << id << " at provider " << p;
+    }
+  }
+  // Committed, the partition's tables equal its rows, the put's included.
+  expect_tables_equal_rows({&config.plane->store(owner)}, registry.size());
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    registry.at(p).set_mirror(nullptr);
+  }
+}
+
+TEST(ShardPlaneTest, ThreadedMixKeepsProviderTablesEqualToRows) {
+  // Client puts, updates and removes on 4 threads race a drain across a
+  // 4-shard plane. With no reconcile pass, every partition's provider
+  // tables equal its rows' references, the plane-wide union equals the
+  // objects the providers hold, and recovery rebuilds the same tables.
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 6;
+  TempDir dir;
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  std::shared_ptr<MetadataPlane> plane = open_plane(dir.path(), kShards);
+  Placements live;
+  {
+    core::DistributorConfig config = base_config(0x7AB1);
+    config.plane = plane;
+    core::CloudDataDistributor cdd(registry, config);
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kModerate;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      const std::string client = "mix" + std::to_string(t);
+      ASSERT_TRUE(cdd.register_client(client).ok());
+      ASSERT_TRUE(
+          cdd.add_password(client, "pw", PrivacyLevel::kModerate).ok());
+      for (int f = 0; f < 2; ++f) {
+        ASSERT_TRUE(cdd.put_file(client, "pw", "seed" + std::to_string(f),
+                                 payload_of(8192, 100 * t + f), opts)
+                        .ok());
+      }
+    }
+
+    // Drain the provider that holds the most shards, slowly enough that
+    // the client ops interleave with its moves.
+    const Placements seeded = stored_objects(registry);
+    ProviderIndex subject = 0;
+    for (ProviderIndex p = 1; p < registry.size(); ++p) {
+      if (seeded[p].size() > seeded[subject].size()) subject = p;
+    }
+    core::Migrator::Config mconfig;
+    mconfig.stripes_per_sec = 400.0;
+    mconfig.max_in_flight = 2;
+    core::Migrator migrator(cdd, mconfig);
+    migrator.start(core::MigrationKind::kDrain, subject);
+    std::atomic<std::size_t> failures{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::string client = "mix" + std::to_string(t);
+        auto check = [&](const Status& st) {
+          if (!st.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+        };
+        for (int r = 0; r < kRounds; ++r) {
+          const std::string file = "f" + std::to_string(r);
+          check(cdd.put_file(client, "pw", file,
+                             payload_of(4096 * (1 + r % 3), 1000 * t + r),
+                             opts));
+          check(cdd.update_chunk(client, "pw", "seed" + std::to_string(r % 2),
+                                 r % 2, payload_of(2048, 5000 * t + r)));
+          if (r % 2 == 1) {
+            check(cdd.remove_file(client, "pw", "f" + std::to_string(r - 1)));
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    Result<core::Migrator::Report> drained = migrator.wait();
+    ASSERT_TRUE(drained.ok() ||
+                drained.status().code() == ErrorCode::kResourceExhausted)
+        << drained.status().to_string();
+    EXPECT_GT(migrator.progress().shards_moved, 0u);
+    EXPECT_EQ(failures.load(), 0u);
+
+    std::vector<const core::MetadataStore*> partitions;
+    for (std::size_t k = 0; k < kShards; ++k) {
+      partitions.push_back(&plane->store(k));
+    }
+    live = expect_tables_equal_rows(partitions, registry.size());
+    EXPECT_EQ(live, stored_objects(registry));
+    Placements plane_table;
+    for (const core::ProviderEntry& p : plane->provider_table()) {
+      plane_table.emplace_back(p.virtual_ids.begin(), p.virtual_ids.end());
+    }
+    EXPECT_EQ(plane_table, live);
+    std::size_t populated = 0;
+    for (const core::MetadataStore* part : partitions) {
+      if (part->total_chunks() > 0) ++populated;
+    }
+    EXPECT_GT(populated, 1u);
+  }
+  plane.reset();
+  Result<core::PlaneRecovery> rec = core::recover_plane(
+      dir.path() / "metadata.bin", dir.path() / "journal.wal", kShards);
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  std::vector<const core::MetadataStore*> recovered;
+  for (const auto& shard : rec.value().shards) {
+    recovered.push_back(shard.metadata.get());
+  }
+  EXPECT_EQ(expect_tables_equal_rows(recovered, registry.size()), live);
 }
 
 // --- TSan hammer ------------------------------------------------------------
