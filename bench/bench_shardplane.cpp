@@ -27,7 +27,7 @@
 //      value (splitting one commit stream across 4 WAL files costs real
 //      ext4 transactions on a single disk; on multicore those fsyncs
 //      overlap instead).
-//   3. Parallel recovery: a 4-shard plane with ~4000 journaled records,
+//   3. Parallel recovery: a 4-shard plane with ~2000 journaled records,
 //      recovered by recover_plane (recovery workers clamped to the core
 //      count) vs replaying the same four journals sequentially. Replay is
 //      CPU-bound, so a single-vCPU host cannot show the speedup as wall
@@ -71,10 +71,12 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kClients = 64;
 constexpr std::size_t kFilesPerClient = 16;
-// Enough lanes that 3 ms provider RPCs never cap the sweep (1 KiB puts do
-// ~4 RPCs; 48 lanes = 16k RPC/s of sleeping-thread capacity) without
-// drowning a narrow host in context switches.
-constexpr std::size_t kIoThreads = 48;
+// Enough lanes that 3 ms provider RPCs never cap the sweep: 64 clients x 3
+// RPCs per put keep ~192 RPCs in flight once the journal stops being the
+// bottleneck, so 192 sleeping threads (64k RPC/s of capacity). 48 lanes
+// (16k RPC/s) capped every per-op cell at ~4.4k puts/s, 1 shard and 8
+// alike, and hid the shard scaling this bench exists to show.
+constexpr std::size_t kIoThreads = 192;
 constexpr int kReps = 5;
 
 struct Cell {
@@ -156,7 +158,8 @@ RecoveryResult run_recovery(std::size_t shards, int reps) {
   const fs::path jbase = dir.path / "plane.wal";
   const fs::path cbase = dir.path / "plane.ckpt";
   // Simulated (instant) providers: this phase prices journal REPLAY, so
-  // setup just needs to mint ~4000 records across the shard journals. No
+  // setup just needs to mint ~2000 records across the shard journals (one
+  // kCommitPut per put, plus the client and provider rows). No
   // checkpoints -- recovery replays every record.
   storage::ProviderRegistry registry = storage::make_default_registry(12);
   {
@@ -175,7 +178,7 @@ RecoveryResult run_recovery(std::size_t shards, int reps) {
     PutOptions opts;
     opts.privacy_level = PrivacyLevel::kModerate;
     constexpr std::size_t kSetupThreads = 8;
-    constexpr std::size_t kPutsPerThread = 250;  // ~4000 records total
+    constexpr std::size_t kPutsPerThread = 250;  // ~2000 records total
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kSetupThreads; ++t) {
       threads.emplace_back([&, t] {

@@ -191,9 +191,9 @@ double time_pair_64(bool telemetry, const Bytes& data) {
 
 // --- journal gate: WAL on vs off ---------------------------------------------
 //
-// Same realtime regime as E12. The journal adds two fsynced appends per put
-// (kBeginPut + kCommitPut) on the critical path; the gate proves that stays
-// under 10% of put wall clock. Fresh deployment per side per rep.
+// Same realtime regime as E12. The journal adds one fsynced append per put
+// (its kCommitPut) on the critical path; the gate proves that stays under
+// 10% of put wall clock. Fresh deployment per side per rep.
 
 double time_put_64_journal(bool journaled, const Bytes& data) {
   bench::ScratchDir dir;
@@ -217,7 +217,7 @@ double time_put_64_journal(bool journaled, const Bytes& data) {
 //
 // Many concurrent clients writing small files (1-8 KiB -> one or two 4 KiB
 // stripes each) against realtime providers, with a WAL fsync on every
-// metadata mutation. Per-op commit serializes two fsyncs per put behind the
+// metadata mutation. Per-op commit serializes one fsync per put behind the
 // journal mutex and pushes every shard through its own round trip against
 // a bounded I/O-channel pool; the two amortizations attack exactly those:
 //   per_op                fsync per record, one RPC per shard (the baseline)

@@ -40,8 +40,11 @@
 #              + recovery_test (journal append path + background scrub
 #              pass of the maintenance walker, including the group-commit
 #              multi-threaded append hammer and its crash-at-every-batch-
-#              boundary replay checks) + health_test (the exporter sampler
-#              thread and watchdog polling racing live metric writers)
+#              boundary replay checks, and the leadership-handoff stress:
+#              16 appenders per commit mode racing checkpoints, every
+#              record replayed exactly once) + health_test (the exporter
+#              sampler thread and watchdog polling racing live metric
+#              writers)
 #              + fragmentation_test (the differential/property battery for
 #              the fast-fragmentation entangle/detangle kernels, including
 #              the arm-switching bit-identity sweep)
@@ -63,13 +66,14 @@
 #              on one flaky provider with a disk mirror: exact per-op
 #              counters, memory and mirror holding the same objects)
 #   5. crash-e2e: scripted end-to-end crash drill against cshield_cli on a
-#              disk-backed root: put files, kill the process mid-stripe via
-#              CSHIELD_CRASH_AFTER_APPENDS (it _exit(42)s inside a journal
-#              append, before the record hits disk), restart, `recover`,
-#              and verify every committed file reads back byte-identical,
-#              the in-flight put is aborted with its orphan shards GC'd,
-#              and a second `recover` is a no-op. The drill runs twice:
-#              once with the default per-op commit and once with journal
+#              disk-backed root: put files, kill a put inside its only
+#              journal append via CSHIELD_CRASH_AFTER_APPENDS=0 (it
+#              _exit(42)s before the commit record hits disk, after every
+#              shard is uploaded), restart, `recover`, and verify every
+#              committed file reads back byte-identical, the lost put's
+#              orphan shards are GC'd with no in-flight put to abort, the
+#              lost file is unreadable, and a second `recover` is a no-op.
+#              The drill runs twice: once with the default per-op commit and once with journal
 #              group commit enabled (--batch-ops 8 --batch-ms 2), so the
 #              crash/recover contract is proven identical under batching.
 #              A sharded pass repeats the drill on a 4-way partitioned
@@ -212,20 +216,20 @@ crash_drill() {
   "${cli}" "${root}" init 12 "$@"
   "${cli}" "${root}" adduser alice secret 2 "$@"
 
-  # Commit three files; each put journals kBeginPut + kCommitPut and the
-  # write-through mirror makes every shard durable before put returns.
+  # Commit three files; each put journals one record, its kCommitPut, and
+  # the write-through mirror makes every shard durable before put returns.
   local i
   for i in 1 2 3; do
     head -c $((4000 * i)) /dev/urandom > "${dir}/f${i}.bin"
     "${cli}" "${root}" put alice secret "f${i}" "${dir}/f${i}.bin" 2 "$@"
   done
 
-  # Kill the fourth put mid-stripe: the first append (kBeginPut) lands, the
-  # process dies inside the second (kCommitPut) before it reaches disk. That
-  # leaves an in-flight put whose shards are on-disk orphans.
+  # Kill the fourth put inside its only append: every shard is uploaded,
+  # the process dies inside the kCommitPut before it reaches disk. That
+  # leaves on-disk orphan shards and nothing in the journal.
   head -c 9000 /dev/urandom > "${dir}/f4.bin"
   set +e
-  CSHIELD_CRASH_AFTER_APPENDS=1 \
+  CSHIELD_CRASH_AFTER_APPENDS=0 \
     "${cli}" "${root}" put alice secret f4 "${dir}/f4.bin" 2 "$@"
   local crash_rc=$?
   set -e
@@ -234,8 +238,9 @@ crash_drill() {
     exit 1
   fi
 
-  # Restart + reconcile: the torn journal replays, the in-flight put is
-  # aborted, and its orphan shards are collected.
+  # Restart + reconcile: the journal replays without the lost put, and its
+  # orphan shards are collected. No put was journaled as begun, so none is
+  # aborted.
   local recover_out
   recover_out="$("${cli}" "${root}" recover "$@")"
   echo "${recover_out}"
@@ -244,11 +249,11 @@ crash_drill() {
     exit 1
   fi
   if grep -q "recover OK: 0 orphan" <<< "${recover_out}"; then
-    echo "crash e2e[${label}]: expected orphan shards from the aborted put, found none" >&2
+    echo "crash e2e[${label}]: expected orphan shards from the lost put, found none" >&2
     exit 1
   fi
-  if ! grep -q "1 in-flight puts aborted" <<< "${recover_out}"; then
-    echo "crash e2e[${label}]: expected exactly one aborted in-flight put" >&2
+  if ! grep -q " 0 in-flight puts aborted" <<< "${recover_out}"; then
+    echo "crash e2e[${label}]: expected no in-flight put to abort" >&2
     exit 1
   fi
 
@@ -262,14 +267,14 @@ crash_drill() {
     exit 1
   fi
 
-  # Every committed file must read back byte-identical; the aborted one must
+  # Every committed file must read back byte-identical; the lost one must
   # be gone entirely.
   for i in 1 2 3; do
     "${cli}" "${root}" get alice secret "f${i}" "${dir}/f${i}.out" "$@"
     cmp "${dir}/f${i}.bin" "${dir}/f${i}.out"
   done
   if "${cli}" "${root}" get alice secret f4 "${dir}/f4.out" "$@" 2>/dev/null; then
-    echo "crash e2e[${label}]: aborted put f4 is unexpectedly readable" >&2
+    echo "crash e2e[${label}]: lost put f4 is unexpectedly readable" >&2
     exit 1
   fi
 

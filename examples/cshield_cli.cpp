@@ -54,9 +54,10 @@
 //
 // Crash injection (recovery e2e): setting CSHIELD_CRASH_AFTER_APPENDS=<k>
 // makes the process _exit(42) inside the journal's (k+1)-th append of this
-// invocation, before the record reaches disk -- e.g. k=1 on a `put` lets
-// kBeginPut land and kills the process at kCommitPut, leaving an in-flight
-// put whose shards are on-disk orphans for `recover` to collect.
+// invocation, before the record reaches disk -- e.g. k=0 on a `put` kills
+// the process inside the put's only append, its kCommitPut, after every
+// shard is uploaded: the shards are on-disk orphans for `recover` to
+// collect, and the journal holds nothing of the put.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -98,7 +99,8 @@ struct CliWorld {
   std::vector<std::unique_ptr<storage::DiskStore>> disks;
   std::shared_ptr<core::MetadataPlane> plane;
   std::size_t meta_shards = 1;
-  /// Puts the last crash caught between kBeginPut and kCommitPut.
+  /// Replay-only kBeginPut records with no commit; `recover` releases
+  /// their claims.
   std::vector<std::pair<std::string, std::string>> in_flight;
   /// Migrations the last crash caught between kBeginMigrate and
   /// kCommitMigrate; `recover` resumes them.

@@ -924,21 +924,11 @@ Status CloudDataDistributor::put_file(const std::string& client,
   const std::size_t shard = plane_->shard_of(client, filename);
   MetadataStore& md = plane_->store(shard);
   // Atomic duplicate check: reserving the name up front means two
-  // concurrent uploads of the same file cannot both pass it.
+  // concurrent uploads of the same file cannot both pass it. The claim is
+  // not journaled: the put's one record is its commit, so a crash before
+  // it leaves no claim to replay, only shards no row references, which
+  // reconcile finds by listing the providers.
   CS_RETURN_IF_ERROR(md.claim_file(client, filename));
-  // Journal the intent before any shard leaves for a provider: recovery
-  // treats a Begin without a matching Commit/Abort as an in-flight put
-  // whose shards are orphans to sweep.
-  {
-    JournalRecord rec;
-    rec.op = JournalOp::kBeginPut;
-    rec.client = client;
-    rec.filename = filename;
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      md.release_file(client, filename);
-      return st;
-    }
-  }
 
   // Every chunk row starts from this one: the file's PL, layout and
   // protection mode.
@@ -993,28 +983,14 @@ Status CloudDataDistributor::put_file(const std::string& client,
   });
 
   // A failed chunk must not orphan its siblings: drop every stripe this
-  // call wrote, then free the filename claim.
+  // call wrote, then free the filename claim. Nothing was journaled, so
+  // nothing is journaled to undo it.
   auto rollback = [&](const Status& error) {
     op.rolled_back = true;
     for (const ChunkOutcome& out : outcomes) {
       if (!out.stripe.empty()) drop_stripe(out.stripe, &op.times);
     }
     md.release_file(client, filename);
-    // The abort record is best-effort BY DESIGN, not an ignored error: the
-    // put is already failing with `error`, and recovery aborts a Begin
-    // without Commit whether or not this record lands -- losing it only
-    // means more orphan work for reconcile(). It must not mask the
-    // original failure, so it is surfaced as a counter instead of a
-    // status.
-    JournalRecord rec;
-    rec.op = JournalOp::kAbortPut;
-    rec.client = client;
-    rec.filename = filename;
-    if (Status aborted = journal_append(rec, shard); !aborted.ok()) {
-      if (telemetry_->enabled()) {
-        telemetry_->metrics().counter("cdd.abort_journal_errors").inc();
-      }
-    }
     return op.finish(error, report);
   };
   for (ChunkOutcome& out : outcomes) {
@@ -1608,9 +1584,10 @@ CloudDataDistributor::reconcile(
     }
   }
 
-  // 4. Abort the puts the crash caught mid-flight: their claims block the
-  //    filename forever otherwise. Shards they uploaded were swept above.
-  //    Claim and abort record both live in the file's owning partition.
+  // 4. Release the claims replay re-created from replay-only kBeginPut
+  //    records with no commit: they block the filename forever otherwise.
+  //    A crashed live put leaves just the shards swept above. Claim and
+  //    abort record both live in the file's owning partition.
   for (const auto& [client, filename] : in_flight) {
     const std::size_t shard = plane_->shard_of(client, filename);
     plane_->store(shard).release_file(client, filename);

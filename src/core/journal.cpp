@@ -14,6 +14,7 @@
 #include "common/types.hpp"
 #include "core/metadata_io.hpp"
 #include "obs/watchdog.hpp"
+#include "util/batch_close.hpp"
 #include "util/hash.hpp"
 #include "util/wire.hpp"
 
@@ -324,12 +325,7 @@ Journal::Journal(std::filesystem::path path, int fd, std::size_t records,
       bytes_(bytes),
       checkpoint_ops_(checkpoint_ops),
       shard_index_(shard_index),
-      shard_count_(shard_count) {
-  if (shard_count_ > 1) {
-    shard_flush_metric_ =
-        "journal.shard." + std::to_string(shard_index_) + ".flush_ns";
-  }
-}
+      shard_count_(shard_count) {}
 
 Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
@@ -412,8 +408,22 @@ void Journal::set_group_commit(const GroupCommitConfig& cfg) {
 }
 
 void Journal::attach_telemetry(const std::shared_ptr<obs::Telemetry>& tel) {
+  FlushMetrics m;
+  if (tel != nullptr) {
+    obs::MetricsRegistry& reg = tel->metrics();
+    m.batch_size = &reg.histogram("journal.batch_size");
+    m.flush_ns = &reg.histogram("journal.flush_ns");
+    if (shard_count_ > 1) {
+      // Plane members also report their own flush lane so the SLO engine
+      // can tell one slow shard from a plane-wide sick disk.
+      m.shard_flush_ns = &reg.histogram(
+          "journal.shard." + std::to_string(shard_index_) + ".flush_ns");
+    }
+    m.group_commits = &reg.counter("journal.group_commits");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   telemetry_ = tel;
+  metrics_ = m;
 }
 
 void Journal::attach_watchdog(obs::StallWatchdog* wd) {
@@ -438,27 +448,32 @@ Status Journal::append(const JournalRecord& rec) {
 
   std::unique_lock<std::mutex> lk(mu_);
   queue_.push_back(&w);
-  cv_.notify_all();  // a waiting leader may be counting the batch fill
+  // A leader filling a timed batch counts arrivals; nobody else cares.
+  if (filler_ != nullptr) filler_->cv.notify_one();
   while (!w.done) {
-    // Leader election: the front waiter flushes while no other flush is in
-    // progress; everyone else sleeps until their batch's fsync completes.
+    // The front waiter leads while no other flush is in progress; everyone
+    // else sleeps until its batch completes or leadership is handed to it.
     if (!flushing_ && queue_.front() == &w) {
-      flush_batch(lk);
+      flush_batch(lk, w);
     } else {
-      cv_.wait(lk);
+      w.cv.wait(lk);
     }
   }
   return w.status;
 }
 
-void Journal::flush_batch(std::unique_lock<std::mutex>& lk) {
+void Journal::flush_batch(std::unique_lock<std::mutex>& lk, Waiter& leader) {
   flushing_ = true;
-  if (gc_.batch_ops > 1 && gc_.batch_interval.count() > 0 &&
-      queue_.size() < gc_.batch_ops) {
-    // Close the batch at batch_ops records or batch_interval, whichever
-    // comes first. Arrivals notify, so a filled batch flushes immediately.
-    cv_.wait_for(lk, gc_.batch_interval,
-                 [&] { return queue_.size() >= gc_.batch_ops; });
+  if (gc_.batch_ops > 1 && gc_.batch_interval.count() > 0) {
+    // Close the batch at batch_ops records, at batch_interval, or after one
+    // idle window with no arrival, whichever comes first. Arrivals signal
+    // the leader, so a filled batch flushes immediately.
+    filler_ = &leader;
+    wait_for_batch(
+        lk, leader.cv, std::chrono::steady_clock::now() + gc_.batch_interval,
+        [&] { return queue_.size() >= gc_.batch_ops; },
+        [&] { return queue_.size(); });
+    filler_ = nullptr;
   }
   std::vector<Waiter*> batch;
   const std::size_t n = std::min(queue_.size(), gc_.batch_ops);
@@ -495,29 +510,31 @@ void Journal::flush_batch(std::unique_lock<std::mutex>& lk) {
     ++flushes_;
     if (batch.size() > 1) ++group_commits_;
     if (telemetry_ != nullptr && telemetry_->enabled()) {
-      obs::MetricsRegistry& m = telemetry_->metrics();
-      m.histogram("journal.batch_size")
-          .observe(static_cast<double>(batch.size()));
-      m.histogram("journal.flush_ns")
-          .observe(static_cast<double>(flush_ns.count()));
-      if (!shard_flush_metric_.empty()) {
-        // Plane members also report their own flush lane so the SLO engine
-        // can tell one slow shard from a plane-wide sick disk.
-        m.histogram(shard_flush_metric_)
-            .observe(static_cast<double>(flush_ns.count()));
+      const auto ns = static_cast<double>(flush_ns.count());
+      metrics_.batch_size->observe(static_cast<double>(batch.size()));
+      metrics_.flush_ns->observe(ns);
+      if (metrics_.shard_flush_ns != nullptr) {
+        metrics_.shard_flush_ns->observe(ns);
       }
-      if (batch.size() > 1) m.counter("journal.group_commits").inc();
+      if (batch.size() > 1) metrics_.group_commits->inc();
     }
   }
+  flushing_ = false;
   for (Waiter* w : batch) {
     // The whole batch shares one fsync, so it shares one fate: a write or
     // sync error fails every append in it (none of them is durable).
     w->status = st;
     w->done = true;
     if (st.ok() && test_hook_after_append) test_hook_after_append(*w->rec);
+    if (w != &leader) w->cv.notify_one();
   }
-  flushing_ = false;
-  cv_.notify_all();
+  // Hand leadership to the next queued append, or tell a waiting
+  // checkpoint that the journal is quiet.
+  if (!queue_.empty()) {
+    queue_.front()->cv.notify_one();
+  } else {
+    cv_.notify_all();
+  }
 }
 
 Status Journal::checkpoint(const std::function<Bytes()>& snapshot,

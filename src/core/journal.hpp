@@ -29,7 +29,8 @@
 //
 // Commit-point discipline (enforced by the distributor, verified by
 // tests/recovery_test.cpp):
-//   - kBeginPut is appended before any shard upload of a put;
+//   - a put journals one record, its kCommitPut, after every shard of the
+//     file is uploaded; nothing is journaled before its shards leave;
 //   - commit records (kCommitPut/kUpdateChunk/kRemoveChunk/kRemoveFile) are
 //     appended after the in-memory metadata mutation but before any
 //     provider-side deletion of superseded stripes and before the client
@@ -38,7 +39,7 @@
 // committed state plus unreferenced orphan shards, or (b) the new committed
 // state plus unreferenced orphan shards -- never a committed record whose
 // shards are gone. Reconciliation (CloudDataDistributor::reconcile) sweeps
-// the orphans.
+// the orphans by listing every provider.
 #pragma once
 
 #include <chrono>
@@ -72,9 +73,14 @@ enum class JournalOp : std::uint8_t {
   kRegisterProvider = 1,  ///< provider row mirrored from the registry
   kRegisterClient = 2,
   kAddPassword = 3,
-  kBeginPut = 4,    ///< intent: filename claimed, shard uploads may follow
+  /// Replay-only until format v5: no live path writes it. Replay of a
+  /// journal that holds one re-claims the filename, and recovery lists the
+  /// claim in `in_flight` for reconcile to release.
+  kBeginPut = 4,
   kCommitPut = 5,   ///< all chunk rows of a put, with explicit indices
-  kAbortPut = 6,    ///< put rolled back; claim released
+  /// Replay-only until format v5: releases a kBeginPut claim. Written only
+  /// by reconcile, for the in-flight claims an older journal left.
+  kAbortPut = 6,
   kUpdateChunk = 7, ///< chunk row overwritten (update/repair/rebalance)
   kRemoveChunk = 8,
   kRemoveFile = 9,
@@ -171,12 +177,17 @@ struct GroupCommitConfig {
 ///
 /// Group commit: concurrent appends enqueue their framed records and the
 /// front waiter becomes the batch leader -- it drains up to `batch_ops`
-/// records (waiting up to `batch_interval` for the batch to fill), writes
-/// them in queue order, fsyncs ONCE, then wakes every waiter in the batch.
-/// The durability contract is unchanged: append() returns only after the
-/// caller's own record is on disk (leaders and followers alike), and the
-/// on-disk frame stream is identical to per-op commit -- a batch is just
-/// several frames sharing one fsync. One Journal instance per file per
+/// records, writes them in queue order, fsyncs ONCE, then wakes each waiter
+/// of the batch through that waiter's own condition variable and hands
+/// leadership to the new queue front. A timed leader (`batch_interval` >
+/// 0) waits for the batch to fill, but closes it early after one idle
+/// window with no arrival (kBatchIdleClose, util/batch_close.hpp), so the
+/// interval caps the wait instead of always costing it. No waiter is woken
+/// before its record is durable or its turn to lead has come. The
+/// durability contract is unchanged: append() returns only
+/// after the caller's own record is on disk (leaders and followers alike),
+/// and the on-disk frame stream is identical to per-op commit -- a batch is
+/// just several frames sharing one fsync. One Journal instance per file per
 /// process.
 class Journal {
  public:
@@ -206,9 +217,11 @@ class Journal {
   void set_group_commit(const GroupCommitConfig& cfg);
 
   /// Wires flush instrumentation into `tel`: histograms
-  /// `journal.batch_size` / `journal.flush_ns` and counter
-  /// `journal.group_commits` (batches that folded > 1 record). Attach
-  /// before serving traffic; `tel` must outlive the journal.
+  /// `journal.batch_size` / `journal.flush_ns` (plus
+  /// `journal.shard.<k>.flush_ns` for a member of an N-shard plane) and
+  /// counter `journal.group_commits` (batches that folded > 1 record). The
+  /// names are resolved to handles here, so a flush never looks a metric up
+  /// by name. Attach before serving traffic.
   void attach_telemetry(const std::shared_ptr<obs::Telemetry>& tel);
 
   /// Lets the stall watchdog see the flush leader's write+fsync window
@@ -259,28 +272,50 @@ class Journal {
  private:
   /// One queued append: its framed bytes plus the completion flag/status
   /// the flush leader fills in. Lives on the appender's stack -- append()
-  /// does not return until done, so queue pointers stay valid.
+  /// does not return until done, so queue pointers stay valid. Every
+  /// signal to `cv` is sent under mu_, so the waiter cannot return (and
+  /// destroy `cv`) while it is being signalled.
   struct Waiter {
     const JournalRecord* rec = nullptr;
     Bytes frame;
     Status status;
     bool done = false;
+    /// Signalled once when the record's batch completes, once when this
+    /// waiter reaches the queue front with no flush running (its turn to
+    /// lead), and -- while it leads a timed batch -- on every arrival.
+    std::condition_variable cv;
+  };
+
+  /// Flush instrumentation handles resolved by attach_telemetry (all null
+  /// when none is attached).
+  struct FlushMetrics {
+    obs::Histogram* batch_size = nullptr;
+    obs::Histogram* flush_ns = nullptr;
+    /// `journal.shard.<k>.flush_ns`; null for a 1-shard plane, whose
+    /// flushes report only the aggregate.
+    obs::Histogram* shard_flush_ns = nullptr;
+    obs::Counter* group_commits = nullptr;
   };
 
   Journal(std::filesystem::path path, int fd, std::size_t records,
           std::uint64_t bytes, std::uint64_t checkpoint_ops,
           std::uint32_t shard_index, std::uint32_t shard_count);
 
-  /// Leader body: drains up to batch_ops waiters from the queue front
-  /// (waiting batch_interval for the batch to fill), writes + fsyncs them
-  /// outside the lock, then completes every waiter. Called with `lk` held;
-  /// returns with it held.
-  void flush_batch(std::unique_lock<std::mutex>& lk);
+  /// Leader body, run by `leader` (the queue front): drains up to
+  /// batch_ops waiters (a timed batch waits for arrivals until
+  /// batch_interval, or kBatchIdleClose without one), writes + fsyncs them
+  /// outside the lock, completes every waiter and hands leadership on.
+  /// Called with `lk` held; returns with it held.
+  void flush_batch(std::unique_lock<std::mutex>& lk, Waiter& leader);
 
   mutable std::mutex mu_;
+  /// Signalled when the journal goes quiet (no flush, empty queue): the
+  /// only thing checkpoint() waits for.
   std::condition_variable cv_;
   std::deque<Waiter*> queue_;   ///< appends waiting for a flush
   bool flushing_ = false;       ///< a leader is writing outside the lock
+  /// The leader filling a timed batch; arrivals signal it. Null otherwise.
+  Waiter* filler_ = nullptr;
   GroupCommitConfig gc_;
   std::filesystem::path path_;
   int fd_ = -1;
@@ -292,11 +327,9 @@ class Journal {
   std::uint64_t group_commits_ = 0;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_count_ = 1;
-  /// Pre-built per-shard metric name ("journal.shard.<k>.flush_ns");
-  /// empty for a 1-shard plane, whose flushes report only the aggregate.
-  std::string shard_flush_metric_;
   std::shared_ptr<obs::Telemetry> telemetry_;  ///< null = no instrumentation
-  obs::StallWatchdog* watchdog_ = nullptr;     ///< null = no stall brackets
+  FlushMetrics metrics_;  ///< handles into telemetry_'s registry
+  obs::StallWatchdog* watchdog_ = nullptr;  ///< null = no stall brackets
 };
 
 /// Applies one replayed record to a store. Idempotent: a record present in
@@ -317,9 +350,10 @@ struct MigrationIntent {
 /// What crash recovery reconstructed.
 struct RecoveredState {
   std::shared_ptr<MetadataStore> metadata;
-  /// Puts with a kBeginPut but no kCommitPut/kAbortPut: the crash caught
-  /// them mid-flight. Their claims must be released and their shards are
-  /// orphans (reconcile handles both).
+  /// Filenames with a (replay-only) kBeginPut but no kCommitPut/kAbortPut.
+  /// The claim must be released and its shards are orphans (reconcile
+  /// handles both). A crash of a live put leaves orphan shards and no
+  /// entry here.
   std::vector<std::pair<std::string, std::string>> in_flight;
   /// Migrations to resume after reconcile() (journal order preserved).
   std::vector<MigrationIntent> pending_migrations;

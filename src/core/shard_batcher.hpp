@@ -11,11 +11,12 @@
 //
 // One lane per provider: a queue, a condition variable, and a dedicated
 // flusher thread. Writers enqueue a shard and get a future; the flusher
-// closes a batch at `batch_shards` items or kMaxWait after the lane's
-// first pending item (whichever first -- the same close rule as the
-// journal's group commit), sends it through RequestLayer::put_many (per
-// batch breaker/retry accounting, per-shard partial-failure splitting),
-// and completes every future with its item's status.
+// closes a batch at `batch_shards` items, at kMaxWait after the lane's
+// first pending item, or after one idle window with no arrival (whichever
+// first -- the journal's group commit closes by the same rule), sends it
+// through RequestLayer::put_many (per batch breaker/retry accounting,
+// per-shard partial-failure splitting), and completes every future with
+// its item's status.
 //
 // Shard bytes are NOT copied: the BytesView handed to put() must stay
 // valid until its future resolves. The distributor guarantees this --
@@ -35,6 +36,7 @@
 
 #include "core/request_layer.hpp"
 #include "obs/telemetry.hpp"
+#include "util/batch_close.hpp"
 #include "util/status.hpp"
 
 namespace cshield::core {
@@ -115,13 +117,6 @@ class ShardBatcher {
  private:
   /// Flush an under-full lane this long after its first pending shard.
   static constexpr std::chrono::microseconds kMaxWait{500};
-  /// Opportunistic close: flush an under-full lane once no new shard has
-  /// arrived for this long. Under light concurrency a lane almost never
-  /// fills, and without it every batch waited out the full kMaxWait --
-  /// a pure latency tax that made 8-client batched throughput WORSE than
-  /// per-op RPCs. With it, a drained queue closes after one idle window
-  /// while a hot queue keeps filling until `batch_shards` or kMaxWait.
-  static constexpr std::chrono::microseconds kIdleClose{50};
 
   struct Pending {
     VirtualId id = 0;
@@ -144,20 +139,13 @@ class ShardBatcher {
       lane.cv.wait(lk, [&] { return lane.stop || !lane.queue.empty(); });
       if (lane.queue.empty()) return;  // stop with nothing left to flush
       // Close the batch at batch_shards, at kMaxWait after the lane's first
-      // pending shard, or -- opportunistically -- once the queue has been
-      // idle for kIdleClose (nothing new arrived in a whole window, so
-      // waiting longer only taxes the shards already queued). Shutdown
-      // flushes immediately -- enqueued shards still complete.
-      const auto deadline = lane.first_enqueue + kMaxWait;
-      while (!lane.stop && lane.queue.size() < batch_shards_) {
-        const auto close_at =
-            std::min(deadline, std::chrono::steady_clock::now() + kIdleClose);
-        const std::size_t before = lane.queue.size();
-        if (lane.cv.wait_until(lk, close_at) == std::cv_status::timeout &&
-            lane.queue.size() == before) {
-          break;  // hard deadline, or one idle window with no arrivals
-        }
-      }
+      // pending shard, or after one idle window with no arrival
+      // (util/batch_close.hpp). Shutdown flushes immediately -- enqueued
+      // shards still complete.
+      wait_for_batch(
+          lk, lane.cv, lane.first_enqueue + kMaxWait,
+          [&] { return lane.stop || lane.queue.size() >= batch_shards_; },
+          [&] { return lane.queue.size(); });
       std::vector<Pending> batch;
       const std::size_t n = std::min(lane.queue.size(), batch_shards_);
       batch.reserve(n);

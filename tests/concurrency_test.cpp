@@ -255,10 +255,10 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
       batch_rpcs += registry.at(p).counters().batch_requests.load();
     }
     EXPECT_GT(batch_rpcs, 0u);
-    // ...and every metadata mutation reached the journal (1 begin + 1
-    // commit per successful put, plus client/password registrations).
+    // ...and every metadata mutation reached the journal (1 commit per
+    // successful put, plus client/password registrations).
     EXPECT_GE(journal.total_appended(),
-              static_cast<std::uint64_t>(kThreads) * (2 + 2 * kFiles));
+              static_cast<std::uint64_t>(kThreads) * (2 + kFiles));
   }
 
   // The group-committed journal replays cleanly after "the process" exits.

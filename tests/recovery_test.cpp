@@ -659,6 +659,156 @@ TEST(GroupCommitTest, CheckpointQuiescesConcurrentBatches) {
             kTotal);
 }
 
+// A timed leader closes its batch after one idle window: a lone append
+// under a long batch_interval pays the window, not the interval.
+TEST(GroupCommitTest, LoneAppendClosesAfterIdleWindow) {
+  TempDir dir;
+  Result<std::unique_ptr<Journal>> opened = Journal::open(dir.path() / "j.wal");
+  ASSERT_TRUE(opened.ok());
+  Journal& j = *opened.value();
+  j.set_group_commit(core::GroupCommitConfig{64, std::chrono::milliseconds{50}});
+  // The fastest of a few appends, so one slow fsync cannot fail the test; a
+  // leader that waits out the interval takes 50 ms every time.
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(j.append(begin_record("lone" + std::to_string(i))).ok());
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(fastest, std::chrono::milliseconds{25});
+  EXPECT_EQ(j.flushes(), 5u);
+}
+
+// A burst that queues behind a running flush still shares one fsync: the
+// next leader takes the whole queue, and its batch closes only once no
+// more appends arrive.
+TEST(GroupCommitTest, QueuedBurstSharesOneFsync) {
+  constexpr std::size_t kBurst = 7;
+  TempDir dir;
+  Result<std::unique_ptr<Journal>> opened = Journal::open(dir.path() / "j.wal");
+  ASSERT_TRUE(opened.ok());
+  Journal& j = *opened.value();
+  j.set_group_commit(core::GroupCommitConfig{64, std::chrono::milliseconds{50}});
+  // The first record's flush holds the disk until every burst thread has
+  // called append and had ample time to queue behind it.
+  std::atomic<bool> holding{false};
+  std::atomic<std::size_t> started{0};
+  j.test_hook_before_append = [&](const JournalRecord& rec) {
+    if (rec.filename != "first") return;
+    holding = true;
+    while (started.load() < kBurst) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds{200});
+  };
+  std::vector<Status> results(kBurst + 1);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { results[kBurst] = j.append(begin_record("first")); });
+  while (!holding) std::this_thread::yield();
+  for (std::size_t t = 0; t < kBurst; ++t) {
+    threads.emplace_back([&, t] {
+      ++started;
+      results[t] = j.append(begin_record("burst" + std::to_string(t)));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const Status& st : results) EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(j.total_appended(), kBurst + 1);
+  EXPECT_EQ(j.flushes(), 2u);
+  EXPECT_EQ(j.group_commits(), 1u);
+}
+
+// Leadership handoff under load: 16 appenders against each commit mode,
+// with checkpoints cutting the journal meanwhile. Every append returns OK,
+// and the last checkpoint image plus the journal replay every record
+// exactly once -- a lost wakeup would hang, a double flush would
+// duplicate, and a cut outside a batch boundary would lose or repeat one.
+TEST(GroupCommitTest, HandoffStressWithConcurrentCheckpoint) {
+  constexpr std::size_t kThreads = 16;
+  constexpr std::size_t kPerThread = 40;
+  const core::GroupCommitConfig modes[] = {
+      {1, std::chrono::microseconds{0}},
+      {64, std::chrono::microseconds{0}},
+      {8, std::chrono::milliseconds{2}},
+  };
+  for (const core::GroupCommitConfig& mode : modes) {
+    SCOPED_TRACE("batch_ops " + std::to_string(mode.batch_ops) + ", interval " +
+                 std::to_string(mode.batch_interval.count()) + " us");
+    TempDir dir;
+    const fs::path jpath = dir.path() / "j.wal";
+    const fs::path cpath = dir.path() / "ckpt.bin";
+    Result<std::unique_ptr<Journal>> opened = Journal::open(jpath);
+    ASSERT_TRUE(opened.ok());
+    Journal& j = *opened.value();
+    j.set_group_commit(mode);
+
+    // Durable records in commit order. The after-hook and the checkpoint's
+    // snapshot both run under the journal lock, so the image a checkpoint
+    // writes holds exactly the records it truncates and all before them.
+    std::vector<std::string> durable;
+    j.test_hook_after_append = [&](const JournalRecord& rec) {
+      durable.push_back(rec.client + "/" + rec.filename);
+    };
+    const auto snapshot = [&] {
+      Bytes image;
+      wire::Writer w(image);
+      w.u32(static_cast<std::uint32_t>(durable.size()));
+      for (const std::string& name : durable) w.str(name);
+      return image;
+    };
+
+    std::atomic<std::size_t> ok{0};
+    std::atomic<bool> done{false};
+    std::thread checkpointer([&] {
+      while (!done.load()) {
+        EXPECT_TRUE(j.checkpoint(snapshot, cpath).ok());
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+      }
+    });
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          JournalRecord rec = begin_record("r" + std::to_string(i));
+          rec.client = "t" + std::to_string(t);
+          const Status st = j.append(rec);
+          EXPECT_TRUE(st.ok()) << st.to_string();
+          if (st.ok()) ++ok;
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    done = true;
+    checkpointer.join();
+
+    constexpr std::size_t kTotal = kThreads * kPerThread;
+    EXPECT_EQ(ok.load(), kTotal);
+    EXPECT_EQ(j.total_appended(), kTotal);
+    EXPECT_EQ(j.last_checkpoint_ops() + j.record_count(), kTotal);
+
+    // Replay: the image's records, then the journal's, each exactly once.
+    std::map<std::string, int> seen;
+    const Bytes image = read_disk(cpath);
+    if (!image.empty()) {
+      wire::Reader r(image);
+      std::uint32_t n = 0;
+      ASSERT_TRUE(r.u32(n));
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::string name;
+        ASSERT_TRUE(r.str(name));
+        ++seen[name];
+      }
+    }
+    Result<core::JournalReplay> replay =
+        core::replay_journal_image(read_disk(jpath));
+    ASSERT_TRUE(replay.ok());
+    for (const JournalRecord& rec : replay.value().records) {
+      ++seen[rec.client + "/" + rec.filename];
+    }
+    EXPECT_EQ(seen.size(), kTotal);
+    for (const auto& [name, count] : seen) EXPECT_EQ(count, 1) << name;
+  }
+}
+
 TEST(RecoveryTest, FreshWorldRecoversEmpty) {
   TempDir dir;
   Result<core::RecoveredState> rec = core::recover_metadata(
@@ -962,9 +1112,9 @@ TEST(RecoveryTest, CrashInjectionSweep) {
   }
 
   const std::vector<Scenario>& scenarios = recorder.scenarios();
-  // ctor(12) + client + password + 4 puts (begin+commit) + update + remove
-  // = 24 appends, each captured before and after.
-  ASSERT_EQ(scenarios.size(), 48u);
+  // ctor(12) + client + password + 4 puts (one commit each) + update +
+  // remove = 20 appends, each captured before and after.
+  ASSERT_EQ(scenarios.size(), 40u);
   for (const Scenario& sc : scenarios) verify_recovery(sc, universe);
   for (const Scenario& sc : checkpoint_scenarios) {
     verify_recovery(sc, universe);
@@ -1029,6 +1179,219 @@ TEST(RecoveryTest, ReconcileCollectsInjectedOrphans) {
   Result<Bytes> back = cdd.get_file("alice", "pw", "keep");
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(equal(back.value(), content));
+}
+
+// A put journals exactly one record, its commit; a put that rolls back
+// journals nothing.
+TEST(RecoveryTest, PutJournalsOneRecordAndRollbackNone) {
+  TempDir dir;
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  Result<std::shared_ptr<MetadataPlane>> plane = MetadataPlane::open(
+      dir.path() / "metadata.bin", dir.path() / "j.wal", 1);
+  ASSERT_TRUE(plane.ok());
+  Journal& journal = *plane.value()->journal(0);
+  core::DistributorConfig config = base_config(0x0E1EC0D);
+  config.plane = plane.value();
+  core::CloudDataDistributor cdd(registry, config);
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+
+  const std::uint64_t before = journal.total_appended();
+  ASSERT_TRUE(cdd.put_file("alice", "pw", "kept", payload_of(9000, 51), opts)
+                  .ok());
+  EXPECT_EQ(journal.total_appended(), before + 1);
+  Result<core::JournalReplay> replay =
+      core::replay_journal_image(read_disk(journal.path()));
+  ASSERT_TRUE(replay.ok());
+  ASSERT_FALSE(replay.value().records.empty());
+  EXPECT_EQ(replay.value().records.back().op, JournalOp::kCommitPut);
+  EXPECT_EQ(replay.value().records.back().filename, "kept");
+
+  // Every provider down: the put fails, rolls back, and journals nothing.
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    registry.at(p).install_fault_plan(storage::FaultPlan::outage(p), p);
+  }
+  core::OpReport report;
+  const Status failed =
+      cdd.put_file("alice", "pw", "lost", payload_of(9000, 52), opts, &report);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(report.rolled_back);
+  EXPECT_EQ(journal.total_appended(), before + 1);
+
+  // The rollback released the claim: the name is free again.
+  EXPECT_TRUE(plane.value()->store(0).claim_file("alice", "lost").ok());
+}
+
+// A crash after a put's shards are uploaded but before its commit record
+// lands leaves no row, no claim and no in-flight entry -- only orphan
+// shards, which reconcile removes, so every provider holds exactly the
+// objects it held before the put.
+TEST(RecoveryTest, CrashBeforeCommitLeavesOnlyOrphans) {
+  TempDir live;
+  const fs::path jpath = live.path() / "journal.wal";
+  const fs::path cpath = live.path() / "metadata.bin";
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  const Bytes kept = payload_of(7000, 61);
+  std::vector<std::size_t> before_put(kProviders);
+  Bytes journal_at_crash;
+  std::vector<std::map<VirtualId, Bytes>> objects_at_crash(kProviders);
+  {
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
+    core::DistributorConfig config = base_config(0xC2A5);
+    config.plane = plane.value();
+    core::CloudDataDistributor cdd(registry, config);
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kModerate;
+    ASSERT_TRUE(cdd.put_file("alice", "pw", "kept", kept, opts).ok());
+    for (ProviderIndex p = 0; p < kProviders; ++p) {
+      before_put[p] = registry.at(p).object_count();
+    }
+    // The crash point: the commit record is about to be written, every
+    // shard of the file is already at its provider.
+    plane.value()->journal(0)->test_hook_before_append =
+        [&](const JournalRecord& rec) {
+          if (rec.op != JournalOp::kCommitPut || rec.filename != "lost") return;
+          journal_at_crash = read_disk(jpath);
+          for (ProviderIndex p = 0; p < kProviders; ++p) {
+            const storage::MemoryStore& store = registry.at(p).raw_store();
+            for (VirtualId id : store.list_ids()) {
+              objects_at_crash[p][id] = store.get(id).value();
+            }
+          }
+        };
+    ASSERT_TRUE(
+        cdd.put_file("alice", "pw", "lost", payload_of(12000, 62), opts).ok());
+  }
+  ASSERT_FALSE(journal_at_crash.empty());
+
+  // Restart from the crash state.
+  TempDir dir;
+  write_disk(dir.path() / "journal.wal", journal_at_crash);
+  storage::ProviderRegistry restarted =
+      storage::make_default_registry(kProviders);
+  std::size_t uploaded = 0;
+  for (ProviderIndex p = 0; p < kProviders; ++p) {
+    for (const auto& [id, bytes] : objects_at_crash[p]) {
+      ASSERT_TRUE(restarted.at(p).put(id, bytes).ok());
+    }
+    ASSERT_GE(objects_at_crash[p].size(), before_put[p]);
+    uploaded += objects_at_crash[p].size() - before_put[p];
+  }
+  EXPECT_GT(uploaded, 0u);
+
+  Result<core::RecoveredState> recovered = core::recover_metadata(
+      dir.path() / "metadata.bin", dir.path() / "journal.wal");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_TRUE(recovered.value().in_flight.empty());
+  const core::MetadataStore& md = *recovered.value().metadata;
+  EXPECT_TRUE(md.file_chunks("alice", "lost").empty());
+  EXPECT_FALSE(md.file_chunks("alice", "kept").empty());
+  EXPECT_EQ(md.total_chunks(), md.file_chunks("alice", "kept").size());
+
+  Result<std::shared_ptr<MetadataPlane>> reopened =
+      MetadataPlane::open(dir.path() / "metadata.bin",
+                          dir.path() / "journal.wal", 1, {},
+                          {recovered.value().metadata});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  core::DistributorConfig config = base_config(0xC2A6);
+  config.plane = reopened.value();
+  core::CloudDataDistributor cdd(restarted, config);
+  Result<core::CloudDataDistributor::ReconcileReport> report =
+      cdd.reconcile(recovered.value().in_flight);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report.value().orphans_removed, uploaded);
+  EXPECT_EQ(report.value().aborted_files, 0u);
+  for (ProviderIndex p = 0; p < kProviders; ++p) {
+    EXPECT_EQ(restarted.at(p).object_count(), before_put[p]) << "provider " << p;
+  }
+  Result<Bytes> back = cdd.get_file("alice", "pw", "kept");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(back.value(), kept));
+  EXPECT_EQ(cdd.get_file("alice", "pw", "lost").status().code(),
+            ErrorCode::kNotFound);
+  // No claim survived either: the name is free for a new put.
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  EXPECT_TRUE(
+      cdd.put_file("alice", "pw", "lost", payload_of(3000, 63), opts).ok());
+}
+
+// No live put writes kBeginPut any more, but a journal from an older build
+// may hold one without its commit. Replay re-claims the name and lists it
+// in-flight; reconcile releases the claim by journaling kAbortPut, after
+// which a second recovery finds nothing to do and the name is free.
+TEST(RecoveryTest, ReplayOnlyBeginIsAbortedOnce) {
+  TempDir dir;
+  const fs::path jpath = dir.path() / "journal.wal";
+  const fs::path cpath = dir.path() / "metadata.bin";
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  {
+    Result<std::shared_ptr<MetadataPlane>> plane =
+        MetadataPlane::open(cpath, jpath, 1);
+    ASSERT_TRUE(plane.ok());
+    core::DistributorConfig config = base_config(0xB3617);
+    config.plane = plane.value();
+    core::CloudDataDistributor cdd(registry, config);
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+    ASSERT_TRUE(plane.value()->journal(0)->append(begin_record("draft")).ok());
+  }
+
+  const auto recover_and_reconcile = [&](std::size_t want_in_flight)
+      -> core::CloudDataDistributor::ReconcileReport {
+    Result<core::RecoveredState> recovered =
+        core::recover_metadata(cpath, jpath);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().to_string();
+    if (!recovered.ok()) return {};
+    EXPECT_EQ(recovered.value().in_flight.size(), want_in_flight);
+    Result<std::shared_ptr<MetadataPlane>> reopened = MetadataPlane::open(
+        cpath, jpath, 1, {}, {recovered.value().metadata});
+    EXPECT_TRUE(reopened.ok()) << reopened.status().to_string();
+    if (!reopened.ok()) return {};
+    core::DistributorConfig config = base_config(0xB3618);
+    config.plane = reopened.value();
+    core::CloudDataDistributor cdd(registry, config);
+    Result<core::CloudDataDistributor::ReconcileReport> report =
+        cdd.reconcile(recovered.value().in_flight);
+    EXPECT_TRUE(report.ok()) << report.status().to_string();
+    return report.ok() ? report.value()
+                       : core::CloudDataDistributor::ReconcileReport{};
+  };
+
+  const core::CloudDataDistributor::ReconcileReport first =
+      recover_and_reconcile(1);
+  EXPECT_EQ(first.aborted_files, 1u);
+  EXPECT_EQ(first.orphans_removed, 0u);
+
+  const core::CloudDataDistributor::ReconcileReport second =
+      recover_and_reconcile(0);
+  EXPECT_EQ(second.aborted_files, 0u);
+  EXPECT_EQ(second.orphans_removed, 0u);
+  EXPECT_EQ(second.stale_ids, 0u);
+  EXPECT_EQ(second.repaired_shards, 0u);
+
+  // The released name takes a new put.
+  Result<core::RecoveredState> last = core::recover_metadata(cpath, jpath);
+  ASSERT_TRUE(last.ok());
+  Result<std::shared_ptr<MetadataPlane>> reopened =
+      MetadataPlane::open(cpath, jpath, 1, {}, {last.value().metadata});
+  ASSERT_TRUE(reopened.ok());
+  core::DistributorConfig config = base_config(0xB3619);
+  config.plane = reopened.value();
+  core::CloudDataDistributor cdd(registry, config);
+  core::PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  EXPECT_TRUE(
+      cdd.put_file("alice", "pw", "draft", payload_of(3000, 64), opts).ok());
 }
 
 // --- scrubber ---------------------------------------------------------------

@@ -845,9 +845,9 @@ TEST(ShardPlaneCrashTest, SweepEveryAppendBoundary) {
   // plus client broadcasts plus the per-file records on their owning
   // shards. The sweep must hold at each one.
   const std::vector<PlaneScenario>& scenarios = recorder.scenarios();
-  // ctor broadcast 12*4 + client/password broadcast 2*4 + 3 puts
-  // (begin+commit) + update + remove = 64 appends, before+after each.
-  ASSERT_EQ(scenarios.size(), 128u);
+  // ctor broadcast 12*4 + client/password broadcast 2*4 + 3 puts (one
+  // commit each) + update + remove = 61 appends, before+after each.
+  ASSERT_EQ(scenarios.size(), 122u);
   for (const PlaneScenario& sc : scenarios) {
     verify_plane_recovery(sc, universe);
   }
@@ -886,8 +886,10 @@ TEST(ShardPlaneCrashTest, ConcurrentAppendsToDifferentShards) {
   storage::ProviderRegistry registry =
       storage::make_default_registry(kProviders);
 
+  // One journal record per put: 32 puts give 32 append boundaries, of
+  // which the sampler below keeps 5.
   constexpr std::size_t kWriters = 4;
-  constexpr std::size_t kFilesPerWriter = 4;
+  constexpr std::size_t kFilesPerWriter = 8;
   std::set<std::string> universe;
   std::map<std::string, Bytes> contents;
   for (std::size_t t = 0; t < kWriters; ++t) {
