@@ -20,7 +20,10 @@
 #              requests on the calling thread; and a check that
 #              src/core/distributor.cpp never calls set_provider_lifecycle(
 #              or register_provider(: fleet rows change only by broadcasting
-#              the journal record replay applies
+#              the journal record replay applies; and a check that
+#              src/core/shard_batcher.hpp never names std::thread: batcher
+#              lanes are queues, and their batches are collected and sent
+#              by tasks on the distributor's I/O pool
 #   2. bench_ledger: configures and builds the bench_ledger/ package (its own
 #              CMake project, compiled from ../src the way BENCHMARK.json's
 #              run.sh builds it) and runs its ledger_smoke ctest: every
@@ -34,7 +37,10 @@
 #              all run under ASan here)
 #   4. tsan:   -DCSHIELD_SANITIZE=thread, concurrency_test (the shared-
 #              MetadataStore / two-front-end interleaving harness, telemetry
-#              on) + obs_test (metrics/tracer semantics under TSan) +
+#              on, and the shard batcher's collect tasks on the I/O pool: a
+#              held batch leaves its provider open to the next one, and a
+#              batching distributor torn down right after its last put
+#              loses nothing) + obs_test (metrics/tracer semantics under TSan) +
 #              chaos_test (retry/breaker layer and degraded reads under
 #              injected faults)
 #              + recovery_test (journal append path + background scrub
@@ -161,6 +167,11 @@ if grep -nE '(set_provider_lifecycle|register_provider)\(' \
     src/core/distributor.cpp; then
   echo "src/core/distributor.cpp writes fleet rows directly;" \
     "guard, then broadcast the journal record" >&2
+  exit 1
+fi
+if grep -nE 'std::thread' src/core/shard_batcher.hpp; then
+  echo "src/core/shard_batcher.hpp creates a thread;" \
+    "collect and send batches as tasks on the I/O pool" >&2
   exit 1
 fi
 cmake -B build -S . -DCSHIELD_WERROR=ON >/dev/null

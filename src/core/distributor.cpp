@@ -348,7 +348,8 @@ CloudDataDistributor::CloudDataDistributor(
   }
   if (config_.rpc_batch_shards > 1) {
     batcher_ = std::make_unique<ShardBatcher>(
-        rt_, registry_.size(), config_.rpc_batch_shards, telemetry_.get());
+        rt_, io_pool_, registry_.size(), config_.rpc_batch_shards,
+        telemetry_.get());
   }
   // Mirror registry rows into every partition's Cloud Provider Table
   // (idempotent when a shared, already-populated plane is handed in). Each
@@ -628,6 +629,9 @@ CloudDataDistributor::write_stripe(BytesView payload,
                       outcomes[s] = upload(s, targets[s],
                                            result.locations[s].virtual_id);
                     });
+  // Every batched shard is sent before a get() can rethrow a batch's
+  // exception: `encoded` backs the shards still queued.
+  for (auto& [s, fut] : batched) fut.wait();
   for (auto& [s, fut] : batched) {
     ShardBatcher::PutResult r = fut.get();
     outcomes[s].status = std::move(r.status);

@@ -84,7 +84,9 @@ struct DistributorConfig {
   /// latency-bound, not CPU-bound, so the I/O pool is wider than the
   /// compute pool (real object-store clients do the same). A stripe whose
   /// providers never wait runs its shard requests on the calling thread
-  /// and uses none of these. 0 = 4 x worker_threads.
+  /// and uses none of these. Batched shard puts (rpc_batch_shards > 1) are
+  /// collected and sent on the same pool, so this also bounds the batches
+  /// in flight. 0 = 4 x worker_threads.
   std::size_t io_threads = 0;
   /// Runtime telemetry toggle. When true the distributor records per-op
   /// trace spans and pipeline metrics into `telemetry_sink` (or, when that
@@ -101,8 +103,10 @@ struct DistributorConfig {
   /// Cross-operation shard-RPC batching (see core/shard_batcher.hpp): when
   /// > 1, the stripe writer routes every shard put through a per-provider
   /// batcher that coalesces shards from concurrent operations into one
-  /// put_many RPC, closed at `rpc_batch_shards` shards or 500 us after a
-  /// lane's first pending shard. 1 = per-shard RPCs (the pre-batching
+  /// put_many RPC, closed at `rpc_batch_shards` shards, 500 us after the
+  /// batch opened, or 50 us with no arrival. Batches are collected and
+  /// sent on the I/O pool, several per provider at once (up to
+  /// `io_threads`). 1 = per-shard RPCs (the pre-batching
   /// behavior; default -- batching trades a bounded latency wait for
   /// round-trip amortization, a good trade only under concurrent small-op
   /// load).
@@ -496,9 +500,13 @@ class CloudDataDistributor {
   /// times to `times`. Each shard's SHA-256 digest is computed with its
   /// upload. When a target can wait (any_waits) the uploads overlap as
   /// io_pool_ tasks; otherwise they run on the calling thread in shard
-  /// order, where a hand-off would cost more than the request. Safe to call
-  /// from pool_ tasks: io_pool_ tasks never submit further work, so
-  /// blocking on them cannot deadlock the compute pool.
+  /// order, where a hand-off would cost more than the request. With a
+  /// batcher, shards of providers it has a lane for go through it instead
+  /// (its collect tasks also run on io_pool_); a later joiner's shard
+  /// bypasses it. Safe to call from pool_ tasks: an io_pool_ task never
+  /// waits on another pool task (a collect submits the next one without
+  /// waiting), and each of its waits ends by the lane deadline or the RPC
+  /// deadline, so blocking on them cannot deadlock the compute pool.
   /// `pl` is the chunk's privacy level: placement picks trust-eligible
   /// providers for it, and a shard whose provider keeps failing is
   /// re-placed on another trust-eligible one (the write-quarantine path)
@@ -613,8 +621,12 @@ class CloudDataDistributor {
   std::shared_ptr<MetadataPlane> plane_;
   RequestLayer rt_;  ///< retry/breaker wrapper for every shard RPC
   PlacementPolicy placement_;
+  /// Cross-op shard-put coalescing; null when rpc_batch_shards <= 1. Its
+  /// collect tasks run on io_pool_, declared after it, so the pool joins
+  /// every one of them before the lanes are destroyed.
+  std::unique_ptr<ShardBatcher> batcher_;
   ThreadPool pool_;     ///< chunk-level pipeline stages
-  ThreadPool io_pool_;  ///< shard RPCs that can wait (leaf tasks only)
+  ThreadPool io_pool_;  ///< shard RPCs that can wait, and batch collects
   Rng chaff_rng_;
   std::atomic<std::uint64_t> id_counter_{1};
   std::uint64_t id_key_;
@@ -630,10 +642,6 @@ class CloudDataDistributor {
   mutable std::mutex ring_mu_;
   dht::HashRing ring_;
   std::unordered_set<ProviderIndex> ring_members_;
-  /// Cross-op shard-put coalescing; null when rpc_batch_shards <= 1.
-  /// Declared last: its flusher threads use rt_/telemetry_, so it must be
-  /// destroyed (drained and joined) before them.
-  std::unique_ptr<ShardBatcher> batcher_;
 };
 
 /// Models the makespan of `times` scheduled greedily onto `channels`

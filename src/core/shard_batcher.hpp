@@ -9,14 +9,24 @@
 // provider sees a steady stream of single-shard puts from different
 // stripes, and this batcher folds them into put_many RPCs.
 //
-// One lane per provider: a queue, a condition variable, and a dedicated
-// flusher thread. Writers enqueue a shard and get a future; the flusher
-// closes a batch at `batch_shards` items, at kMaxWait after the lane's
-// first pending item, or after one idle window with no arrival (whichever
-// first -- the journal's group commit closes by the same rule), sends it
-// through RequestLayer::put_many (per batch breaker/retry accounting,
-// per-shard partial-failure splitting), and completes every future with
-// its item's status.
+// One lane per provider: a queue and a condition variable, no thread.
+// Writers enqueue a shard and get a future. An enqueue onto a lane with no
+// open batch opens one and submits one collect task to the distributor's
+// I/O pool. The collect task closes the batch at `batch_shards` items, at
+// kMaxWait after the batch opened, or after one idle window with no
+// arrival (whichever first -- the journal's group commit closes by the
+// same rule), takes at most `batch_shards` items and, if shards remain,
+// opens the next batch with its own collect. Then, with the lane unlocked,
+// it sends the batch through RequestLayer::put_many (per batch
+// breaker/retry accounting, per-shard partial-failure splitting) and
+// completes every future with its item's status. An open batch has exactly
+// one collector, so no batch is empty, and a lane opens its next batch
+// while the last one's RPC runs: a provider has as many batches in flight
+// as the pool has threads.
+//
+// A collect never waits on another pool task, and each of its waits ends
+// by the lane deadline or the RPC deadline, so a caller blocked on its
+// futures always wakes, even from a task of another pool.
 //
 // Shard bytes are NOT copied: the BytesView handed to put() must stay
 // valid until its future resolves. The distributor guarantees this --
@@ -29,15 +39,16 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <future>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/request_layer.hpp"
 #include "obs/telemetry.hpp"
 #include "util/batch_close.hpp"
 #include "util/status.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cshield::core {
 
@@ -55,33 +66,27 @@ class ShardBatcher {
     std::uint32_t retries = 0;
   };
 
-  /// `rt` must outlive the batcher; `providers` sizes the lane array. A
-  /// lane flushes once it holds `batch_shards` shards. `telemetry` may be
-  /// null (no instrumentation).
-  ShardBatcher(RequestLayer& rt, std::size_t providers,
+  /// `rt` must outlive the batcher, and `pool` -- where the collect tasks
+  /// run -- must be joined before it is destroyed. `providers` sizes the
+  /// lane array. A batch closes once it holds `batch_shards` shards.
+  /// `telemetry` may be null (no instrumentation).
+  ShardBatcher(RequestLayer& rt, ThreadPool& pool, std::size_t providers,
                std::size_t batch_shards, obs::Telemetry* telemetry)
       : rt_(rt),
+        pool_(pool),
         batch_shards_(std::max<std::size_t>(batch_shards, 1)),
         telemetry_(telemetry),
         lanes_(providers) {
     if (telemetry_ != nullptr) {
-      // Cached once: the queue-depth gauge is touched on every enqueue and
-      // every flush (the health engine's batcher-backlog SLO feed).
-      depth_gauge_ = &telemetry_->metrics().gauge("cdd.shard_batch_queue_depth");
+      // Resolved once: the queue-depth gauge is touched on every enqueue
+      // (the health engine's batcher-backlog SLO feed), all four on every
+      // flush.
+      obs::MetricsRegistry& m = telemetry_->metrics();
+      depth_gauge_ = &m.gauge("cdd.shard_batch_queue_depth");
+      batches_ = &m.counter("cdd.shard_batches");
+      batch_size_ = &m.histogram("cdd.shard_batch_size");
+      flush_ns_ = &m.histogram("cdd.shard_batch_flush_ns");
     }
-    threads_.reserve(providers);
-    for (std::size_t p = 0; p < providers; ++p) {
-      threads_.emplace_back([this, p] { run_lane(p); });
-    }
-  }
-
-  ~ShardBatcher() {
-    for (Lane& lane : lanes_) {
-      std::lock_guard<std::mutex> lock(lane.mu);
-      lane.stop = true;
-      lane.cv.notify_all();
-    }
-    for (std::thread& t : threads_) t.join();
   }
 
   ShardBatcher(const ShardBatcher&) = delete;
@@ -96,26 +101,22 @@ class ShardBatcher {
   std::future<PutResult> put(ProviderIndex p, VirtualId id, BytesView data) {
     CS_REQUIRE(p < lanes_.size(), "ShardBatcher: provider out of range");
     Lane& lane = lanes_[p];
-    Pending item;
-    item.id = id;
-    item.data = data;
+    Pending item{id, data, {}};
     std::future<PutResult> result = item.promise.get_future();
-    {
-      std::lock_guard<std::mutex> lock(lane.mu);
-      if (lane.queue.empty()) {
-        lane.first_enqueue = std::chrono::steady_clock::now();
-      }
-      lane.queue.push_back(std::move(item));
-      lane.cv.notify_all();
+    if (instrumented()) depth_gauge_->add(1);
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.queue.push_back(std::move(item));
+    if (!lane.open) {
+      lane.open = true;
+      lane.opened_at = std::chrono::steady_clock::now();
+      submit_collect(p);
     }
-    if (depth_gauge_ != nullptr && telemetry_->enabled()) {
-      depth_gauge_->add(1);
-    }
+    lane.cv.notify_one();
     return result;
   }
 
  private:
-  /// Flush an under-full lane this long after its first pending shard.
+  /// Flush an under-full batch this long after it opened.
   static constexpr std::chrono::microseconds kMaxWait{500};
 
   struct Pending {
@@ -126,78 +127,86 @@ class ShardBatcher {
 
   struct Lane {
     std::mutex mu;
-    std::condition_variable cv;
+    std::condition_variable cv;  ///< wakes the open batch's collector
     std::deque<Pending> queue;
-    std::chrono::steady_clock::time_point first_enqueue;
-    bool stop = false;
+    bool open = false;  ///< a collect task owns the queued shards
+    std::chrono::steady_clock::time_point opened_at;
   };
 
-  void run_lane(std::size_t p) {
+  [[nodiscard]] bool instrumented() const {
+    return depth_gauge_ != nullptr && telemetry_->enabled();
+  }
+
+  void submit_collect(ProviderIndex p) {
+    // The future is dropped; flush() hands an RPC's exception to the
+    // items' promises, where write_stripe's get() rethrows it.
+    static_cast<void>(pool_.submit([this, p] { collect(p); }));
+  }
+
+  /// The open batch's one collector: closes it by wait_for_batch's rule
+  /// (util/batch_close.hpp), takes it, opens the next batch if shards
+  /// remain, then flushes with the lane unlocked.
+  void collect(ProviderIndex p) {
     Lane& lane = lanes_[p];
-    std::unique_lock<std::mutex> lk(lane.mu);
-    for (;;) {
-      lane.cv.wait(lk, [&] { return lane.stop || !lane.queue.empty(); });
-      if (lane.queue.empty()) return;  // stop with nothing left to flush
-      // Close the batch at batch_shards, at kMaxWait after the lane's first
-      // pending shard, or after one idle window with no arrival
-      // (util/batch_close.hpp). Shutdown flushes immediately -- enqueued
-      // shards still complete.
+    std::vector<Pending> batch;
+    {
+      std::unique_lock<std::mutex> lk(lane.mu);
       wait_for_batch(
-          lk, lane.cv, lane.first_enqueue + kMaxWait,
-          [&] { return lane.stop || lane.queue.size() >= batch_shards_; },
+          lk, lane.cv, lane.opened_at + kMaxWait,
+          [&] { return lane.queue.size() >= batch_shards_; },
           [&] { return lane.queue.size(); });
-      std::vector<Pending> batch;
       const std::size_t n = std::min(lane.queue.size(), batch_shards_);
       batch.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(lane.queue.front()));
         lane.queue.pop_front();
       }
-      if (!lane.queue.empty()) {
-        // Leftovers start the next batch's clock now, not at their
-        // original enqueue (their wait so far bought them nothing).
-        lane.first_enqueue = std::chrono::steady_clock::now();
-      }
-      if (depth_gauge_ != nullptr && telemetry_->enabled()) {
-        depth_gauge_->add(-static_cast<std::int64_t>(n));
-      }
-      lk.unlock();
-      flush(static_cast<ProviderIndex>(p), batch);
-      lk.lock();
+      // Leftovers open the next batch, its clock starting now (their wait
+      // so far bought them nothing).
+      lane.open = !lane.queue.empty();
+      lane.opened_at = std::chrono::steady_clock::now();
+      if (lane.open) submit_collect(p);
     }
+    if (instrumented()) {
+      depth_gauge_->add(-static_cast<std::int64_t>(batch.size()));
+    }
+    flush(p, batch);
   }
 
   void flush(ProviderIndex p, std::vector<Pending>& batch) {
     std::vector<storage::BatchPut> items;
     items.reserve(batch.size());
-    for (const Pending& item : batch) {
-      items.push_back(storage::BatchPut{item.id, item.data});
+    for (const Pending& item : batch) items.push_back({item.id, item.data});
+    RequestLayer::BatchOutcome rpc;
+    try {
+      rpc = rt_.put_many(p, items);
+    } catch (...) {
+      for (Pending& item : batch) {
+        item.promise.set_exception(std::current_exception());
+      }
+      return;
     }
-    RequestLayer::BatchOutcome rpc = rt_.put_many(p, items);
-    if (telemetry_ != nullptr && telemetry_->enabled()) {
-      obs::MetricsRegistry& m = telemetry_->metrics();
-      m.counter("cdd.shard_batches").inc();
-      m.histogram("cdd.shard_batch_size")
-          .observe(static_cast<double>(batch.size()));
-      m.histogram("cdd.shard_batch_flush_ns")
-          .observe(static_cast<double>(rpc.time.count()));
+    if (instrumented()) {
+      batches_->inc();
+      batch_size_->observe(static_cast<double>(batch.size()));
+      flush_ns_->observe(static_cast<double>(rpc.time.count()));
     }
     const SimDuration share = rpc.time / static_cast<std::int64_t>(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      PutResult r;
-      r.status = rpc.statuses[i];
-      r.time = share;
-      r.retries = i == 0 ? rpc.retries : 0;
-      batch[i].promise.set_value(std::move(r));
+      batch[i].promise.set_value(PutResult{std::move(rpc.statuses[i]), share,
+                                           i == 0 ? rpc.retries : 0});
     }
   }
 
   RequestLayer& rt_;
+  ThreadPool& pool_;
   const std::size_t batch_shards_;
   obs::Telemetry* telemetry_;
-  obs::Gauge* depth_gauge_ = nullptr;  ///< cdd.shard_batch_queue_depth
+  obs::Gauge* depth_gauge_ = nullptr;       ///< cdd.shard_batch_queue_depth
+  obs::Counter* batches_ = nullptr;         ///< cdd.shard_batches
+  obs::Histogram* batch_size_ = nullptr;    ///< cdd.shard_batch_size
+  obs::Histogram* flush_ns_ = nullptr;      ///< cdd.shard_batch_flush_ns
   std::vector<Lane> lanes_;
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace cshield::core

@@ -4,7 +4,12 @@
 // simulated providers; the paper (SVII-E) explicitly claims fragmentation
 // "exploits the benefit of parallel query processing", so the read/write
 // paths run provider RPCs that can block through this pool (requests that
-// never wait run inline: a hop would cost more than it overlaps). Work
+// never wait run inline: a hop would cost more than it overlaps).
+// Outside for_each, submit has one caller: core::ShardBatcher's collect
+// tasks, which nobody joins, so they cannot be a for_each. The put() that
+// opens a batch must return at once: its caller still has the stripe's
+// other shards to enqueue, and the batch also carries other operations'
+// shards. Each caller waits on its own shards' futures instead. Work
 // items are type-erased std::move_only_function-style tasks queued under
 // one mutex -- provider latencies (tens of microseconds to milliseconds
 // simulated) dwarf queue contention, so a fancier work-stealing deque would
@@ -52,7 +57,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Schedules `fn(args...)` and returns a future for its result.
+  /// Schedules `fn(args...)` and returns a future for its result. A
+  /// dropped future does not wait, and it swallows `fn`'s exception.
   template <typename Fn, typename... Args>
   [[nodiscard]] auto submit(Fn&& fn, Args&&... args)
       -> std::future<std::invoke_result_t<Fn, Args...>> {

@@ -3,17 +3,27 @@
 // two distributor front-ends that share one MetadataPlane over one provider
 // registry (the Fig. 2 multi-distributor topology). Every operation's result
 // is integrity-checked, so the test catches lost updates and torn reads as
-// well as data races. Run under -fsanitize=thread (CSHIELD_SANITIZE=thread)
-// to certify the locking.
+// well as data races. The ShardBatcherTest cases cover the batcher's
+// collect tasks on the I/O pool: a held batch leaves its provider open to
+// the next one, a distributor torn down right after its last put loses
+// nothing, and a batch RPC's exception reaches the put. Run under
+// -fsanitize=thread (CSHIELD_SANITIZE=thread) to certify the locking.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/distributor.hpp"
@@ -268,6 +278,237 @@ TEST(ConcurrencyTest, BatchedRpcAndGroupCommitSurviveClientHammer) {
 
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+/// Write-through mirror that runs `before_put` ahead of every put and
+/// put_many, then stores into memory: a hook that blocks holds a batch RPC
+/// in flight, and one that throws fails it the way a bug below the request
+/// layer would.
+class HookedMirror final : public storage::ObjectStore {
+ public:
+  explicit HookedMirror(std::function<void()> before_put)
+      : before_put_(std::move(before_put)) {}
+
+  Status put(VirtualId id, BytesView data) override {
+    before_put_();
+    return inner_.put(id, data);
+  }
+  std::vector<Status> put_many(
+      const std::vector<storage::BatchPut>& batch) override {
+    before_put_();
+    return inner_.put_many(batch);
+  }
+  [[nodiscard]] Result<Bytes> get(VirtualId id) const override {
+    return inner_.get(id);
+  }
+  Status remove(VirtualId id) override { return inner_.remove(id); }
+  [[nodiscard]] bool contains(VirtualId id) const override {
+    return inner_.contains(id);
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return inner_.object_count();
+  }
+  [[nodiscard]] std::size_t bytes_stored() const override {
+    return inner_.bytes_stored();
+  }
+  [[nodiscard]] std::vector<VirtualId> list_ids() const override {
+    return inner_.list_ids();
+  }
+
+ private:
+  std::function<void()> before_put_;
+  storage::MemoryStore inner_;
+};
+
+DistributorConfig batching_config(std::uint64_t seed) {
+  DistributorConfig config;
+  config.stripe_data_shards = 3;
+  config.misleading_fraction = 0.05;
+  config.worker_threads = 4;
+  config.seed = seed;
+  config.rpc_batch_shards = 4;
+  return config;
+}
+
+// k+1 providers, so every stripe puts a shard on every provider. While one
+// provider's first batch is held inside its RPC, a second put, which needs
+// that provider too, completes: the provider's lane opened a new batch on
+// the I/O pool instead of queueing behind the held one.
+TEST(ShardBatcherTest, HeldBatchDoesNotBlockItsProvider) {
+  DistributorConfig config = batching_config(0xB47C);
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(config.stripe_data_shards + 1);
+  CloudDataDistributor cdd(registry, config);
+  ASSERT_TRUE(cdd.register_client("alice").ok());
+  ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+
+  // The first mirror put anywhere blocks until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = true;
+  bool holding = false;
+  bool released = false;
+  auto hold_first = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    armed = false;
+    holding = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  std::vector<std::unique_ptr<HookedMirror>> mirrors;
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    mirrors.push_back(std::make_unique<HookedMirror>(hold_first));
+    registry.at(p).set_mirror(mirrors[p].get());
+  }
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  const Bytes held_data = payload_of(2048, 1);  // one chunk, one stripe
+  const Bytes next_data = payload_of(2048, 2);
+
+  Status held_status = Status::Internal("put never returned");
+  std::thread held([&] {
+    held_status = cdd.put_file("alice", "pw", "held", held_data, opts);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return holding; });
+  }
+  std::future<Status> next = std::async(std::launch::async, [&] {
+    return cdd.put_file("alice", "pw", "next", next_data, opts);
+  });
+  const bool passed_the_held_batch =
+      next.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+  held.join();
+  EXPECT_TRUE(passed_the_held_batch)
+      << "a put waited out another put's batch RPC at a shared provider";
+  const Status next_status = next.get();
+  ASSERT_TRUE(held_status.ok()) << held_status.to_string();
+  ASSERT_TRUE(next_status.ok()) << next_status.to_string();
+  for (const auto& [name, data] :
+       {std::pair{"held", &held_data}, std::pair{"next", &next_data}}) {
+    Result<Bytes> got = cdd.get_file("alice", "pw", name);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_TRUE(got.value() == *data) << name;
+  }
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    registry.at(p).set_mirror(nullptr);
+  }
+}
+
+// Threads put through a batching distributor over waiting providers, and
+// the distributor is destroyed as soon as the last put returns, while its
+// collect tasks may still be finishing on the I/O pool. Every file reads
+// back through a fresh distributor, no batch is empty, and there are no
+// more batches than shards.
+TEST(ShardBatcherTest, TeardownAfterTheLastPutSendsNoEmptyBatch) {
+  constexpr int kRounds = 6;
+  constexpr std::size_t kPutters = 4;
+  constexpr int kFiles = 3;
+  auto name_of = [](std::size_t t, int i) {
+    return "f" + std::to_string(t) + "_" + std::to_string(i);
+  };
+  auto data_of = [](std::size_t t, int i) {
+    return payload_of(512 + t * 301 + static_cast<std::size_t>(i) * 97,
+                      t * 10 + static_cast<std::size_t>(i));
+  };
+  PutOptions opts;
+  opts.privacy_level = PrivacyLevel::kModerate;
+  for (int round = 0; round < kRounds; ++round) {
+    storage::ProviderRegistry registry = storage::make_default_registry(12);
+    for (ProviderIndex p = 0; p < registry.size(); ++p) {
+      registry.at(p).set_realtime_scale(0.1);
+    }
+    auto telemetry = std::make_shared<obs::Telemetry>(true);
+    DistributorConfig config = batching_config(0x7EA0 + round);
+    config.plane = MetadataPlane::make_in_memory(1);
+    config.telemetry_sink = telemetry;
+    std::atomic<int> failures{0};
+    {
+      CloudDataDistributor cdd(registry, config);
+      ASSERT_TRUE(cdd.register_client("alice").ok());
+      ASSERT_TRUE(
+          cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+      std::vector<std::thread> putters;
+      for (std::size_t t = 0; t < kPutters; ++t) {
+        putters.emplace_back([&, t] {
+          for (int i = 0; i < kFiles; ++i) {
+            if (!cdd.put_file("alice", "pw", name_of(t, i), data_of(t, i),
+                              opts)
+                     .ok()) {
+              ++failures;
+            }
+          }
+        });
+      }
+      for (std::thread& th : putters) th.join();
+    }
+    ASSERT_EQ(failures.load(), 0) << "round " << round;
+
+    std::uint64_t shards = 0;
+    for (ProviderIndex p = 0; p < registry.size(); ++p) {
+      shards += registry.at(p).counters().puts.load();
+    }
+    const obs::MetricsRegistry::Snapshot m = telemetry->metrics().snapshot();
+    const obs::Histogram::Snapshot& sizes =
+        m.histograms.at("cdd.shard_batch_size");
+    const std::uint64_t batches = m.counters.at("cdd.shard_batches");
+    EXPECT_GT(batches, 0u) << "round " << round;
+    EXPECT_LE(batches, shards) << "round " << round;
+    EXPECT_EQ(sizes.count, batches) << "round " << round;
+    EXPECT_GE(sizes.min, 1.0) << "round " << round;
+    EXPECT_EQ(static_cast<std::uint64_t>(sizes.sum), shards)
+        << "round " << round;
+
+    config.rpc_batch_shards = 1;
+    config.telemetry_sink = nullptr;
+    CloudDataDistributor reader(registry, config);
+    for (std::size_t t = 0; t < kPutters; ++t) {
+      for (int i = 0; i < kFiles; ++i) {
+        Result<Bytes> got = reader.get_file("alice", "pw", name_of(t, i));
+        ASSERT_TRUE(got.ok()) << name_of(t, i) << ": "
+                              << got.status().to_string();
+        EXPECT_TRUE(got.value() == data_of(t, i)) << name_of(t, i);
+      }
+    }
+  }
+}
+
+// A collect task's future is dropped, so an exception from the batch RPC
+// must travel through the items' promises: the put rethrows it instead of
+// hanging or terminating. Odd providers' mirrors throw at once and even
+// ones finish later. Placement lists a stripe's cheaper targets first, and
+// the odd providers are the cheaper ones, so a stripe's first shard fails
+// while later ones are still in flight: the put must also wait for those
+// batches, which read the stripe's bytes, before it rethrows.
+TEST(ShardBatcherTest, BatchRpcExceptionReachesThePutsCaller) {
+  storage::ProviderRegistry registry = storage::make_default_registry(12);
+  std::vector<std::unique_ptr<HookedMirror>> mirrors;
+  {
+    CloudDataDistributor cdd(registry, batching_config(0xE4C7));
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kModerate).ok());
+    for (ProviderIndex p = 0; p < registry.size(); ++p) {
+      mirrors.push_back(std::make_unique<HookedMirror>([p] {
+        if (p % 2 == 1) throw std::runtime_error("mirror threw");
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }));
+      registry.at(p).set_mirror(mirrors[p].get());
+    }
+    PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kModerate;
+    EXPECT_THROW((void)cdd.put_file("alice", "pw", "f",
+                                    payload_of(8 * 4096, 3), opts),
+                 std::runtime_error);  // eight 4 KiB PL2 chunks
+  }
+  for (ProviderIndex p = 0; p < registry.size(); ++p) {
+    registry.at(p).set_mirror(nullptr);
+  }
 }
 
 // Hammers one Telemetry sink from many writer threads (counters, gauges,
