@@ -8,10 +8,18 @@
 # Stages:
 #   1. tier-1: default build with -DCSHIELD_WERROR=ON (the build stays
 #              warning-free), full ctest suite (the ROADMAP acceptance bar),
-#              and a source check that no file under src/ calls the
-#              unversioned MetadataStore::update_chunk(index, entry): every
-#              live row writer commits through the update_chunk_if version
-#              CAS; and a check that no file under src/ calls
+#              and a source check that no file under src/ calls
+#              MetadataStore::update_chunk(index, entry), which only
+#              bench_ledger's model keeps: every live row writer applies its
+#              journal record inside its partition's commit step; and a
+#              check that no file under src/ names update_chunk_if,
+#              chunk_entry_versioned or commit_row: rows carry no version,
+#              and no writer retries a compare-and-swap; and a check that
+#              src/core/distributor.cpp never appends to a journal, applies
+#              a journal record or checkpoints a journal itself: it reaches
+#              the journals only through MetadataPlane::commit and
+#              MetadataPlane::checkpoint, so each partition's journal order
+#              is its apply order; and a check that no file under src/ calls
 #              record_placement( or sync_placements(: the provider tables
 #              change only with the row write that carries their delta;
 #              and a check that src/core/distributor.cpp never calls
@@ -149,8 +157,19 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 echo "== [1/8] tier-1: build + ctest =="
 if grep -rnE '(\.|->)update_chunk\(' src |
     grep -vE 'update_chunk\(client, password,'; then
-  echo "src/ calls the unversioned MetadataStore::update_chunk;" \
-    "commit row writes through update_chunk_if" >&2
+  echo "src/ calls MetadataStore::update_chunk;" \
+    "commit row writes through the partition's commit step" >&2
+  exit 1
+fi
+if grep -rnE 'update_chunk_if|chunk_entry_versioned|commit_row' src; then
+  echo "src/ names the removed row-version CAS;" \
+    "commit row writes through the partition's commit step" >&2
+  exit 1
+fi
+if grep -nE '(\.|->)append\(|apply_journal_record\(|journal\([^)]*\)->checkpoint\(' \
+    src/core/distributor.cpp; then
+  echo "src/core/distributor.cpp reaches a journal outside the commit step;" \
+    "commit every metadata change through MetadataPlane::commit" >&2
   exit 1
 fi
 if grep -rnE '(record_placement|sync_placements)\(' src; then

@@ -46,35 +46,6 @@ bool counts_agree(const raid::StripeLayout& layout,
          digests.size() == stripe.size();
 }
 
-/// A committed client row write: the row as written, and the locations the
-/// replaced row held that it does not.
-struct RowCommit {
-  ChunkEntry row;
-  std::vector<ShardLocation> retired;
-};
-
-/// The commit of every client row write: writes next(row) over chunk row
-/// `index` by version CAS against `row`, the row as read. The store moves
-/// the provider tables with the row, and the caller deletes the retired
-/// locations at providers after its journal append. A lost race re-reads
-/// the row and rebuilds from it; `next` does no I/O, and every loss means
-/// another writer committed. NotFound once the row is deleted.
-Result<RowCommit> commit_row(
-    MetadataStore& md, std::size_t index,
-    Result<MetadataStore::VersionedChunk> row,
-    const std::function<ChunkEntry(const ChunkEntry&)>& next) {
-  for (;; row = md.chunk_entry_versioned(index)) {
-    if (!row.ok()) return row.status();
-    const MetadataStore::VersionedChunk& read = row.value();
-    if (read.entry.deleted) return Status::NotFound("chunk removed");
-    RowCommit out{next(read.entry), {}};
-    out.retired = retired_locations(read.entry, out.row);
-    Status st = md.update_chunk_if(index, out.row, read.version);
-    if (st.ok()) return out;
-    if (st.code() != ErrorCode::kFailedPrecondition) return st;
-  }
-}
-
 }  // namespace
 
 SimDuration parallel_makespan(std::vector<SimDuration> times,
@@ -355,15 +326,15 @@ CloudDataDistributor::CloudDataDistributor(
   // (idempotent when a shared, already-populated plane is handed in). Each
   // partition is topped up independently -- a crash mid-broadcast leaves
   // some partitions a row short, and this loop heals them -- and each new
-  // row is journaled to that partition's own WAL: replay onto an empty
+  // row is committed to that partition's own WAL: replay onto an empty
   // store must know the providers before any chunk row places shards on
   // them.
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    MetadataStore& part = plane_->store(s);
-    for (ProviderIndex i = part.provider_count(); i < registry_.size(); ++i) {
-      const JournalRecord rec = provider_record(i, registry_.lifecycle(i));
-      Status st = apply_journal_record(part, rec);
-      if (st.ok()) st = journal_append(rec, s);
+    for (ProviderIndex i = plane_->store(s).provider_count();
+         i < registry_.size(); ++i) {
+      const Status st = commit(s, [&](const MetadataStore&) {
+        return provider_record(i, registry_.lifecycle(i));
+      });
       CS_REQUIRE(st.ok(), "provider top-up at startup: " + st.to_string());
     }
   }
@@ -377,14 +348,13 @@ CloudDataDistributor::CloudDataDistributor(
   }
 }
 
-Status CloudDataDistributor::journal_append(const JournalRecord& rec,
-                                            std::size_t shard) {
-  Journal* j = plane_->journal(shard);
-  if (j == nullptr) return Status::Ok();
-  CS_RETURN_IF_ERROR(j->append(rec));
+Status CloudDataDistributor::commit(std::size_t shard,
+                                    const MetadataPlane::RecordBuilder& build) {
+  CS_RETURN_IF_ERROR(plane_->commit(shard, build));
   // Auto-checkpoint folds only the shard whose journal hit the interval --
   // the other partitions' lanes are untouched.
-  if (config_.checkpoint_interval > 0 &&
+  const Journal* j = plane_->journal(shard);
+  if (j != nullptr && config_.checkpoint_interval > 0 &&
       !plane_->checkpoint_path(shard).empty() &&
       j->record_count() >= config_.checkpoint_interval) {
     return checkpoint_shard(shard);
@@ -392,15 +362,15 @@ Status CloudDataDistributor::journal_append(const JournalRecord& rec,
   return Status::Ok();
 }
 
-Status CloudDataDistributor::broadcast(const JournalRecord& rec) {
-  // Apply everywhere, then append everywhere -- the order every op keeps:
-  // a checkpoint that folds the record out of a journal has already
-  // captured its row in that partition's image.
+Status CloudDataDistributor::broadcast(
+    const JournalRecord& rec,
+    const std::function<Status(const MetadataStore&)>& guard) {
   for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    CS_RETURN_IF_ERROR(apply_journal_record(plane_->store(s), rec));
-  }
-  for (std::size_t s = 0; s < plane_->shard_count(); ++s) {
-    CS_RETURN_IF_ERROR(journal_append(rec, s));
+    CS_RETURN_IF_ERROR(
+        commit(s, [&](const MetadataStore& store) -> Result<JournalRecord> {
+          if (s == 0 && guard) CS_RETURN_IF_ERROR(guard(store));
+          return rec;
+        }));
   }
   return Status::Ok();
 }
@@ -419,21 +389,7 @@ JournalRecord CloudDataDistributor::provider_record(
 }
 
 Status CloudDataDistributor::checkpoint_shard(std::size_t shard) {
-  Journal* j = plane_->journal(shard);
-  if (j == nullptr) {
-    return Status::InvalidArgument("checkpoint: no journal configured");
-  }
-  if (plane_->checkpoint_path(shard).empty()) {
-    return Status::InvalidArgument("checkpoint: no checkpoint path");
-  }
-  const std::uint32_t count =
-      static_cast<std::uint32_t>(plane_->shard_count());
-  Status st = j->checkpoint(
-      [this, shard, count] {
-        return serialize_metadata(plane_->store(shard),
-                                  static_cast<std::uint32_t>(shard), count);
-      },
-      plane_->checkpoint_path(shard));
+  const Status st = plane_->checkpoint(shard);
   if (st.ok() && telemetry_->enabled()) {
     telemetry_->metrics().counter("cdd.checkpoints").inc();
   }
@@ -453,24 +409,31 @@ Status CloudDataDistributor::register_client(const std::string& name) {
   // broadcast then gives every partition the row, so any front-end can
   // authenticate against any shard and each shard journal stays
   // self-contained for parallel recovery.
-  CS_RETURN_IF_ERROR(plane_->store(0).register_client(name));
   JournalRecord rec;
   rec.op = JournalOp::kRegisterClient;
   rec.client = name;
-  return broadcast(rec);
+  return broadcast(rec, [&](const MetadataStore& store) {
+    return store.client_entry(name).ok()
+               ? Status::AlreadyExists("client " + name)
+               : Status::Ok();
+  });
 }
 
 Status CloudDataDistributor::add_password(const std::string& client,
                                           const std::string& password,
                                           PrivacyLevel pl) {
   if (password.empty()) return Status::InvalidArgument("empty password");
-  CS_RETURN_IF_ERROR(plane_->store(0).add_password(client, password, pl));
   JournalRecord rec;
   rec.op = JournalOp::kAddPassword;
   rec.client = client;
   rec.filename = password;
   rec.level = static_cast<std::uint8_t>(pl);
-  return broadcast(rec);
+  return broadcast(rec, [&](const MetadataStore& store) {
+    // Any registered password authenticates; only a new one may be added.
+    const Status known = store.authenticate(client, password).status();
+    if (known.ok()) return Status::AlreadyExists("password already registered");
+    return known.code() == ErrorCode::kNotFound ? known : Status::Ok();
+  });
 }
 
 Result<PrivacyLevel> CloudDataDistributor::authorize(
@@ -833,11 +796,9 @@ Result<CloudDataDistributor::ChunkTarget> CloudDataDistributor::lookup_chunk(
                             std::to_string(serial));
   }
   target.ref = std::move(*ref);
-  Result<MetadataStore::VersionedChunk> row =
-      md.chunk_entry_versioned(target.ref.chunk_index);
+  Result<ChunkEntry> row = md.chunk_entry(target.ref.chunk_index);
   if (!row.ok()) return row.status();
-  target.entry = std::move(row.value().entry);
-  target.version = row.value().version;
+  target.entry = std::move(row).value();
   return target;
 }
 
@@ -957,8 +918,7 @@ Status CloudDataDistributor::put_file(const std::string& client,
   op.bytes_logical = data.size();
 
   // One seal per chunk. `stripe` duplicates entry.stripe so rollback still
-  // knows the shard locations after the entry moves into the metadata
-  // commit.
+  // knows the shard locations after the entry moves into the commit record.
   struct ChunkOutcome {
     Status status = Status::Ok();
     ChunkEntry entry;
@@ -987,8 +947,8 @@ Status CloudDataDistributor::put_file(const std::string& client,
   });
 
   // A failed chunk must not orphan its siblings: drop every stripe this
-  // call wrote, then free the filename claim. Nothing was journaled, so
-  // nothing is journaled to undo it.
+  // call wrote, then free the filename claim. The claim was never
+  // journaled, so its release is not journaled either.
   auto rollback = [&](const Status& error) {
     op.rolled_back = true;
     for (const ChunkOutcome& out : outcomes) {
@@ -1007,50 +967,34 @@ Status CloudDataDistributor::put_file(const std::string& client,
     if (!out.status.ok()) return rollback(out.status);
   }
 
-  // Commit the refs in serial order. The claim makes interference from
-  // other writers impossible, so a failure here is exceptional -- but it
-  // still unwinds to zero shards and zero refs.
-  std::vector<std::size_t> committed;
-  committed.reserve(chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    ChunkOutcome& out = outcomes[i];
-    Result<std::size_t> idx = md.add_chunk(
-        client, filename, chunks[i].serial, std::move(out.entry));
-    if (!idx.ok()) {
-      // A committed row may already have had a shard moved: tombstone the
-      // fresh row and drop the shards it held, not the ones sealed here.
-      for (std::size_t j = 0; j < committed.size(); ++j) {
-        Result<RowCommit> tomb =
-            commit_row(md, committed[j],
-                       md.chunk_entry_versioned(committed[j]), tombstone_of);
-        if (tomb.ok()) outcomes[j].stripe = std::move(tomb.value().retired);
-        (void)md.unlink_chunk(client, filename, chunks[j].serial);
-      }
-      return rollback(idx.status());
-    }
-    committed.push_back(idx.value());
+  // Durability commit point: one kCommitPut carries every chunk row at
+  // the partition's next free indices, and the commit step links them all
+  // at once. Only after the step returns may the client treat the file as
+  // stored -- so a journal failure is a put failure.
+  const Status committed =
+      commit(shard, [&](const MetadataStore& store) {
+        JournalRecord rec;
+        rec.op = JournalOp::kCommitPut;
+        rec.client = client;
+        rec.filename = filename;
+        const std::size_t base = store.total_chunks();
+        rec.chunks.reserve(chunks.size());
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+          rec.chunks.push_back(JournalChunk{chunks[i].serial, base + i,
+                                            std::move(outcomes[i].entry)});
+        }
+        return rec;
+      });
+  if (!committed.ok()) {
+    // put_chunks_at links every row or none. None: roll back. All (the
+    // journal write failed after the apply): the rows stay, as an
+    // update's do, and the put reports the error.
+    if (md.file_chunks(client, filename).empty()) return rollback(committed);
+    return op.finish(committed, report);
+  }
+  for (const ChunkOutcome& out : outcomes) {
     op.bytes_stored += out.bytes_stored;
     op.shards += file_row.layout.total_shards();
-  }
-  // Durability commit point: journal every chunk row with its explicit
-  // table index (local to the owning partition). Only after this append may
-  // the client treat the file as stored -- so a journal failure is a put
-  // failure.
-  if (journaling()) {
-    JournalRecord rec;
-    rec.op = JournalOp::kCommitPut;
-    rec.client = client;
-    rec.filename = filename;
-    rec.chunks.reserve(committed.size());
-    for (std::size_t i = 0; i < committed.size(); ++i) {
-      Result<ChunkEntry> row = md.chunk_entry(committed[i]);
-      if (!row.ok()) return op.finish(row.status(), report);
-      rec.chunks.push_back(JournalChunk{chunks[i].serial, committed[i],
-                                        std::move(row).value()});
-    }
-    if (Status st = journal_append(rec, shard); !st.ok()) {
-      return op.finish(st, report);
-    }
   }
   return op.finish(Status::Ok(), report);
 }
@@ -1197,7 +1141,6 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   const std::size_t shard = target.value().shard;
   const std::size_t index = target.value().ref.chunk_index;
   const ChunkEntry& entry = target.value().entry;
-  MetadataStore& md = plane_->store(shard);
 
   OpScope op(*this, "update_chunk", client, filename);
   op.chunk_serial = serial;
@@ -1214,41 +1157,48 @@ Status CloudDataDistributor::update_chunk(const std::string& client,
   // 2. Promote: "snapshot provider stores the pre-state and cloud provider
   //    stores the post-state of a chunk after each modification" (Table
   //    III). The current stripe becomes the snapshot where it lies, still
-  //    protected as it was, and the sealed stripe becomes current. A stale
-  //    promotion could snapshot a shard a concurrent move already deleted,
-  //    so the commit is a version CAS.
-  Result<RowCommit> committed = commit_row(
-      md, index, MetadataStore::VersionedChunk{entry, target.value().version},
-      [&sealed](const ChunkEntry& row) {
+  //    protected as it was, and the sealed stripe becomes current. The
+  //    commit step promotes the row as it stands under the partition's
+  //    commit mutex, so a shard a concurrent move re-homed is snapshotted
+  //    at its new home.
+  std::vector<ShardLocation> retired;
+  bool built = false;
+  const Status committed =
+      commit(shard, [&](const MetadataStore& store) -> Result<JournalRecord> {
+        Result<ChunkEntry> row = store.chunk_entry(index);
+        if (!row.ok()) return row.status();
+        const ChunkEntry& cur = row.value();
+        if (cur.deleted) return Status::NotFound("chunk removed");
         ChunkEntry next = sealed;
-        next.snapshot = row.stripe;
-        next.snapshot_digests = row.shard_digests;
-        next.snapshot_misleading = row.misleading;
-        next.snapshot_padded_size = row.padded_size;
-        next.snapshot_protection = row.protection;
-        next.snapshot_protect_nonce = row.protect_nonce;
-        next.snapshot_protect_bytes = row.protect_bytes;
+        next.snapshot = cur.stripe;
+        next.snapshot_digests = cur.shard_digests;
+        next.snapshot_misleading = cur.misleading;
+        next.snapshot_padded_size = cur.padded_size;
+        next.snapshot_protection = cur.protection;
+        next.snapshot_protect_nonce = cur.protect_nonce;
+        next.snapshot_protect_bytes = cur.protect_bytes;
         next.has_snapshot = true;
-        return next;
+        retired = retired_locations(cur, next);
+        built = true;
+        JournalRecord rec;
+        rec.op = JournalOp::kUpdateChunk;
+        rec.client = client;
+        rec.filename = filename;
+        rec.chunks.push_back(JournalChunk{serial, index, std::move(next)});
+        return rec;
       });
   if (!committed.ok()) {
-    op.rolled_back = true;
-    drop_stripe(sealed.stripe, &op.times);
-    return op.finish(committed.status(), report);
-  }
-  JournalRecord rec;
-  rec.op = JournalOp::kUpdateChunk;
-  rec.client = client;
-  rec.filename = filename;
-  rec.chunks.push_back(
-      JournalChunk{serial, index, std::move(committed.value().row)});
-  if (Status st = journal_append(rec, shard); !st.ok()) {
-    return op.finish(st, report);
+    // Unbuilt, the sealed stripe is in no row; built, the row holds it.
+    if (!built) {
+      op.rolled_back = true;
+      drop_stripe(sealed.stripe, &op.times);
+    }
+    return op.finish(committed, report);
   }
 
   // 3. Only now, with the new row durable, delete the superseded snapshot:
   //    a crash mid-drop leaves only orphans.
-  drop_stripe(committed.value().retired, &op.times);
+  drop_stripe(retired, &op.times);
 
   op.chunks = 1;
   op.shards = entry.layout.total_shards();
@@ -1281,40 +1231,40 @@ Status CloudDataDistributor::remove_refs(const std::string& client,
                                          const std::string& filename,
                                          const FileTarget& target,
                                          JournalOp kind) {
-  MetadataStore& md = plane_->store(target.shard);
   const std::vector<ChunkRef>& refs = target.refs;
   const bool one_chunk = kind == JournalOp::kRemoveChunk;
   OpScope op(*this, one_chunk ? "remove_chunk" : "remove_file", client,
              filename);
   op.chunks = refs.size();
   if (one_chunk) op.chunk_serial = refs.front().serial;
-  JournalRecord rec;
-  rec.op = kind;
-  rec.client = client;
-  rec.filename = filename;
-  rec.chunks.reserve(refs.size());
-  // Each row is tombstoned from its fresh version, so the shards dropped
-  // below are the ones it held then, a concurrent move's new copies too.
-  std::vector<std::vector<ShardLocation>> retired(refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    const std::size_t index = refs[i].chunk_index;
-    Result<RowCommit> tomb =
-        commit_row(md, index, md.chunk_entry_versioned(index), tombstone_of);
-    Status st = tomb.ok() ? md.unlink_chunk(client, filename, refs[i].serial)
-                          : tomb.status();
-    if (!st.ok()) return op.finish(st);
-    retired[i] = std::move(tomb.value().retired);
-    rec.chunks.push_back(JournalChunk{refs[i].serial, index, {}});
-  }
-  if (Status st = journal_append(rec, target.shard); !st.ok()) {
-    return op.finish(st);
-  }
+  // Each row is tombstoned as it stands in the commit step, so the shards
+  // dropped below are the ones it held then, a concurrent move's too.
+  std::vector<std::vector<ShardLocation>> held(refs.size());
+  const Status committed = commit(
+      target.shard,
+      [&](const MetadataStore& store) -> Result<JournalRecord> {
+        JournalRecord rec;
+        rec.op = kind;
+        rec.client = client;
+        rec.filename = filename;
+        rec.chunks.reserve(refs.size());
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+          Result<ChunkEntry> row = store.chunk_entry(refs[i].chunk_index);
+          if (!row.ok()) return row.status();
+          if (row.value().deleted) return Status::NotFound("chunk removed");
+          held[i] = retired_locations(row.value(), tombstone_of(row.value()));
+          rec.chunks.push_back(
+              JournalChunk{refs[i].serial, refs[i].chunk_index, {}});
+        }
+        return rec;
+      });
+  if (!committed.ok()) return op.finish(committed);
 
   // Each task owns its slot in `drop_times`, so no lock is needed; the
   // slots merge into the op accumulator after for_each joins.
   std::vector<std::vector<SimDuration>> drop_times(refs.size());
   pool_.for_each(refs.size(), true, [&](std::size_t i) {
-    drop_stripe(retired[i], &drop_times[i]);
+    drop_stripe(held[i], &drop_times[i]);
   });
   for (const std::vector<SimDuration>& t : drop_times) {
     op.shards += t.size();
@@ -1338,163 +1288,169 @@ Result<RewriteStats> CloudDataDistributor::rewrite_chunk(
   // `index` is a global chunk index; sparse globals resolve to NotFound.
   const std::size_t part = plane_->shard_of_index(index);
   const std::size_t local = plane_->local_index(index);
-  MetadataStore& md = plane_->store(part);
-  // The row is read-modify-written while client writes and other walks may
-  // rewrite it, so the commit is a version CAS: a stale rewrite must never
-  // overwrite a newer row and then delete copies that row references. A lost
-  // race deletes this attempt's new copies and redoes from the fresh row.
-  constexpr int kCasAttempts = 8;
-  for (int attempt = 0; attempt < kCasAttempts; ++attempt) {
-    RewriteStats stats;
-    Result<MetadataStore::VersionedChunk> row =
-        md.chunk_entry_versioned(local);
-    if (!row.ok()) return stats;  // sparse global: nothing to rewrite
-    ChunkEntry entry = std::move(row.value().entry);
-    const std::uint64_t row_version = row.value().version;
-    if (entry.deleted) return stats;
-    if (join &&
-        !privileged_for(registry_.at(policy.subject).descriptor().privacy_level,
-                        entry.privacy_level)) {
-      return stats;  // joiner not trusted at this sensitivity: steals nothing
-    }
-
-    // `placed` are the new copies, which the row commit brings into the
-    // provider tables with it. `doomed` are the retired copies that
-    // answered the fetch: deleted after the commit.
-    std::vector<ShardLocation> placed;
-    std::vector<ShardLocation> doomed;
-    auto rewrite_stripe = [&](std::vector<ShardLocation>& stripe,
-                              const std::vector<crypto::Digest>& digests) {
-      if (!counts_agree(entry.layout, stripe, digests)) {
-        ++stats.errors;  // a malformed row: nothing here can be trusted
-        return;
-      }
-      using Held = ShardRead::Held;
-      std::vector<std::optional<Held>> held(stripe.size());  // null: unprobed
-      std::vector<std::optional<Bytes>> shards(stripe.size());
-      // Fetches and digest-checks the unprobed shards `wanted` picks.
-      auto probe = [&](auto wanted) {
-        std::vector<std::size_t> idxs;
-        for (std::size_t t = 0; t < stripe.size(); ++t) {
-          if (!held[t].has_value() && wanted(t)) idxs.push_back(t);
-        }
-        std::vector<ShardRead> reads =
-            fetch_shards(entry.layout, stripe, digests, idxs, attempts, {});
-        for (std::size_t i = 0; i < idxs.size(); ++i) {
-          const std::size_t t = idxs[i];
-          held[t] = reads[i].held;
-          shards[t] = std::move(reads[i].data);
-          if (reads[i].held == Held::kCorrupt) {
-            ++stats.mismatches;
-            if (policy.scrub) {
-              registry_.at(stripe[t].provider).note_scrub_error();
-            }
-          }
-        }
-      };
-      if (policy.kind == Kind::kHeal) probe([](std::size_t) { return true; });
-
-      bool subject_in_stripe = false;
-      for (const ShardLocation& loc : stripe) {
-        if (loc.provider == policy.subject) subject_in_stripe = true;
-      }
-      for (std::size_t s = 0; s < stripe.size(); ++s) {
-        const ShardLocation old = stripe[s];
-        bool affected = false;
-        switch (policy.kind) {
-          case Kind::kHeal:
-            affected = held[s] != Held::kIntact;
-            break;
-          case Kind::kMigrate:
-            // A join takes the arc the joiner stole. Stripe members stay on
-            // distinct providers, so a stripe yields the joiner at most one
-            // shard and a re-run skips a stripe it already holds a shard of.
-            affected = join ? !subject_in_stripe &&
-                                  ring_owner(old.virtual_id) == policy.subject
-                            : old.provider == policy.subject;
-            break;
-          case Kind::kDemote:
-            affected = !privileged_for(
-                registry_.at(old.provider).descriptor().privacy_level,
-                entry.privacy_level);
-            break;
-        }
-        if (!affected) continue;
-
-        probe([s](std::size_t t) { return t == s; });
-        if (!shards[s].has_value()) {
-          // Lost or corrupt: rebuild it from the survivors.
-          probe([s](std::size_t t) { return t != s; });
-          Result<Bytes> rebuilt =
-              raid::reconstruct_shard(entry.layout, shards, s);
-          if (!rebuilt.ok()) {
-            ++stats.errors;  // below RAID tolerance right now: next pass
-            continue;
-          }
-          shards[s] = std::move(rebuilt).value();
-        }
-
-        // A drain prefers the shard key's ring successors.
-        const ProviderIndex home =
-            join ? policy.subject
-                 : replacement_target(entry.privacy_level, stripe,
-                                      policy.kind == Kind::kMigrate
-                                          ? std::optional(old.virtual_id)
-                                          : std::nullopt);
-        if (home == kNoProvider) {
-          ++stats.errors;  // no qualifying provider this pass
-          continue;
-        }
-        const VirtualId id = next_virtual_id();
-        if (!rt_.put(home, id, *shards[s]).status.ok()) {
-          ++stats.errors;
-          continue;
-        }
-        placed.push_back(ShardLocation{home, id});
-        // A missing or breaker-rejected copy gets no delete RPC: reconcile()
-        // sweeps it if it ever comes back.
-        if (held[s] != Held::kMissing) doomed.push_back(old);
-        stripe[s] = placed.back();
-        ++stats.moved;
-        stats.bytes += shards[s]->size();
-        if (join) subject_in_stripe = true;
-      }
-    };
-    rewrite_stripe(entry.stripe, entry.shard_digests);
-    if (entry.has_snapshot) {
-      rewrite_stripe(entry.snapshot, entry.snapshot_digests);
-    }
-    if (stats.moved == 0) {
-      // A shard that a concurrent client rewrite already dropped fails its
-      // fetch: errors only count against the row as it still stands.
-      if (stats.errors != 0 &&
-          md.chunk_entry_versioned(local).value().version != row_version) {
-        continue;
-      }
-      return stats;
-    }
-
-    Status updated = md.update_chunk_if(local, entry, row_version);
-    if (!updated.ok()) {
-      // The new copies never became referenced: delete them so the lost
-      // race leaves no orphans behind.
-      drop_stripe(placed, nullptr);
-      if (updated.code() == ErrorCode::kFailedPrecondition) continue;
-      return updated;
-    }
-    JournalRecord rec;
-    rec.op = JournalOp::kUpdateChunk;
-    rec.chunks.push_back(JournalChunk{0, local, std::move(entry)});
-    CS_RETURN_IF_ERROR(journal_append(rec, part));
-    // The new locations are durable; the old copies can go.
-    drop_stripe(doomed, nullptr);
-    return stats;
+  RewriteStats stats;
+  // Probes, reconstructions and uploads run from the row as read, with no
+  // lock held; client writes and other walks may change the row meanwhile.
+  // The commit step below applies the moves to the row as it then stands.
+  Result<ChunkEntry> row = plane_->store(part).chunk_entry(local);
+  if (!row.ok()) return stats;  // sparse global: nothing to rewrite
+  ChunkEntry entry = std::move(row).value();
+  if (entry.deleted) return stats;
+  if (join &&
+      !privileged_for(registry_.at(policy.subject).descriptor().privacy_level,
+                      entry.privacy_level)) {
+    return stats;  // joiner not trusted at this sensitivity: steals nothing
   }
 
-  // Every attempt lost its CAS (a hot row): one error, so the pass reports
-  // incomplete and a later one revisits the chunk.
-  RewriteStats stats;
-  stats.errors = 1;
+  // A copy placed at its new home, for the commit to apply. `answered`:
+  // the old copy answered its fetch, so it is deleted after the commit.
+  struct Copy {
+    ShardLocation from;
+    ShardLocation to;
+    bool answered = false;
+    std::size_t bytes = 0;
+  };
+  std::vector<Copy> copies;
+  std::vector<ShardLocation> unmoved;  // affected shards this pass left
+  auto rewrite_stripe = [&](std::vector<ShardLocation>& stripe,
+                            const std::vector<crypto::Digest>& digests) {
+    if (!counts_agree(entry.layout, stripe, digests)) {
+      ++stats.errors;  // a malformed row: nothing here can be trusted
+      return;
+    }
+    using Held = ShardRead::Held;
+    std::vector<std::optional<Held>> held(stripe.size());  // null: unprobed
+    std::vector<std::optional<Bytes>> shards(stripe.size());
+    // Fetches and digest-checks the unprobed shards `wanted` picks.
+    auto probe = [&](auto wanted) {
+      std::vector<std::size_t> idxs;
+      for (std::size_t t = 0; t < stripe.size(); ++t) {
+        if (!held[t].has_value() && wanted(t)) idxs.push_back(t);
+      }
+      std::vector<ShardRead> reads =
+          fetch_shards(entry.layout, stripe, digests, idxs, attempts, {});
+      for (std::size_t i = 0; i < idxs.size(); ++i) {
+        const std::size_t t = idxs[i];
+        held[t] = reads[i].held;
+        shards[t] = std::move(reads[i].data);
+        if (reads[i].held == Held::kCorrupt) {
+          ++stats.mismatches;
+          if (policy.scrub) {
+            registry_.at(stripe[t].provider).note_scrub_error();
+          }
+        }
+      }
+    };
+    if (policy.kind == Kind::kHeal) probe([](std::size_t) { return true; });
+
+    bool subject_in_stripe = false;
+    for (const ShardLocation& loc : stripe) {
+      if (loc.provider == policy.subject) subject_in_stripe = true;
+    }
+    for (std::size_t s = 0; s < stripe.size(); ++s) {
+      const ShardLocation old = stripe[s];
+      bool affected = false;
+      switch (policy.kind) {
+        case Kind::kHeal:
+          affected = held[s] != Held::kIntact;
+          break;
+        case Kind::kMigrate:
+          // A join takes the arc the joiner stole. Stripe members stay on
+          // distinct providers, so a stripe yields the joiner at most one
+          // shard and a re-run skips a stripe it already holds a shard of.
+          affected = join ? !subject_in_stripe &&
+                                ring_owner(old.virtual_id) == policy.subject
+                          : old.provider == policy.subject;
+          break;
+        case Kind::kDemote:
+          affected = !privileged_for(
+              registry_.at(old.provider).descriptor().privacy_level,
+              entry.privacy_level);
+          break;
+      }
+      if (!affected) continue;
+
+      probe([s](std::size_t t) { return t == s; });
+      if (!shards[s].has_value()) {
+        // Lost or corrupt: rebuild it from the survivors.
+        probe([s](std::size_t t) { return t != s; });
+        Result<Bytes> rebuilt =
+            raid::reconstruct_shard(entry.layout, shards, s);
+        if (!rebuilt.ok()) {
+          unmoved.push_back(old);  // below RAID tolerance right now
+          continue;
+        }
+        shards[s] = std::move(rebuilt).value();
+      }
+
+      // A drain prefers the shard key's ring successors.
+      const ProviderIndex home =
+          join ? policy.subject
+               : replacement_target(entry.privacy_level, stripe,
+                                    policy.kind == Kind::kMigrate
+                                        ? std::optional(old.virtual_id)
+                                        : std::nullopt);
+      if (home == kNoProvider) {
+        unmoved.push_back(old);  // no qualifying provider this pass
+        continue;
+      }
+      const VirtualId id = next_virtual_id();
+      if (!rt_.put(home, id, *shards[s]).status.ok()) {
+        unmoved.push_back(old);
+        continue;
+      }
+      // A missing or breaker-rejected copy gets no delete RPC: reconcile()
+      // sweeps it if it ever comes back.
+      copies.push_back(Copy{old, ShardLocation{home, id},
+                            held[s] != Held::kMissing, shards[s]->size()});
+      stripe[s] = copies.back().to;
+      if (join) subject_in_stripe = true;
+    }
+  };
+  rewrite_stripe(entry.stripe, entry.shard_digests);
+  if (entry.has_snapshot) {
+    rewrite_stripe(entry.snapshot, entry.snapshot_digests);
+  }
+  if (copies.empty() && unmoved.empty()) return stats;
+
+  // The commit applies each copy to the row as it stands under the
+  // partition's commit mutex, by the move rule (apply_move), and journals
+  // the result. A shard this pass could not move is an error only while
+  // that row still holds it: a concurrent update may have dropped it.
+  std::vector<ShardLocation> doomed;   // retired copies, deleted after
+  std::vector<ShardLocation> surplus;  // new copies no move applied
+  const Status committed =
+      commit(part, [&](const MetadataStore& store) -> Result<JournalRecord> {
+        ChunkEntry next = store.chunk_entry(local).value();
+        for (const ShardLocation& loc : unmoved) {
+          if (holds(next, loc)) ++stats.errors;
+        }
+        for (const Copy& c : copies) {
+          switch (apply_move(next, c.from, c.to)) {
+            case MoveOutcome::kApplied:
+              ++stats.moved;
+              stats.bytes += c.bytes;
+              if (c.answered) doomed.push_back(c.from);
+              continue;
+            case MoveOutcome::kCollides:
+              ++stats.errors;
+              break;
+            case MoveOutcome::kGone:
+              break;
+          }
+          surplus.push_back(c.to);
+        }
+        if (stats.moved == 0) return Status::NotFound("no move applies");
+        JournalRecord rec;
+        rec.op = JournalOp::kUpdateChunk;
+        rec.chunks.push_back(JournalChunk{0, local, std::move(next)});
+        return rec;
+      });
+  drop_stripe(surplus, nullptr);
+  if (stats.moved == 0) return stats;
+  CS_RETURN_IF_ERROR(committed);
+  // The new locations are durable; the old copies can go.
+  drop_stripe(doomed, nullptr);
   return stats;
 }
 
@@ -1593,13 +1549,13 @@ CloudDataDistributor::reconcile(
   //    A crashed live put leaves just the shards swept above. Claim and
   //    abort record both live in the file's owning partition.
   for (const auto& [client, filename] : in_flight) {
-    const std::size_t shard = plane_->shard_of(client, filename);
-    plane_->store(shard).release_file(client, filename);
     JournalRecord rec;
     rec.op = JournalOp::kAbortPut;
     rec.client = client;
     rec.filename = filename;
-    if (Status st = journal_append(rec, shard); !st.ok()) {
+    if (Status st = commit(plane_->shard_of(client, filename),
+                           [&](const MetadataStore&) { return rec; });
+        !st.ok()) {
       return op.finish(st);
     }
     ++report.aborted_files;

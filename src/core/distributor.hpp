@@ -27,6 +27,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -244,10 +245,12 @@ class CloudDataDistributor {
   // --- modification & snapshots (Table III's SP column) ------------------
 
   /// Overwrites one chunk's payload by promotion: the new payload is sealed
-  /// into a fresh stripe, and one version-CAS row commit makes the current
-  /// stripe the snapshot -- left on its providers, protected as it was --
-  /// and the sealed stripe current. The superseded snapshot is deleted
-  /// after the journal append. No stripe is read back or copied.
+  /// into a fresh stripe, and one commit step makes the row's current
+  /// stripe, as it stands under the partition's commit mutex, the snapshot
+  /// -- left on its providers, protected as it was -- and the sealed stripe
+  /// current. NotFound when the row was removed meanwhile (the sealed
+  /// stripe is dropped). The superseded snapshot is deleted after the
+  /// record is durable. No stripe is read back or copied.
   Status update_chunk(const std::string& client, const std::string& password,
                       const std::string& filename, std::uint64_t serial,
                       BytesView new_data, OpReport* report = nullptr);
@@ -288,15 +291,20 @@ class CloudDataDistributor {
 
   /// Rewrites one chunk (stripe and snapshot) under `policy`, which picks
   /// the affected shards and their new homes. The rest is fixed: read the
-  /// versioned row; fetch each affected shard through the request layer and
-  /// check its digest, RAID-reconstructing it from digest-checked survivors
-  /// on a miss or mismatch; put it at its new home; commit the row by
-  /// version CAS plus a kUpdateChunk journal record; then delete the retired
-  /// copies that answered. Copy-commit-delete means a crash leaves orphan
-  /// duplicates for reconcile(), never a hole, and a re-run finds moved
-  /// shards already home. A lost CAS deletes the new copies and redoes from
-  /// the fresh row (8 attempts); a shard that cannot be fetched or placed
-  /// counts in `errors` and stays where it is.
+  /// row; fetch each affected shard through the request layer and check
+  /// its digest, RAID-reconstructing it from digest-checked survivors on a
+  /// miss or mismatch; put it at its new home -- all with no lock held;
+  /// then one commit step applies each move (old -> new) to the row as it
+  /// stands under the partition's commit mutex, by the move rule
+  /// (apply_move: wherever the row still holds `old`, current or snapshot
+  /// column, unless the new home collides with another member of that
+  /// column), and journals one kUpdateChunk; then the retired copies that
+  /// answered are deleted. The copies of moves that did not apply are
+  /// deleted after the step; a collision counts in `errors`. Copy-commit-
+  /// delete means a crash leaves orphan duplicates for reconcile(), never a
+  /// hole, and a re-run finds moved shards already home. A shard that
+  /// cannot be fetched or placed stays where it is, and counts in `errors`
+  /// while the row still holds it.
   Result<RewriteStats> rewrite_chunk(std::size_t index,
                                      const MovePolicy& policy);
 
@@ -411,13 +419,13 @@ class CloudDataDistributor {
                                  const std::string& password,
                                  PrivacyLevel required) const;
 
-  /// A chunk op's target: owning metadata partition, ref, and row with the
-  /// version it was read at (the token a row commit is checked against).
+  /// A chunk op's target: owning metadata partition, ref, and its row as
+  /// read. A writer re-reads the row inside its commit step; this copy
+  /// serves reads and the seal of an update's new stripe.
   struct ChunkTarget {
     std::size_t shard = 0;
     ChunkRef ref;
     ChunkEntry entry;
-    std::uint64_t version = 0;
   };
   /// A file op's target: owning metadata partition and serial-ordered refs.
   struct FileTarget {
@@ -469,10 +477,11 @@ class CloudDataDistributor {
                      const obs::SpanCtx& span = {},
                      StripeReadStats* stats = nullptr);
 
-  /// The removal body of remove_chunk and remove_file: tombstones every
-  /// ref in `target` by version CAS from its fresh row and unlinks it,
-  /// journals one `kind` record, and only then deletes the shards those
-  /// rows held at providers, so a crash mid-drop leaves orphans for
+  /// The removal body of remove_chunk and remove_file: one commit step of
+  /// a `kind` record tombstones every ref in `target` from its row as it
+  /// stands and unlinks it (NotFound, with nothing committed, when a row
+  /// is already removed); only then are the shards those rows held
+  /// deleted at providers, so a crash mid-drop leaves orphans for
   /// reconcile(), never a live row pointing at vanished shards. `kind`
   /// (kRemoveChunk or kRemoveFile) also names the op's span and metrics.
   Status remove_refs(const std::string& client, const std::string& filename,
@@ -561,7 +570,7 @@ class CloudDataDistributor {
   /// holder can wait, in stripe order on the calling thread otherwise --
   /// and appends the per-shard times in stripe order after the join. The
   /// one per-stripe delete loop. Every stripe it drops is in no provider
-  /// table: it never committed, or its row's CAS already retired it.
+  /// table: it never committed, or its row's commit already retired it.
   void drop_stripe(const std::vector<ShardLocation>& stripe,
                    std::vector<SimDuration>* times);
 
@@ -589,22 +598,20 @@ class CloudDataDistributor {
   Result<std::size_t> maintenance_walk(const char* op, const MovePolicy& policy,
                                        const char* moved_counter);
 
-  /// True when the plane journals (all-or-nothing across partitions).
-  [[nodiscard]] bool journaling() const {
-    return plane_->journal(0) != nullptr;
-  }
-
-  /// Appends to `shard`'s journal (no-op on an unjournaled plane) and
-  /// triggers that shard's auto-checkpoint when the interval is reached.
-  Status journal_append(const JournalRecord& rec, std::size_t shard);
+  /// Every metadata change of this front-end: the plane's commit step on
+  /// `shard` (MetadataPlane::commit), then that shard's auto-checkpoint
+  /// when its journal reached the interval.
+  Status commit(std::size_t shard, const MetadataPlane::RecordBuilder& build);
 
   /// The one writer of fleet and client rows (client rows, passwords,
-  /// provider rows, migration intents): applies `rec` to every partition
-  /// through apply_journal_record -- the function replay runs -- then
-  /// appends it to every shard journal, so each partition's
-  /// checkpoint+journal pair stays self-contained and the live rows equal
-  /// the replayed ones. Callers run their own guard first.
-  Status broadcast(const JournalRecord& rec);
+  /// provider rows, migration intents): commits `rec` to every partition
+  /// in turn, so each partition's checkpoint+journal pair stays
+  /// self-contained and the live rows equal the replayed ones. `guard`
+  /// (optional) runs inside partition 0's step, before anything is
+  /// applied: its error aborts the whole broadcast.
+  Status broadcast(
+      const JournalRecord& rec,
+      const std::function<Status(const MetadataStore&)>& guard = nullptr);
 
   /// The kRegisterProvider record for registry provider `p`.
   [[nodiscard]] JournalRecord provider_record(

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <set>
@@ -16,6 +15,7 @@
 #include "obs/watchdog.hpp"
 #include "util/batch_close.hpp"
 #include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 #include "util/wire.hpp"
 
 namespace cshield::core {
@@ -431,7 +431,8 @@ void Journal::attach_watchdog(obs::StallWatchdog* wd) {
   watchdog_ = wd;
 }
 
-Status Journal::append(const JournalRecord& rec) {
+Status Journal::append(const JournalRecord& rec,
+                       std::unique_lock<std::mutex>* queued) {
   // Frame encoding needs no journal state -- do it before taking the lock
   // so contending appenders only serialize on the queue and the disk. The
   // frame is one buffer sized up front: the payload is encoded in place
@@ -448,6 +449,7 @@ Status Journal::append(const JournalRecord& rec) {
 
   std::unique_lock<std::mutex> lk(mu_);
   queue_.push_back(&w);
+  if (queued != nullptr) queued->unlock();
   // A leader filling a timed batch counts arrivals; nobody else cares.
   if (filler_ != nullptr) filler_->cv.notify_one();
   while (!w.done) {
@@ -655,13 +657,8 @@ Status apply_journal_record(MetadataStore& store, const JournalRecord& rec) {
     case JournalOp::kAbortPut:
       store.release_file(rec.client, rec.filename);
       return Status::Ok();
-    case JournalOp::kCommitPut: {
-      for (const JournalChunk& c : rec.chunks) {
-        CS_RETURN_IF_ERROR(store.put_chunk_at(rec.client, rec.filename,
-                                              c.serial, c.index, c.entry));
-      }
-      return Status::Ok();
-    }
+    case JournalOp::kCommitPut:
+      return store.put_chunks_at(rec.client, rec.filename, rec.chunks);
     case JournalOp::kUpdateChunk: {
       for (const JournalChunk& c : rec.chunks) {
         store.set_chunk(c.index, c.entry);
@@ -831,34 +828,20 @@ Result<PlaneRecovery> recover_plane(
   out.shards.resize(shard_count);
   std::vector<Result<RecoveredState>> results(
       shard_count, Result<RecoveredState>(Status::Internal("not run")));
-  {
-    // One recovery worker per shard, clamped to the core count: each shard
-    // replays its own checkpoint + journal, so plane MTTR is the slowest
-    // shard, not the sum. Replay is CPU-bound, so threads beyond the
-    // hardware only add scheduling overhead; on a single-core host the
-    // whole plane recovers inline.
-    const std::size_t workers = std::min<std::size_t>(
-        shard_count,
-        std::max(1u, std::thread::hardware_concurrency()));
-    std::atomic<std::size_t> next{0};
-    const auto drain = [&] {
-      for (std::size_t s = next.fetch_add(1); s < shard_count;
-           s = next.fetch_add(1)) {
-        results[s] = recover_metadata(
-            shard_file_path(checkpoint_base, s),
-            shard_file_path(journal_base, s), static_cast<std::uint32_t>(s),
-            static_cast<std::uint32_t>(shard_count));
-      }
-    };
-    if (workers <= 1) {
-      drain();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(drain);
-      for (auto& t : threads) t.join();
-    }
-  }
+  // One recovery worker per shard, clamped to the core count: each shard
+  // replays its own checkpoint + journal, so plane MTTR is the slowest
+  // shard, not the sum. Replay is CPU-bound, so threads beyond the
+  // hardware only add scheduling overhead; on a single-core host the
+  // whole plane recovers inline.
+  const std::size_t workers = std::min<std::size_t>(
+      shard_count, std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool pool(workers);
+  pool.for_each(shard_count, workers > 1, [&](std::size_t s) {
+    results[s] = recover_metadata(
+        shard_file_path(checkpoint_base, s), shard_file_path(journal_base, s),
+        static_cast<std::uint32_t>(s),
+        static_cast<std::uint32_t>(shard_count));
+  });
   std::set<std::pair<std::string, std::string>> in_flight;
   std::set<std::pair<std::uint8_t, ProviderIndex>> intents;
   for (std::size_t s = 0; s < shard_count; ++s) {

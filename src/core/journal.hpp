@@ -28,13 +28,17 @@
 // unsharded journal is shard 0 of 1.
 //
 // Commit-point discipline (enforced by the distributor, verified by
-// tests/recovery_test.cpp):
+// tests/recovery_test.cpp and tests/shardplane_test.cpp):
+//   - every record is applied and queued in one commit step of its
+//     partition (MetadataPlane::commit): under the partition's commit
+//     mutex the record is built from the rows as they stand, applied
+//     through apply_journal_record -- the function replay runs -- and
+//     queued here, so a partition's journal order is its apply order;
 //   - a put journals one record, its kCommitPut, after every shard of the
 //     file is uploaded; nothing is journaled before its shards leave;
 //   - commit records (kCommitPut/kUpdateChunk/kRemoveChunk/kRemoveFile) are
-//     appended after the in-memory metadata mutation but before any
-//     provider-side deletion of superseded stripes and before the client
-//     sees OK;
+//     durable before any provider-side deletion of superseded stripes and
+//     before the client sees OK;
 // so a crash at *any* byte of the journal stream leaves either (a) the old
 // committed state plus unreferenced orphan shards, or (b) the new committed
 // state plus unreferenced orphan shards -- never a committed record whose
@@ -112,15 +116,6 @@ inline constexpr int kNumMigrationKinds = 3;
   }
   return "invalid";
 }
-
-/// One chunk-table row carried by a commit/update/remove record. The index
-/// is explicit because concurrent ops interleave add_chunk arbitrarily --
-/// replay must land each row exactly where the original op committed it.
-struct JournalChunk {
-  std::uint64_t serial = 0;
-  std::uint64_t index = 0;
-  ChunkEntry entry;  ///< unused (empty) for remove records
-};
 
 /// One journal record. A flat union-of-fields struct: which fields are
 /// meaningful depends on `op` (see encode_record), unused ones stay empty.
@@ -209,7 +204,12 @@ class Journal {
   /// Appends one framed record. The record is durable when this returns
   /// OK -- under group commit the fsync may be shared with other records
   /// of the same batch, but it has happened before any of them return.
-  Status append(const JournalRecord& rec);
+  /// A non-null `queued` is released as soon as the record has its place
+  /// in the queue, before the wait for its fsync: a caller that holds it
+  /// across its own row change and the append gets journal order equal to
+  /// the order it changed rows in (MetadataPlane::commit).
+  Status append(const JournalRecord& rec,
+                std::unique_lock<std::mutex>* queued = nullptr);
 
   /// Installs the group-commit tuning. Call before serving traffic (not
   /// synchronized against in-flight appends). The default configuration
@@ -332,10 +332,11 @@ class Journal {
   obs::StallWatchdog* watchdog_ = nullptr;  ///< null = no stall brackets
 };
 
-/// Applies one replayed record to a store. Idempotent: a record present in
-/// both the checkpoint image and the journal (an op that raced the
-/// checkpoint cut) applies cleanly twice. Each chunk-row write carries its
-/// own provider-table delta (MetadataStore's row writers apply it).
+/// Applies one record to a store: replay runs it, and so does every live
+/// commit step (MetadataPlane::commit). Idempotent: a record applied twice
+/// (a replayed record the checkpoint image already holds) changes nothing
+/// the second time. Each chunk-row write carries its own provider-table
+/// delta (MetadataStore's row writers apply it).
 Status apply_journal_record(MetadataStore& store, const JournalRecord& rec);
 
 /// A topology migration the crash caught mid-flight (kBeginMigrate with no
@@ -397,9 +398,10 @@ struct PlaneRecovery {
   std::size_t replayed_records = 0;  ///< sum over shards
 };
 
-/// Recovers all `shard_count` members of a plane in parallel -- one thread
-/// per shard, each replaying its own checkpoint + journal (paths derived
-/// via shard_file_path) -- and validates every member's shard stamp.
+/// Recovers all `shard_count` members of a plane in parallel -- one
+/// ThreadPool::for_each task per shard on a pool of at most one worker per
+/// core, each replaying its own checkpoint + journal (paths derived via
+/// shard_file_path) -- and validates every member's shard stamp.
 /// shard_count 1 is exactly recover_metadata on the base paths.
 [[nodiscard]] Result<PlaneRecovery> recover_plane(
     const std::filesystem::path& checkpoint_base,

@@ -9,7 +9,8 @@
 namespace cshield::core {
 
 MetadataPlane::MetadataPlane(std::vector<Partition> partitions)
-    : partitions_(std::move(partitions)) {
+    : partitions_(std::move(partitions)),
+      commit_mu_(std::make_unique<std::mutex[]>(partitions_.size())) {
   CS_REQUIRE(!partitions_.empty(), "MetadataPlane: no partitions");
   for (const Partition& p : partitions_) {
     CS_REQUIRE(p.store != nullptr, "MetadataPlane: partition without store");
@@ -61,6 +62,31 @@ std::size_t MetadataPlane::shard_of(std::string_view client,
   const std::uint64_t h =
       mix64(fnv1a64(client) ^ (fnv1a64(filename) * 0x9E3779B97F4A7C15ULL));
   return static_cast<std::size_t>(h % shard_count);
+}
+
+Status MetadataPlane::commit(std::size_t shard, const RecordBuilder& build) {
+  const Partition& p = partitions_[shard];
+  std::unique_lock<std::mutex> lock(commit_mu_[shard]);
+  Result<JournalRecord> rec = build(*p.store);
+  CS_RETURN_IF_ERROR(rec.status());
+  CS_RETURN_IF_ERROR(apply_journal_record(*p.store, rec.value()));
+  if (p.journal == nullptr) return Status::Ok();
+  // append releases `lock` once the record is queued, before its fsync.
+  return p.journal->append(rec.value(), &lock);
+}
+
+Status MetadataPlane::checkpoint(std::size_t shard) {
+  const Partition& p = partitions_[shard];
+  if (p.journal == nullptr || p.checkpoint_path.empty()) {
+    return Status::InvalidArgument("checkpoint: no journal or image path");
+  }
+  std::lock_guard<std::mutex> lock(commit_mu_[shard]);
+  return p.journal->checkpoint(
+      [&] {
+        return serialize_metadata(*p.store, static_cast<std::uint32_t>(shard),
+                                  static_cast<std::uint32_t>(shard_count()));
+      },
+      p.checkpoint_path);
 }
 
 std::size_t MetadataPlane::global_chunk_bound() const {

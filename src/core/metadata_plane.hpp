@@ -6,10 +6,20 @@
 // bottleneck once tens of clients hammer small ops. MetadataPlane splits
 // the namespace into N independent partitions by consistent hash of
 // (client, filename): each partition is a full MetadataStore (its own
-// lock, its own filename/serial/provider indices, its own per-row version
-// counters) with its own CRC32-framed journal file (its own group-commit
-// lane) and its own checkpoint image. Concurrent puts on different shards
-// never touch the same lock or the same fsync.
+// lock, its own filename/serial/provider indices) with its own CRC32-framed
+// journal file (its own group-commit lane), its own checkpoint image and its
+// own commit mutex. Concurrent puts on different shards never touch the
+// same lock or the same fsync.
+//
+// Commit step: every metadata change goes through commit(shard, build).
+// Under the partition's commit mutex -- owned here, so shared by every
+// front-end of the plane -- build reads the partition's current rows and
+// makes the journal record, apply_journal_record (the function replay runs)
+// applies it, and the record takes its place in the journal queue; the
+// mutex is then released and the step waits for the fsync. Two writers of
+// one partition therefore reach the journal in the order they changed its
+// rows, and replay ends on exactly the rows the live store holds. A
+// checkpoint takes the same mutex for its cut.
 //
 // Shard map:
 //   - per-(client, filename) state -- file claims, chunk refs, chunk rows,
@@ -31,7 +41,9 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -97,6 +109,23 @@ class MetadataPlane {
     return partitions_[shard].checkpoint_path;
   }
 
+  /// Makes the record a commit step applies and journals, from the
+  /// partition's rows as they stand under the step's mutex. An error
+  /// aborts the step: nothing is applied or journaled.
+  using RecordBuilder =
+      std::function<Result<JournalRecord>(const MetadataStore&)>;
+
+  /// The one commit step of every metadata change (see the header): under
+  /// `shard`'s commit mutex, build the record, apply it and queue it on
+  /// the shard's journal; then release the mutex and wait for the fsync.
+  /// On an unjournaled plane the step ends after the apply.
+  Status commit(std::size_t shard, const RecordBuilder& build);
+
+  /// Folds `shard`'s journal into its checkpoint image. Holds the shard's
+  /// commit mutex, so every record the truncation drops is in the image
+  /// and no row the image holds has its record still to come.
+  Status checkpoint(std::size_t shard);
+
   // --- global chunk index space ---------------------------------------
   //
   // global = local * N + shard. Partition-local indices (what journal
@@ -131,6 +160,8 @@ class MetadataPlane {
 
  private:
   std::vector<Partition> partitions_;
+  /// One commit mutex per partition (commit, checkpoint).
+  std::unique_ptr<std::mutex[]> commit_mu_;
 };
 
 }  // namespace cshield::core

@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -293,15 +294,29 @@ class RequestLayer {
       case storage::CircuitBreaker::State::kHalfOpen: v = 2; break;
       case storage::CircuitBreaker::State::kClosed: v = 0; break;
     }
-    telemetry_->metrics()
-        .gauge("provider." + registry_.at(p).descriptor().name +
-               ".breaker_state")
-        .set(v);
+    breaker_gauge(p).set(v);
+  }
+
+  /// Provider p's breaker_state gauge, looked up by name once per provider
+  /// -- on its first publish, so a provider that joined at runtime gets
+  /// one too -- and read from the handle table after.
+  obs::Gauge& breaker_gauge(ProviderIndex p) {
+    std::lock_guard<std::mutex> lock(gauges_mu_);
+    if (p >= breaker_gauges_.size()) breaker_gauges_.resize(p + 1, nullptr);
+    obs::Gauge*& gauge = breaker_gauges_[p];
+    if (gauge == nullptr) {
+      gauge = &telemetry_->metrics().gauge(
+          "provider." + registry_.at(p).descriptor().name + ".breaker_state");
+    }
+    return *gauge;
   }
 
   storage::ProviderRegistry& registry_;
   RetryPolicy policy_;
   obs::Telemetry* telemetry_;
+  std::mutex gauges_mu_;  ///< guards breaker_gauges_
+  /// breaker_state handles by provider index; null until first published.
+  std::vector<obs::Gauge*> breaker_gauges_;
   obs::StallWatchdog* watchdog_ = nullptr;
   std::uint64_t seed_;
 };

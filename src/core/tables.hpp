@@ -14,6 +14,12 @@
 //     file_chunks / list_files in O(log n) instead of a linear ref scan;
 //   - per provider, an unordered_set<VirtualId> holds the ids placed there,
 //     so a row write's placement delta is O(1) per shard.
+// Rows carry no version: the distributor changes a partition's rows only
+// inside that partition's commit step (MetadataPlane::commit), which
+// builds a journal record from the rows as they stand and applies it
+// through apply_journal_record under one mutex, so writers never race a
+// read-modify-write. A maintenance move made from an older read of the
+// row lands by the move rule (apply_move).
 // The Cloud Provider Table is the union of the live rows' shard locations
 // (stripe + snapshot): every chunk-row writer applies its own row's delta
 // -- ids that leave the row are erased, ids that enter it are inserted --
@@ -91,30 +97,79 @@ struct ChunkEntry {
   return tombstone;
 }
 
+/// True when `row` references `loc` in its current or snapshot column.
+[[nodiscard]] inline bool holds(const ChunkEntry& row,
+                                const ShardLocation& loc) {
+  for (const auto* stripe : {&row.stripe, &row.snapshot}) {
+    for (const ShardLocation& l : *stripe) {
+      if (l.provider == loc.provider && l.virtual_id == loc.virtual_id) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 /// The shard locations `before` references and `after` does not: what
 /// writing `after` over `before` retires from the provider tables. Every
 /// MetadataStore row writer derives its provider-table delta here, and a
 /// client row commit learns which shards to delete.
 [[nodiscard]] inline std::vector<ShardLocation> retired_locations(
     const ChunkEntry& before, const ChunkEntry& after) {
-  auto kept = [&after](const ShardLocation& loc) {
-    for (const auto* stripe : {&after.stripe, &after.snapshot}) {
-      for (const ShardLocation& l : *stripe) {
-        if (l.provider == loc.provider && l.virtual_id == loc.virtual_id) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
   std::vector<ShardLocation> out;
   for (const auto* stripe : {&before.stripe, &before.snapshot}) {
     for (const ShardLocation& loc : *stripe) {
-      if (!kept(loc)) out.push_back(loc);
+      if (!holds(after, loc)) out.push_back(loc);
     }
   }
   return out;
 }
+
+/// How one maintenance move fared against a row (apply_move).
+enum class MoveOutcome : std::uint8_t {
+  kApplied,   ///< `to` replaced `from` in the column that held it
+  kGone,      ///< the row no longer holds `from`: the copy is surplus
+  kCollides,  ///< another member of that column already lives on `to`'s
+              ///< provider: the copy is surplus, and the move an error
+};
+
+/// The move rule of a maintenance rewrite's commit: replaces `from` by `to`
+/// wherever `row` still holds it, in the current or the snapshot column,
+/// unless another member of that column already lives on `to`'s provider
+/// (a stripe keeps its members on distinct providers). A promotion keeps
+/// slot order and digests, so a shard that an update moved into the
+/// snapshot column is still that slot's shard, and the move lands there. A
+/// removed row holds nothing: every move against it is kGone.
+[[nodiscard]] inline MoveOutcome apply_move(ChunkEntry& row,
+                                            const ShardLocation& from,
+                                            const ShardLocation& to) {
+  for (auto* stripe : {&row.stripe, &row.snapshot}) {
+    for (ShardLocation& slot : *stripe) {
+      if (slot.provider != from.provider ||
+          slot.virtual_id != from.virtual_id) {
+        continue;
+      }
+      for (const ShardLocation& other : *stripe) {
+        if (&other != &slot && other.provider == to.provider) {
+          return MoveOutcome::kCollides;
+        }
+      }
+      slot = to;
+      return MoveOutcome::kApplied;
+    }
+  }
+  return MoveOutcome::kGone;
+}
+
+/// One chunk-table row at an explicit table index, with the serial its
+/// client ref carries: what a put commits and every chunk-row journal
+/// record carries. The index is explicit so that replay lands each row
+/// exactly where the live commit put it.
+struct JournalChunk {
+  std::uint64_t serial = 0;
+  std::uint64_t index = 0;
+  ChunkEntry entry;  ///< unused (empty) for remove records
+};
 
 /// Chunk coordinate within a client's namespace.
 struct ChunkRef {
@@ -259,8 +314,8 @@ class MetadataStore {
 
   /// Reserves `filename` in the client's namespace so two concurrent
   /// put_file calls cannot both pass the duplicate check. A claim holds no
-  /// chunks; readers see the file as nonexistent until add_chunk commits
-  /// refs under it. kAlreadyExists when the name is taken (claimed or
+  /// chunks; readers see the file as nonexistent until put_chunks_at
+  /// links refs under it. kAlreadyExists when the name is taken (claimed or
   /// populated).
   Status claim_file(const std::string& client, const std::string& filename) {
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -288,7 +343,9 @@ class MetadataStore {
 
   /// Appends a chunk entry and links it into the client's file index.
   /// Returns the chunk-table index. kAlreadyExists when the (filename,
-  /// serial) slot is already linked.
+  /// serial) slot is already linked. No distributor path calls it (a put
+  /// commits through put_chunks_at); bench_ledger's model of the metadata
+  /// commit does.
   [[nodiscard]] Result<std::size_t> add_chunk(const std::string& client,
                                               const std::string& filename,
                                               std::uint64_t serial,
@@ -304,36 +361,39 @@ class MetadataStore {
     const PrivacyLevel pl = entry.privacy_level;
     place_row(ChunkEntry{}, entry);
     chunks_.push_back(std::move(entry));
-    versions_.push_back(0);
     const std::size_t idx = chunks_.size() - 1;
     serials.emplace(serial, ChunkRef{filename, serial, pl, idx});
     return idx;
   }
 
-  /// Journal-replay variant of add_chunk: places `entry` at an *explicit*
-  /// chunk-table index (the one the original op committed), growing the
-  /// table with deleted tombstones if needed, and links the client ref.
-  /// Idempotent: re-applying a record whose (filename, serial) slot already
-  /// points at `index` (the checkpoint raced the journal append) rewrites
-  /// the entry and succeeds; a slot bound to a *different* index is a real
-  /// conflict and fails.
-  Status put_chunk_at(const std::string& client, const std::string& filename,
-                      std::uint64_t serial, std::size_t index,
-                      ChunkEntry entry) {
+  /// The one commit of a put's rows, live and in replay: places each row
+  /// at its explicit index (growing the table with deleted tombstones if
+  /// needed) and links its client ref, all under one exclusive lock, so a
+  /// reader sees every ref of the put or none. Idempotent: re-applying rows
+  /// whose (filename, serial) slots already point at their indices (the
+  /// checkpoint raced the journal append) rewrites them and succeeds; a
+  /// slot bound to a *different* index is a real conflict and fails before
+  /// any row is written. `rows` is taken by value: the caller's copy is
+  /// made before the lock, so readers wait only for the moves.
+  Status put_chunks_at(const std::string& client, const std::string& filename,
+                       std::vector<JournalChunk> rows) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     auto it = clients_.find(client);
     if (it == clients_.end()) return Status::NotFound("client " + client);
     auto& serials = it->second.files[filename];
-    auto sit = serials.find(serial);
-    if (sit != serials.end() && sit->second.chunk_index != index) {
-      return Status::AlreadyExists(
-          "chunk " + filename + "#" + std::to_string(serial) +
-          " already bound to index " + std::to_string(sit->second.chunk_index));
+    for (const JournalChunk& c : rows) {
+      auto sit = serials.find(c.serial);
+      if (sit != serials.end() && sit->second.chunk_index != c.index) {
+        return Status::AlreadyExists(
+            "chunk " + filename + "#" + std::to_string(c.serial) +
+            " already bound to index " +
+            std::to_string(sit->second.chunk_index));
+      }
     }
-    const PrivacyLevel pl = entry.privacy_level;
-    write_row(index, std::move(entry));
-    if (sit == serials.end()) {
-      serials.emplace(serial, ChunkRef{filename, serial, pl, index});
+    for (JournalChunk& c : rows) {
+      serials.try_emplace(c.serial, ChunkRef{filename, c.serial,
+                                             c.entry.privacy_level, c.index});
+      write_row(c.index, std::move(c.entry));
     }
     return Status::Ok();
   }
@@ -354,46 +414,13 @@ class MetadataStore {
     return chunks_[index];
   }
 
-  /// Chunk row plus its modification version -- the token update_chunk_if()
-  /// compares, letting a read-modify-write detect a concurrent writer (the
-  /// background migrator races live client updates on the same rows).
-  /// Versions are in-memory only: conflicts only exist within one process.
-  struct VersionedChunk {
-    ChunkEntry entry;
-    std::uint64_t version = 0;
-  };
-
-  [[nodiscard]] Result<VersionedChunk> chunk_entry_versioned(
-      std::size_t index) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (index >= chunks_.size()) {
-      return Status::NotFound("chunk index " + std::to_string(index));
-    }
-    return VersionedChunk{chunks_[index], versions_[index]};
-  }
-
+  /// Overwrites the row at an existing `index`. Like add_chunk, kept for
+  /// bench_ledger's model only: the distributor writes rows through
+  /// apply_journal_record under its partition's commit step.
   Status update_chunk(std::size_t index, ChunkEntry entry) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (index >= chunks_.size()) {
       return Status::NotFound("chunk index " + std::to_string(index));
-    }
-    write_row(index, std::move(entry));
-    return Status::Ok();
-  }
-
-  /// Commits `entry` only while the row is still at `expected_version`
-  /// (compare-and-swap). kFailedPrecondition when a concurrent writer
-  /// committed first: the caller's snapshot is stale -- re-read and redo.
-  /// A lost race changes neither the row nor the provider tables.
-  Status update_chunk_if(std::size_t index, ChunkEntry entry,
-                         std::uint64_t expected_version) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (index >= chunks_.size()) {
-      return Status::NotFound("chunk index " + std::to_string(index));
-    }
-    if (versions_[index] != expected_version) {
-      return Status::FailedPrecondition(
-          "chunk index " + std::to_string(index) + " modified since read");
     }
     write_row(index, std::move(entry));
     return Status::Ok();
@@ -513,7 +540,6 @@ class MetadataStore {
       }
     }
     chunks_ = std::move(chunks);
-    versions_.assign(chunks_.size(), 0);
   }
 
  private:
@@ -525,11 +551,9 @@ class MetadataStore {
       ChunkEntry tombstone;
       tombstone.deleted = true;
       chunks_.push_back(std::move(tombstone));
-      versions_.push_back(0);
     }
     place_row(chunks_[index], entry);
     chunks_[index] = std::move(entry);
-    ++versions_[index];
   }
 
   /// The provider-table delta of writing `after` over `before`: ids that
@@ -587,9 +611,6 @@ class MetadataStore {
   std::vector<ProviderState> providers_;
   std::map<std::string, ClientState> clients_;
   std::vector<ChunkEntry> chunks_;
-  /// Per-row write counter backing update_chunk_if(), grown in lockstep
-  /// with chunks_. Not persisted: a restart starts every row at 0.
-  std::vector<std::uint64_t> versions_;
 };
 
 }  // namespace cshield::core

@@ -5,11 +5,15 @@
 // "exploits the benefit of parallel query processing", so the read/write
 // paths run provider RPCs that can block through this pool (requests that
 // never wait run inline: a hop would cost more than it overlaps).
-// Outside for_each, submit has one caller: core::ShardBatcher's collect
-// tasks, which nobody joins, so they cannot be a for_each. The put() that
-// opens a batch must return at once: its caller still has the stripe's
-// other shards to enqueue, and the batch also carries other operations'
-// shards. Each caller waits on its own shards' futures instead. Work
+// Outside for_each, submit has two callers. core::ShardBatcher's collect
+// tasks are joined by nobody, so they cannot be a for_each: the put() that
+// opens a batch must return at once, because its caller still has the
+// stripe's other shards to enqueue, and the batch also carries other
+// operations' shards. Each caller waits on its own shards' futures
+// instead. core::Migrator's walk keeps a sliding window of rewrites in
+// flight, paced between submissions, and folds each result into its
+// progress as the oldest one finishes: a stream of tasks, not a fixed
+// fan-out that for_each joins at once. Work
 // items are type-erased std::move_only_function-style tasks queued under
 // one mutex -- provider latencies (tens of microseconds to milliseconds
 // simulated) dwarf queue contention, so a fancier work-stealing deque would

@@ -263,7 +263,7 @@ TEST(MetadataTest, ProviderPlacementBookkeeping) {
   Result<std::size_t> idx = meta.add_chunk("CL1", "f", 0, row);
   ASSERT_TRUE(idx.ok());
   row.stripe = {{0, 57643}};
-  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 0).ok());
+  ASSERT_TRUE(meta.update_chunk(idx.value(), row).ok());
   const auto table = meta.provider_table();
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table[0].count(), 1u);
@@ -316,36 +316,43 @@ TEST(MetadataTest, RowWritesCarryTheirPlacements) {
   row.snapshot = row.stripe;
   row.has_snapshot = true;
   row.stripe = stripe_of(20);
-  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 0).ok());
-  expect_tables_match_rows("update_chunk_if");
+  ASSERT_TRUE(meta.update_chunk(idx.value(), row).ok());
+  expect_tables_match_rows("update_chunk");
   // The next update retires the first stripe.
   row.snapshot = row.stripe;
   row.stripe = stripe_of(30);
-  ASSERT_TRUE(meta.update_chunk_if(idx.value(), row, 1).ok());
-  expect_tables_match_rows("second update_chunk_if");
+  ASSERT_TRUE(meta.update_chunk(idx.value(), row).ok());
+  expect_tables_match_rows("second update_chunk");
   EXPECT_EQ(table_placements(meta)[0], (std::set<VirtualId>{20, 30}));
 
-  // A lost CAS changes neither the row nor the tables.
-  const auto tables = table_placements(meta);
-  ChunkEntry stale = row;
-  stale.stripe = stripe_of(40);
-  EXPECT_EQ(meta.update_chunk_if(idx.value(), stale, 1).code(),
-            ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(table_placements(meta), tables);
-  EXPECT_EQ(meta.chunk_entry(idx.value()).value().stripe[0].virtual_id, 30u);
-
   ASSERT_TRUE(meta.update_chunk(idx.value(), tombstone_of(row)).ok());
-  expect_tables_match_rows("update_chunk");
+  expect_tables_match_rows("tombstone");
   EXPECT_EQ(table_placements(meta)[1], std::set<VirtualId>{});
 
   // The replay writers, at an index past the table's end; re-applying
   // either is a no-op.
   ChunkEntry replayed;
   replayed.stripe = stripe_of(50);
-  ASSERT_TRUE(meta.put_chunk_at("CL1", "g", 0, 5, replayed).ok());
-  expect_tables_match_rows("put_chunk_at");
+  ASSERT_TRUE(
+      meta.put_chunks_at("CL1", "g", {JournalChunk{0, 5, replayed}})
+          .ok());
+  expect_tables_match_rows("put_chunks_at");
   const auto placed = table_placements(meta);
-  ASSERT_TRUE(meta.put_chunk_at("CL1", "g", 0, 5, replayed).ok());
+  ASSERT_TRUE(
+      meta.put_chunks_at("CL1", "g", {JournalChunk{0, 5, replayed}})
+          .ok());
+  EXPECT_EQ(table_placements(meta), placed);
+  // A slot bound to another index fails the whole put before any row of
+  // it is written: serial 1's row at index 7 never appears.
+  ChunkEntry other;
+  other.stripe = stripe_of(70);
+  EXPECT_EQ(meta.put_chunks_at("CL1", "g",
+                               {JournalChunk{1, 7, other},
+                                JournalChunk{0, 6, other}})
+                .code(),
+            ErrorCode::kAlreadyExists);
+  EXPECT_EQ(meta.total_chunks(), 6u);
+  EXPECT_FALSE(meta.find_chunk("CL1", "g", 1).has_value());
   EXPECT_EQ(table_placements(meta), placed);
 
   replayed.snapshot = replayed.stripe;

@@ -12,10 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -532,44 +535,233 @@ TEST(MigrationTest, BackgroundStartAfterFinishedRunLaunchesAgain) {
 
 // --- migrator vs. concurrent chunk writers ----------------------------------
 
-TEST(MetadataCasTest, UpdateChunkIfRefusesStaleVersion) {
-  core::MetadataStore store;
-  ASSERT_TRUE(store.register_client("alice").ok());
-  ASSERT_TRUE(store.claim_file("alice", "f").ok());
-  core::ChunkEntry entry;
-  entry.privacy_level = PrivacyLevel::kHigh;
-  Result<std::size_t> idx = store.add_chunk("alice", "f", 0, entry);
-  ASSERT_TRUE(idx.ok());
+/// Write-through mirror (one instance on every provider) whose next put,
+/// once armed, blocks until release(): it holds a rewrite's new copy
+/// between its upload and its commit while the test changes the row.
+class HoldingMirror final : public storage::ObjectStore {
+ public:
+  void arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    holding_ = false;
+    released_ = false;
+  }
+  void wait_holding() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return holding_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
 
-  Result<core::MetadataStore::VersionedChunk> v0 =
-      store.chunk_entry_versioned(idx.value());
-  ASSERT_TRUE(v0.ok());
+  Status put(VirtualId id, BytesView data) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;
+        holding_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return inner_.put(id, data);
+  }
+  std::vector<Status> put_many(
+      const std::vector<storage::BatchPut>& batch) override {
+    std::vector<Status> out;
+    for (const storage::BatchPut& item : batch) {
+      out.push_back(put(item.id, item.data));
+    }
+    return out;
+  }
+  [[nodiscard]] Result<Bytes> get(VirtualId id) const override {
+    return inner_.get(id);
+  }
+  Status remove(VirtualId id) override { return inner_.remove(id); }
+  [[nodiscard]] bool contains(VirtualId id) const override {
+    return inner_.contains(id);
+  }
+  [[nodiscard]] std::size_t object_count() const override {
+    return inner_.object_count();
+  }
+  [[nodiscard]] std::size_t bytes_stored() const override {
+    return inner_.bytes_stored();
+  }
+  [[nodiscard]] std::vector<VirtualId> list_ids() const override {
+    return inner_.list_ids();
+  }
 
-  // A concurrent writer that read the same version commits first: the
-  // token it shares with us is then stale, so ours must be refused and the
-  // newer row left untouched.
-  core::ChunkEntry newer = v0.value().entry;
-  newer.padded_size = 111;
-  ASSERT_TRUE(
-      store.update_chunk_if(idx.value(), newer, v0.value().version).ok());
-  core::ChunkEntry stale = v0.value().entry;
-  stale.padded_size = 222;
-  const Status lost =
-      store.update_chunk_if(idx.value(), stale, v0.value().version);
-  EXPECT_EQ(lost.code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(store.chunk_entry(idx.value()).value().padded_size, 111u);
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool holding_ = false;
+  bool released_ = false;
+  storage::MemoryStore inner_;
+};
 
-  // Re-read and redo: the fresh token commits and bumps the version.
-  Result<core::MetadataStore::VersionedChunk> v1 =
-      store.chunk_entry_versioned(idx.value());
-  ASSERT_TRUE(v1.ok());
-  core::ChunkEntry redo = v1.value().entry;
-  redo.padded_size = 333;
-  EXPECT_TRUE(
-      store.update_chunk_if(idx.value(), redo, v1.value().version).ok());
-  EXPECT_EQ(store.chunk_entry(idx.value()).value().padded_size, 333u);
-  EXPECT_NE(store.chunk_entry_versioned(idx.value()).value().version,
-            v1.value().version);
+using Locations = std::set<std::pair<ProviderIndex, VirtualId>>;
+
+/// Every (provider, id) a row of `metadata` references, stripe and
+/// snapshot.
+Locations referenced_locations(const core::MetadataStore& metadata) {
+  Locations out;
+  for (const core::ChunkEntry& entry : metadata.chunk_table()) {
+    for (const auto* stripe : {&entry.stripe, &entry.snapshot}) {
+      for (const core::ShardLocation& loc : *stripe) {
+        out.insert({loc.provider, loc.virtual_id});
+      }
+    }
+  }
+  return out;
+}
+
+/// Every object the providers hold.
+Locations stored_locations(storage::ProviderRegistry& reg) {
+  Locations out;
+  for (ProviderIndex p = 0; p < reg.size(); ++p) {
+    for (VirtualId id : reg.at(p).list_ids()) out.insert({p, id});
+  }
+  return out;
+}
+
+TEST(MoveRuleTest, RewriteCommitsMovesAgainstTheRowAsItStands) {
+  // A rewrite uploads its copies with no lock held, then applies each move
+  // to the row as it stands under the commit step. Each case holds the
+  // rewrite's new copy at its home while the row changes, then lets it
+  // commit. Afterwards the provider objects are exactly the rows'
+  // references: every copy the commit did not apply is deleted.
+  using core::MovePolicy;
+  using core::RewriteStats;
+  struct Case {
+    const char* name;
+    std::size_t providers;
+    /// Changes the row while the copy is held.
+    std::function<void(CloudDataDistributor&, storage::ProviderRegistry&,
+                       std::size_t index)>
+        race;
+    /// Checks the outcome: the held rewrite's stats, the row after it.
+    std::function<void(const RewriteStats&, const core::ChunkEntry& before,
+                       const core::ChunkEntry& after, CloudDataDistributor&)>
+        check;
+  };
+  const Bytes original = payload_of(600, 0x30);
+  const Bytes update1 = payload_of(500, 0x31);
+  const Bytes update2 = payload_of(700, 0x32);
+  const std::vector<Case> cases = {
+      {"old copy gone: two updates retire the stripe the move read", 8,
+       [&](CloudDataDistributor& cdd, storage::ProviderRegistry&,
+           std::size_t) {
+         ASSERT_TRUE(cdd.update_chunk("alice", "pw", "f", 0, update1).ok());
+         ASSERT_TRUE(cdd.update_chunk("alice", "pw", "f", 0, update2).ok());
+       },
+       [&](const RewriteStats& stats, const core::ChunkEntry&,
+           const core::ChunkEntry&, CloudDataDistributor& cdd) {
+         EXPECT_EQ(stats.moved, 0u);
+         EXPECT_EQ(stats.errors, 0u);
+         Result<Bytes> back = cdd.get_chunk("alice", "pw", "f", 0);
+         ASSERT_TRUE(back.ok()) << back.status().to_string();
+         EXPECT_TRUE(equal(back.value(), update2));
+       }},
+      {"home collides: another rewrite put a member of the column there", 5,
+       [&](CloudDataDistributor& cdd, storage::ProviderRegistry& reg,
+           std::size_t index) {
+         // Slot 0 is lost; a heal rebuilds it on the one provider outside
+         // the stripe -- the held drain copy's home -- and commits first.
+         const core::ShardLocation lost =
+             cdd.metadata().chunk_entry(index).value().stripe[0];
+         ASSERT_TRUE(reg.at(lost.provider).remove(lost.virtual_id).ok());
+         Result<RewriteStats> healed =
+             cdd.rewrite_chunk(index, MovePolicy::heal(false));
+         ASSERT_TRUE(healed.ok()) << healed.status().to_string();
+         EXPECT_EQ(healed.value().moved, 1u);
+       },
+       [&](const RewriteStats& stats, const core::ChunkEntry& before,
+           const core::ChunkEntry& after, CloudDataDistributor& cdd) {
+         EXPECT_EQ(stats.moved, 0u);
+         EXPECT_EQ(stats.errors, 1u);
+         EXPECT_EQ(after.stripe[1].virtual_id, before.stripe[1].virtual_id);
+         EXPECT_NE(after.stripe[0].virtual_id, before.stripe[0].virtual_id);
+         Result<Bytes> back = cdd.get_chunk("alice", "pw", "f", 0);
+         ASSERT_TRUE(back.ok()) << back.status().to_string();
+         EXPECT_TRUE(equal(back.value(), original));
+       }},
+      {"promoted: an update moved the shard into the snapshot column", 8,
+       [&](CloudDataDistributor& cdd, storage::ProviderRegistry&,
+           std::size_t) {
+         ASSERT_TRUE(cdd.update_chunk("alice", "pw", "f", 0, update1).ok());
+       },
+       [&](const RewriteStats& stats, const core::ChunkEntry& before,
+           const core::ChunkEntry& after, CloudDataDistributor& cdd) {
+         EXPECT_EQ(stats.moved, 1u);
+         EXPECT_EQ(stats.errors, 0u);
+         ASSERT_EQ(after.snapshot.size(), before.stripe.size());
+         EXPECT_NE(after.snapshot[1].provider, before.stripe[1].provider);
+         for (std::size_t t = 0; t < after.snapshot.size(); ++t) {
+           if (t == 1) continue;
+           EXPECT_EQ(after.snapshot[t].virtual_id,
+                     before.stripe[t].virtual_id);
+         }
+         Result<Bytes> snap =
+             cdd.get_chunk_snapshot("alice", "pw", "f", 0);
+         ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+         EXPECT_TRUE(equal(snap.value(), original));
+         Result<Bytes> back = cdd.get_chunk("alice", "pw", "f", 0);
+         ASSERT_TRUE(back.ok()) << back.status().to_string();
+         EXPECT_TRUE(equal(back.value(), update1));
+       }},
+      {"removed: a concurrent removal wins", 8,
+       [&](CloudDataDistributor& cdd, storage::ProviderRegistry&,
+           std::size_t) {
+         ASSERT_TRUE(cdd.remove_file("alice", "pw", "f").ok());
+       },
+       [&](const RewriteStats& stats, const core::ChunkEntry&,
+           const core::ChunkEntry& after, CloudDataDistributor& cdd) {
+         EXPECT_EQ(stats.moved, 0u);
+         EXPECT_EQ(stats.errors, 0u);
+         EXPECT_TRUE(after.deleted);
+         EXPECT_FALSE(cdd.get_file("alice", "pw", "f").ok());
+       }},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    storage::ProviderRegistry reg = flat_registry(c.providers);
+    HoldingMirror mirror;
+    for (ProviderIndex p = 0; p < reg.size(); ++p) reg.at(p).set_mirror(&mirror);
+    CloudDataDistributor cdd(reg, base_config(0x90E));
+    ASSERT_TRUE(cdd.register_client("alice").ok());
+    ASSERT_TRUE(cdd.add_password("alice", "pw", PrivacyLevel::kHigh).ok());
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kHigh;
+    ASSERT_TRUE(cdd.put_file("alice", "pw", "f", original, opts).ok());
+    const std::vector<core::ChunkRef> refs =
+        cdd.metadata().file_chunks("alice", "f");
+    ASSERT_EQ(refs.size(), 1u);
+    const std::size_t index = refs[0].chunk_index;
+    const core::ChunkEntry before = cdd.metadata().chunk_entry(index).value();
+
+    // Drain the holder of slot 1; its copy is held at the new home.
+    mirror.arm();
+    Result<RewriteStats> held = Status::Internal("rewrite never returned");
+    std::thread rewrite([&] {
+      held = cdd.rewrite_chunk(
+          index, MovePolicy::migrate(MigrationKind::kDrain,
+                                     before.stripe[1].provider));
+    });
+    mirror.wait_holding();
+    c.race(cdd, reg, index);
+    mirror.release();
+    rewrite.join();
+    ASSERT_TRUE(held.ok()) << held.status().to_string();
+
+    c.check(held.value(), before, cdd.metadata().chunk_entry(index).value(),
+            cdd);
+    EXPECT_EQ(stored_locations(reg), referenced_locations(cdd.metadata()));
+    for (ProviderIndex p = 0; p < reg.size(); ++p) reg.at(p).set_mirror(nullptr);
+  }
 }
 
 TEST(MigrationTest, ConcurrentClientUpdatesDuringDrainLeaveNoHoles) {

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -26,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -41,6 +43,7 @@
 #include "core/multi_distributor.hpp"
 #include "storage/provider_registry.hpp"
 #include "util/hash.hpp"
+#include "util/wire.hpp"
 
 namespace cshield {
 namespace {
@@ -1280,6 +1283,222 @@ TEST(ShardPlaneTest, ThreadedMixKeepsProviderTablesEqualToRows) {
     recovered.push_back(shard.metadata.get());
   }
   EXPECT_EQ(expect_tables_equal_rows(recovered, registry.size()), live);
+}
+
+// --- live rows equal replayed rows -------------------------------------------
+
+/// One partition in comparable form: each chunk row in its wire encoding,
+/// each client's refs, and the provider tables.
+struct PartitionImage {
+  std::vector<Bytes> rows;
+  std::vector<std::pair<std::string,
+                        std::vector<std::tuple<std::string, std::uint64_t,
+                                               std::uint64_t>>>>
+      refs;
+  Placements tables;
+
+  explicit PartitionImage(const core::MetadataStore& store)
+      : tables(table_placements(store)) {
+    for (const core::ChunkEntry& row : store.chunk_table()) {
+      Bytes wire;
+      wire::Writer w(wire);
+      core::write_chunk_entry(w, row);
+      rows.push_back(std::move(wire));
+    }
+    for (const core::ClientEntry& c : store.client_table()) {
+      auto& out = refs.emplace_back(c.name, decltype(refs)::value_type::
+                                                second_type{});
+      for (const core::ChunkRef& r : c.chunks) {
+        out.second.emplace_back(r.filename, r.serial, r.chunk_index);
+      }
+    }
+  }
+};
+
+/// Compares `replayed` with `live` row by row, then refs and tables.
+void expect_same_partition(const PartitionImage& live,
+                           const PartitionImage& replayed, std::size_t k) {
+  SCOPED_TRACE("partition " + std::to_string(k));
+  ASSERT_EQ(replayed.rows.size(), live.rows.size());
+  for (std::size_t i = 0; i < live.rows.size(); ++i) {
+    EXPECT_TRUE(replayed.rows[i] == live.rows[i]) << "row " << i;
+  }
+  EXPECT_TRUE(replayed.refs == live.refs);
+  EXPECT_EQ(replayed.tables, live.tables);
+}
+
+TEST(ShardPlaneTest, LiveRowsEqualReplayedRowsAfterAConcurrentMix) {
+  // Two front-ends share a journaled 4-shard plane. Updaters rewrite hot
+  // one-chunk files while a background drain moves their shards off the
+  // drained provider, other threads put and remove files, and one
+  // client's remove_file races its put_file of the same name. Every
+  // commit applies and journals under its partition's commit step, so the
+  // journal order is the apply order: recovery must rebuild every
+  // partition exactly -- rows, refs and provider tables.
+  //
+  // A drained provider takes no new shards, so an update only races the
+  // drain while its row still holds a shard there: each updater rewrites
+  // its hot row from just before the drain starts until the row holds no
+  // such shard, and never again after -- a later update would paper over
+  // a misordered record.
+  constexpr std::size_t kHot = 8;
+  constexpr std::size_t kMixers = 2;
+  constexpr int kMinRounds = 6;
+  constexpr int kMaxRounds = 200;
+  TempDir dir;
+  storage::ProviderRegistry registry =
+      storage::make_default_registry(kProviders);
+  std::shared_ptr<MetadataPlane> plane = open_plane(dir.path(), kShards);
+  std::vector<PartitionImage> live;
+  {
+    std::vector<std::unique_ptr<core::CloudDataDistributor>> fronts;
+    for (std::uint64_t seed : {0x11FEull, 0x11FFull}) {
+      core::DistributorConfig config = base_config(seed);
+      config.plane = plane;
+      fronts.push_back(
+          std::make_unique<core::CloudDataDistributor>(registry, config));
+    }
+    core::PutOptions opts;
+    opts.privacy_level = PrivacyLevel::kModerate;
+    auto client_of = [](std::size_t t) { return "mix" + std::to_string(t); };
+    for (std::size_t t = 0; t < kHot; ++t) {
+      ASSERT_TRUE(fronts[0]->register_client(client_of(t)).ok());
+      ASSERT_TRUE(fronts[0]
+                      ->add_password(client_of(t), "pw",
+                                     PrivacyLevel::kModerate)
+                      .ok());
+      ASSERT_TRUE(fronts[t % 2]
+                      ->put_file(client_of(t), "pw", "hot",
+                                 payload_of(2048, 100 + t), opts)
+                      .ok());
+    }
+    // Cold files nobody updates: the drain always has shards to move.
+    for (std::size_t t = 0; t < kHot; ++t) {
+      ASSERT_TRUE(fronts[t % 2]
+                      ->put_file(client_of(t), "pw", "cold",
+                                 payload_of(8192, 200 + t), opts)
+                      .ok());
+    }
+    // The hot rows were written first, so the drain visits them first.
+    auto hot_row = [&](std::size_t t) {
+      const std::size_t k = plane->shard_of(client_of(t), "hot");
+      const std::optional<core::ChunkRef> ref =
+          plane->store(k).find_chunk(client_of(t), "hot", 0);
+      return plane->store(k).chunk_entry(ref->chunk_index).value();
+    };
+    auto holds_on = [](const core::ChunkEntry& row, ProviderIndex p) {
+      for (const auto* stripe : {&row.stripe, &row.snapshot}) {
+        for (const core::ShardLocation& loc : *stripe) {
+          if (loc.provider == p) return true;
+        }
+      }
+      return false;
+    };
+    // The subject holds the most hot-row shards among the providers that
+    // hold cold ones too.
+    const Placements seeded = stored_objects(registry);
+    std::vector<std::size_t> hot_shards(registry.size());
+    for (std::size_t t = 0; t < kHot; ++t) {
+      for (const core::ShardLocation& loc : hot_row(t).stripe) {
+        ++hot_shards[loc.provider];
+      }
+    }
+    ProviderIndex subject = kNoProvider;
+    for (ProviderIndex p = 0; p < registry.size(); ++p) {
+      if (seeded[p].size() > hot_shards[p] &&
+          (subject == kNoProvider || hot_shards[p] > hot_shards[subject])) {
+        subject = p;
+      }
+    }
+    ASSERT_NE(subject, kNoProvider);
+    ASSERT_GT(seeded[subject].size(), 0u);
+    core::Migrator migrator(*fronts[0], core::Migrator::Config{0.0, 2});
+
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> draining{false};
+    std::atomic<std::size_t> failures{0};
+    std::atomic<std::size_t> contested_puts{0};
+    auto check = [&](const Status& st) {
+      if (!st.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+    };
+    auto drain_running = [&] {
+      return !draining.load() || migrator.progress().running;
+    };
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kHot; ++t) {
+      threads.emplace_back([&, t] {
+        started.fetch_add(1);
+        for (int r = 0; r < kMaxRounds && holds_on(hot_row(t), subject) &&
+                        drain_running();
+             ++r) {
+          check(fronts[t % 2]->update_chunk(client_of(t), "pw", "hot", 0,
+                                            payload_of(2048, 5000 * t + r)));
+        }
+      });
+    }
+    for (std::size_t m = 0; m < kMixers; ++m) {
+      threads.emplace_back([&, m] {
+        core::CloudDataDistributor& cdd = *fronts[m];
+        for (int r = 0; r < kMaxRounds && (r < kMinRounds || drain_running());
+             ++r) {
+          const std::string file = "f" + std::to_string(r);
+          check(cdd.put_file(client_of(m), "pw", file,
+                             payload_of(4096 * (1 + r % 3), 1000 * m + r),
+                             opts));
+          if (r % 2 == 1) {
+            check(cdd.remove_file(client_of(m), "pw",
+                                  "f" + std::to_string(r - 1)));
+          }
+        }
+      });
+    }
+    // One name, put through one front-end and removed through the other.
+    threads.emplace_back([&] {
+      for (int k = 0; k < 40; ++k) {
+        const Status st = fronts[0]->put_file(
+            client_of(2), "pw", "contested",
+            payload_of(4096 * (1 + k % 3), 77 + k), opts);
+        if (st.ok()) {
+          contested_puts.fetch_add(1, std::memory_order_relaxed);
+        } else if (st.code() != ErrorCode::kAlreadyExists) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+    threads.emplace_back([&] {
+      for (int k = 0; k < 40; ++k) {
+        const Status st =
+            fronts[1]->remove_file(client_of(2), "pw", "contested");
+        if (!st.ok() && st.code() != ErrorCode::kNotFound) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::yield();
+      }
+    });
+    while (started.load() < kHot) std::this_thread::yield();
+    migrator.start(core::MigrationKind::kDrain, subject);
+    draining.store(true);
+    for (std::thread& th : threads) th.join();
+    Result<core::Migrator::Report> drained = migrator.wait();
+    ASSERT_TRUE(drained.ok() ||
+                drained.status().code() == ErrorCode::kResourceExhausted)
+        << drained.status().to_string();
+    EXPECT_GT(migrator.progress().shards_moved, 0u);
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_GT(contested_puts.load(), 0u);
+
+    for (std::size_t k = 0; k < kShards; ++k) {
+      live.emplace_back(plane->store(k));
+    }
+  }
+  plane.reset();
+  Result<core::PlaneRecovery> rec = core::recover_plane(
+      dir.path() / "metadata.bin", dir.path() / "journal.wal", kShards);
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  for (std::size_t k = 0; k < kShards; ++k) {
+    expect_same_partition(live[k],
+                          PartitionImage(*rec.value().shards[k].metadata), k);
+  }
 }
 
 // --- TSan hammer ------------------------------------------------------------
